@@ -3,14 +3,13 @@
 #include <algorithm>
 
 #include "ppc/flag_sweep.hpp"
-#include "ppc/plane_ops.hpp"
 #include "util/check.hpp"
 
 namespace ppa::ppc {
 
 Context::Context(sim::Machine& machine)
     : machine_(machine),
-      alu_(plane_kernels::active(), machine.host_pool(),
+      alu_(sim::plane_kernels::active(), machine.host_pool(),
            machine.config().plane_sweep_min_words, machine.mutable_sweep_stats()) {
   if (bitplane()) {
     full_.resize(geometry().plane_words());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "ppc/plane_ops.hpp"
 #include "util/check.hpp"
 
 namespace ppa::ppc {

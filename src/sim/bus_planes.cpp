@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <vector>
 
+#include "sim/plane_kernels.hpp"
 #include "util/check.hpp"
 
 namespace ppa::sim {
@@ -51,11 +53,9 @@ template <typename T>
   return v.data();
 }
 
-/// OR-masks the column range [clo, chi] of one row into every plane whose
-/// bit is set in `drv_bits`, and into the driven plane unconditionally.
+/// Sets the column range [clo, chi] of one row in `plane`.
 void fill_col_range(const PlaneGeometry& g, std::size_t row, std::size_t clo,
-                    std::size_t chi, std::uint64_t drv_bits,
-                    const std::size_t plane_words, PlaneWord* out, PlaneWord* driven) {
+                    std::size_t chi, PlaneWord* plane) {
   if (clo > chi) return;
   const std::size_t w_lo = clo / kLanesPerWord;
   const std::size_t w_hi = chi / kLanesPerWord;
@@ -65,14 +65,7 @@ void fill_col_range(const PlaneGeometry& g, std::size_t row, std::size_t clo,
     const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
     const PlaneWord mask =
         (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) & ~((PlaneWord{1} << lo) - 1);
-    const std::size_t idx = row * g.row_words + w;
-    if (driven != nullptr) driven[idx] |= mask;
-    std::uint64_t bits = drv_bits;
-    while (bits != 0) {
-      const int j = __builtin_ctzll(bits);
-      out[static_cast<std::size_t>(j) * plane_words + idx] |= mask;
-      bits &= bits - 1;
-    }
+    plane[row * g.row_words + w] |= mask;
   }
 }
 
@@ -134,9 +127,9 @@ void for_each_open_in_row(const PlaneGeometry& g, const PlaneWord* open, std::si
 }
 
 // ---------------------------------------------------------------------------
-// Broadcast plan cache (BroadcastPlanCache): exact-key LRU lookup shared by
-// the row and column broadcast resolvers. A hit skips the whole switch
-// resolution pass; a miss rebuilds the least-recently-used slot.
+// Broadcast plan cache (BroadcastPlanCache): exact-key LRU lookup for the
+// column broadcast resolver. A hit skips the whole switch resolution pass;
+// a miss rebuilds the least-recently-used slot.
 // ---------------------------------------------------------------------------
 
 /// Cache probe. Returns the matching slot with hit=true; on a miss, either
@@ -195,19 +188,6 @@ void for_each_open_in_row(const PlaneGeometry& g, const PlaneWord* open, std::si
   return victim;
 }
 
-void stamp_plan_key(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                    const PlaneWord* open, BroadcastPlan& plan) {
-  plan.open.assign(open, open + g.plane_words());
-  plan.n = g.n;
-  plan.topology = static_cast<std::uint8_t>(topology);
-  plan.dir = static_cast<std::uint8_t>(dir);
-  plan.whole_rows.clear();
-  plan.segs.clear();
-  plan.col_have.clear();
-  plan.col_pend.clear();
-  plan.k_stop = 0;
-}
-
 /// True when run_chunked would fan this cycle out over the pool — the plan
 /// cache serves only inline cycles (the paper-scale configuration), so the
 /// chunked resolvers stay exactly as profiled.
@@ -220,331 +200,98 @@ void stamp_plan_key(const PlaneGeometry& g, BusTopology topology, Direction dir,
 // ---------------------------------------------------------------------------
 // Row buses (East / West)
 // ---------------------------------------------------------------------------
-//
-// Both resolvers special-case the configurations where a whole row is one
-// segment: zero Open switches, and — on a ring — exactly one (the head and
-// tail intervals meet around the wrap). Those are the overwhelmingly
-// common rows in the minimum-cost-path kernels (Open = the cluster
-// delimiter L, at most one per row), and they reduce to whole-row masked
-// fills with no per-bit scanning.
 
-/// One word's worth of segment fill: OR `mask` into plane word `widx`
-/// (absolute, row * row_words + w) of every plane whose bit is set in
-/// `drv`. A register has at most 32 planes, so drv fits 32 bits.
-struct RowFill {
-  std::uint32_t widx;
-  std::uint32_t drv;
-  PlaneWord mask;
-};
-
-/// Fused miss path: the same resolve-and-fill pass as the chunked resolver
-/// below, recording the configuration into `plan` as it goes — so a miss
-/// costs what the plain resolver costs (the minimum-variant kernels issue
-/// data-dependent configurations that never repeat, and they must not pay
-/// a separate resolve pass for a plan nothing will reuse).
-void row_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                          const PlaneWord* src, int planes, const PlaneWord* open,
-                          PlaneWord* out, PlaneWord* driven, BroadcastPlan& plan) {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-  stamp_plan_key(g, topology, dir, open, plan);
-  std::size_t max_segment = 0;
-
-  std::fill(driven, driven + pw, PlaneWord{0});
-  for (int j = 0; j < planes; ++j) {
-    PlaneWord* p = out + static_cast<std::size_t>(j) * pw;
-    std::fill(p, p + pw, PlaneWord{0});
+/// Longest run of clear lanes strictly between two set lanes of `x` (0
+/// when there is none). Binary lifting over a run ladder — rung k marks
+/// the lanes that start 2^k clear lanes — so the cost is a few dozen word
+/// operations however many switches the word holds.
+[[nodiscard]] unsigned longest_inner_gap(PlaneWord x) noexcept {
+  const auto lo = static_cast<unsigned>(__builtin_ctzll(x));
+  const auto hi = static_cast<unsigned>(63 - __builtin_clzll(x));
+  const PlaneWord z = ~x & (((PlaneWord{2} << hi) - 1) & ~((PlaneWord{1} << lo) - 1));
+  PlaneWord rung[6];
+  rung[0] = z;
+  for (unsigned k = 1; k < 6; ++k) rung[k] = rung[k - 1] & (rung[k - 1] >> (1u << (k - 1)));
+  PlaneWord starts = ~PlaneWord{0};
+  unsigned len = 0;
+  for (unsigned k = 6; k-- > 0;) {
+    const PlaneWord longer = starts & (rung[k] >> len);
+    starts = longer != 0 ? longer : starts;
+    len += longer != 0 ? 1u << k : 0u;
   }
-  const auto driver_bits = [&](std::size_t row, std::size_t c) {
-    const std::size_t word = row * rw + c / kLanesPerWord;
-    const unsigned bit = PlaneGeometry::bit_of(c);
-    std::uint64_t drv = 0;
-    for (int j = 0; j < planes; ++j) {
-      drv |= ((src[static_cast<std::size_t>(j) * pw + word] >> bit) & 1u) << j;
-    }
-    return drv;
-  };
-  // Fill the flow interval [fa, fb] from the switch at `col`, and record
-  // it; segments whose driver happens to be all-zero still go in the plan
-  // (a hit replays the configuration under different data).
-  const auto emit = [&](std::size_t row, std::size_t fa, std::size_t fb, std::size_t col,
-                        std::uint64_t drv) {
-    if (fa > fb) return;
-    const std::size_t clo = dir == Direction::East ? fa : n - 1 - fb;
-    const std::size_t chi = dir == Direction::East ? fb : n - 1 - fa;
-    plan.segs.push_back({static_cast<std::uint32_t>(row), static_cast<std::uint32_t>(col),
-                         static_cast<std::uint32_t>(clo), static_cast<std::uint32_t>(chi)});
-    const std::size_t w_lo = clo / kLanesPerWord;
-    const std::size_t w_hi = chi / kLanesPerWord;
-    for (std::size_t w = w_lo; w <= w_hi; ++w) {
-      const std::size_t base = w * kLanesPerWord;
-      const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-      const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-      const PlaneWord mask = (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) &
-                             ~((PlaneWord{1} << lo) - 1);
-      const std::size_t idx = row * rw + w;
-      driven[idx] |= mask;
-      std::uint64_t bits = drv;
-      while (bits != 0) {
-        const int j = __builtin_ctzll(bits);
-        out[static_cast<std::size_t>(j) * pw + idx] |= mask;
-        bits &= bits - 1;
-      }
-    }
-  };
-
-  for (std::size_t r = 0; r < n; ++r) {
-    if (topology == BusTopology::Ring && row_open_count(g, open, r) == 1) {
-      std::size_t c = 0;
-      for (std::size_t w = 0; w < rw; ++w) {
-        if (open[r * rw + w] != 0) {
-          c = w * kLanesPerWord + static_cast<unsigned>(__builtin_ctzll(open[r * rw + w]));
-          break;
-        }
-      }
-      plan.whole_rows.push_back({static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(c)});
-      for (std::size_t w = 0; w < rw; ++w) driven[r * rw + w] = g.word_mask(w);
-      std::uint64_t drv = driver_bits(r, c);
-      while (drv != 0) {
-        const int j = __builtin_ctzll(drv);
-        PlaneWord* p = out + static_cast<std::size_t>(j) * pw + r * rw;
-        for (std::size_t w = 0; w < rw; ++w) p[w] = g.word_mask(w);
-        drv &= drv - 1;
-      }
-      max_segment = std::max(max_segment, n);
-      continue;
-    }
-    std::size_t first = kNone;
-    std::size_t prev = kNone;
-    std::size_t col = 0;
-    std::uint64_t drv = 0;
-    for_each_open_in_row(g, open, r, dir, [&](std::size_t k, std::size_t c) {
-      if (prev != kNone) {
-        max_segment = std::max(max_segment, k - prev);
-        emit(r, prev + 1, k, col, drv);
-      } else {
-        first = k;
-      }
-      col = c;
-      drv = driver_bits(r, c);
-      prev = k;
-    });
-    if (prev != kNone) {
-      if (topology == BusTopology::Ring) {
-        emit(r, prev + 1, n - 1, col, drv);
-        emit(r, 0, first, col, drv);
-        max_segment = std::max(max_segment, n - prev + first);
-      } else {
-        emit(r, prev + 1, n - 1, col, drv);
-        max_segment = std::max(max_segment, n - 1 - prev);
-      }
-    }
-  }
-  plan.driven.assign(driven, driven + pw);
-  plan.max_segment = max_segment;
+  return len;
 }
 
-/// Executes one row broadcast from a resolved plan: re-derives each
-/// segment's driver bits from its recorded column and stamps the fills.
-void row_broadcast_exec(const PlaneGeometry& g, const BroadcastPlan& plan,
-                        const PlaneWord* src, int planes, PlaneWord* out,
-                        PlaneWord* driven) {
+/// Broadcast max_segment of rows [r_begin, r_end), from the switches alone
+/// (bus.cpp's accounting): the longest run from one Open switch to the
+/// next, plus the ring wrap or the linear tail past the last Open switch.
+/// Rows with no Open switch float and add nothing. Words whose switches
+/// span no more than the longest run found so far are not searched, and
+/// the walk stops once it reaches the longest run a line can have.
+[[nodiscard]] std::size_t row_broadcast_max_segment(const PlaneGeometry& g,
+                                                    BusTopology topology, Direction dir,
+                                                    const PlaneWord* open,
+                                                    std::size_t r_begin,
+                                                    std::size_t r_end) noexcept {
+  const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-  std::copy(plan.driven.begin(), plan.driven.end(), driven);
-  for (int j = 0; j < planes; ++j) {
-    PlaneWord* p = out + static_cast<std::size_t>(j) * pw;
-    std::fill(p, p + pw, PlaneWord{0});
-  }
-  const auto driver_bits = [&](std::size_t row, std::size_t c) {
-    const std::size_t word = row * rw + c / kLanesPerWord;
-    const unsigned bit = PlaneGeometry::bit_of(c);
-    std::uint64_t drv = 0;
-    for (int j = 0; j < planes; ++j) {
-      drv |= ((src[static_cast<std::size_t>(j) * pw + word] >> bit) & 1u) << j;
-    }
-    return drv;
-  };
-  for (const BroadcastPlan::RowDrive& d : plan.whole_rows) {
-    std::uint64_t drv = driver_bits(d.row, d.col);
-    while (drv != 0) {
-      const int j = __builtin_ctzll(drv);
-      PlaneWord* p = out + static_cast<std::size_t>(j) * pw +
-                     static_cast<std::size_t>(d.row) * rw;
-      for (std::size_t w = 0; w < rw; ++w) p[w] = g.word_mask(w);
-      drv &= drv - 1;
-    }
-  }
-  for (const BroadcastPlan::RowSeg& s : plan.segs) {
-    const std::uint64_t drv = driver_bits(s.row, s.col);
-    if (drv == 0) continue;
-    const std::size_t w_lo = s.clo / kLanesPerWord;
-    const std::size_t w_hi = s.chi / kLanesPerWord;
-    for (std::size_t w = w_lo; w <= w_hi; ++w) {
+  const std::size_t ceiling = topology == BusTopology::Ring ? n : n - 1;
+  std::size_t max_segment = 0;
+  for (std::size_t r = r_begin; r < r_end && max_segment < ceiling; ++r) {
+    const PlaneWord* o = open + r * rw;
+    std::size_t lo = kNone;
+    std::size_t hi = 0;
+    for (std::size_t w = 0; w < rw; ++w) {
+      const PlaneWord bits = o[w];
+      if (bits == 0) continue;
       const std::size_t base = w * kLanesPerWord;
-      const unsigned lo = static_cast<unsigned>(s.clo > base ? s.clo - base : 0);
-      const unsigned hi = static_cast<unsigned>(std::min(s.chi - base, kLanesPerWord - 1));
-      const PlaneWord mask = (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) &
-                             ~((PlaneWord{1} << lo) - 1);
-      const std::size_t idx = static_cast<std::size_t>(s.row) * rw + w;
-      std::uint64_t bits = drv;
-      while (bits != 0) {
-        const int j = __builtin_ctzll(bits);
-        out[static_cast<std::size_t>(j) * pw + idx] |= mask;
-        bits &= bits - 1;
+      const std::size_t first = base + static_cast<unsigned>(__builtin_ctzll(bits));
+      const std::size_t last = base + static_cast<unsigned>(63 - __builtin_clzll(bits));
+      if (lo == kNone) {
+        lo = first;
+      } else {
+        max_segment = std::max(max_segment, first - hi);
       }
+      if (last - first > max_segment) {
+        max_segment = std::max(max_segment, std::size_t{longest_inner_gap(bits)} + 1);
+      }
+      hi = last;
+    }
+    if (lo == kNone) continue;
+    if (topology == BusTopology::Ring) {
+      max_segment = std::max(max_segment, n - hi + lo);
+    } else {
+      max_segment = std::max(max_segment, dir == Direction::East ? n - 1 - hi : lo);
     }
   }
+  return max_segment;
+}
+
+/// The valid-lane plane for `g`, built once per array side.
+[[nodiscard]] const PlaneWord* full_plane(const PlaneGeometry& g, PlaneBusScratch& s) {
+  if (s.full_n != g.n) {
+    s.full.resize(g.plane_words());
+    plane_fill_full(g, s.full.data());
+    s.full_n = g.n;
+  }
+  return s.full.data();
 }
 
 std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                           const PlaneWord* src, int planes, const PlaneWord* open,
                           PlaneWord* out, PlaneWord* driven, const PlaneBusExec& exec) {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
-  PPA_ASSERT(planes <= 32, "a register has at most 32 planes");
-  if (exec.scratch != nullptr &&
-      !would_chunk(exec, n, pw * static_cast<std::size_t>(planes + 1))) {
-    bool hit = false;
-    BroadcastPlan* plan = lookup_broadcast_plan(exec.scratch->broadcast_plans, g,
-                                                topology, dir, open, hit);
-    if (plan != nullptr) {
-      if (hit) {
-        row_broadcast_exec(g, *plan, src, planes, out, driven);
-      } else {
-        row_broadcast_record(g, topology, dir, src, planes, open, out, driven, *plan);
-      }
-      return plan->max_segment;
-    }
-  }
+  std::optional<PlaneBusScratch> local;
+  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local.emplace();
+  const PlaneWord* full = full_plane(g, s);
+  PlaneWord* fill_scratch = grown(s.per_k_a, 2 * pw);
+  const plane_kernels::PlaneKernels& k = plane_kernels::active();
   std::atomic<std::size_t> max_segment{0};
-
-  run_chunked(exec, n, pw * static_cast<std::size_t>(planes + 1),
+  run_chunked(exec, g.n, pw * static_cast<std::size_t>(planes + 1),
               [&](std::size_t r_begin, std::size_t r_end) {
-    std::size_t chunk_max = 0;
-    // Pass 1 resolves the switch configuration once — per-row fill entries
-    // and the driven plane — so pass 2 only touches planes a driver
-    // actually pulls high. A segment tiles into at most (words spanned)
-    // entries, so `fills` stays small.
-    std::vector<RowFill> fills;
-    fills.reserve((r_end - r_begin) * (rw + 2));
-    // Rows whose single ring driver covers the whole line (the dominant
-    // configuration in the MCP kernels) compress to one record; widx holds
-    // the ROW index for these.
-    std::vector<RowFill> whole_rows;
-    whole_rows.reserve(r_end - r_begin);
-
-    const auto emit = [&](std::size_t row, std::size_t fa, std::size_t fb,
-                          std::uint64_t drv) {
-      if (fa > fb) return;
-      const std::size_t clo = dir == Direction::East ? fa : n - 1 - fb;
-      const std::size_t chi = dir == Direction::East ? fb : n - 1 - fa;
-      const std::size_t w_lo = clo / kLanesPerWord;
-      const std::size_t w_hi = chi / kLanesPerWord;
-      for (std::size_t w = w_lo; w <= w_hi; ++w) {
-        const std::size_t base = w * kLanesPerWord;
-        const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-        const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-        const PlaneWord mask = (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) &
-                               ~((PlaneWord{1} << lo) - 1);
-        driven[row * rw + w] |= mask;
-        if (drv != 0) {
-          fills.push_back({static_cast<std::uint32_t>(row * rw + w),
-                           static_cast<std::uint32_t>(drv), mask});
-        }
-      }
-    };
-    // Per-driver plane reads stay inline: the `planes` loads stride the
-    // plane pitch at a CONSTANT step, which the hardware stride prefetcher
-    // covers — both a plane-at-a-time gather and per-row word staging
-    // measure faster in isolation but slower end to end.
-    const auto driver_bits = [&](std::size_t row, std::size_t c) {
-      const std::size_t word = row * rw + c / kLanesPerWord;
-      const unsigned bit = PlaneGeometry::bit_of(c);
-      std::uint64_t drv = 0;
-      for (int j = 0; j < planes; ++j) {
-        drv |= ((src[static_cast<std::size_t>(j) * pw + word] >> bit) & 1u) << j;
-      }
-      return drv;
-    };
-
-    for (std::size_t r = r_begin; r < r_end; ++r) {
-      if (topology == BusTopology::Ring && row_open_count(g, open, r) == 1) {
-        // One Open switch on a ring: its value wraps all the way around and
-        // every lane of the row (driver included) reads it.
-        std::size_t c = 0;
-        for (std::size_t w = 0; w < rw; ++w) {
-          if (open[r * rw + w] != 0) {
-            c = w * kLanesPerWord +
-                static_cast<unsigned>(__builtin_ctzll(open[r * rw + w]));
-            break;
-          }
-        }
-        const std::uint64_t drv = driver_bits(r, c);
-        for (std::size_t w = 0; w < rw; ++w) driven[r * rw + w] = g.word_mask(w);
-        if (drv != 0) {
-          whole_rows.push_back({static_cast<std::uint32_t>(r),
-                                static_cast<std::uint32_t>(drv), 0});
-        }
-        chunk_max = std::max(chunk_max, n);
-        continue;
-      }
-      for (std::size_t w = 0; w < rw; ++w) driven[r * rw + w] = 0;
-      std::size_t first = kNone;
-      std::size_t prev = kNone;
-      std::uint64_t drv = 0;
-      for_each_open_in_row(g, open, r, dir, [&](std::size_t k, std::size_t c) {
-        if (prev != kNone) {
-          chunk_max = std::max(chunk_max, k - prev);
-          emit(r, prev + 1, k, drv);
-        } else {
-          first = k;
-        }
-        drv = driver_bits(r, c);
-        prev = k;
-      });
-      if (prev != kNone) {  // no Open switch: the whole line floats (zeros)
-        if (topology == BusTopology::Ring) {
-          emit(r, prev + 1, n - 1, drv);
-          emit(r, 0, first, drv);
-          chunk_max = std::max(chunk_max, n - prev + first);
-        } else {
-          emit(r, prev + 1, n - 1, drv);
-          chunk_max = std::max(chunk_max, n - 1 - prev);
-        }
-      }
-    }
-
-    // Pass 2: zero the chunk's slice of every plane, then stamp each fill
-    // entry into just the planes its driver pulls high. (Bucketing the
-    // entries by plane first measures as a net loss here: MCP drivers
-    // light up ~14 of 16 planes, so the expanded side buffer outweighs
-    // the store locality it buys.)
-    for (int j = 0; j < planes; ++j) {
-      PlaneWord* p = out + static_cast<std::size_t>(j) * pw;
-      std::fill(p + r_begin * rw, p + r_end * rw, PlaneWord{0});
-    }
-    for (const RowFill& f : whole_rows) {
-      std::uint32_t drv = f.drv;
-      while (drv != 0) {
-        const int j = __builtin_ctz(drv);
-        PlaneWord* p = out + static_cast<std::size_t>(j) * pw +
-                       static_cast<std::size_t>(f.widx) * rw;
-        for (std::size_t w = 0; w < rw; ++w) p[w] = g.word_mask(w);
-        drv &= drv - 1;
-      }
-    }
-    for (const RowFill& f : fills) {
-      std::uint32_t drv = f.drv;
-      while (drv != 0) {
-        const int j = __builtin_ctz(drv);
-        out[static_cast<std::size_t>(j) * pw + f.widx] |= f.mask;
-        drv &= drv - 1;
-      }
-    }
-    merge_max(max_segment, chunk_max);
+    k.segmented_fill(g, topology, dir, src, planes, open, full, out, driven, fill_scratch,
+                     r_begin, r_end);
+    merge_max(max_segment, row_broadcast_max_segment(g, topology, dir, open, r_begin, r_end));
   });
   return max_segment.load(std::memory_order_relaxed);
 }
@@ -656,12 +403,12 @@ std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction
         const auto& head = *(it + 1);
         v = v || any_in_col_range(g, src, r, head.clo, head.chi);
         if (v) {
-          fill_col_range(g, r, it->clo, it->chi, 1u, pw, out, nullptr);
-          fill_col_range(g, r, head.clo, head.chi, 1u, pw, out, nullptr);
+          fill_col_range(g, r, it->clo, it->chi, out);
+          fill_col_range(g, r, head.clo, head.chi, out);
         }
         ++it;
       } else if (v) {
-        fill_col_range(g, r, it->clo, it->chi, 1u, pw, out, nullptr);
+        fill_col_range(g, r, it->clo, it->chi, out);
       }
     }
   });
@@ -724,56 +471,21 @@ std::size_t column_max_segment(const PlaneGeometry& g, BusTopology topology, Dir
   return max_segment;
 }
 
-/// Column-broadcast pass 2 over the full word range: carry the latest
-/// driver word down the flow, reading the pass-1 products (per-row driven
-/// and wrap-carry masks) from wherever they live — the scratch block on
-/// the plain path, a cached plan on a hit.
-void column_pass2(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,
-                  const PlaneWord* open, PlaneWord* out, const PlaneWord* have_k,
-                  const PlaneWord* pend_k, std::size_t k_stop, PlaneWord* cur) {
+/// Column-broadcast pass 1 over word-columns [w_begin, w_end), from the
+/// switches alone: have_k[k * rw + w] is the driven mask of flow row k (the
+/// lanes that saw an Open switch strictly upstream), pend_k the ring's
+/// wrap-carry mask per row; `driven` gets both. Returns the number of flow
+/// rows the wrap reaches (0 on a linear bus).
+std::size_t column_pass1(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                         const PlaneWord* open, PlaneWord* driven, PlaneWord* have_k,
+                         PlaneWord* pend_k, PlaneWord* state, std::size_t w_begin,
+                         std::size_t w_end) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-  for (int j = 0; j < planes; ++j) {
-    const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
-    PlaneWord* op = out + static_cast<std::size_t>(j) * pw;
-    std::fill(cur, cur + rw, PlaneWord{0});
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = 0; w < rw; ++w) {
-        const PlaneWord ow = open[base + w];
-        op[base + w] = cur[w] & have_k[k * rw + w];
-        cur[w] = (cur[w] & ~ow) | (sp[base + w] & ow);
-      }
-    }
-    for (std::size_t k = 0; k < k_stop; ++k) {
-      const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = 0; w < rw; ++w) {
-        op[base + w] |= cur[w] & pend_k[k * rw + w];
-      }
-    }
-  }
-}
-
-/// Fused miss path: column_broadcast's pass 1 writing its per-row products
-/// straight into `plan` (same stores, different destination), then the
-/// shared pass 2 — a miss costs what the plain resolver costs.
-void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                             const PlaneWord* src, int planes, const PlaneWord* open,
-                             PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s,
-                             BroadcastPlan& plan) {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  stamp_plan_key(g, topology, dir, open, plan);
-  plan.col_have.resize(n * rw);
-  plan.col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
-  PlaneWord* have_k = plan.col_have.data();
-  PlaneWord* pend_k = plan.col_pend.data();
-  PlaneWord* state = grown(s.lane_a, rw);
-  std::fill(state, state + rw, PlaneWord{0});
+  std::fill(state + w_begin, state + w_end, PlaneWord{0});
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t base = flow_row(n, dir, k) * rw;
-    for (std::size_t w = 0; w < rw; ++w) {
+    for (std::size_t w = w_begin; w < w_end; ++w) {
       const PlaneWord ow = open[base + w];
       have_k[k * rw + w] = state[w];
       driven[base + w] = state[w];
@@ -782,10 +494,12 @@ void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direc
   }
   std::size_t k_stop = 0;
   if (topology == BusTopology::Ring) {
+    // Wrap: every lane's prefix through its FIRST Open row reads the
+    // signal carried around from its LAST Open row.
     for (std::size_t k = 0; k < n; ++k) {
       PlaneWord alive = 0;
       const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = 0; w < rw; ++w) {
+      for (std::size_t w = w_begin; w < w_end; ++w) {
         const PlaneWord ow = open[base + w];
         alive |= state[w];
         pend_k[k * rw + w] = state[w];
@@ -796,8 +510,58 @@ void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direc
       k_stop = k + 1;
     }
   }
-  plan.k_stop = k_stop;
-  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, k_stop, state);
+  return k_stop;
+}
+
+/// Column-broadcast pass 2 over word-columns [w_begin, w_end): carry the
+/// latest driver word down the flow, reading the pass-1 products (per-row
+/// driven and wrap-carry masks) from wherever they live — the scratch
+/// block on the plain path, a cached plan on a hit. Each (plane, word
+/// column) is one chain over the rows, held in a register.
+void column_pass2(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,
+                  const PlaneWord* open, PlaneWord* out, const PlaneWord* have_k,
+                  const PlaneWord* pend_k, std::size_t k_stop, std::size_t w_begin,
+                  std::size_t w_end) {
+  const std::size_t n = g.n;
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  for (int j = 0; j < planes; ++j) {
+    const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
+    PlaneWord* op = out + static_cast<std::size_t>(j) * pw;
+    for (std::size_t w = w_begin; w < w_end; ++w) {
+      PlaneWord cur = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t idx = flow_row(n, dir, k) * rw + w;
+        const PlaneWord ow = open[idx];
+        op[idx] = cur & have_k[k * rw + w];
+        cur = (cur & ~ow) | (sp[idx] & ow);
+      }
+      for (std::size_t k = 0; k < k_stop; ++k) {
+        op[flow_row(n, dir, k) * rw + w] |= cur & pend_k[k * rw + w];
+      }
+    }
+  }
+}
+
+/// Recording miss path: pass 1 writing its per-row products straight into
+/// `plan`, then pass 2 — a miss costs what the plain resolver costs.
+void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                             const PlaneWord* src, int planes, const PlaneWord* open,
+                             PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s,
+                             BroadcastPlan& plan) {
+  const std::size_t n = g.n;
+  const std::size_t rw = g.row_words;
+  plan.open.assign(open, open + g.plane_words());
+  plan.n = n;
+  plan.topology = static_cast<std::uint8_t>(topology);
+  plan.dir = static_cast<std::uint8_t>(dir);
+  plan.col_have.resize(n * rw);
+  plan.col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
+  PlaneWord* have_k = plan.col_have.data();
+  PlaneWord* pend_k = plan.col_pend.data();
+  plan.k_stop = column_pass1(g, topology, dir, open, driven, have_k, pend_k,
+                             grown(s.lane_a, rw), 0, rw);
+  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, plan.k_stop, 0, rw);
   plan.driven.assign(driven, driven + g.plane_words());
   plan.max_segment = column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
 }
@@ -805,10 +569,10 @@ void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direc
 /// Executes one column broadcast from a resolved plan: pass 2 only.
 void column_broadcast_exec(const PlaneGeometry& g, const BroadcastPlan& plan,
                            Direction dir, const PlaneWord* src, int planes,
-                           PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
+                           PlaneWord* out, PlaneWord* driven) {
   std::copy(plan.driven.begin(), plan.driven.end(), driven);
   column_pass2(g, dir, src, planes, plan.open.data(), out, plan.col_have.data(),
-               plan.col_pend.data(), plan.k_stop, grown(s.lane_a, g.row_words));
+               plan.col_pend.data(), plan.k_stop, 0, g.row_words);
 }
 
 std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
@@ -825,7 +589,7 @@ std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direc
                                                 topology, dir, open, hit);
     if (plan != nullptr) {
       if (hit) {
-        column_broadcast_exec(g, *plan, dir, src, planes, out, driven, *exec.scratch);
+        column_broadcast_exec(g, *plan, dir, src, planes, out, driven);
       } else {
         column_broadcast_record(g, topology, dir, src, planes, open, out, driven,
                                 *exec.scratch, *plan);
@@ -836,67 +600,15 @@ std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direc
 
   PlaneBusScratch local;
   PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local;
-  // have_k[k*rw + w]: driven mask of row k (flow order) — the lanes that saw
-  // an Open switch strictly upstream. pend_k: the wrap-carry mask per row.
   PlaneWord* have_k = grown(s.per_k_a, n * rw);
   PlaneWord* pend_k = grown(s.per_k_b, n * rw);
   PlaneWord* state = grown(s.lane_a, rw);
 
   run_chunked(exec, rw, pw * static_cast<std::size_t>(planes + 1),
               [&](std::size_t w_begin, std::size_t w_end) {
-    // Pass 1 (plane-independent): per-row driven masks, and the wrap
-    // extent. driven[] is exactly "have before this row".
-    PlaneWord* have = state + w_begin;
-    std::fill(have, have + (w_end - w_begin), PlaneWord{0});
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = w_begin; w < w_end; ++w) {
-        const PlaneWord ow = open[base + w];
-        have_k[k * rw + w] = state[w];
-        driven[base + w] = state[w];
-        state[w] |= ow;
-      }
-    }
-    std::size_t k_stop = 0;  // rows the wrap reaches in this w slice
-    if (topology == BusTopology::Ring) {
-      // Wrap: every lane's prefix through its FIRST Open row reads the
-      // signal carried around from its LAST Open row.
-      for (std::size_t k = 0; k < n; ++k) {
-        PlaneWord alive = 0;
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord ow = open[base + w];
-          alive |= state[w];
-          pend_k[k * rw + w] = state[w];
-          driven[base + w] |= state[w];
-          state[w] &= ~ow;
-        }
-        if (alive == 0) break;
-        k_stop = k + 1;
-      }
-    }
-    // Pass 2, per plane: carry the latest driver word down the flow. All
-    // accesses at row k are consecutive words, so this vectorizes.
-    for (int j = 0; j < planes; ++j) {
-      const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
-      PlaneWord* op = out + static_cast<std::size_t>(j) * pw;
-      PlaneWord* cur = state;
-      std::fill(cur + w_begin, cur + w_end, PlaneWord{0});
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord ow = open[base + w];
-          op[base + w] = cur[w] & have_k[k * rw + w];
-          cur[w] = (cur[w] & ~ow) | (sp[base + w] & ow);
-        }
-      }
-      for (std::size_t k = 0; k < k_stop; ++k) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          op[base + w] |= cur[w] & pend_k[k * rw + w];
-        }
-      }
-    }
+    const std::size_t k_stop = column_pass1(g, topology, dir, open, driven, have_k, pend_k,
+                                            state, w_begin, w_end);
+    column_pass2(g, dir, src, planes, open, out, have_k, pend_k, k_stop, w_begin, w_end);
   });
   return column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
 }

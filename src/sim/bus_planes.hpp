@@ -7,24 +7,28 @@
 // and bit-plane backends (tests/sim_bus_planes_test.cpp fuzzes exactly
 // this equivalence, with bus.cpp as the oracle).
 //
-// Row buses (East/West) stream each row's Open bits in flow order and fill
-// whole receiving intervals with word-masked ORs; rows with zero or (on a
-// ring) one Open switch — the minimum-cost-path solver's steady state —
-// collapse to whole-row fills. Column buses (South/North) are resolved 64
-// lines at a time with vertical scans whose inner loop runs across the
-// row's words, so the compiler vectorizes the 64-lane bit arithmetic.
+// Row broadcasts (East/West) run every cycle through the dispatched
+// segmented-fill kernel (plane_kernels::PlaneKernels::segmented_fill): a
+// log-step segmented scan over each row's 64-lane words, one pass per bit
+// plane plus one for the driven plane, with each word's head carried in
+// from the nearest Open switch upstream (or, on a ring, wrapped from the
+// row's last one). Its cost does not depend on how many switches are Open,
+// so the data-dependent route broadcasts of the paper's min() cost what a
+// repeated configuration costs; max_segment comes from the open plane
+// alone. Row wired-ORs memoize their per-row segmentation (RowWiredOrPlan)
+// across the long runs of cycles the solver issues on one configuration.
+// Column buses (South/North) are resolved 64 lines at a time with vertical
+// scans whose inner loop runs across the row's words; column broadcasts
+// memoize the switch-only half of that scan in an 8-deep LRU plan cache
+// (BroadcastPlanCache), so a repeat configuration runs only the per-plane
+// pass — results and max_segment are identical either way.
 //
 // Each entry point takes an optional PlaneBusExec: a thread pool to chunk
 // the cycle over (rows for the row axis, word-columns for the column axis
 // — every chunk owns a disjoint slice of the output planes, and per-chunk
 // max_segment partials merge with max, which is order-independent, so
 // results and step counts are bit-identical for every pool size) and a
-// scratch block that keeps the column resolvers allocation-free across
-// cycles. Unchunked broadcasts with a scratch additionally memoize their
-// switch decomposition in an 8-deep LRU plan cache (BroadcastPlanCache
-// below), so repeat cycles on a recently seen configuration skip the
-// resolution pass entirely — results and max_segment are identical either
-// way (tests/sim_bus_planes_test.cpp fuzzes cached vs. cold).
+// scratch block that keeps the resolvers allocation-free across cycles.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +67,10 @@ struct RowWiredOrPlan {
   std::size_t max_segment = 0;
 };
 
-/// Memoized decomposition of one BROADCAST switch configuration (the
-/// wired-OR twin is RowWiredOrPlan above). Everything a broadcast cycle
-/// derives from the switches alone is cached: the driven plane, the
-/// max_segment, and either the per-row fill segments (row axis; driver
-/// VALUES are src-dependent and re-derived per cycle from the recorded
-/// driver columns) or the vertical-scan products (column axis).
+/// Memoized decomposition of one column BROADCAST switch configuration
+/// (the wired-OR twin is RowWiredOrPlan above). Everything a column
+/// broadcast cycle derives from the switches alone is cached: the driven
+/// plane, the max_segment, and the vertical-scan products.
 struct BroadcastPlan {
   // Key: exact switch configuration. n == 0 marks an empty slot.
   std::vector<PlaneWord> open;
@@ -76,35 +78,21 @@ struct BroadcastPlan {
   std::uint8_t topology = 0;
   std::uint8_t dir = 0;
   std::uint64_t stamp = 0;  // LRU clock of the owning cache
-  // Configuration-only products shared by both axes.
   std::size_t max_segment = 0;
   std::vector<PlaneWord> driven;  // plane_words
-  // Row-axis payload: rows whose single ring driver covers the whole
-  // line, and the general segments as inclusive column ranges.
-  struct RowDrive {
-    std::uint32_t row;
-    std::uint32_t col;
-  };
-  struct RowSeg {
-    std::uint32_t row;
-    std::uint32_t col;  // column of the switch driving [clo, chi]
-    std::uint32_t clo;
-    std::uint32_t chi;
-  };
-  std::vector<RowDrive> whole_rows;
-  std::vector<RowSeg> segs;
-  // Column-axis payload: pass-1 scan state per flow row (see
-  // column_broadcast), indexed [k * row_words + w].
+  // Pass-1 scan state per flow row (see column_broadcast), indexed
+  // [k * row_words + w].
   std::vector<PlaneWord> col_have;
   std::vector<PlaneWord> col_pend;
   std::size_t k_stop = 0;
 };
 
-/// 8-deep LRU cache of broadcast decompositions. The minimum-cost-path
-/// kernels rotate through a handful of switch configurations (carrier
-/// row, diagonal, row end — per scheme and per panel), so a shallow
-/// exact-key cache absorbs nearly every resolution after the first
-/// sweep; hits/misses surface as bus.plan_cache.* in ppa.metrics.v1.
+/// 8-deep LRU cache of column broadcast decompositions. The
+/// minimum-cost-path kernels rotate through a handful of switch
+/// configurations (carrier row, diagonal, row end — per scheme and per
+/// panel), so a shallow exact-key cache absorbs nearly every resolution
+/// after the first sweep; hits/misses surface as bus.plan_cache.* in
+/// ppa.metrics.v1.
 struct BroadcastPlanCache {
   static constexpr std::size_t kDepth = 8;
   BroadcastPlan slots[kDepth];
@@ -127,7 +115,7 @@ struct BroadcastPlanCache {
 /// + w], the per-line arrays by column — under chunking, every chunk
 /// touches only its own w / column slice.
 struct PlaneBusScratch {
-  std::vector<PlaneWord> per_k_a;     // n * row_words
+  std::vector<PlaneWord> per_k_a;     // n * row_words (row broadcast: 2x)
   std::vector<PlaneWord> per_k_b;     // n * row_words
   std::vector<PlaneWord> lane_a;      // row_words
   std::vector<PlaneWord> lane_b;      // row_words
@@ -135,6 +123,8 @@ struct PlaneBusScratch {
   std::vector<std::size_t> pos_a;     // n (column_max_segment: first)
   std::vector<std::size_t> pos_b;     // n (column_max_segment: last)
   std::vector<std::size_t> pos_c;     // n (column_max_segment: gap)
+  std::vector<PlaneWord> full;        // plane_words: valid lanes of side full_n
+  std::size_t full_n = 0;
   RowWiredOrPlan wired_or_plan;       // see RowWiredOrPlan
   BroadcastPlanCache broadcast_plans; // see BroadcastPlanCache
 };

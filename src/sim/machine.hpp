@@ -82,7 +82,7 @@ struct MachineConfig {
   /// Host worker threads for per-PE sweeps; 0 or 1 = host-sequential.
   /// Both backends honor it: the Words backend chunks PE ranges, the
   /// BitPlane backend chunks contiguous plane-word ranges of its ALU
-  /// sweeps (ppc/plane_kernels.hpp) once a sweep reaches
+  /// sweeps (sim/plane_kernels.hpp) once a sweep reaches
   /// `plane_sweep_min_words` words. Results, driven flags and step counts
   /// are bit-identical for every value on both backends
   /// (tests/mcp_backend_diff_test.cpp pins thread-count invariance).
@@ -292,13 +292,13 @@ class Machine {
   }
 
   /// The host worker pool (nullptr when host_threads <= 1). The BitPlane
-  /// backend's ALU (ppc/plane_kernels.hpp) and the plane bus engine chunk
+  /// backend's ALU (sim/plane_kernels.hpp) and the plane bus engine chunk
   /// their sweeps over it.
   [[nodiscard]] util::ThreadPool* host_pool() noexcept { return pool_.get(); }
 
-  /// Cumulative hit/miss counters of this machine's broadcast-decomposition
-  /// plan cache (sim::BroadcastPlanCache — bit-plane backend only; the word
-  /// backend never consults it). Solvers report the per-run delta as
+  /// Cumulative hit/miss counters of this machine's column
+  /// broadcast-decomposition plan cache (sim::BroadcastPlanCache —
+  /// bit-plane backend only; the word backend never consults it). Solvers report the per-run delta as
   /// bus.plan_cache.hits / bus.plan_cache.misses in ppa.metrics.v1.
   struct PlanCacheStats {
     std::uint64_t hits = 0;

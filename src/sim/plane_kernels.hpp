@@ -1,13 +1,13 @@
-// Runtime-dispatched SIMD kernel table for the bit-plane ALU.
+// Runtime-dispatched SIMD kernel table for the bit-plane ALU and the row
+// broadcast.
 //
-// plane_ops.hpp holds the portable scalar loops — they remain the
-// always-available reference implementation and the differential oracle
-// (tests/ppc_plane_kernels_test.cpp fuzzes every table below against
-// them). This header adds the production path: a table of function
-// pointers filled per SIMD variant (scalar / AVX2 / AVX-512), selected
-// once per process from what the build compiled in and what the CPU
-// reports, plus the PlaneAlu wrapper that chunks big sweeps over the
-// machine's host thread pool.
+// A table of function pointers filled per SIMD variant (scalar / AVX2 /
+// AVX-512), selected once per process from what the build compiled in and
+// what the CPU reports, plus the PlaneAlu wrapper that chunks big sweeps
+// over the machine's host thread pool. tests/ppc_plane_kernels_test.cpp
+// fuzzes every arm against plain word loops, and the segmented fill of
+// every arm against the scalar arm (which tests/sim_bus_planes_test.cpp
+// holds to the word-engine bus, sim/bus.cpp).
 //
 // Dispatch order:
 //   1. A PPA_FORCE_SIMD=<arm> build (CMake option) pins the arm at
@@ -62,9 +62,8 @@ struct PlaneKernels {
   bool (*equal)(const PlaneWord* a, const PlaneWord* b, std::size_t words) noexcept = nullptr;
 
   // Multi-plane kernels on the word sub-range [begin, end) of every
-  // plane. Semantics match plane_ops exactly (same clamp rule, same
-  // MSB-first compare); the scratch planes of the plane_ops signatures
-  // are gone — carry/ones/lt/eq live in registers per word block.
+  // plane: saturating add (util::HField::add's clamp rule) and MSB-first
+  // compares; carry/ones/lt/eq live in registers per word block.
   void (*add_sat)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* out, std::size_t begin,
                   std::size_t end) noexcept = nullptr;
@@ -81,6 +80,21 @@ struct PlaneKernels {
   /// write disjoint words, so the pool can split on rows.
   void (*pack_words)(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
                      PlaneWord* out, std::size_t row_begin, std::size_t row_end) = nullptr;
+
+  /// One row-bus broadcast cycle (dir East or West) on rows [row_begin,
+  /// row_end) of `planes` src planes, as a segmented fill: every lane
+  /// reads the nearest Open switch strictly upstream, a ring wraps the
+  /// row's last Open switch around to its head, undriven lanes read 0 —
+  /// bus.cpp's rules exactly. Fully overwrites those rows of `out` and
+  /// `driven`. `full` is the valid-lane plane (plane_fill_full);
+  /// `scratch` holds two planes. Rows touch disjoint words, so the pool
+  /// can split on rows. max_segment is not computed here (it depends on
+  /// the switches alone).
+  void (*segmented_fill)(const sim::PlaneGeometry& g, sim::BusTopology topology,
+                         sim::Direction dir, const PlaneWord* src, int planes,
+                         const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
+                         PlaneWord* driven, PlaneWord* scratch, std::size_t row_begin,
+                         std::size_t row_end) noexcept = nullptr;
 };
 
 /// The scalar arm (always compiled; the dispatch fallback).

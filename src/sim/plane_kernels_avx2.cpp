@@ -30,6 +30,18 @@ struct VecAvx2 {
   static reg xor_(reg a, reg b) noexcept { return _mm256_xor_si256(a, b); }
   // _mm256_andnot_si256(a, b) computes ~a & b; our contract is a & ~b.
   static reg andnot(reg a, reg b) noexcept { return _mm256_andnot_si256(b, a); }
+  template <int D>
+  static reg shl(reg a) noexcept { return _mm256_slli_epi64(a, D); }
+  template <int D>
+  static reg shr(reg a) noexcept { return _mm256_srli_epi64(a, D); }
+  static reg srlv(reg a, reg count) noexcept { return _mm256_srlv_epi64(a, count); }
+  static reg sub(reg a, reg b) noexcept { return _mm256_sub_epi64(a, b); }
+  static reg set1(sim::PlaneWord v) noexcept {
+    return _mm256_set1_epi64x(static_cast<long long>(v));
+  }
+  static reg gather(const sim::PlaneWord* base, reg index) noexcept {
+    return _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), index, 8);
+  }
   static bool is_zero(reg a) noexcept { return _mm256_testz_si256(a, a) != 0; }
 };
 
@@ -93,6 +105,7 @@ const PlaneKernels* avx2_table() noexcept {
     t.compare_lt = detail::t_compare_lt<VecAvx2>;
     t.compare_eq = detail::t_compare_eq<VecAvx2>;
     t.pack_words = pack_words_rows_avx2;
+    t.segmented_fill = detail::t_segmented_fill<VecAvx2>;
     return t;
   }();
   return &table;

@@ -26,6 +26,18 @@ struct VecAvx512 {
   static reg xor_(reg a, reg b) noexcept { return _mm512_xor_si512(a, b); }
   // _mm512_andnot_si512(a, b) computes ~a & b; our contract is a & ~b.
   static reg andnot(reg a, reg b) noexcept { return _mm512_andnot_si512(b, a); }
+  template <int D>
+  static reg shl(reg a) noexcept { return _mm512_slli_epi64(a, D); }
+  template <int D>
+  static reg shr(reg a) noexcept { return _mm512_srli_epi64(a, D); }
+  static reg srlv(reg a, reg count) noexcept { return _mm512_srlv_epi64(a, count); }
+  static reg sub(reg a, reg b) noexcept { return _mm512_sub_epi64(a, b); }
+  static reg set1(sim::PlaneWord v) noexcept {
+    return _mm512_set1_epi64(static_cast<long long>(v));
+  }
+  static reg gather(const sim::PlaneWord* base, reg index) noexcept {
+    return _mm512_i64gather_epi64(index, base, 8);
+  }
   static bool is_zero(reg a) noexcept { return _mm512_test_epi64_mask(a, a) == 0; }
 };
 
@@ -87,6 +99,7 @@ const PlaneKernels* avx512_table() noexcept {
     t.compare_lt = detail::t_compare_lt<VecAvx512>;
     t.compare_eq = detail::t_compare_eq<VecAvx512>;
     t.pack_words = pack_words_rows_avx512;
+    t.segmented_fill = detail::t_segmented_fill<VecAvx512>;
     return t;
   }();
   return &table;

@@ -28,6 +28,7 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.compare_lt = detail::t_compare_lt<VecScalar>;
     t.compare_eq = detail::t_compare_eq<VecScalar>;
     t.pack_words = detail::pack_words_rows_scalar;
+    t.segmented_fill = detail::t_segmented_fill<VecScalar>;
     return t;
   }();
   return table;

@@ -1,32 +1,119 @@
-// Differential fuzz of every compiled SIMD kernel arm against the
-// portable scalar reference in ppc/plane_ops.hpp (and sim::pack_words for
-// the pack kernel), plus determinism pins for the PlaneAlu thread-pool
+// Differential fuzz of every compiled SIMD kernel arm against plain word
+// loops written out below (and sim::pack_words for the pack kernel; the
+// segmented fill against the scalar arm, which tests/sim_bus_planes_test.cpp
+// holds to bus.cpp), plus determinism pins for the PlaneAlu thread-pool
 // chunking. Geometries deliberately include ragged tails (n not a
 // multiple of 64, plane_words not a multiple of the vector width).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
-#include "ppc/plane_kernels.hpp"
-#include "ppc/plane_ops.hpp"
 #include "sim/bit_planes.hpp"
+#include "sim/plane_kernels.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ppa {
 namespace {
 
-using ppc::plane_kernels::PlaneAlu;
-using ppc::plane_kernels::PlaneKernels;
-using ppc::plane_kernels::SimdVariant;
+using sim::plane_kernels::PlaneAlu;
+using sim::plane_kernels::PlaneKernels;
+using sim::plane_kernels::SimdVariant;
 using sim::PlaneGeometry;
 using sim::PlaneWord;
 
+/// The reference: one plain loop per kernel, independent of the template
+/// bodies every arm (the scalar one included) is instantiated from.
+namespace ref {
+
+void op_and(const PlaneWord* a, const PlaneWord* b, PlaneWord* out, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) out[i] = a[i] & b[i];
+}
+void op_or(const PlaneWord* a, const PlaneWord* b, PlaneWord* out, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) out[i] = a[i] | b[i];
+}
+void op_xor(const PlaneWord* a, const PlaneWord* b, PlaneWord* out, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) out[i] = a[i] ^ b[i];
+}
+void op_andnot(const PlaneWord* a, const PlaneWord* b, PlaneWord* out, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) out[i] = a[i] & ~b[i];
+}
+void op_copy(const PlaneWord* a, PlaneWord* out, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) out[i] = a[i];
+}
+void op_zero(PlaneWord* out, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) out[i] = 0;
+}
+void masked_assign(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
+                   std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] = (mask[i] & src[i]) | (~mask[i] & dst[i]);
+}
+void blend(const PlaneWord* cond, const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
+           std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) out[i] = (cond[i] & a[i]) | (~cond[i] & b[i]);
+}
+bool all_zero(const PlaneWord* a, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) {
+    if (a[i] != 0) return false;
+  }
+  return true;
+}
+bool equal(const PlaneWord* a, const PlaneWord* b, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+/// Saturating h-bit add (util::HField::add lane for lane): ripple carry over
+/// the planes, then lanes that carried out or summed to all ones clamp to
+/// all ones.
+void add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+             const PlaneWord* full, PlaneWord* carry, PlaneWord* ones, PlaneWord* out) {
+  op_zero(carry, pw);
+  op_copy(full, ones, pw);
+  for (int j = 0; j < h; ++j) {
+    const std::size_t off = static_cast<std::size_t>(j) * pw;
+    for (std::size_t i = 0; i < pw; ++i) {
+      const PlaneWord s = a[off + i] ^ b[off + i] ^ carry[i];
+      carry[i] = (a[off + i] & b[off + i]) | (carry[i] & (a[off + i] ^ b[off + i]));
+      out[off + i] = s;
+      ones[i] &= s;
+    }
+  }
+  for (int j = 0; j < h; ++j) {
+    const std::size_t off = static_cast<std::size_t>(j) * pw;
+    for (std::size_t i = 0; i < pw; ++i) out[off + i] |= ones[i] | carry[i];
+  }
+}
+
+/// MSB-first scans: lt = (a < b), eq = (a == b).
+void compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) {
+  op_zero(lt, pw);
+  op_copy(full, eq, pw);
+  for (int j = h - 1; j >= 0; --j) {
+    const std::size_t off = static_cast<std::size_t>(j) * pw;
+    for (std::size_t i = 0; i < pw; ++i) {
+      lt[i] |= eq[i] & b[off + i] & ~a[off + i];
+      eq[i] &= ~(a[off + i] ^ b[off + i]);
+    }
+  }
+}
+void compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                const PlaneWord* full, PlaneWord* eq) {
+  std::vector<PlaneWord> lt(pw);
+  compare_lt(a, b, h, pw, full, lt.data(), eq);
+}
+
+}  // namespace ref
+
 std::vector<const PlaneKernels*> all_arms() {
-  std::vector<const PlaneKernels*> arms{&ppc::plane_kernels::scalar_kernels()};
-  if (const PlaneKernels* t = ppc::plane_kernels::avx2_kernels()) arms.push_back(t);
-  if (const PlaneKernels* t = ppc::plane_kernels::avx512_kernels()) arms.push_back(t);
+  std::vector<const PlaneKernels*> arms{&sim::plane_kernels::scalar_kernels()};
+  if (const PlaneKernels* t = sim::plane_kernels::avx2_kernels()) arms.push_back(t);
+  if (const PlaneKernels* t = sim::plane_kernels::avx512_kernels()) arms.push_back(t);
   return arms;
 }
 
@@ -54,7 +141,7 @@ std::vector<PlaneWord> full_plane(const PlaneGeometry& g) {
 const std::size_t kSides[] = {1, 5, 63, 64, 65, 96, 128, 130};
 
 TEST(PlaneKernels, ScalarTableIsAlwaysPresent) {
-  const PlaneKernels& t = ppc::plane_kernels::scalar_kernels();
+  const PlaneKernels& t = sim::plane_kernels::scalar_kernels();
   EXPECT_EQ(t.variant, SimdVariant::Scalar);
   EXPECT_NE(t.op_and, nullptr);
   EXPECT_NE(t.add_sat, nullptr);
@@ -62,10 +149,10 @@ TEST(PlaneKernels, ScalarTableIsAlwaysPresent) {
 }
 
 TEST(PlaneKernels, ActiveVariantIsOneOfTheArms) {
-  const char* name = ppc::plane_kernels::variant_name(ppc::plane_kernels::active_variant());
+  const char* name = sim::plane_kernels::variant_name(sim::plane_kernels::active_variant());
   EXPECT_TRUE(name == std::string("scalar") || name == std::string("avx2") ||
               name == std::string("avx512"));
-  EXPECT_EQ(ppc::plane_kernels::active().variant, ppc::plane_kernels::active_variant());
+  EXPECT_EQ(sim::plane_kernels::active().variant, sim::plane_kernels::active_variant());
 }
 
 TEST(PlaneKernels, ElementwiseMatchScalarReference) {
@@ -78,47 +165,47 @@ TEST(PlaneKernels, ElementwiseMatchScalarReference) {
       const auto b = random_planes(rng, g, 1);
       std::vector<PlaneWord> want(pw), got(pw);
 
-      ppc::plane_ops::op_and(a.data(), b.data(), want.data(), pw);
+      ref::op_and(a.data(), b.data(), want.data(), pw);
       arm->op_and(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " and n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " and n=" << n;
 
-      ppc::plane_ops::op_or(a.data(), b.data(), want.data(), pw);
+      ref::op_or(a.data(), b.data(), want.data(), pw);
       arm->op_or(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " or n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " or n=" << n;
 
-      ppc::plane_ops::op_xor(a.data(), b.data(), want.data(), pw);
+      ref::op_xor(a.data(), b.data(), want.data(), pw);
       arm->op_xor(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " xor n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " xor n=" << n;
 
-      ppc::plane_ops::op_andnot(a.data(), b.data(), want.data(), pw);
+      ref::op_andnot(a.data(), b.data(), want.data(), pw);
       arm->op_andnot(a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant)
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                            << " andnot n=" << n;
 
-      ppc::plane_ops::op_copy(a.data(), want.data(), pw);
+      ref::op_copy(a.data(), want.data(), pw);
       arm->op_copy(a.data(), got.data(), pw);
       EXPECT_EQ(want, got);
 
-      ppc::plane_ops::op_zero(want.data(), pw);
+      ref::op_zero(want.data(), pw);
       arm->op_zero(got.data(), pw);
       EXPECT_EQ(want, got);
 
       const auto mask = random_planes(rng, g, 1);
       auto want_dst = b;
       auto got_dst = b;
-      ppc::plane_ops::masked_assign(mask.data(), a.data(), want_dst.data(), pw);
+      ref::masked_assign(mask.data(), a.data(), want_dst.data(), pw);
       arm->masked_assign(mask.data(), a.data(), got_dst.data(), pw);
-      EXPECT_EQ(want_dst, got_dst) << ppc::plane_kernels::variant_name(arm->variant)
+      EXPECT_EQ(want_dst, got_dst) << sim::plane_kernels::variant_name(arm->variant)
                                    << " masked_assign n=" << n;
 
-      ppc::plane_ops::blend(mask.data(), a.data(), b.data(), want.data(), pw);
+      ref::blend(mask.data(), a.data(), b.data(), want.data(), pw);
       arm->blend(mask.data(), a.data(), b.data(), got.data(), pw);
-      EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant) << " blend n=" << n;
+      EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant) << " blend n=" << n;
 
-      EXPECT_EQ(ppc::plane_ops::all_zero(a.data(), pw), arm->all_zero(a.data(), pw));
+      EXPECT_EQ(ref::all_zero(a.data(), pw), arm->all_zero(a.data(), pw));
       std::vector<PlaneWord> zeros(pw, 0);
       EXPECT_TRUE(arm->all_zero(zeros.data(), pw));
-      EXPECT_EQ(ppc::plane_ops::equal(a.data(), b.data(), pw),
+      EXPECT_EQ(ref::equal(a.data(), b.data(), pw),
                 arm->equal(a.data(), b.data(), pw));
       EXPECT_TRUE(arm->equal(a.data(), a.data(), pw));
     }
@@ -138,25 +225,25 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
         const std::size_t total = pw * static_cast<std::size_t>(h);
 
         std::vector<PlaneWord> want(total), got(total), carry(pw), ones(pw);
-        ppc::plane_ops::add_sat(a.data(), b.data(), h, pw, full.data(), carry.data(),
+        ref::add_sat(a.data(), b.data(), h, pw, full.data(), carry.data(),
                                 ones.data(), want.data());
         arm->add_sat(a.data(), b.data(), h, pw, full.data(), got.data(), 0, pw);
-        EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                              << " add_sat n=" << n << " h=" << h;
 
         std::vector<PlaneWord> want_lt(pw), want_eq(pw), got_lt(pw), got_eq(pw);
-        ppc::plane_ops::compare_lt(a.data(), b.data(), h, pw, full.data(), want_lt.data(),
+        ref::compare_lt(a.data(), b.data(), h, pw, full.data(), want_lt.data(),
                                    want_eq.data());
         arm->compare_lt(a.data(), b.data(), h, pw, full.data(), got_lt.data(),
                         got_eq.data(), 0, pw);
-        EXPECT_EQ(want_lt, got_lt) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want_lt, got_lt) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_lt n=" << n << " h=" << h;
-        EXPECT_EQ(want_eq, got_eq) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want_eq, got_eq) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_lt(eq) n=" << n << " h=" << h;
 
-        ppc::plane_ops::compare_eq(a.data(), b.data(), h, pw, full.data(), want_eq.data());
+        ref::compare_eq(a.data(), b.data(), h, pw, full.data(), want_eq.data());
         arm->compare_eq(a.data(), b.data(), h, pw, full.data(), got_eq.data(), 0, pw);
-        EXPECT_EQ(want_eq, got_eq) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want_eq, got_eq) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_eq n=" << n << " h=" << h;
 
         // Split the word range at every boundary in a coarse grid and check
@@ -219,7 +306,7 @@ TEST(PlaneKernels, PackWordsMatchesSimOracle) {
         sim::pack_words(g, src, planes, want.data());
         std::vector<PlaneWord> got(pw * static_cast<std::size_t>(planes), 0xABABABABu);
         arm->pack_words(g, src.data(), planes, got.data(), 0, g.n);
-        EXPECT_EQ(want, got) << ppc::plane_kernels::variant_name(arm->variant)
+        EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                              << " pack n=" << n << " planes=" << planes;
 
         // Row-range splits must compose to the same result.
@@ -228,6 +315,64 @@ TEST(PlaneKernels, PackWordsMatchesSimOracle) {
         arm->pack_words(g, src.data(), planes, split.data(), mid, g.n);
         arm->pack_words(g, src.data(), planes, split.data(), 0, mid);
         EXPECT_EQ(want, split);
+      }
+    }
+  }
+}
+
+// The segmented fill (one row-bus broadcast) of every arm against the
+// scalar arm: values and driven planes over every row, both topologies and
+// both row directions, for Open densities from none to all, and row-range
+// splits composing to the whole cycle (the pool chunks on rows). Every
+// output word must be overwritten, pads included.
+TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
+  util::Rng rng(0xE7'0005);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : kSides) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const auto full = full_plane(g);
+      for (const double density : {0.0, 0.03, 0.3, 1.0}) {
+        const auto open = [&] {
+          std::vector<PlaneWord> o(pw);
+          for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t c = 0; c < n; ++c) {
+              if (rng.chance(density)) o[g.word_of(r, c)] |= PlaneWord{1} << g.bit_of(c);
+            }
+          }
+          return o;
+        }();
+        for (const int planes : {1, 16, 32}) {
+          const auto src = random_planes(rng, g, planes);
+          const std::size_t total = pw * static_cast<std::size_t>(planes);
+          for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+            for (const auto dir : {sim::Direction::East, sim::Direction::West}) {
+              std::vector<PlaneWord> want(total), want_driven(pw), scratch(2 * pw);
+              scalar.segmented_fill(g, topology, dir, src.data(), planes, open.data(),
+                                    full.data(), want.data(), want_driven.data(),
+                                    scratch.data(), 0, n);
+              std::vector<PlaneWord> got(total, ~PlaneWord{0});
+              std::vector<PlaneWord> got_driven(pw, ~PlaneWord{0});
+              const std::size_t mid = n / 3;
+              arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
+                                  full.data(), got.data(), got_driven.data(),
+                                  scratch.data(), mid, n);
+              arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
+                                  full.data(), got.data(), got_driven.data(),
+                                  scratch.data(), 0, mid);
+              const auto what = [&] {
+                return std::string(sim::plane_kernels::variant_name(arm->variant)) +
+                       " n=" + std::to_string(n) + " density=" + std::to_string(density) +
+                       " planes=" + std::to_string(planes) +
+                       (topology == sim::BusTopology::Ring ? " ring" : " linear") + " " +
+                       std::string(sim::name_of(dir));
+              };
+              ASSERT_EQ(want_driven, got_driven) << what();
+              ASSERT_EQ(want, got) << what();
+            }
+          }
+        }
       }
     }
   }
@@ -244,7 +389,7 @@ TEST(PlaneKernelsAlu, PooledSweepsAreBitIdenticalAcrossThreadCounts) {
   std::vector<sim::Word> src(g.n * g.n);
   for (auto& v : src) v = static_cast<sim::Word>(rng.next() & 0xFFFFu);
 
-  const PlaneKernels& k = ppc::plane_kernels::active();
+  const PlaneKernels& k = sim::plane_kernels::active();
   PlaneAlu inline_alu(k, nullptr, static_cast<std::size_t>(-1));
   std::vector<PlaneWord> ref_add(pw * h), ref_lt(pw), ref_eq(pw),
       ref_pack(pw * h);

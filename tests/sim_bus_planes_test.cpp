@@ -6,6 +6,7 @@
 // word boundary on purpose (63 / 64 / 65, and 130 = 2 words + 2 lanes).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/bus.hpp"
@@ -174,58 +175,89 @@ TEST_P(BusPlaneFuzz, ShiftMatchesBruteForce) {
   }
 }
 
-// The broadcast plan cache only engages through a persistent scratch
-// block, and only for configurations seen more than once: replaying each
-// random configuration several times with fresh data walks one call
-// through the plain, recording and cached paths in turn — every replay
-// must match the cold (scratch-free) resolver and the word oracle in
-// values, driven flags and max_segment.
+/// Pins four line shapes at the edges of the driver rule onto lines 0..3
+/// along the axis of `dir`: no Open switch (the line floats), one at the
+/// line's first position, one at its last (a ring wraps it over the whole
+/// line), and every switch Open.
+void pin_edge_lines(std::size_t n, Direction dir, std::vector<Flag>& open) {
+  if (n < 4) return;
+  const bool row_axis = dir == Direction::East || dir == Direction::West;
+  for (std::size_t line = 0; line < 4; ++line) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const bool on = line == 1 ? k == 0 : line == 2 ? k == n - 1 : line == 3;
+      open[row_axis ? line * n + k : k * n + line] = on ? Flag{1} : Flag{0};
+    }
+  }
+}
+
+// Every broadcast through a persistent scratch block — first sight, then
+// repeats of the same configuration with fresh data (the column axis
+// records a plan on the second sight and replays it after that; the row
+// axis runs the segmented fill every time) — must match the word oracle
+// bus.cpp in values, driven flags and max_segment, in all four directions
+// on both topologies (the ring wrap included), for 1-, 16- and 32-plane
+// registers and the pinned edge lines.
 TEST_P(BusPlaneFuzz, CachedBroadcastMatchesColdOnRepeats) {
   const auto [n, seed, density] = GetParam();
   const PlaneGeometry g(n);
   const std::size_t pw = g.plane_words();
-  const int planes = 7;
   util::Rng rng(seed ^ 0xBEEF);
   PlaneBusScratch scratch;  // persists across all configurations below
   const PlaneBusExec exec{nullptr, static_cast<std::size_t>(-1), &scratch};
 
-  for (int config = 0; config < 6; ++config) {
-    std::vector<Flag> open(n * n);
-    for (auto& f : open) f = rng.chance(density) ? Flag{1} : Flag{0};
-    std::vector<PlaneWord> open_plane(pw);
-    pack_flags(g, open, open_plane.data());
-    const auto topology = rng.chance(0.5) ? BusTopology::Ring : BusTopology::Linear;
-    for (Direction dir : {Direction::East, Direction::South}) {
-      for (int replay = 0; replay < 4; ++replay) {
-        std::vector<Word> src(n * n);
-        for (auto& v : src) v = static_cast<Word>(rng.below(1u << planes));
-        std::vector<PlaneWord> src_planes(pw * planes);
-        pack_words(g, src, planes, src_planes.data());
+  for (int config = 0; config < 3; ++config) {
+    for (Direction dir : {Direction::East, Direction::West, Direction::South,
+                          Direction::North}) {
+      for (BusTopology topology : {BusTopology::Ring, BusTopology::Linear}) {
+        std::vector<Flag> open(n * n);
+        for (auto& f : open) f = rng.chance(density) ? Flag{1} : Flag{0};
+        pin_edge_lines(n, dir, open);
+        std::vector<PlaneWord> open_plane(pw);
+        pack_flags(g, open, open_plane.data());
+        for (const int planes : {1, 16, 32}) {
+          for (int replay = 0; replay < 3; ++replay) {
+            std::vector<Word> src(n * n);
+            for (auto& v : src) {
+              v = static_cast<Word>(rng.next() >> (64 - planes));
+            }
+            std::vector<Word> want_values(n * n);
+            std::vector<Flag> want_driven(n * n);
+            const std::size_t want_segment =
+                bus_broadcast_into(n, topology, dir, src, open, want_values, want_driven);
 
-        std::vector<PlaneWord> want_out(pw * planes);
-        std::vector<PlaneWord> want_driven(pw);
-        const std::size_t want_segment =
-            plane_broadcast_into(g, topology, dir, src_planes.data(), planes,
-                                 open_plane.data(), want_out.data(), want_driven.data());
+            std::vector<PlaneWord> src_planes(pw * static_cast<std::size_t>(planes));
+            pack_words(g, src, planes, src_planes.data());
+            std::vector<PlaneWord> out(pw * static_cast<std::size_t>(planes), ~PlaneWord{0});
+            std::vector<PlaneWord> driven(pw, ~PlaneWord{0});
+            const std::size_t got_segment =
+                plane_broadcast_into(g, topology, dir, src_planes.data(), planes,
+                                     open_plane.data(), out.data(), driven.data(), exec);
 
-        std::vector<PlaneWord> out(pw * planes, ~PlaneWord{0});
-        std::vector<PlaneWord> driven(pw, ~PlaneWord{0});
-        const std::size_t got_segment =
-            plane_broadcast_into(g, topology, dir, src_planes.data(), planes,
-                                 open_plane.data(), out.data(), driven.data(), exec);
-
-        ASSERT_EQ(got_segment, want_segment)
-            << "n=" << n << " dir=" << name_of(dir) << " config=" << config
-            << " replay=" << replay;
-        ASSERT_EQ(out, want_out) << "n=" << n << " dir=" << name_of(dir)
-                                 << " config=" << config << " replay=" << replay;
-        ASSERT_EQ(driven, want_driven) << "n=" << n << " dir=" << name_of(dir)
-                                       << " config=" << config << " replay=" << replay;
+            const auto where = [&] {
+              return "n=" + std::to_string(n) + " dir=" + std::string(name_of(dir)) +
+                     (topology == BusTopology::Ring ? " ring" : " linear") +
+                     " planes=" + std::to_string(planes) + " config=" +
+                     std::to_string(config) + " replay=" + std::to_string(replay);
+            };
+            ASSERT_EQ(got_segment, want_segment) << where();
+            std::vector<Word> got_values(n * n);
+            std::vector<Flag> got_driven(n * n);
+            unpack_words(g, out.data(), planes, got_values);
+            unpack_flags(g, driven.data(), got_driven);
+            ASSERT_EQ(got_driven, want_driven) << where();
+            ASSERT_EQ(got_values, want_values) << where();
+            for (int j = 0; j < planes; ++j) {
+              expect_pads_zero(g, out.data() + static_cast<std::size_t>(j) * pw,
+                               "cached broadcast");
+            }
+            expect_pads_zero(g, driven.data(), "cached broadcast driven");
+          }
+        }
       }
     }
   }
-  // Every configuration was replayed 4x per direction: first sight runs
-  // plain, second records, the rest hit.
+  // Each column configuration was issued 9 times: first sight runs plain,
+  // the second records, the rest hit.
   EXPECT_GE(scratch.broadcast_plans.hits, 2u);
 }
 
@@ -254,7 +286,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BusPlaneFuzz,
                                            FuzzCase{5, 3, 0.2}, FuzzCase{8, 4, 0.15},
                                            FuzzCase{63, 5, 0.05}, FuzzCase{64, 6, 0.05},
                                            FuzzCase{65, 7, 0.05}, FuzzCase{96, 8, 0.02},
-                                           FuzzCase{130, 9, 0.02}));
+                                           FuzzCase{130, 9, 0.02}, FuzzCase{128, 10, 0.3},
+                                           FuzzCase{130, 11, 0.7}));
 
 }  // namespace
 }  // namespace ppa::sim
