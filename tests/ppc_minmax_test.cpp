@@ -19,9 +19,12 @@ sim::MachineConfig config_of(std::size_t n, int bits) {
   return c;
 }
 
+// Every field is 8 bytes wide, so the case has no padding: gtest prints the
+// case's raw bytes into the test name, and padding bytes would make that
+// name change from one run to the next.
 struct MaxCase {
   std::size_t n;
-  int bits;
+  std::int64_t bits;
   std::uint64_t seed;
 };
 
@@ -29,7 +32,7 @@ class MaxSweep : public ::testing::TestWithParam<MaxCase> {};
 
 TEST_P(MaxSweep, PmaxMatchesHostRowMaximum) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed);
 
@@ -54,7 +57,7 @@ TEST_P(MaxSweep, PmaxMatchesHostRowMaximum) {
 
 TEST_P(MaxSweep, SelectedMaxRespectsSelection) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed ^ 0xABCD);
 

@@ -155,9 +155,12 @@ TEST(Any, GlobalOrLine) {
 // pmin / selected_min — randomized against host-computed row minima.
 // ---------------------------------------------------------------------------
 
+// Every field is 8 bytes wide, so the case has no padding: gtest prints the
+// case's raw bytes into the test name, and padding bytes would make that
+// name change from one run to the next.
 struct MinCase {
   std::size_t n;
-  int bits;
+  std::int64_t bits;
   std::uint64_t seed;
 };
 
@@ -165,7 +168,7 @@ class MinSweep : public ::testing::TestWithParam<MinCase> {};
 
 TEST_P(MinSweep, PminMatchesHostRowMinimum) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed);
 
@@ -190,7 +193,7 @@ TEST_P(MinSweep, PminMatchesHostRowMinimum) {
 
 TEST_P(MinSweep, SelectedMinMatchesHostArgmin) {
   const auto [n, bits, seed] = GetParam();
-  sim::Machine m(config_of(n, bits));
+  sim::Machine m(config_of(n, static_cast<int>(bits)));
   Context ctx(m);
   util::Rng rng(seed ^ 0xBEEF);
 
