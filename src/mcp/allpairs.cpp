@@ -50,7 +50,9 @@ EccentricityResult eccentricity(sim::Machine& machine, const graph::WeightMatrix
     const Pbool row_end = (ppc::col_of(ctx) == static_cast<Word>(n - 1));
     const Pbool finite_in_d = row_is_d & !(SOW == inf);
     const Pint row_max = ppc::selected_max_orprobe(SOW, Direction::West, row_end, finite_in_d);
-    out.eccentricity = row_max.at(destination, 0);
+    std::vector<Word> column0(n);
+    row_max.read_column(0, column0);
+    out.eccentricity = column0[destination];
     out.reduction_steps = machine.steps().since(before);
     return out;
   }
@@ -68,6 +70,7 @@ EccentricityResult eccentricity(sim::Machine& machine, const graph::WeightMatrix
   const Pbool row0 = (ppc::row_of(ctx) == Word{0});
   const Pbool row_end = (ppc::col_of(ctx) == static_cast<Word>(p - 1));
   std::vector<Word> cells(machine.pe_count(), 0);
+  std::vector<Word> column0(p);
   graph::Weight ecc = 0;
   for (std::size_t bj = 0; bj < blocks; ++bj) {
     const std::size_t base_c = bj * p;
@@ -80,7 +83,8 @@ EccentricityResult eccentricity(sim::Machine& machine, const graph::WeightMatrix
     const Pbool finite = row0 & !(SOW == inf);
     const Pint block_max = ppc::selected_max_orprobe(SOW, Direction::West, row_end, finite);
     machine.charge_panel_io(1);
-    ecc = std::max(ecc, block_max.at(0, 0));
+    block_max.read_column(0, column0);
+    ecc = std::max(ecc, column0[0]);
   }
   out.eccentricity = ecc;
   out.reduction_steps = machine.steps().since(before);

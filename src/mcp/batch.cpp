@@ -189,6 +189,7 @@ std::vector<Result> run_batched(sim::Machine& machine, const graph::WeightMatrix
   auto relax_span = std::make_optional(obs::open_span(observer, "relax", &machine));
   std::vector<Word> sow_cells(p * p, Word{0});
   std::vector<Word> minv(p), argv(p);
+  std::vector<sim::Flag> or_line(p);
   std::uint64_t panels_visited = 0;
   detail::PanelIoLedger ledger(machine, active_schedule);
   std::vector<std::uint8_t> need(blocks, 1);
@@ -317,8 +318,9 @@ std::vector<Result> run_batched(sim::Machine& machine, const graph::WeightMatrix
           for (int j = h - 1; j >= 0; --j) {
             const Pbool probe = enable & !SOWP.bit(j);
             const Pbool some = ppc::bus_or(probe, Direction::West, row_end);
+            some.read_column(0, or_line);
             for (std::size_t r = 0; r < bh; ++r) {
-              if (!some.at(r, 0)) minv[r] |= Word{1} << j;
+              minv[r] |= static_cast<Word>(or_line[r] ^ 1u) << j;
             }
             ppc::where(ctx, some, [&] { enable = probe; });
           }
@@ -326,8 +328,9 @@ std::vector<Result> run_batched(sim::Machine& machine, const graph::WeightMatrix
             const Pbool probe = enable & !index_bits[bj][static_cast<std::size_t>(
                                              idx_bits - 1 - j)];
             const Pbool some = ppc::bus_or(probe, Direction::West, row_end);
+            some.read_column(0, or_line);
             for (std::size_t r = 0; r < bh; ++r) {
-              if (!some.at(r, 0)) argv[r] |= Word{1} << j;
+              argv[r] |= static_cast<Word>(or_line[r] ^ 1u) << j;
             }
             ppc::where(ctx, some, [&] { enable = probe; });
           }

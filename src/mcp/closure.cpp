@@ -100,10 +100,9 @@ ReachabilityResult full_reachability(sim::Machine& machine, const graph::WeightM
   }
 
   result.total_steps = machine.steps().since(at_entry);
-  result.reachable.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.reachable[i] = R.at(destination, i);
-  }
+  std::vector<Flag> row_d(n);
+  R.read_row(destination, row_d);
+  result.reachable.assign(row_d.begin(), row_d.end());
   return result;
 }
 
@@ -158,6 +157,7 @@ ReachabilityResult tiled_reachability(sim::Machine& machine, const graph::Weight
   detail::PanelIoLedger ledger(machine, active);
   std::vector<std::uint8_t> cache(active ? blocks * blocks * p : 0);
   std::vector<std::uint8_t> carry(p), next(n);
+  std::vector<Flag> or_line(p);
   std::vector<Flag> frag(p * p, 0);
 
   for (;;) {
@@ -199,8 +199,9 @@ ReachabilityResult tiled_reachability(sim::Machine& machine, const graph::Weight
         // ---- panel unload: the OR line is cluster-wide; column 0 is one
         //      readback beat.
         ledger.unload(1);
+        NEW_R.read_column(0, or_line);
         for (std::size_t r = 0; r < bh; ++r) {
-          const std::uint8_t bit = NEW_R.at(r, 0) ? 1 : 0;
+          const std::uint8_t bit = or_line[r];
           if (active) cached[r] = bit;
           carry[r] |= bit;
         }

@@ -222,11 +222,10 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
     PPA_SPAN(observer, "unload", &machine);
     result.solution.destination = destination;
     result.solution.cost.resize(n);
-    result.solution.next.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      result.solution.cost[i] = SOW.at(destination, i);
-      result.solution.next[i] = static_cast<graph::Vertex>(PTN.at(destination, i));
-    }
+    SOW.read_row(destination, result.solution.cost);
+    std::vector<Word> next(n);
+    PTN.read_row(destination, next);
+    result.solution.next.assign(next.begin(), next.end());
   }
 
   // Fault harvest, outcome policy, solver counters (shared with the tiled

@@ -128,6 +128,7 @@ Result tiled_minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix&
   detail::PanelIoLedger ledger(machine, active);
   std::vector<Word> cache_min(active ? blocks * blocks * p : 0);
   std::vector<Word> cache_arg(active ? blocks * blocks * p : 0);
+  std::vector<Word> min_line(p), arg_line(p);
   std::uint64_t panels_skipped = 0;
   std::uint64_t active_blocks_total = 0;
   for (;;) {
@@ -213,9 +214,11 @@ Result tiled_minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix&
         // ---- panel unload: one column readback per result register
         //      (min / argmin are cluster-wide, so column 0 suffices).
         ledger.unload(2);
+        MINP.read_column(0, min_line);
+        PTNP.read_column(0, arg_line);
         for (std::size_t r = 0; r < bh; ++r) {
-          const Word m = MINP.at(r, 0);
-          const Word a = PTNP.at(r, 0);
+          const Word m = min_line[r];
+          const Word a = arg_line[r];
           if (active) {
             cache_m[r] = m;
             cache_a[r] = a;

@@ -346,27 +346,73 @@ void Pint::store_all(Word value) {
 
 Word Pint::at(std::size_t pe) const {
   PPA_REQUIRE(pe < ctx_->pe_count(), "PE index out of range");
-  if (ctx_->bitplane()) {
-    const auto& g = ctx_->geometry();
-    const std::size_t pw = g.plane_words();
-    const std::size_t row = pe / g.n;
-    const std::size_t col = pe % g.n;
-    Word v = 0;
-    const int h = ctx_->field().bits();
-    for (int j = 0; j < h; ++j) {
-      if (sim::plane_get(g, planes_.data() + static_cast<std::size_t>(j) * pw, row, col)) {
-        v |= Word{1} << j;
-      }
-    }
-    return v;
-  }
-  return data_[pe];
+  const std::size_t n = ctx_->n();
+  return at(pe / n, pe % n);
 }
 
 Word Pint::at(std::size_t row, std::size_t col) const {
   const std::size_t n = ctx_->n();
   PPA_REQUIRE(row < n && col < n, "PE coordinates out of range");
-  return at(row * n + col);
+  if (!ctx_->bitplane()) return data_[row * n + col];
+  const auto& g = ctx_->geometry();
+  const std::size_t pw = g.plane_words();
+  const std::size_t word = g.word_of(row, col);
+  const unsigned bit = sim::PlaneGeometry::bit_of(col);
+  Word v = 0;
+  const int h = ctx_->field().bits();
+  for (int j = 0; j < h; ++j) {
+    v |= static_cast<Word>((planes_[static_cast<std::size_t>(j) * pw + word] >> bit) & 1u) << j;
+  }
+  return v;
+}
+
+void Pint::read_row(std::size_t row, std::span<Word> out) const {
+  const std::size_t n = ctx_->n();
+  PPA_REQUIRE(row < n, "row index out of range");
+  PPA_REQUIRE(out.size() == n, "row readback needs exactly n elements");
+  if (!ctx_->bitplane()) {
+    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(row * n), n, out.begin());
+    return;
+  }
+  const auto& g = ctx_->geometry();
+  const std::size_t pw = g.plane_words();
+  const int h = ctx_->field().bits();
+  std::fill(out.begin(), out.end(), Word{0});
+  for (int j = 0; j < h; ++j) {
+    const sim::PlaneWord* plane =
+        planes_.data() + static_cast<std::size_t>(j) * pw + row * g.row_words;
+    for (std::size_t w = 0; w < g.row_words; ++w) {
+      sim::PlaneWord bits = plane[w];
+      while (bits != 0) {
+        const auto b = static_cast<std::size_t>(__builtin_ctzll(bits));
+        out[w * sim::kLanesPerWord + b] |= Word{1} << j;
+        bits &= bits - 1;
+      }
+    }
+  }
+}
+
+void Pint::read_column(std::size_t col, std::span<Word> out) const {
+  const std::size_t n = ctx_->n();
+  PPA_REQUIRE(col < n, "column index out of range");
+  PPA_REQUIRE(out.size() == n, "column readback needs exactly n elements");
+  if (!ctx_->bitplane()) {
+    for (std::size_t r = 0; r < n; ++r) out[r] = data_[r * n + col];
+    return;
+  }
+  const auto& g = ctx_->geometry();
+  const std::size_t pw = g.plane_words();
+  const std::size_t rw = g.row_words;
+  const unsigned bit = sim::PlaneGeometry::bit_of(col);
+  const int h = ctx_->field().bits();
+  std::fill(out.begin(), out.end(), Word{0});
+  for (int j = 0; j < h; ++j) {
+    const sim::PlaneWord* word =
+        planes_.data() + static_cast<std::size_t>(j) * pw + col / sim::kLanesPerWord;
+    for (std::size_t r = 0; r < n; ++r) {
+      out[r] |= static_cast<Word>((word[r * rw] >> bit) & 1u) << j;
+    }
+  }
 }
 
 Pbool Pint::bit(int j) const {
@@ -941,17 +987,49 @@ void Pbool::store_all(bool value) {
 
 bool Pbool::at(std::size_t pe) const {
   PPA_REQUIRE(pe < ctx_->pe_count(), "PE index out of range");
-  if (ctx_->bitplane()) {
-    const auto& g = ctx_->geometry();
-    return sim::plane_get(g, plane_.data(), pe / g.n, pe % g.n);
-  }
-  return data_[pe] != 0;
+  const std::size_t n = ctx_->n();
+  return at(pe / n, pe % n);
 }
 
 bool Pbool::at(std::size_t row, std::size_t col) const {
   const std::size_t n = ctx_->n();
   PPA_REQUIRE(row < n && col < n, "PE coordinates out of range");
-  return at(row * n + col);
+  if (!ctx_->bitplane()) return data_[row * n + col] != 0;
+  return sim::plane_get(ctx_->geometry(), plane_.data(), row, col);
+}
+
+void Pbool::read_row(std::size_t row, std::span<Flag> out) const {
+  const std::size_t n = ctx_->n();
+  PPA_REQUIRE(row < n, "row index out of range");
+  PPA_REQUIRE(out.size() == n, "row readback needs exactly n elements");
+  if (!ctx_->bitplane()) {
+    for (std::size_t c = 0; c < n; ++c) out[c] = data_[row * n + c] != 0 ? Flag{1} : Flag{0};
+    return;
+  }
+  const auto& g = ctx_->geometry();
+  const sim::PlaneWord* words = plane_.data() + row * g.row_words;
+  for (std::size_t w = 0; w < g.row_words; ++w) {
+    const std::size_t base = w * sim::kLanesPerWord;
+    const std::size_t lanes = std::min(sim::kLanesPerWord, n - base);
+    for (std::size_t b = 0; b < lanes; ++b) {
+      out[base + b] = static_cast<Flag>((words[w] >> b) & 1u);
+    }
+  }
+}
+
+void Pbool::read_column(std::size_t col, std::span<Flag> out) const {
+  const std::size_t n = ctx_->n();
+  PPA_REQUIRE(col < n, "column index out of range");
+  PPA_REQUIRE(out.size() == n, "column readback needs exactly n elements");
+  if (!ctx_->bitplane()) {
+    for (std::size_t r = 0; r < n; ++r) out[r] = data_[r * n + col] != 0 ? Flag{1} : Flag{0};
+    return;
+  }
+  const auto& g = ctx_->geometry();
+  const std::size_t rw = g.row_words;
+  const unsigned bit = sim::PlaneGeometry::bit_of(col);
+  const sim::PlaneWord* word = plane_.data() + col / sim::kLanesPerWord;
+  for (std::size_t r = 0; r < n; ++r) out[r] = static_cast<Flag>((word[r * rw] >> bit) & 1u);
 }
 
 std::size_t Pbool::count() const noexcept {

@@ -19,9 +19,9 @@
 //    UndrivenPolicy. Values that never touched a floating bus are always
 //    fully driven.
 //
-// Host-side introspection (at(), values()) reads the array without
-// charging steps — that is the controller peeking at local memories, used
-// for I/O and for assertions in tests.
+// Host-side introspection (at(), read_row()/read_column(), values()) reads
+// the array without charging steps — that is the controller peeking at
+// local memories, used for I/O and for assertions in tests.
 #pragma once
 
 #include <span>
@@ -70,6 +70,13 @@ class Pint {
   [[nodiscard]] std::span<const Word> values() const noexcept { return data_; }
   [[nodiscard]] Word at(std::size_t pe) const;
   [[nodiscard]] Word at(std::size_t row, std::size_t col) const;
+
+  /// Host line readback: copies row `row` (column `col`) into `out`, which
+  /// must hold exactly n elements. Bounds are checked once per line and the
+  /// storage is read directly, so this is the read for host loops over
+  /// lines (panel unloads, per-round OR lines). Charges nothing.
+  void read_row(std::size_t row, std::span<Word> out) const;
+  void read_column(std::size_t col, std::span<Word> out) const;
 
   /// BitPlane-backend storage: h contiguous planes (empty under Word).
   [[nodiscard]] std::span<const sim::PlaneWord> planes_view() const noexcept {
@@ -155,6 +162,10 @@ class Pbool {
   [[nodiscard]] std::span<const Flag> values() const noexcept { return data_; }
   [[nodiscard]] bool at(std::size_t pe) const;
   [[nodiscard]] bool at(std::size_t row, std::size_t col) const;
+
+  /// Host line readback as 0/1 flags (see Pint::read_row).
+  void read_row(std::size_t row, std::span<Flag> out) const;
+  void read_column(std::size_t col, std::span<Flag> out) const;
 
   /// BitPlane-backend storage: one plane (empty under Word).
   [[nodiscard]] std::span<const sim::PlaneWord> plane_view() const noexcept {

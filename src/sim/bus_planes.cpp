@@ -53,79 +53,6 @@ template <typename T>
   return v.data();
 }
 
-/// Sets the column range [clo, chi] of one row in `plane`.
-void fill_col_range(const PlaneGeometry& g, std::size_t row, std::size_t clo,
-                    std::size_t chi, PlaneWord* plane) {
-  if (clo > chi) return;
-  const std::size_t w_lo = clo / kLanesPerWord;
-  const std::size_t w_hi = chi / kLanesPerWord;
-  for (std::size_t w = w_lo; w <= w_hi; ++w) {
-    const std::size_t base = w * kLanesPerWord;
-    const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-    const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-    const PlaneWord mask =
-        (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) & ~((PlaneWord{1} << lo) - 1);
-    plane[row * g.row_words + w] |= mask;
-  }
-}
-
-/// True iff any src bit is set in columns [clo, chi] of `row`.
-[[nodiscard]] bool any_in_col_range(const PlaneGeometry& g, const PlaneWord* plane,
-                                    std::size_t row, std::size_t clo, std::size_t chi) {
-  if (clo > chi) return false;
-  const std::size_t w_lo = clo / kLanesPerWord;
-  const std::size_t w_hi = chi / kLanesPerWord;
-  for (std::size_t w = w_lo; w <= w_hi; ++w) {
-    const std::size_t base = w * kLanesPerWord;
-    const unsigned lo = static_cast<unsigned>(clo > base ? clo - base : 0);
-    const unsigned hi = static_cast<unsigned>(std::min(chi - base, kLanesPerWord - 1));
-    const PlaneWord mask =
-        (hi >= 63 ? ~PlaneWord{0} : ((PlaneWord{1} << (hi + 1)) - 1)) & ~((PlaneWord{1} << lo) - 1);
-    if ((plane[row * g.row_words + w] & mask) != 0) return true;
-  }
-  return false;
-}
-
-/// Open-switch count of one row.
-[[nodiscard]] std::size_t row_open_count(const PlaneGeometry& g, const PlaneWord* open,
-                                         std::size_t row) noexcept {
-  const PlaneWord* base = open + row * g.row_words;
-  std::size_t m = 0;
-  for (std::size_t w = 0; w < g.row_words; ++w) {
-    m += static_cast<std::size_t>(__builtin_popcountll(base[w]));
-  }
-  return m;
-}
-
-/// Calls `visit(flow_position, column)` for every Open bit of `row`, in
-/// flow order for `dir`.
-template <typename Visit>
-void for_each_open_in_row(const PlaneGeometry& g, const PlaneWord* open, std::size_t row,
-                          Direction dir, Visit&& visit) {
-  const PlaneWord* base = open + row * g.row_words;
-  if (dir == Direction::East) {
-    for (std::size_t w = 0; w < g.row_words; ++w) {
-      PlaneWord bits = base[w];
-      while (bits != 0) {
-        const auto b = static_cast<unsigned>(__builtin_ctzll(bits));
-        const std::size_t c = w * kLanesPerWord + b;
-        visit(c, c);
-        bits &= bits - 1;
-      }
-    }
-  } else {
-    for (std::size_t w = g.row_words; w-- > 0;) {
-      PlaneWord bits = base[w];
-      while (bits != 0) {
-        const auto b = static_cast<unsigned>(63 - __builtin_clzll(bits));
-        const std::size_t c = w * kLanesPerWord + b;
-        visit(g.n - 1 - c, c);
-        bits &= ~(PlaneWord{1} << b);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Broadcast plan cache (BroadcastPlanCache): exact-key LRU lookup for the
 // column broadcast resolver. A hit skips the whole switch resolution pass;
@@ -222,20 +149,21 @@ void for_each_open_in_row(const PlaneGeometry& g, const PlaneWord* open, std::si
   return len;
 }
 
-/// Broadcast max_segment of rows [r_begin, r_end), from the switches alone
-/// (bus.cpp's accounting): the longest run from one Open switch to the
-/// next, plus the ring wrap or the linear tail past the last Open switch.
-/// Rows with no Open switch float and add nothing. Words whose switches
-/// span no more than the longest run found so far are not searched, and
-/// the walk stops once it reaches the longest run a line can have.
-[[nodiscard]] std::size_t row_broadcast_max_segment(const PlaneGeometry& g,
-                                                    BusTopology topology, Direction dir,
-                                                    const PlaneWord* open,
-                                                    std::size_t r_begin,
-                                                    std::size_t r_end) noexcept {
+/// max_segment of rows [r_begin, r_end), from the switches alone (bus.cpp's
+/// accounting): the longest run from one Open switch to the next, plus the
+/// ring wrap or the linear runs past the row's last Open switch (and, for a
+/// wired-OR, the linear head stub before its first). A row with no Open
+/// switch floats under a broadcast and adds nothing; under a wired-OR it is
+/// one segment of n. Words whose switches span no more than the longest run
+/// found so far are not searched, and the walk stops once it reaches the
+/// longest run a line can have.
+[[nodiscard]] std::size_t row_max_segment(const PlaneGeometry& g, BusTopology topology,
+                                          Direction dir, const PlaneWord* open,
+                                          bool wired_or, std::size_t r_begin,
+                                          std::size_t r_end) noexcept {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  const std::size_t ceiling = topology == BusTopology::Ring ? n : n - 1;
+  const std::size_t ceiling = topology == BusTopology::Ring || wired_or ? n : n - 1;
   std::size_t max_segment = 0;
   for (std::size_t r = r_begin; r < r_end && max_segment < ceiling; ++r) {
     const PlaneWord* o = open + r * rw;
@@ -257,9 +185,15 @@ void for_each_open_in_row(const PlaneGeometry& g, const PlaneWord* open, std::si
       }
       hi = last;
     }
-    if (lo == kNone) continue;
+    if (lo == kNone) {
+      if (wired_or) max_segment = n;
+      continue;
+    }
     if (topology == BusTopology::Ring) {
       max_segment = std::max(max_segment, n - hi + lo);
+    } else if (wired_or) {
+      max_segment = std::max({max_segment, dir == Direction::East ? n - hi : lo + 1,
+                              dir == Direction::East ? lo : n - 1 - hi});
     } else {
       max_segment = std::max(max_segment, dir == Direction::East ? n - 1 - hi : lo);
     }
@@ -291,128 +225,26 @@ std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Directio
               [&](std::size_t r_begin, std::size_t r_end) {
     k.segmented_fill(g, topology, dir, src, planes, open, full, out, driven, fill_scratch,
                      r_begin, r_end);
-    merge_max(max_segment, row_broadcast_max_segment(g, topology, dir, open, r_begin, r_end));
+    merge_max(max_segment,
+              row_max_segment(g, topology, dir, open, /*wired_or=*/false, r_begin, r_end));
   });
   return max_segment.load(std::memory_order_relaxed);
-}
-
-/// Rebuilds `plan` for one (topology, dir, open) wired-OR configuration:
-/// classifies every row, records the general rows' segments as column
-/// ranges in flow order, and fixes max_segment (configuration-only).
-void build_row_wired_or_plan(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                             const PlaneWord* open, RowWiredOrPlan& plan) {
-  const std::size_t n = g.n;
-  plan.open.assign(open, open + g.plane_words());
-  plan.n = n;
-  plan.topology = static_cast<std::uint8_t>(topology);
-  plan.dir = static_cast<std::uint8_t>(dir);
-  plan.fast_rows.clear();
-  plan.segs.clear();
-  std::size_t max_segment = 0;
-
-  // Push the flow interval [fa, fb] of `row` as a column range.
-  const auto push = [&](std::size_t row, std::size_t fa, std::size_t fb, bool fuse) {
-    if (fa > fb) return;
-    const std::size_t clo = dir == Direction::East ? fa : n - 1 - fb;
-    const std::size_t chi = dir == Direction::East ? fb : n - 1 - fa;
-    plan.segs.push_back({static_cast<std::uint32_t>(row), static_cast<std::uint32_t>(clo),
-                         static_cast<std::uint32_t>(chi), fuse ? 1u : 0u});
-  };
-
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t m = row_open_count(g, open, r);
-    if (m == 0 || (m == 1 && topology == BusTopology::Ring)) {
-      // One unsegmented line (the single ring switch's head and tail
-      // intervals merge around the wrap): whole-row OR.
-      plan.fast_rows.push_back(static_cast<std::uint32_t>(r));
-      max_segment = std::max(max_segment, n);
-      continue;
-    }
-    std::size_t first = kNone;
-    std::size_t prev = kNone;
-    for_each_open_in_row(g, open, r, dir, [&](std::size_t k, std::size_t) {
-      if (prev == kNone) {
-        first = k;
-      } else {
-        push(r, prev, k - 1, false);
-        max_segment = std::max(max_segment, k - prev);
-      }
-      prev = k;
-    });
-    if (topology == BusTopology::Ring) {
-      // The tail segment and the head stub [0, first) merge around the wrap.
-      push(r, prev, n - 1, first > 0);
-      if (first > 0) push(r, 0, first - 1, false);
-      max_segment = std::max(max_segment, n - prev + first);
-    } else {
-      push(r, prev, n - 1, false);
-      max_segment = std::max(max_segment, n - prev);
-      if (first > 0) push(r, 0, first - 1, false);
-      max_segment = std::max(max_segment, first);
-    }
-  }
-  plan.max_segment = max_segment;
 }
 
 std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction dir,
                          const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
                          const PlaneBusExec& exec) {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-
-  RowWiredOrPlan local_plan;
-  RowWiredOrPlan& plan =
-      exec.scratch != nullptr ? exec.scratch->wired_or_plan : local_plan;
-  if (plan.n != n || plan.topology != static_cast<std::uint8_t>(topology) ||
-      plan.dir != static_cast<std::uint8_t>(dir) ||
-      !std::equal(plan.open.begin(), plan.open.end(), open, open + pw)) {
-    build_row_wired_or_plan(g, topology, dir, open, plan);
-  }
-
-  run_chunked(exec, n, pw, [&](std::size_t r_begin, std::size_t r_end) {
-    const auto fast_lo = std::lower_bound(plan.fast_rows.begin(), plan.fast_rows.end(),
-                                          static_cast<std::uint32_t>(r_begin));
-    const auto fast_hi = std::lower_bound(fast_lo, plan.fast_rows.end(),
-                                          static_cast<std::uint32_t>(r_end));
-    for (auto it = fast_lo; it != fast_hi; ++it) {
-      const std::size_t r = *it;
-      PlaneWord any = 0;
-      for (std::size_t w = 0; w < rw; ++w) any |= src[r * rw + w];
-      for (std::size_t w = 0; w < rw; ++w) {
-        out[r * rw + w] = any != 0 ? g.word_mask(w) : PlaneWord{0};
-      }
-    }
-    const auto by_row = [](const RowWiredOrPlan::Seg& s, std::uint32_t row) {
-      return s.row < row;
-    };
-    const auto seg_lo = std::lower_bound(plan.segs.begin(), plan.segs.end(),
-                                         static_cast<std::uint32_t>(r_begin), by_row);
-    const auto seg_hi = std::lower_bound(seg_lo, plan.segs.end(),
-                                         static_cast<std::uint32_t>(r_end), by_row);
-    std::size_t last_zeroed = kNone;
-    for (auto it = seg_lo; it != seg_hi; ++it) {
-      const std::size_t r = it->row;
-      if (r != last_zeroed) {
-        for (std::size_t w = 0; w < rw; ++w) out[r * rw + w] = 0;
-        last_zeroed = r;
-      }
-      bool v = any_in_col_range(g, src, r, it->clo, it->chi);
-      if (it->fuse_next != 0) {
-        // A ring's tail + head pair reads as one segment across the wrap.
-        const auto& head = *(it + 1);
-        v = v || any_in_col_range(g, src, r, head.clo, head.chi);
-        if (v) {
-          fill_col_range(g, r, it->clo, it->chi, out);
-          fill_col_range(g, r, head.clo, head.chi, out);
-        }
-        ++it;
-      } else if (v) {
-        fill_col_range(g, r, it->clo, it->chi, out);
-      }
-    }
+  std::optional<PlaneBusScratch> local;
+  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local.emplace();
+  const PlaneWord* full = full_plane(g, s);
+  const plane_kernels::PlaneKernels& k = plane_kernels::active();
+  std::atomic<std::size_t> max_segment{0};
+  run_chunked(exec, g.n, g.plane_words(), [&](std::size_t r_begin, std::size_t r_end) {
+    k.segmented_or(g, topology, dir, src, open, full, out, r_begin, r_end);
+    merge_max(max_segment,
+              row_max_segment(g, topology, dir, open, /*wired_or=*/true, r_begin, r_end));
   });
-  return plan.max_segment;
+  return max_segment.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------

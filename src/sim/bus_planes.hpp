@@ -7,16 +7,19 @@
 // and bit-plane backends (tests/sim_bus_planes_test.cpp fuzzes exactly
 // this equivalence, with bus.cpp as the oracle).
 //
-// Row broadcasts (East/West) run every cycle through the dispatched
-// segmented-fill kernel (plane_kernels::PlaneKernels::segmented_fill): a
+// Row buses (East/West) run every cycle through a dispatched plane kernel
+// (plane_kernels::PlaneKernels): broadcasts through segmented_fill, a
 // log-step segmented scan over each row's 64-lane words, one pass per bit
 // plane plus one for the driven plane, with each word's head carried in
 // from the nearest Open switch upstream (or, on a ring, wrapped from the
-// row's last one). Its cost does not depend on how many switches are Open,
-// so the data-dependent route broadcasts of the paper's min() cost what a
-// repeated configuration costs; max_segment comes from the open plane
-// alone. Row wired-ORs memoize their per-row segmentation (RowWiredOrPlan)
-// across the long runs of cycles the solver issues on one configuration.
+// row's last one); wired-ORs through segmented_or, which ORs a flow-order
+// and a reverse-order segmented smear per word and carries segment ORs
+// across word boundaries and the ring wrap. Neither kernel keeps state
+// between cycles: the data-dependent route broadcasts of the paper's min()
+// cost what a repeated configuration costs, and a wired-OR whose rows open
+// only at their flow head (the solver's cluster anchor) skips the smears
+// and is one any() per row.
+// max_segment comes from the open plane alone (row_max_segment).
 // Column buses (South/North) are resolved 64 lines at a time with vertical
 // scans whose inner loop runs across the row's words; column broadcasts
 // memoize the switch-only half of that scan in an 8-deep LRU plan cache
@@ -39,38 +42,10 @@
 
 namespace ppa::sim {
 
-/// Memoized segmentation of one row wired-OR switch configuration. The
-/// minimum-cost-path kernels issue long runs of wired-OR cycles on an
-/// unchanged configuration (the cluster delimiters only move between
-/// iterations), so the resolver caches the per-row decomposition keyed on
-/// the exact open-plane contents and re-derives only the src-dependent
-/// segment values per cycle.
-struct RowWiredOrPlan {
-  // Key: exact switch configuration this plan was built for. n == 0 marks
-  // an empty plan.
-  std::vector<PlaneWord> open;
-  std::size_t n = 0;
-  std::uint8_t topology = 0;
-  std::uint8_t dir = 0;
-  // Payload. fast_rows: rows that resolve to a single whole-line segment.
-  // segs: remaining segments as column ranges, sorted by row; an entry
-  // with fuse_next set shares its OR value with the next entry (a ring's
-  // tail + head pair). max_segment depends only on the configuration.
-  struct Seg {
-    std::uint32_t row;
-    std::uint32_t clo;
-    std::uint32_t chi;
-    std::uint32_t fuse_next;
-  };
-  std::vector<std::uint32_t> fast_rows;
-  std::vector<Seg> segs;
-  std::size_t max_segment = 0;
-};
-
-/// Memoized decomposition of one column BROADCAST switch configuration
-/// (the wired-OR twin is RowWiredOrPlan above). Everything a column
-/// broadcast cycle derives from the switches alone is cached: the driven
-/// plane, the max_segment, and the vertical-scan products.
+/// Memoized decomposition of one column BROADCAST switch configuration.
+/// Everything a column broadcast cycle derives from the switches alone is
+/// cached: the driven plane, the max_segment, and the vertical-scan
+/// products.
 struct BroadcastPlan {
   // Key: exact switch configuration. n == 0 marks an empty slot.
   std::vector<PlaneWord> open;
@@ -125,7 +100,6 @@ struct PlaneBusScratch {
   std::vector<std::size_t> pos_c;     // n (column_max_segment: gap)
   std::vector<PlaneWord> full;        // plane_words: valid lanes of side full_n
   std::size_t full_n = 0;
-  RowWiredOrPlan wired_or_plan;       // see RowWiredOrPlan
   BroadcastPlanCache broadcast_plans; // see BroadcastPlanCache
 };
 

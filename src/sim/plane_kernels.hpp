@@ -1,13 +1,13 @@
 // Runtime-dispatched SIMD kernel table for the bit-plane ALU and the row
-// broadcast.
+// buses (broadcast and wired-OR).
 //
 // A table of function pointers filled per SIMD variant (scalar / AVX2 /
 // AVX-512), selected once per process from what the build compiled in and
 // what the CPU reports, plus the PlaneAlu wrapper that chunks big sweeps
 // over the machine's host thread pool. tests/ppc_plane_kernels_test.cpp
-// fuzzes every arm against plain word loops, and the segmented fill of
-// every arm against the scalar arm (which tests/sim_bus_planes_test.cpp
-// holds to the word-engine bus, sim/bus.cpp).
+// fuzzes every arm against plain word loops, and the segmented fill and
+// segmented OR of every arm against the scalar arm (which
+// tests/sim_bus_planes_test.cpp holds to the word-engine bus, sim/bus.cpp).
 //
 // Dispatch order:
 //   1. A PPA_FORCE_SIMD=<arm> build (CMake option) pins the arm at
@@ -95,6 +95,18 @@ struct PlaneKernels {
                          const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
                          PlaneWord* driven, PlaneWord* scratch, std::size_t row_begin,
                          std::size_t row_end) noexcept = nullptr;
+
+  /// One row-bus wired-OR cycle (dir East or West) on rows [row_begin,
+  /// row_end) of the single plane `src`: every lane reads the OR of its
+  /// segment — an Open lane starts one, a ring's head stub joins the row's
+  /// last segment, a linear head stub stands alone, a row with no Open
+  /// lane is one segment — bus.cpp's rules exactly. Fully overwrites those
+  /// rows of `out`; pads stay 0. Rows touch disjoint words, so the pool can
+  /// split on rows. max_segment is not computed here.
+  void (*segmented_or)(const sim::PlaneGeometry& g, sim::BusTopology topology,
+                       sim::Direction dir, const PlaneWord* src, const PlaneWord* open,
+                       const PlaneWord* full, PlaneWord* out, std::size_t row_begin,
+                       std::size_t row_end) noexcept = nullptr;
 };
 
 /// The scalar arm (always compiled; the dispatch fallback).

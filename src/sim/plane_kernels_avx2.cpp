@@ -42,6 +42,7 @@ struct VecAvx2 {
   static reg gather(const sim::PlaneWord* base, reg index) noexcept {
     return _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), index, 8);
   }
+  static reg swap_pairs(reg a) noexcept { return _mm256_shuffle_epi32(a, 0x4E); }
   static bool is_zero(reg a) noexcept { return _mm256_testz_si256(a, a) != 0; }
 };
 
@@ -106,6 +107,7 @@ const PlaneKernels* avx2_table() noexcept {
     t.compare_eq = detail::t_compare_eq<VecAvx2>;
     t.pack_words = pack_words_rows_avx2;
     t.segmented_fill = detail::t_segmented_fill<VecAvx2>;
+    t.segmented_or = detail::t_segmented_or<VecAvx2>;
     return t;
   }();
   return &table;

@@ -38,6 +38,7 @@ struct VecAvx512 {
   static reg gather(const sim::PlaneWord* base, reg index) noexcept {
     return _mm512_i64gather_epi64(index, base, 8);
   }
+  static reg swap_pairs(reg a) noexcept { return _mm512_shuffle_epi32(a, _MM_PERM_BADC); }
   static bool is_zero(reg a) noexcept { return _mm512_test_epi64_mask(a, a) == 0; }
 };
 
@@ -100,6 +101,7 @@ const PlaneKernels* avx512_table() noexcept {
     t.compare_eq = detail::t_compare_eq<VecAvx512>;
     t.pack_words = pack_words_rows_avx512;
     t.segmented_fill = detail::t_segmented_fill<VecAvx512>;
+    t.segmented_or = detail::t_segmented_or<VecAvx512>;
     return t;
   }();
   return &table;

@@ -9,6 +9,7 @@
 //                                   per-word count)
 //   sub / set1 / gather           — per-word subtract, broadcast, and
 //                                   indexed load base[index]
+//   swap_pairs                    — swaps words 2k and 2k+1 (W > 1 only)
 //   is_zero                       — whole-register test
 // The bodies below keep all loop-carried state (ripple carry, the
 // MSB-first lt/eq pair, the saturation mask) in registers; the only
@@ -402,6 +403,233 @@ void t_segmented_fill(const sim::PlaneGeometry& g, sim::BusTopology topology,
     }
     t_fill_words<V, false>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven,
                            begin, end);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Segmented OR: one row-bus wired-OR cycle (East / West). Segments are the
+// flow-order intervals [Open_i, Open_i+1): an Open lane starts a segment and
+// reads it, so its own bit joins the segment downstream. The head stub
+// before a row's first Open lane joins the row's last segment on a ring and
+// stands alone on a linear bus; a row with no Open lane is one segment.
+// Every lane reads the OR of its segment (bus.cpp's rules).
+//
+// Per word, the OR of a lane's segment inside the word is a flow-order
+// OR-smear (from the segment start to the lane) ORed with a reverse-order
+// OR-smear (from the lane to the segment end), each under a ladder built
+// from the open plane like the segmented fill's. What the word cannot see
+// comes in as carries: the OR of a segment's lanes upstream of the word
+// lands on the lanes before the word's first Open lane, the OR of its lanes
+// downstream on the lanes from the word's last Open lane on, and on a ring
+// the head stub and the last segment exchange their ORs.
+//
+// A word with no Open lane past its flow-first lane is a single segment,
+// so it reads all-ones iff any of its bits is set: a vector of such words
+// skips the ladders. The solver's wired-ORs open exactly each row's flow
+// head, so on one-word rows they never run them; on wider rows a row with
+// no Open lane past its flow head is one any() over its words.
+// ---------------------------------------------------------------------------
+
+/// Per-word all-ones where the word is nonzero, 0 elsewhere.
+template <class V>
+typename V::reg nonzero_mask(typename V::reg x) noexcept {
+  const auto sign = V::template shr<63>(V::or_(x, V::sub(V::zero(), x)));
+  return V::sub(V::zero(), sign);
+}
+
+/// OR-smear in flow order under the ladder rooted at `pass0` (the lanes
+/// that hear their flow predecessor); `pass0 = ~0` gives a plain prefix OR.
+template <class V, bool kWest>
+typename V::reg smear(typename V::reg x, typename V::reg pass0) noexcept {
+  auto p = pass0;
+  x = V::or_(x, V::and_(flow_shift<V, kWest, 1>(x), p));
+  p = V::and_(p, flow_shift<V, kWest, 1>(p));
+  x = V::or_(x, V::and_(flow_shift<V, kWest, 2>(x), p));
+  p = V::and_(p, flow_shift<V, kWest, 2>(p));
+  x = V::or_(x, V::and_(flow_shift<V, kWest, 4>(x), p));
+  p = V::and_(p, flow_shift<V, kWest, 4>(p));
+  x = V::or_(x, V::and_(flow_shift<V, kWest, 8>(x), p));
+  p = V::and_(p, flow_shift<V, kWest, 8>(p));
+  x = V::or_(x, V::and_(flow_shift<V, kWest, 16>(x), p));
+  p = V::and_(p, flow_shift<V, kWest, 16>(p));
+  return V::or_(x, V::and_(flow_shift<V, kWest, 32>(x), p));
+}
+
+/// In-word segment ORs of words [begin, end) into `out`. With `wrap` (a
+/// ring of one-word rows) each word is a whole row, and its head stub and
+/// last segment also exchange their ORs, which completes the cycle.
+template <class V, bool kWest>
+void t_or_words(const PlaneWord* src, const PlaneWord* open, const PlaneWord* full,
+                PlaneWord* out, bool wrap, std::size_t begin, std::size_t end) noexcept {
+  std::size_t i = begin;
+  for (; i + V::W <= end; i += V::W) {
+    const auto valid = V::load(full + i);
+    const auto o = V::load(open + i);
+    const auto s = V::load(src + i);
+    const auto first = V::andnot(valid, flow_shift<V, kWest, 1>(valid));
+    if (V::is_zero(V::andnot(o, first))) {
+      V::store(out + i, V::and_(nonzero_mask<V>(s), valid));
+      continue;
+    }
+    const auto pass = V::andnot(valid, o);
+    const auto forward = smear<V, kWest>(s, pass);
+    // Reverse smear: a lane hears its flow successor unless that one is
+    // Open (it starts the next segment). Flow order is mirrored by running
+    // the ladder with the opposite shift direction.
+    const auto backward = smear<V, !kWest>(s, flow_shift<V, !kWest, 1>(pass));
+    auto result = V::or_(forward, backward);
+    if (wrap) {
+      const auto all = V::set1(~PlaneWord{0});
+      const auto head = V::andnot(valid, smear<V, kWest>(o, all));
+      const auto tail = V::andnot(valid, smear<V, !kWest>(flow_shift<V, !kWest, 1>(o), all));
+      const auto head_or = nonzero_mask<V>(V::and_(s, head));
+      const auto tail_or = nonzero_mask<V>(V::and_(s, tail));
+      result = V::or_(result, V::or_(V::and_(head, tail_or), V::and_(tail, head_or)));
+    }
+    V::store(out + i, V::and_(result, valid));
+  }
+  if constexpr (V::W > 1) {
+    if (i < end) t_or_words<VecScalar, kWest>(src, open, full, out, wrap, i, end);
+  }
+}
+
+/// Lanes of one word before its first Open lane in flow order (`head`)
+/// and from its last Open lane on (`tail`); both are the whole word when
+/// it has no Open lane.
+template <bool kWest>
+void word_head_tail(PlaneWord o, PlaneWord valid, PlaneWord& head, PlaneWord& tail) noexcept {
+  if (o == 0) {
+    head = tail = valid;
+    return;
+  }
+  const auto lo = static_cast<unsigned>(__builtin_ctzll(o));
+  const auto hi = static_cast<unsigned>(63 - __builtin_clzll(o));
+  if constexpr (kWest) {
+    head = valid & ~((PlaneWord{2} << hi) - 1);
+    tail = valid & ((PlaneWord{2} << lo) - 1);
+  } else {
+    head = (PlaneWord{1} << lo) - 1;
+    tail = valid & ~((PlaneWord{1} << hi) - 1);
+  }
+}
+
+/// The carries across the words of one row (rw > 1) on top of its in-word
+/// ORs, already in `d`: a pass in flow order lands the OR of each
+/// segment's upstream words on the lanes before a word's first Open lane,
+/// a pass against it the OR of its downstream words on the lanes from a
+/// word's last Open lane on. On a ring the forward pass starts with the
+/// OR of the row's last segment and the reverse pass with the OR of its
+/// head stub (the wrap), each found by a walk in from the row's end.
+template <bool kWest>
+void or_row_carries(std::size_t rw, bool ring, const PlaneWord* o, const PlaneWord* s,
+                    const PlaneWord* valid, PlaneWord* d) noexcept {
+  const auto flow_word = [rw](std::size_t k) { return kWest ? rw - 1 - k : k; };
+  PlaneWord head, tail;
+  bool forward = false;
+  bool reverse = false;
+  if (ring) {
+    for (std::size_t k = rw; k-- > 0;) {
+      const std::size_t w = flow_word(k);
+      word_head_tail<kWest>(o[w], valid[w], head, tail);
+      forward = forward || (s[w] & tail) != 0;
+      if (o[w] != 0) break;
+    }
+    for (std::size_t k = 0; k < rw; ++k) {
+      const std::size_t w = flow_word(k);
+      word_head_tail<kWest>(o[w], valid[w], head, tail);
+      reverse = reverse || (s[w] & head) != 0;
+      if (o[w] != 0) break;
+    }
+  }
+  for (std::size_t k = 0; k < rw; ++k) {
+    const std::size_t w = flow_word(k);
+    word_head_tail<kWest>(o[w], valid[w], head, tail);
+    if (forward) d[w] |= head;
+    forward = o[w] != 0 ? (s[w] & tail) != 0 : forward || s[w] != 0;
+  }
+  for (std::size_t k = rw; k-- > 0;) {
+    const std::size_t w = flow_word(k);
+    word_head_tail<kWest>(o[w], valid[w], head, tail);
+    if (reverse) d[w] |= tail;
+    reverse = o[w] != 0 ? (s[w] & head) != 0 : reverse || s[w] != 0;
+  }
+}
+
+/// Rows of more than one word. A row with no Open lane past its flow head
+/// is one segment and reads its any(); any other row gets its in-word ORs
+/// and then its carries. Two-word rows (sides 65..128) go W / 2 rows per
+/// vector: the pair swap hands each word its row partner, so the any()
+/// of a whole vector of such rows is one vector op; a vector holding any
+/// other row runs the in-word pass and the carries of each of its rows.
+template <class V, bool kWest>
+void t_or_rows(const sim::PlaneGeometry& g, bool ring, const PlaneWord* src,
+               const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
+               std::size_t row_begin, std::size_t row_end) noexcept {
+  const std::size_t rw = g.row_words;
+  const std::size_t head_w = kWest ? rw - 1 : 0;
+  const PlaneWord head_lane = PlaneWord{1} << (kWest ? sim::PlaneGeometry::bit_of(g.n - 1) : 0u);
+  std::size_t r = row_begin;
+  if constexpr (V::W > 1) {
+    if (rw == 2) {
+      PlaneWord pattern[V::W];
+      for (std::size_t k = 0; k < V::W; ++k) pattern[k] = k % 2 == head_w ? head_lane : 0;
+      const auto heads = V::load(pattern);
+      for (; r + V::W / 2 <= row_end; r += V::W / 2) {
+        const std::size_t i = r * 2;
+        const auto o = V::load(open + i);
+        if (V::is_zero(V::andnot(o, heads))) {
+          const auto s = V::load(src + i);
+          V::store(out + i, V::and_(nonzero_mask<V>(V::or_(s, V::swap_pairs(s))),
+                                    V::load(full + i)));
+          continue;
+        }
+        t_or_words<V, kWest>(src, open, full, out, false, i, i + V::W);
+        for (std::size_t q = r; q < r + V::W / 2; ++q) {
+          or_row_carries<kWest>(rw, ring, open + q * rw, src + q * rw, full + q * rw,
+                                out + q * rw);
+        }
+      }
+    }
+  }
+  for (; r < row_end; ++r) {
+    const PlaneWord* o = open + r * rw;
+    const PlaneWord* s = src + r * rw;
+    const PlaneWord* valid = full + r * rw;
+    PlaneWord* d = out + r * rw;
+    PlaneWord inner = o[head_w] & ~head_lane;
+    PlaneWord any = 0;
+    for (std::size_t w = 0; w < rw; ++w) {
+      inner |= w == head_w ? PlaneWord{0} : o[w];
+      any |= s[w];
+    }
+    if (inner == 0) {
+      const PlaneWord all = any != 0 ? ~PlaneWord{0} : PlaneWord{0};
+      for (std::size_t w = 0; w < rw; ++w) d[w] = valid[w] & all;
+      continue;
+    }
+    t_or_words<V, kWest>(src, open, full, out, false, r * rw, (r + 1) * rw);
+    or_row_carries<kWest>(rw, ring, o, s, valid, d);
+  }
+}
+
+/// The kernel-table entry. `dir` must be East or West.
+template <class V>
+void t_segmented_or(const sim::PlaneGeometry& g, sim::BusTopology topology,
+                    sim::Direction dir, const PlaneWord* src, const PlaneWord* open,
+                    const PlaneWord* full, PlaneWord* out, std::size_t row_begin,
+                    std::size_t row_end) noexcept {
+  const bool ring = topology == sim::BusTopology::Ring;
+  const bool west = dir == sim::Direction::West;
+  if (g.row_words == 1) {
+    if (west) {
+      t_or_words<V, true>(src, open, full, out, ring, row_begin, row_end);
+    } else {
+      t_or_words<V, false>(src, open, full, out, ring, row_begin, row_end);
+    }
+  } else if (west) {
+    t_or_rows<V, true>(g, ring, src, open, full, out, row_begin, row_end);
+  } else {
+    t_or_rows<V, false>(g, ring, src, open, full, out, row_begin, row_end);
   }
 }
 

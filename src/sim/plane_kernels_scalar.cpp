@@ -29,6 +29,7 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.compare_eq = detail::t_compare_eq<VecScalar>;
     t.pack_words = detail::pack_words_rows_scalar;
     t.segmented_fill = detail::t_segmented_fill<VecScalar>;
+    t.segmented_or = detail::t_segmented_or<VecScalar>;
     return t;
   }();
   return table;

@@ -1,9 +1,10 @@
 // Differential fuzz of every compiled SIMD kernel arm against plain word
 // loops written out below (and sim::pack_words for the pack kernel; the
-// segmented fill against the scalar arm, which tests/sim_bus_planes_test.cpp
-// holds to bus.cpp), plus determinism pins for the PlaneAlu thread-pool
-// chunking. Geometries deliberately include ragged tails (n not a
-// multiple of 64, plane_words not a multiple of the vector width).
+// segmented fill and segmented OR against the scalar arm, which
+// tests/sim_bus_planes_test.cpp holds to bus.cpp), plus determinism pins
+// for the PlaneAlu thread-pool chunking. Geometries deliberately include
+// ragged tails (n not a multiple of 64, plane_words not a multiple of the
+// vector width).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -371,6 +372,55 @@ TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
               ASSERT_EQ(want_driven, got_driven) << what();
               ASSERT_EQ(want, got) << what();
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Open layouts for the segmented OR: random switches at each density,
+// then every row opening exactly at its flow head (the solver shape, which
+// takes the kernel's any() path), that shape with a few extra switches
+// (rows and vectors that mix both paths), and every row opening only at
+// column 63, then 64 (the edges of a two-word row's words).
+TEST(PlaneKernels, SegmentedOrMatchesScalarArm) {
+  util::Rng rng(0xE7'0006);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : kSides) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const auto full = full_plane(g);
+      for (const auto dir : {sim::Direction::East, sim::Direction::West}) {
+        const std::size_t head = dir == sim::Direction::East ? 0 : n - 1;
+        for (int layout = 0; layout < 8; ++layout) {
+          const double densities[] = {0.0, 0.03, 0.3, 1.0};
+          std::vector<PlaneWord> open(pw);
+          for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t c = 0; c < n; ++c) {
+              const bool on = layout < 4    ? rng.chance(densities[layout])
+                              : layout == 4 ? c == head
+                              : layout == 5 ? c == head || rng.chance(0.02)
+                                            : c == static_cast<std::size_t>(57 + layout);
+              if (on) open[g.word_of(r, c)] |= PlaneWord{1} << g.bit_of(c);
+            }
+          }
+          const auto src = random_planes(rng, g, 1);
+          for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+            std::vector<PlaneWord> want(pw);
+            scalar.segmented_or(g, topology, dir, src.data(), open.data(), full.data(),
+                                want.data(), 0, n);
+            std::vector<PlaneWord> got(pw, ~PlaneWord{0});
+            const std::size_t mid = n / 3;
+            arm->segmented_or(g, topology, dir, src.data(), open.data(), full.data(),
+                              got.data(), mid, n);
+            arm->segmented_or(g, topology, dir, src.data(), open.data(), full.data(),
+                              got.data(), 0, mid);
+            ASSERT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
+                                 << " n=" << n << " layout=" << layout
+                                 << (topology == sim::BusTopology::Ring ? " ring" : " linear")
+                                 << " " << sim::name_of(dir);
           }
         }
       }

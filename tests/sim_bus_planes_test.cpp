@@ -6,12 +6,15 @@
 // word boundary on purpose (63 / 64 / 65, and 130 = 2 words + 2 lanes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "sim/bus.hpp"
 #include "sim/bus_planes.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ppa::sim {
 namespace {
@@ -88,44 +91,114 @@ TEST_P(BusPlaneFuzz, BroadcastMatchesWordEngine) {
   }
 }
 
+/// Index into an n x n array of position `pos` (column of a row line, row
+/// of a column line) on line `line` along the axis of `dir`.
+std::size_t line_index(std::size_t n, Direction dir, std::size_t line, std::size_t pos) {
+  const bool row_axis = dir == Direction::East || dir == Direction::West;
+  return row_axis ? line * n + pos : pos * n + line;
+}
+
+/// Pins six line shapes at the edges of the bus rules onto lines 0..5
+/// along the axis of `dir`: no Open switch (a broadcast floats, a wired-OR
+/// is one segment), one at the line's first position, one at its last (a
+/// ring wraps it over the whole line; one of the two is the flow head, the
+/// solver's cluster anchor), every switch Open, and a lone Open switch at
+/// position 63, then 64 (the last lane of a row's first word and the
+/// first of its second).
+void pin_edge_lines(std::size_t n, Direction dir, std::vector<Flag>& open) {
+  if (n < 4) return;
+  for (std::size_t line = 0; line < std::min<std::size_t>(n, 6); ++line) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const bool on = line == 1   ? k == 0
+                      : line == 2 ? k == n - 1
+                      : line == 3 ? true
+                      : line >= 4 ? k == 59 + line
+                                  : false;
+      open[line_index(n, dir, line, k)] = on ? Flag{1} : Flag{0};
+    }
+  }
+}
+
+// Every wired-OR must match the word oracle bus.cpp in values and
+// max_segment, with zero pads, in all four directions on both topologies:
+// random switches with the pinned edge lines, then every line opening at
+// one shared position — 0, 63, 64 and n - 1, so whole vectors of lines
+// share a shape, and one of the ends is each line's flow head (the solver
+// shape) and the other its flow tail. Each configuration
+// runs three ways: self-allocating, through one scratch block shared by
+// every call of the test, and chunked over a thread pool with
+// min_words = 1.
 TEST_P(BusPlaneFuzz, WiredOrMatchesWordEngine) {
   const auto [n, seed, density] = GetParam();
   const PlaneGeometry g(n);
   const std::size_t pw = g.plane_words();
   util::Rng rng(seed ^ 0xF00D);
+  PlaneBusScratch scratch;
+  util::ThreadPool pool(2);
+  const PlaneBusExec execs[] = {
+      {},
+      {nullptr, static_cast<std::size_t>(-1), &scratch},
+      {&pool, 1, &scratch},
+  };
+  // Shared Open positions (column of a row line, row of a column line);
+  // kRandom is the random layout.
+  constexpr std::size_t kRandom = static_cast<std::size_t>(-1);
+  const std::size_t layouts[] = {kRandom, 0, 63, 64, n - 1};
 
-  for (int round = 0; round < 12; ++round) {
-    std::vector<Flag> src(n * n);
-    std::vector<Flag> open(n * n);
-    for (std::size_t pe = 0; pe < n * n; ++pe) {
-      src[pe] = rng.chance(0.3) ? Flag{1} : Flag{0};
-      open[pe] = round == 0 ? Flag{0}
-                 : round == 1
-                     ? Flag{1}
-                     : (rng.chance(density) ? Flag{1} : Flag{0});
+  for (int round = 0; round < 6; ++round) {
+    for (Direction dir : {Direction::East, Direction::West, Direction::South,
+                          Direction::North}) {
+      for (BusTopology topology : {BusTopology::Ring, BusTopology::Linear}) {
+        for (const std::size_t shared : layouts) {
+          if (shared != kRandom && shared >= n) continue;
+          std::vector<Flag> src(n * n);
+          std::vector<Flag> open(n * n);
+          for (std::size_t pe = 0; pe < n * n; ++pe) {
+            src[pe] = rng.chance(0.3) ? Flag{1} : Flag{0};
+            // Rounds 0/1 pin the all-Short / all-Open extremes.
+            open[pe] = round == 0 ? Flag{0}
+                       : round == 1
+                           ? Flag{1}
+                           : (rng.chance(density) ? Flag{1} : Flag{0});
+          }
+          if (shared != kRandom) {
+            for (std::size_t line = 0; line < n; ++line) {
+              for (std::size_t k = 0; k < n; ++k) {
+                open[line_index(n, dir, line, k)] = k == shared ? Flag{1} : Flag{0};
+              }
+            }
+          } else if (round > 1) {
+            pin_edge_lines(n, dir, open);
+          }
+
+          std::vector<Flag> want_values(n * n);
+          const std::size_t want_segment =
+              bus_wired_or_into(n, topology, dir, src, open, want_values);
+
+          std::vector<PlaneWord> src_plane(pw);
+          std::vector<PlaneWord> open_plane(pw);
+          pack_flags(g, src, src_plane.data());
+          pack_flags(g, open, open_plane.data());
+          for (std::size_t e = 0; e < std::size(execs); ++e) {
+            std::vector<PlaneWord> out_plane(pw, ~PlaneWord{0});  // must be overwritten
+            const std::size_t got_segment =
+                plane_wired_or_into(g, topology, dir, src_plane.data(), open_plane.data(),
+                                    out_plane.data(), execs[e]);
+            const auto where = [&] {
+              return "n=" + std::to_string(n) + " dir=" + std::string(name_of(dir)) +
+                     (topology == BusTopology::Ring ? " ring" : " linear") + " layout=" +
+                     (shared == kRandom ? std::string("random") : std::to_string(shared)) +
+                     " round=" + std::to_string(round) + " exec=" + std::to_string(e);
+            };
+            ASSERT_EQ(got_segment, want_segment) << where();
+            std::vector<Flag> got_values(n * n);
+            unpack_flags(g, out_plane.data(), got_values);
+            ASSERT_EQ(got_values, want_values) << where();
+            expect_pads_zero(g, out_plane.data(), "wired-or");
+          }
+        }
+      }
     }
-    const auto topology = rng.chance(0.5) ? BusTopology::Ring : BusTopology::Linear;
-    const auto dir = static_cast<Direction>(rng.below(4));
-
-    std::vector<Flag> want_values(n * n);
-    const std::size_t want_segment =
-        bus_wired_or_into(n, topology, dir, src, open, want_values);
-
-    std::vector<PlaneWord> src_plane(pw);
-    std::vector<PlaneWord> open_plane(pw);
-    std::vector<PlaneWord> out_plane(pw, ~PlaneWord{0});
-    pack_flags(g, src, src_plane.data());
-    pack_flags(g, open, open_plane.data());
-    const std::size_t got_segment = plane_wired_or_into(g, topology, dir, src_plane.data(),
-                                                        open_plane.data(), out_plane.data());
-
-    ASSERT_EQ(got_segment, want_segment)
-        << "n=" << n << " dir=" << name_of(dir) << " round=" << round;
-    std::vector<Flag> got_values(n * n);
-    unpack_flags(g, out_plane.data(), got_values);
-    ASSERT_EQ(got_values, want_values)
-        << "n=" << n << " dir=" << name_of(dir) << " round=" << round;
-    expect_pads_zero(g, out_plane.data(), "wired-or");
   }
 }
 
@@ -171,21 +244,6 @@ TEST_P(BusPlaneFuzz, ShiftMatchesBruteForce) {
     ASSERT_EQ(got, want) << "n=" << n << " dir=" << name_of(dir) << " fill=" << fill;
     for (int j = 0; j < planes; ++j) {
       expect_pads_zero(g, dst_planes.data() + static_cast<std::size_t>(j) * pw, "shift");
-    }
-  }
-}
-
-/// Pins four line shapes at the edges of the driver rule onto lines 0..3
-/// along the axis of `dir`: no Open switch (the line floats), one at the
-/// line's first position, one at its last (a ring wraps it over the whole
-/// line), and every switch Open.
-void pin_edge_lines(std::size_t n, Direction dir, std::vector<Flag>& open) {
-  if (n < 4) return;
-  const bool row_axis = dir == Direction::East || dir == Direction::West;
-  for (std::size_t line = 0; line < 4; ++line) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const bool on = line == 1 ? k == 0 : line == 2 ? k == n - 1 : line == 3;
-      open[row_axis ? line * n + k : k * n + line] = on ? Flag{1} : Flag{0};
     }
   }
 }
