@@ -8,7 +8,11 @@
 // regression — it must be deliberate and explained in the commit.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/generators.hpp"
+#include "mcp/batch.hpp"
 #include "mcp/mcp.hpp"
 #include "util/rng.hpp"
 
@@ -54,6 +58,62 @@ INSTANTIATE_TEST_SUITE_P(
         Pinned{32, 4, 1045, "steps=1045 alu=883 bus_bcast=30 bus_or=128 global_or=4"},
         Pinned{64, 8, 2069, "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8"},
         Pinned{128, 8, 2069, "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8"}));
+
+// The virtualized sweep's full step profile, not only its PanelIo formula:
+// a fragment beat moved into or out of the double buffer, or a reduction
+// swapped, shows here. The n = 64 bench graph on a 16 x 16 array (4 x 4
+// panels per sweep): `solve` toward destination 0 (the 1-member sweep and
+// the paper's row reduction), and `solve_batch` toward destinations 0..3
+// at width 4 (one 4-member group and the fused reduction; every member
+// carries the group's step delta). Each shape runs with active panels on
+// and off, on both backends, which must agree.
+struct VirtualizedPin {
+  bool batch;
+  bool active_panels;
+  std::vector<std::size_t> iterations;  // per destination
+  const char* summary;                  // total_steps.summary() of destination 0
+};
+
+TEST(McpStepRegressionVirtualized, SweepProfilesHold) {
+  const auto g = bench_graph(64);
+  const std::vector<VirtualizedPin> pins = {
+      {false, true, {8}, "steps=29373 alu=24713 bus_bcast=580 bus_or=3712 panel_io=368"},
+      {false, false, {8}, "steps=34437 alu=27269 bus_bcast=640 bus_or=4096 panel_io=2432"},
+      {true,
+       true,
+       {8, 10, 11, 8},
+       "steps=73789 alu=59781 bus_bcast=532 bus_or=11704 panel_io=1772"},
+      {true,
+       false,
+       {8, 10, 11, 8},
+       "steps=84717 alu=66509 bus_bcast=592 bus_or=13024 panel_io=4592"},
+  };
+  for (const VirtualizedPin& pin : pins) {
+    for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+      mcp::Options options;
+      options.backend = backend;
+      options.array_side = 16;
+      options.active_panels = pin.active_panels;
+      std::vector<graph::Vertex> dests(pin.iterations.size());
+      for (std::size_t i = 0; i < dests.size(); ++i) dests[i] = i;
+      std::vector<mcp::Result> runs;
+      if (pin.batch) {
+        options.batch_width = dests.size();
+        runs = mcp::solve_batch(g, dests, options);
+      } else {
+        runs.push_back(mcp::solve(g, dests.front(), options));
+      }
+      const std::string label = std::string(pin.batch ? "solve_batch" : "solve") +
+                                (pin.active_panels ? " active" : " dense") +
+                                (backend == sim::ExecBackend::BitPlane ? " bitplane" : " word");
+      ASSERT_EQ(runs.size(), dests.size()) << label;
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i].iterations, pin.iterations[i]) << label << " dest=" << i;
+        EXPECT_EQ(runs[i].total_steps.summary(), pin.summary) << label << " dest=" << i;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ppa
