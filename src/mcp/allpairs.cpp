@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 #include "mcp/batch.hpp"
+#include "mcp/relax_core.hpp"
 #include "mcp/tiled.hpp"
 #include "obs/collector.hpp"
 #include "ppc/primitives.hpp"
@@ -19,13 +21,10 @@ using ppc::Pint;
 using sim::Direction;
 using sim::Word;
 
-}  // namespace
-
-EccentricityResult eccentricity(sim::Machine& machine, const graph::WeightMatrix& graph,
-                                graph::Vertex destination, const Options& options) {
-  EccentricityResult out;
-  out.mcp = run_minimum_cost_path(machine, graph, destination, options);
-
+/// Reduces the finished run's row d (out.mcp) to the in-eccentricity on
+/// `machine`.
+void reduce_eccentricity(sim::Machine& machine, const graph::WeightMatrix& graph,
+                         graph::Vertex destination, EccentricityResult& out) {
   const std::size_t n = graph.size();
   const std::size_t p = machine.n();
   const Word inf = graph.infinity();
@@ -54,7 +53,7 @@ EccentricityResult eccentricity(sim::Machine& machine, const graph::WeightMatrix
     row_max.read_column(0, column0);
     out.eccentricity = column0[destination];
     out.reduction_steps = machine.steps().since(before);
-    return out;
+    return;
   }
 
   // Virtualized reduction (docs/tiling.md): the row-d costs only exist as
@@ -88,17 +87,32 @@ EccentricityResult eccentricity(sim::Machine& machine, const graph::WeightMatrix
   }
   out.eccentricity = ecc;
   out.reduction_steps = machine.steps().since(before);
+}
+
+}  // namespace
+
+EccentricityResult eccentricity(sim::Machine& machine, const graph::WeightMatrix& graph,
+                                graph::Vertex destination, const Options& options) {
+  EccentricityResult out;
+  out.mcp = run_minimum_cost_path(machine, graph, destination, options);
+  reduce_eccentricity(machine, graph, destination, out);
   return out;
 }
 
 EccentricityResult solve_eccentricity(const graph::WeightMatrix& graph,
                                       graph::Vertex destination, const Options& options) {
-  sim::MachineConfig config;
-  config.n = effective_array_side(options, graph.size());
-  config.bits = graph.field().bits();
-  config.backend = options.backend;
-  sim::Machine machine(config);
-  return eccentricity(machine, graph, destination, options);
+  const auto machine =
+      detail::make_machine(options, graph, effective_array_side(options, graph.size()));
+  std::unique_ptr<sim::Machine> oracle;
+  EccentricityResult out;
+  out.mcp = solve_with_recovery(*machine, oracle, graph, destination, options);
+  // The reduction has no retry of its own, so it never runs on a faulty
+  // machine: the eccentricity is always exact for the row reported.
+  if (machine->has_faults() && !oracle) {
+    oracle = detail::make_machine(Options{}, graph, machine->n());
+  }
+  reduce_eccentricity(machine->has_faults() ? *oracle : *machine, graph, destination, out);
+  return out;
 }
 
 AllPairsResult all_pairs(const graph::WeightMatrix& graph, const Options& options) {
@@ -118,15 +132,9 @@ std::size_t AllPairsResult::failed_destinations() const noexcept {
 
 AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions& options) {
   const std::size_t n = graph.size();
-  sim::MachineConfig config;
   // Worker machines honor Options::array_side: p < n runs every
-  // destination through the tiled sweep (solve_with_recovery dispatches
-  // on the machine geometry).
-  config.n = effective_array_side(options.mcp, n);
-  config.bits = graph.field().bits();
-  config.backend = options.mcp.backend;
-  config.checked = options.mcp.checked || !options.mcp.faults.empty();
-  config.masking = masking_of(options.mcp.recovery);
+  // destination through the virtualized sweep.
+  const std::size_t side = effective_array_side(options.mcp, n);
 
   AllPairsResult result;
   result.n = n;
@@ -135,81 +143,48 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
   result.outcomes.assign(n, SolveOutcome::Unchecked);
   result.attempts.assign(n, 1);
 
-  // Each destination is an independent problem; a worker runs a contiguous
-  // chunk of destinations on its own simulated machine and records each
-  // run's step delta separately. Workers write disjoint columns of
-  // dist/next and disjoint slots of the per-destination arrays, so no
-  // synchronization is needed beyond the pool's join. A destination whose
-  // final outcome is still a failure keeps its infinity-filled dist column
-  // — the batch degrades per destination instead of aborting.
+  // Destinations are partitioned into GLOBAL groups of at most `width`,
+  // so group composition never depends on the worker count and results,
+  // outcomes and merged metrics stay worker-count independent. Each group
+  // rides one machine pass (mcp/batch.hpp, docs/batching.md); batching
+  // runs only under the BitPlane backend — the word backend keeps
+  // one-destination groups and remains the differential oracle. A worker
+  // runs a contiguous range of groups on its own simulated machine and
+  // records each group's step delta ONCE, on the group's first
+  // destination slot. Workers write disjoint columns of dist/next and
+  // disjoint slots of the per-destination arrays, so no synchronization
+  // is needed beyond the pool's join. A destination whose final outcome
+  // is still a failure keeps its infinity-filled dist column — the
+  // all-pairs run degrades per destination instead of aborting.
+  const std::size_t width = options.mcp.backend == sim::ExecBackend::BitPlane
+                                ? std::max<std::size_t>(options.mcp.batch_width, 1)
+                                : 1;
+  const std::size_t groups = (n + width - 1) / width;
   std::vector<sim::StepCounter> per_destination(n);
   std::vector<std::size_t> iterations(n, 0);
   std::vector<std::vector<sim::FaultEvent>> events(n);
-  // One collector per destination, merged below in destination order —
-  // the StepCounter idiom extended to metrics, so the observed totals are
+  // One collector per group, merged below in destination order — the
+  // StepCounter idiom extended to metrics, so the observed totals are
   // identical for every worker count.
   obs::Collector* const observer = options.mcp.observer;
   std::vector<std::unique_ptr<obs::Collector>> collectors(observer != nullptr ? n : 0);
-  const auto run_range = [&](std::size_t begin, std::size_t end) {
-    sim::Machine machine(config);
-    if (!options.mcp.faults.empty()) machine.inject_faults(options.mcp.faults);
-    std::unique_ptr<sim::Machine> oracle;  // shared across this worker's chunk
-    Options run_options = options.mcp;
-    for (std::size_t d = begin; d < end; ++d) {
-      if (observer != nullptr) {
-        collectors[d] = std::make_unique<obs::Collector>();
-        run_options.observer = collectors[d].get();
-      }
-      const sim::StepCounter before = machine.steps();
-      const sim::StepCounter oracle_before = oracle ? oracle->steps() : sim::StepCounter{};
-      const Result run = solve_with_recovery(machine, oracle, graph, d, run_options);
-      per_destination[d] = machine.steps().since(before);
-      if (oracle) per_destination[d].merge(oracle->steps().since(oracle_before));
-      iterations[d] = run.iterations;
-      result.outcomes[d] = run.outcome;
-      result.attempts[d] = run.attempts;
-      events[d] = run.fault_events;
-      // An aborted attempt already reports an all-infinity column, so the
-      // unconditional copy preserves the degradation default.
-      for (graph::Vertex i = 0; i < n; ++i) {
-        result.dist[i * n + d] = run.solution.cost[i];
-        result.next[i * n + d] = run.solution.next[i];
-      }
-    }
-  };
-
-  // Multi-destination batching (mcp/batch.hpp, docs/batching.md): with
-  // batch_width > 1 under the BitPlane backend the destinations are
-  // partitioned into GLOBAL groups of at most batch_width — group
-  // composition never depends on the worker count, so results, outcomes
-  // and merged metrics stay worker-count independent — and each group
-  // rides one shared machine pass. The word backend keeps the
-  // per-destination path above and remains the differential oracle.
-  const std::size_t width = options.mcp.batch_width;
-  const bool batched =
-      width > 1 && n > 1 && options.mcp.backend == sim::ExecBackend::BitPlane;
   const auto run_groups = [&](std::size_t gbegin, std::size_t gend) {
-    sim::Machine machine(config);
-    if (!options.mcp.faults.empty()) machine.inject_faults(options.mcp.faults);
+    const auto machine = detail::make_machine(options.mcp, graph, side);
     std::unique_ptr<sim::Machine> oracle;  // shared across this worker's groups
     Options run_options = options.mcp;
     for (std::size_t g = gbegin; g < gend; ++g) {
       const std::size_t first = g * width;
-      const std::size_t last = std::min(first + width, n);
-      std::vector<graph::Vertex> dests;
-      dests.reserve(last - first);
-      for (std::size_t d = first; d < last; ++d) dests.push_back(d);
+      std::vector<graph::Vertex> dests(std::min(width, n - first));
+      std::iota(dests.begin(), dests.end(), first);
       if (observer != nullptr) {
         collectors[first] = std::make_unique<obs::Collector>();
         run_options.observer = collectors[first].get();
       }
-      const sim::StepCounter before = machine.steps();
+      const sim::StepCounter before = machine->steps();
       const sim::StepCounter oracle_before = oracle ? oracle->steps() : sim::StepCounter{};
       const std::vector<Result> runs =
-          solve_batch_on(machine, oracle, graph, dests, run_options);
-      // The group's machine pass is shared; its step delta is counted
-      // ONCE, on the group's first destination slot (docs/batching.md).
-      per_destination[first] = machine.steps().since(before);
+          solve_batch_on(*machine, oracle, graph, dests, run_options);
+      per_destination[first] = machine->steps().since(before);
       if (oracle) per_destination[first].merge(oracle->steps().since(oracle_before));
       for (std::size_t gi = 0; gi < runs.size(); ++gi) {
         const std::size_t d = first + gi;
@@ -218,6 +193,8 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
         result.outcomes[d] = run.outcome;
         result.attempts[d] = run.attempts;
         events[d] = run.fault_events;
+        // An aborted attempt already reports an all-infinity column, so
+        // the unconditional copy preserves the degradation default.
         for (graph::Vertex i = 0; i < n; ++i) {
           result.dist[i * n + d] = run.solution.cost[i];
           result.next[i * n + d] = run.solution.next[i];
@@ -226,19 +203,11 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
     }
   };
 
-  if (batched) {
-    const std::size_t groups = (n + width - 1) / width;
-    if (options.workers > 1 && groups > 1) {
-      util::ThreadPool pool(std::min(options.workers, groups));
-      pool.parallel_for(groups, run_groups);
-    } else {
-      run_groups(0, groups);
-    }
-  } else if (options.workers > 1 && n > 1) {
-    util::ThreadPool pool(std::min(options.workers, n));
-    pool.parallel_for(n, run_range);
+  if (options.workers > 1 && groups > 1) {
+    util::ThreadPool pool(std::min(options.workers, groups));
+    pool.parallel_for(groups, run_groups);
   } else {
-    run_range(0, n);
+    run_groups(0, groups);
   }
 
   // Deterministic reduction: merge in destination order, whatever the
@@ -249,8 +218,8 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
     result.total_iterations += iterations[d];
     result.fault_events.insert(result.fault_events.end(), events[d].begin(),
                                events[d].end());
-    // Batched runs keep one collector per GROUP (stored at the group's
-    // first destination); the other slots stay empty.
+    // One collector per GROUP (stored at the group's first destination);
+    // the other slots stay empty.
     if (observer != nullptr && collectors[d] != nullptr) observer->merge(*collectors[d]);
   }
   for (const graph::Weight w : result.dist) {

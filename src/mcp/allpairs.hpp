@@ -37,9 +37,13 @@ struct EccentricityResult {
                                               graph::Vertex destination,
                                               const Options& options = {});
 
-/// Convenience one-shot with a fresh machine honoring Options::array_side
-/// (clamped to the vertex count) — every workload in the repo now runs on
-/// a p x p array with n >> p, the block-folded reduction included.
+/// Convenience one-shot with a fresh machine built from `options` like
+/// solve()'s (array side, backend, checked mode, masking, faults): the MCP
+/// pass runs through the same attempt/recovery loop, so
+/// EccentricityResult::mcp equals solve()'s Result. The reduction then
+/// runs on a fault-free machine — the fault-free word-backend oracle when
+/// the built machine carries faults — so the eccentricity is exact for
+/// the row reported.
 [[nodiscard]] EccentricityResult solve_eccentricity(const graph::WeightMatrix& graph,
                                                     graph::Vertex destination,
                                                     const Options& options = {});

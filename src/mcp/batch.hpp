@@ -1,20 +1,17 @@
 // Multi-destination plane batching: k destinations per machine pass.
 //
-// The single-destination solvers (mcp.cpp, tiled.cpp) pay the full sweep
-// machinery — weight panel loads, carrier broadcasts, bus segmentation —
-// for ONE destination's row of the all-pairs matrix. But destinations are
-// independent columns of the same DP over the same weight matrix: the
-// panel schedule, the switch configurations and the wired-OR segmentation
-// depend only on the geometry, never on d. solve_batch exploits that by
-// running up to Options::batch_width destinations through one shared
-// sweep schedule:
+// Destinations are independent columns of the same DP over the same
+// weight matrix: the panel schedule, the switch configurations and the
+// wired-OR segmentation depend only on the geometry, never on d.
+// solve_batch exploits that by running up to Options::batch_width
+// destinations through one pass of the virtualized sweep engine
+// (detail::sweep in mcp/tiled.cpp, docs/batching.md):
 //
 //   * the weight panel is loaded (and billed as PanelIo) once per panel
 //     visit, not once per destination;
 //   * every batch member rides the panel with its own SOW plane group —
 //     fragment injection, carrier broadcast, candidate add and a fused
-//     bit-serial min/argmin — under the same bus plans (which the
-//     broadcast plan cache then serves from memory);
+//     bit-serial min/argmin — under the same bus plans;
 //   * iteration control is host-side: a member freezes the moment its own
 //     row stops changing (its iteration count is recorded exactly as the
 //     per-destination engine would), and the pass ends when ALL members
@@ -25,7 +22,8 @@
 // (tests/mcp_batch_test.cpp); only the step profile differs — see
 // docs/batching.md for the amortized PanelIo accounting.
 //
-// Robustness: a member whose run fails (VerificationFailed, NonConverged,
+// Robustness: groups run through the same attempt/recovery loop as
+// solve(). A member whose run fails (VerificationFailed, NonConverged,
 // HardwareFault) retries ALONE on a fault-free word-backend oracle of the
 // same geometry, without re-running the rest of the batch
 // (tests/mcp_batch_fault_test.cpp).
@@ -50,8 +48,9 @@ namespace ppa::mcp {
 
 /// The batching core on a caller-owned machine (the all-pairs driver's
 /// entry point): partitions `destinations` into groups of at most
-/// Options::batch_width, runs each group through one shared sweep
-/// schedule on `machine`, then applies the per-member retry policy on
+/// Options::batch_width, runs each group through one shared sweep pass
+/// on `machine` (a one-destination group runs the per-destination
+/// engine), then applies the per-member retry policy on
 /// `oracle` — a fault-free word-backend machine of the same geometry,
 /// created on first use and reusable across calls (the same contract as
 /// solve_with_recovery). Batch members share the machine's step counter;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mcp/relax_core.hpp"
+#include "mcp/tiled.hpp"
 #include "ppc/primitives.hpp"
 #include "util/check.hpp"
 
@@ -245,36 +246,41 @@ ReachabilityResult reachability(sim::Machine& machine, const graph::WeightMatrix
              : tiled_reachability(machine, graph, destination, options);
 }
 
+namespace {
+
+/// The closure drivers' machine: make_machine under the machine-level
+/// settings ClosureOptions carries (backend, array side).
+std::unique_ptr<sim::Machine> closure_machine(const graph::WeightMatrix& graph,
+                                              const ClosureOptions& options) {
+  Options machine_options;
+  machine_options.backend = options.backend;
+  machine_options.array_side = options.array_side;
+  return detail::make_machine(machine_options, graph,
+                              effective_array_side(machine_options, graph.size()));
+}
+
+}  // namespace
+
 ReachabilityResult solve_reachability(const graph::WeightMatrix& graph,
                                       graph::Vertex destination,
                                       const ClosureOptions& options) {
-  const std::size_t n = graph.size();
-  sim::MachineConfig config;
-  config.n = options.array_side == 0 ? n : std::min(options.array_side, n);
-  config.bits = graph.field().bits();
-  config.backend = options.backend;
-  sim::Machine machine(config);
-  return reachability(machine, graph, destination, options);
+  return reachability(*closure_machine(graph, options), graph, destination, options);
 }
 
 ClosureResult transitive_closure(const graph::WeightMatrix& graph,
                                  const ClosureOptions& options) {
   const std::size_t n = graph.size();
-  sim::MachineConfig config;
-  config.n = options.array_side == 0 ? n : std::min(options.array_side, n);
-  config.bits = graph.field().bits();
-  config.backend = options.backend;
-  sim::Machine machine(config);
+  const auto machine = closure_machine(graph, options);
 
   ClosureResult result;
   result.n = n;
   result.closed.assign(n * n, false);
   for (graph::Vertex d = 0; d < n; ++d) {
-    const ReachabilityResult run = reachability(machine, graph, d, options);
+    const ReachabilityResult run = reachability(*machine, graph, d, options);
     result.total_iterations += run.iterations;
     for (graph::Vertex i = 0; i < n; ++i) result.closed[i * n + d] = run.reachable[i];
   }
-  result.total_steps = machine.steps();
+  result.total_steps = machine->steps();
   return result;
 }
 

@@ -1,7 +1,10 @@
 #include "mcp/mcp.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
+#include "mcp/batch.hpp"
 #include "mcp/relax_core.hpp"
 #include "mcp/tiled.hpp"
 #include "obs/collector.hpp"
@@ -233,7 +236,7 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
   result.masking = machine.masking_stats().since(masking_at_entry);
   detail::record_plan_cache_delta(machine, plans_at_entry, observer);
   detail::record_throughput_delta(machine, throughput_at_entry, observer);
-  detail::finalize_result(machine, graph, destination, options, faults_at_entry, result);
+  detail::finalize_result(machine, graph, options, faults_at_entry, {&result, 1});
   return result;
 }
 
@@ -245,35 +248,92 @@ bool retriable(SolveOutcome outcome) {
          outcome == SolveOutcome::NonConverged || outcome == SolveOutcome::HardwareFault;
 }
 
-/// One attempt; converts a ContractError on a faulty machine into a
-/// HardwareFault result (an injected fault can drive the program into
-/// states the machine contracts reject, e.g. an undriven value reaching a
-/// primitive that requires full driven-ness in unchecked mode).
-Result attempt(sim::Machine& machine, const graph::WeightMatrix& graph,
-               graph::Vertex destination, const Options& options) {
+/// One attempt over a group of destinations on `machine`: a lone
+/// destination runs the geometry dispatch (the paper's full-array solver
+/// on a full-size machine, the 1-member sweep otherwise), a larger group
+/// one shared k-member sweep. Converts a ContractError on a faulty machine
+/// into a HardwareFault result for every member (an injected fault can
+/// drive the program into states the machine contracts reject, e.g. an
+/// undriven value reaching a primitive that requires full driven-ness in
+/// unchecked mode); fault-free machines propagate it unchanged.
+std::vector<Result> attempt(sim::Machine& machine, const graph::WeightMatrix& graph,
+                            const std::vector<graph::Vertex>& group, const Options& options) {
   const std::size_t faults_at_entry = machine.fault_count();
   try {
-    return run_minimum_cost_path(machine, graph, destination, options);
+    if (group.size() > 1) return detail::sweep(machine, graph, group, options);
+    std::vector<Result> results;
+    results.push_back(run_minimum_cost_path(machine, graph, group.front(), options));
+    return results;
   } catch (const util::ContractError&) {
     if (!machine.has_faults()) throw;
-    Result result;
-    result.outcome = SolveOutcome::HardwareFault;
-    result.solution.destination = destination;
-    result.solution.cost.assign(graph.size(), graph.infinity());
-    result.solution.next.assign(graph.size(), destination);
+    std::vector<sim::FaultEvent> events;
     const std::vector<sim::FaultEvent>& log = machine.fault_events();
-    for (std::size_t i = faults_at_entry; i < log.size(); ++i) {
-      result.fault_events.push_back(log[i]);
-    }
-    if (result.fault_events.empty()) {
+    for (std::size_t i = faults_at_entry; i < log.size(); ++i) events.push_back(log[i]);
+    if (events.empty()) {
       // The abort itself is the diagnostic: an undriven consume tripped a
       // contract before checked mode could record anything.
-      result.fault_events.push_back(sim::FaultEvent{sim::FaultEventKind::UndrivenRead,
-                                                    sim::StepCategory::Alu,
-                                                    Direction::North, 0, 0, 1});
+      events.push_back(sim::FaultEvent{sim::FaultEventKind::UndrivenRead,
+                                       sim::StepCategory::Alu, Direction::North, 0, 0, 1});
     }
-    return result;
+    std::vector<Result> results(group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      Result& result = results[i];
+      result.outcome = SolveOutcome::HardwareFault;
+      result.solution.destination = group[i];
+      result.solution.cost.assign(graph.size(), graph.infinity());
+      result.solution.next.assign(graph.size(), group[i]);
+      result.fault_events = events;
+    }
+    return results;
   }
+}
+
+/// The one attempt/recovery loop: one attempt over the group on `machine`,
+/// then every member whose outcome is still retriable re-runs ALONE on
+/// `oracle` while retries remain — the rest of the group keeps its
+/// first-pass rows. Fault events, steps and masking counters accumulate
+/// across a member's attempts.
+std::vector<Result> solve_group(sim::Machine& machine, std::unique_ptr<sim::Machine>& oracle,
+                                const graph::WeightMatrix& graph,
+                                const std::vector<graph::Vertex>& group,
+                                const Options& options) {
+  std::vector<Result> results = attempt(machine, graph, group, options);
+  for (Result& result : results) {
+    const graph::Vertex destination = result.solution.destination;
+    std::vector<sim::FaultEvent> events = std::move(result.fault_events);
+    sim::StepCounter spent = result.total_steps;
+    sim::MaskingStats masked = result.masking;
+    std::size_t attempts = 1;
+
+    while (retry_allowed(options.recovery) && retriable(result.outcome) &&
+           attempts <= options.max_retries) {
+      if (!oracle) {
+        // Same geometry as the failed machine: a tiled run retries tiled,
+        // so the recovery path exercises the same panel schedule.
+        oracle = detail::make_machine(Options{}, graph, machine.n(), machine.config().topology);
+      }
+      if (options.observer != nullptr) {
+        options.observer->metrics().counter(obs::metric::kSolverRetries).add(1);
+      }
+      PPA_SPAN(options.observer, "retry", oracle.get(), static_cast<std::int64_t>(attempts));
+      result = run_minimum_cost_path(*oracle, graph, destination, options);
+      ++attempts;
+      events.insert(events.end(), result.fault_events.begin(), result.fault_events.end());
+      spent.merge(result.total_steps);
+      masked.merge(result.masking);
+    }
+
+    if (attempts > 1 && result.outcome == SolveOutcome::Verified &&
+        options.observer != nullptr) {
+      // The retry loop turned a failed row into a verified one.
+      options.observer->metrics().counter(obs::metric::kSolverRecoveredRows).add(1);
+    }
+    result.fault_events = std::move(events);
+    result.total_steps = spent;
+    result.attempts = attempts;
+    result.masking = masked;
+  }
+  return results;
 }
 
 }  // namespace
@@ -281,60 +341,43 @@ Result attempt(sim::Machine& machine, const graph::WeightMatrix& graph,
 Result solve_with_recovery(sim::Machine& machine, std::unique_ptr<sim::Machine>& oracle,
                            const graph::WeightMatrix& graph, graph::Vertex destination,
                            const Options& options) {
-  Result result = attempt(machine, graph, destination, options);
-  std::vector<sim::FaultEvent> events = std::move(result.fault_events);
-  sim::StepCounter spent = result.total_steps;
-  sim::MaskingStats masked = result.masking;
-  std::size_t attempts = 1;
-
-  while (retry_allowed(options.recovery) && retriable(result.outcome) &&
-         attempts <= options.max_retries) {
-    if (!oracle) {
-      sim::MachineConfig config;
-      // Same geometry as the failed machine: a tiled run retries tiled,
-      // so the recovery path exercises the same panel schedule.
-      config.n = machine.config().n;
-      config.bits = graph.field().bits();
-      config.topology = machine.config().topology;
-      config.backend = sim::ExecBackend::Words;  // the fault-free oracle
-      oracle = std::make_unique<sim::Machine>(config);
-    }
-    if (options.observer != nullptr) {
-      options.observer->metrics().counter(obs::metric::kSolverRetries).add(1);
-    }
-    PPA_SPAN(options.observer, "retry", oracle.get(),
-             static_cast<std::int64_t>(attempts));
-    result = run_minimum_cost_path(*oracle, graph, destination, options);
-    ++attempts;
-    events.insert(events.end(), result.fault_events.begin(), result.fault_events.end());
-    spent.merge(result.total_steps);
-    masked.merge(result.masking);
-  }
-
-  if (attempts > 1 && result.outcome == SolveOutcome::Verified &&
-      options.observer != nullptr) {
-    // The retry loop turned a failed row into a verified one.
-    options.observer->metrics().counter(obs::metric::kSolverRecoveredRows).add(1);
-  }
-  result.fault_events = std::move(events);
-  result.total_steps = spent;
-  result.attempts = attempts;
-  result.masking = masked;
-  return result;
+  return std::move(solve_group(machine, oracle, graph, {destination}, options).front());
 }
 
 Result solve(const graph::WeightMatrix& graph, graph::Vertex destination,
              const Options& options) {
-  sim::MachineConfig config;
-  config.n = effective_array_side(options, graph.size());
-  config.bits = graph.field().bits();
-  config.backend = options.backend;
-  config.checked = options.checked || !options.faults.empty();
-  config.masking = masking_of(options.recovery);
-  sim::Machine machine(config);
-  if (!options.faults.empty()) machine.inject_faults(options.faults);
+  const auto machine =
+      detail::make_machine(options, graph, effective_array_side(options, graph.size()));
   std::unique_ptr<sim::Machine> oracle;
-  return solve_with_recovery(machine, oracle, graph, destination, options);
+  return solve_with_recovery(*machine, oracle, graph, destination, options);
+}
+
+std::vector<Result> solve_batch_on(sim::Machine& machine,
+                                   std::unique_ptr<sim::Machine>& oracle,
+                                   const graph::WeightMatrix& graph,
+                                   const std::vector<graph::Vertex>& destinations,
+                                   const Options& options) {
+  std::vector<Result> out;
+  out.reserve(destinations.size());
+  const std::size_t width = std::max<std::size_t>(options.batch_width, 1);
+  for (std::size_t start = 0; start < destinations.size(); start += width) {
+    const auto first = destinations.begin() + static_cast<std::ptrdiff_t>(start);
+    const auto last = destinations.begin() + static_cast<std::ptrdiff_t>(
+                                                 std::min(start + width, destinations.size()));
+    std::vector<Result> group = solve_group(machine, oracle, graph, {first, last}, options);
+    std::move(group.begin(), group.end(), std::back_inserter(out));
+  }
+  return out;
+}
+
+std::vector<Result> solve_batch(const graph::WeightMatrix& graph,
+                                const std::vector<graph::Vertex>& destinations,
+                                const Options& options) {
+  if (destinations.empty()) return {};
+  const auto machine =
+      detail::make_machine(options, graph, effective_array_side(options, graph.size()));
+  std::unique_ptr<sim::Machine> oracle;
+  return solve_batch_on(*machine, oracle, graph, destinations, options);
 }
 
 SourceResult solve_from(const graph::WeightMatrix& graph, graph::Vertex source,

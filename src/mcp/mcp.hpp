@@ -94,7 +94,8 @@ struct Options {
   /// Record per-iteration step counts and changed-vertex counts.
   bool record_iterations = false;
   /// Host execution backend for the machines the convenience entry points
-  /// (solve / solve_from / all_pairs / solve_eccentricity) construct.
+  /// (solve / solve_from / solve_batch / all_pairs / solve_eccentricity)
+  /// construct.
   /// Results and step counts are bit-identical across backends; only
   /// wall-clock differs. minimum_cost_path(machine, ...) ignores this and
   /// uses the caller's machine as configured.
@@ -141,21 +142,22 @@ struct Options {
   /// Run the host-side certificate checker (mcp/verify.hpp) on the unloaded
   /// row d and set Result::outcome accordingly.
   bool verify = false;
-  /// On a non-Verified outcome, solve() / all_pairs() re-run the destination
-  /// up to this many times on a fresh fault-free machine (word backend — the
-  /// oracle). 0 = report the failure without retrying.
+  /// On a non-Verified outcome, the convenience entry points re-run the
+  /// destination up to this many times on a fresh fault-free machine (word
+  /// backend — the oracle). 0 = report the failure without retrying.
   std::size_t max_retries = 0;
   /// Force checked execution (MachineConfig::checked) on the machines the
   /// convenience entry points build. Implied by a non-empty fault model.
   bool checked = false;
-  /// Hardware faults injected into the machines solve() / all_pairs() build
-  /// (retry machines stay fault-free). minimum_cost_path(machine, ...)
-  /// ignores this — inject into the caller's machine directly.
+  /// Hardware faults injected into the machines the convenience entry
+  /// points build (retry machines stay fault-free).
+  /// minimum_cost_path(machine, ...) ignores this — inject into the
+  /// caller's machine directly.
   sim::FaultModel faults;
   /// Fault-handling strategy for the machines the convenience entry points
-  /// build (solve / solve_batch / all_pairs — full and tiled): the masking
-  /// mode is applied to MachineConfig::masking and the retry loop is gated
-  /// on retry_allowed(). Ecc requires backend == BitPlane (ContractError).
+  /// build (full and tiled): the masking mode is applied to
+  /// MachineConfig::masking and the retry loop is gated on retry_allowed().
+  /// Ecc requires backend == BitPlane (ContractError).
   /// minimum_cost_path(machine, ...) only reads the masking stats off the
   /// caller's machine — configure its masking directly.
   RecoveryPolicy recovery = RecoveryPolicy::Retry;
@@ -231,9 +233,10 @@ struct Result {
 [[nodiscard]] Result solve(const graph::WeightMatrix& graph, graph::Vertex destination,
                            const Options& options = {});
 
-/// The retry/degradation core shared by solve() and the all-pairs driver:
-/// one attempt on `machine` (as configured by the caller — faults, checked
-/// mode, backend), then, while the outcome is non-Verified and retries
+/// The retry/degradation core of every convenience entry point (the same
+/// loop runs solve_batch_on's per-member recovery): one attempt on
+/// `machine` (as configured by the caller — faults, checked mode,
+/// backend), then, while the outcome is non-Verified and retries
 /// remain, re-runs on `oracle` — a fault-free word-backend machine of the
 /// same geometry, created on first use and reusable across calls. Collects
 /// fault events across attempts; Result::total_steps sums every attempt.

@@ -50,23 +50,6 @@ ScopedSink::ScopedSink(sim::Machine& machine, obs::Collector* observer)
 
 ScopedSink::~ScopedSink() { machine_.set_trace(previous_); }
 
-std::vector<sim::Word> panel_weights(const graph::WeightMatrix& g, std::size_t p,
-                                     std::size_t base_r, std::size_t base_c) {
-  const std::size_t n = g.size();
-  const sim::Word inf = g.infinity();
-  std::vector<sim::Word> cells(p * p, inf);
-  const std::size_t bh = std::min(p, n - base_r);
-  const std::size_t bw = std::min(p, n - base_c);
-  for (std::size_t r = 0; r < bh; ++r) {
-    const std::size_t gi = base_r + r;
-    for (std::size_t c = 0; c < bw; ++c) {
-      const std::size_t gj = base_c + c;
-      cells[r * p + c] = (gi == gj) ? sim::Word{0} : g.at(gi, gj);
-    }
-  }
-  return cells;
-}
-
 void record_plan_cache_delta(const sim::Machine& machine,
                              sim::Machine::PlanCacheStats entry,
                              obs::Collector* observer) {
@@ -118,57 +101,87 @@ void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry
   }
 }
 
+std::unique_ptr<sim::Machine> make_machine(const Options& options,
+                                           const graph::WeightMatrix& graph, std::size_t side,
+                                           sim::BusTopology topology) {
+  sim::MachineConfig config;
+  config.n = side;
+  config.bits = graph.field().bits();
+  config.topology = topology;
+  config.backend = options.backend;
+  config.checked = options.checked || !options.faults.empty();
+  config.masking = masking_of(options.recovery);
+  auto machine = std::make_unique<sim::Machine>(config);
+  if (!options.faults.empty()) machine->inject_faults(options.faults);
+  return machine;
+}
+
 void finalize_result(sim::Machine& machine, const graph::WeightMatrix& graph,
-                     graph::Vertex destination, const Options& options,
-                     std::size_t faults_at_entry, Result& result) {
-  // Harvest this run's checked-execution diagnostics (delta of the
-  // machine's capped fault log).
+                     const Options& options, std::size_t faults_at_entry,
+                     std::span<Result> results) {
+  // This pass's checked-execution diagnostics (delta of the machine's
+  // capped fault log), harvested before any member reports its own
+  // verification failure.
   const std::vector<sim::FaultEvent>& log = machine.fault_events();
-  for (std::size_t i = faults_at_entry; i < log.size(); ++i) {
-    result.fault_events.push_back(log[i]);
-  }
+  const std::vector<sim::FaultEvent> pass_events(
+      log.begin() + static_cast<std::ptrdiff_t>(std::min(faults_at_entry, log.size())),
+      log.end());
   const bool machine_faulted = machine.fault_count() > faults_at_entry;
 
-  // Outcome: non-convergence dominates (row d is partial data), then the
-  // host certificate, then any machine diagnostics, then the masking
-  // counters — a run that completed only because TMR / ECC corrected bus
-  // cycles is success-with-information (MaskedFaults), unless decode left
-  // uncorrectable residue, which is as untrustworthy as any other
-  // hardware fault.
-  if (result.outcome != SolveOutcome::NonConverged) {
-    if (options.verify) {
-      PPA_SPAN(options.observer, "verify", &machine);
-      const CertificateReport report = check_certificate(graph, result.solution);
-      if (report.ok) {
-        result.outcome = SolveOutcome::Verified;
-      } else {
-        result.outcome = SolveOutcome::VerificationFailed;
-        result.verify_detail = report.detail;
-        const sim::FaultEvent event{sim::FaultEventKind::VerificationFailed,
-                                    sim::StepCategory::Alu, sim::Direction::North,
-                                    destination, destination, 1};
-        machine.report_fault(event);
-        result.fault_events.push_back(event);
-      }
-    } else if (machine_faulted) {
-      result.outcome = SolveOutcome::HardwareFault;
-    } else if (result.masking.uncorrectable > 0) {
-      result.outcome = SolveOutcome::HardwareFault;
-    } else if (result.masking.corrections > 0) {
-      result.outcome = SolveOutcome::MaskedFaults;
-    }
+  obs::Collector* const observer = options.observer;
+  if (observer != nullptr && results.front().masking.votes != 0) {
+    const sim::MaskingStats& masking = results.front().masking;
+    obs::MetricsRegistry& metrics = observer->metrics();
+    metrics.counter(obs::metric::kMaskVotes).add(masking.votes);
+    metrics.counter(obs::metric::kMaskCorrections).add(masking.corrections);
+    metrics.counter(obs::metric::kMaskUncorrectable).add(masking.uncorrectable);
   }
 
-  if (options.observer != nullptr) {
-    obs::MetricsRegistry& metrics = options.observer->metrics();
-    metrics.counter(obs::metric::kSolverRuns).add(1);
-    metrics.counter(obs::metric::kSolverIterations).add(result.iterations);
-    metrics.counter(std::string(obs::metric::kOutcomePrefix) + name_of(result.outcome))
-        .add(1);
-    if (result.masking.votes != 0) {
-      metrics.counter(obs::metric::kMaskVotes).add(result.masking.votes);
-      metrics.counter(obs::metric::kMaskCorrections).add(result.masking.corrections);
-      metrics.counter(obs::metric::kMaskUncorrectable).add(result.masking.uncorrectable);
+  for (Result& result : results) {
+    const graph::Vertex destination = result.solution.destination;
+    for (const sim::FaultEvent& event : pass_events) {
+      if (event.kind == sim::FaultEventKind::NonConvergence && event.row != destination) {
+        continue;
+      }
+      result.fault_events.push_back(event);
+    }
+
+    // Outcome: non-convergence dominates (row d is partial data), then
+    // the host certificate, then any machine diagnostics, then the masking
+    // counters — a run that completed only because TMR / ECC corrected
+    // bus cycles is success-with-information (MaskedFaults), unless decode
+    // left uncorrectable residue, which is as untrustworthy as any other
+    // hardware fault.
+    if (result.outcome != SolveOutcome::NonConverged) {
+      if (options.verify) {
+        PPA_SPAN(observer, "verify", &machine);
+        const CertificateReport report = check_certificate(graph, result.solution);
+        if (report.ok) {
+          result.outcome = SolveOutcome::Verified;
+        } else {
+          result.outcome = SolveOutcome::VerificationFailed;
+          result.verify_detail = report.detail;
+          const sim::FaultEvent event{sim::FaultEventKind::VerificationFailed,
+                                      sim::StepCategory::Alu, sim::Direction::North,
+                                      destination, destination, 1};
+          machine.report_fault(event);
+          result.fault_events.push_back(event);
+        }
+      } else if (machine_faulted) {
+        result.outcome = SolveOutcome::HardwareFault;
+      } else if (result.masking.uncorrectable > 0) {
+        result.outcome = SolveOutcome::HardwareFault;
+      } else if (result.masking.corrections > 0) {
+        result.outcome = SolveOutcome::MaskedFaults;
+      }
+    }
+
+    if (observer != nullptr) {
+      obs::MetricsRegistry& metrics = observer->metrics();
+      metrics.counter(obs::metric::kSolverRuns).add(1);
+      metrics.counter(obs::metric::kSolverIterations).add(result.iterations);
+      metrics.counter(std::string(obs::metric::kOutcomePrefix) + name_of(result.outcome))
+          .add(1);
     }
   }
 }

@@ -1,5 +1,7 @@
 // The panel-parameterized relaxation core shared by the full-array solver
-// (mcp.cpp) and the tiled virtualization driver (tiled.cpp).
+// (mcp.cpp) and the virtualized sweep engine (tiled.cpp), plus the pieces
+// every src/mcp entry point shares: one way to build a machine, the
+// sweep engine itself and the outcome epilogue.
 //
 // One relaxation visit of a panel is the paper's statements 10..12 with
 // the geometry generalized: the carrier row's SOW fragment is column-
@@ -19,6 +21,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "mcp/mcp.hpp"
@@ -113,9 +117,9 @@ class PanelIoLedger {
   /// Brackets a panel's relax phase to measure the next overlap window.
   void relax_begin() { before_relax_ = machine_.steps(); }
   void relax_end() {
-    // PanelIo beats inside the bracket (the batched sweep's member
-    // fragments/readbacks) keep the I/O channel busy and cannot hide a
-    // prefetch, so they never widen the window.
+    // PanelIo beats inside the bracket (member fragments and readbacks)
+    // keep the I/O channel busy and cannot hide a prefetch, so they never
+    // widen the window.
     const sim::StepCounter delta = machine_.steps().since(before_relax_);
     window_ = delta.total() - delta.count(sim::StepCategory::Masking) -
               delta.count(sim::StepCategory::PanelIo);
@@ -153,16 +157,6 @@ class ScopedSink {
   sim::TraceSink* previous_;
 };
 
-/// Host-side view of weight panel (base_r, base_c) on a p x p machine:
-/// local cell (r, c) holds the global w(base_r + r, base_c + c) with the
-/// diagonal forced to 0 (the j == i term of the row minimum then preserves
-/// SOW_id, exactly like the full-array load) and padding rows/columns at
-/// infinity (they can never win a minimum whose candidates include the
-/// diagonal term). Shared by the tiled and batched sweeps.
-[[nodiscard]] std::vector<sim::Word> panel_weights(const graph::WeightMatrix& g,
-                                                   std::size_t p, std::size_t base_r,
-                                                   std::size_t base_c);
-
 /// Records the machine's broadcast-plan-cache hit/miss delta since `entry`
 /// as the observer's bus.plan_cache.* counters (no-op without an
 /// observer). Solvers snapshot at entry and call this once on exit, so the
@@ -188,13 +182,47 @@ struct ThroughputProbe {
 void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry,
                              obs::Collector* observer);
 
-/// The solver epilogue both geometries share: harvests the machine's
-/// checked-execution fault-event delta, settles Result::outcome
-/// (non-convergence dominates, then the host certificate — which is
-/// array-agnostic — then machine diagnostics) and bumps the observer's
-/// solver counters. Must run while the caller's "solve" span is open.
+/// The one way src/mcp builds a machine: a side x side array over the
+/// graph's h-bit field on options.backend, checked when options.checked
+/// is set or options.faults is non-empty, masked per options.recovery,
+/// with options.faults injected. The retry oracle is make_machine of
+/// default Options (word backend, fault-free, unmasked) at the failed
+/// machine's side and topology.
+[[nodiscard]] std::unique_ptr<sim::Machine> make_machine(
+    const Options& options, const graph::WeightMatrix& graph, std::size_t side,
+    sim::BusTopology topology = sim::BusTopology::Ring);
+
+/// The virtualized sweep engine (tiled.cpp, docs/tiling.md): the paper's
+/// DP for k >= 1 destinations on a p x p machine, p <= n, sweeping the
+/// weight matrix in ceil(n/p)^2 panels per iteration with every member's
+/// row-d state held by the host. The W panel is loaded once per visit for
+/// all members. Two rules depend on k, and only on k:
+///   * row reduction — k == 1 runs panel_row_reduce under
+///     Options::min_variant (the paper's min/argmin); k > 1 runs a fused
+///     bit-serial min/argmin elimination over value and index bits;
+///   * fragment charge — k == 1's fragment beat rides the double-buffered
+///     panel load (p + 1 beats); k > 1 charges each member's beat at
+///     injection.
+/// Returns one Result per destination, in order; steps and masking
+/// counters are the whole pass's delta in every member. Opens a "solve"
+/// span for k == 1 and "solve_batch" otherwise.
+[[nodiscard]] std::vector<Result> sweep(sim::Machine& machine,
+                                        const graph::WeightMatrix& graph,
+                                        const std::vector<graph::Vertex>& destinations,
+                                        const Options& options);
+
+/// The solver epilogue every engine shares, for the members of one pass
+/// on `machine`. Once per pass: harvests the machine's checked-execution
+/// fault-event delta since `faults_at_entry` and records the masking
+/// counters (every member carries the pass's masking delta). Per member:
+/// keeps the pass's events, except a NonConvergence event, which stays
+/// with its own destination; settles Result::outcome (non-convergence
+/// dominates, then the host certificate — which is array-agnostic — then
+/// machine diagnostics, then masking); bumps the solver.runs /
+/// iterations / outcome counters. Must run while the caller's span is
+/// open.
 void finalize_result(sim::Machine& machine, const graph::WeightMatrix& graph,
-                     graph::Vertex destination, const Options& options,
-                     std::size_t faults_at_entry, Result& result);
+                     const Options& options, std::size_t faults_at_entry,
+                     std::span<Result> results);
 
 }  // namespace ppa::mcp::detail

@@ -1,6 +1,7 @@
 #include "mcp/tiled.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <vector>
 
@@ -15,7 +16,107 @@ namespace {
 
 using ppc::Pbool;
 using ppc::Pint;
+using sim::Direction;
 using sim::Word;
+
+/// One destination's host-side state: the controller keeps the row-d
+/// vectors between panel visits, one set per destination in flight.
+struct Member {
+  graph::Vertex destination = 0;
+  std::vector<Word> sow;            // current row-d costs (n)
+  std::vector<graph::Vertex> ptn;   // current next hops (n)
+  std::vector<Word> next_min;       // Jacobi buffer for the sweep (n)
+  std::vector<Word> next_arg;
+  std::vector<Word> carry_min;      // per-row-block panel carry (p)
+  std::vector<Word> carry_arg;
+  std::vector<IterationRecord> trace;
+  std::size_t iterations = 0;
+  bool converged = false;
+  // Active-panel schedule (docs/tiling.md "Active panels"): each
+  // destination's change pattern is its own, so each member carries its
+  // own dirty flags and cached per-(bi,bj) readbacks.
+  detail::DirtyBlocks dirty{0};
+  std::vector<Word> cache_min;
+  std::vector<Word> cache_arg;
+};
+
+/// Host-side view of weight panel (base_r, base_c) on a p x p machine:
+/// local cell (r, c) holds the global w(base_r + r, base_c + c) with the
+/// diagonal forced to 0 (the j == i term of the row minimum then preserves
+/// SOW_id, exactly like the full-array load) and padding rows/columns at
+/// infinity (they can never win a minimum whose candidates include the
+/// diagonal term).
+std::vector<Word> panel_weights(const graph::WeightMatrix& g, std::size_t p,
+                                std::size_t base_r, std::size_t base_c) {
+  const std::size_t n = g.size();
+  std::vector<Word> cells(p * p, g.infinity());
+  const std::size_t bh = std::min(p, n - base_r);
+  const std::size_t bw = std::min(p, n - base_c);
+  for (std::size_t r = 0; r < bh; ++r) {
+    const std::size_t gi = base_r + r;
+    for (std::size_t c = 0; c < bw; ++c) {
+      const std::size_t gj = base_c + c;
+      cells[r * p + c] = (gi == gj) ? Word{0} : g.at(gi, gj);
+    }
+  }
+  return cells;
+}
+
+/// Global column-index bit planes per column block, MSB-first: PE (r, c)
+/// of block bj holds bit j of bj*p + c. Host flags (no field arithmetic,
+/// so padding indices never clamp), built once per pass and reused by
+/// every member, panel visit and sweep.
+std::vector<std::vector<Pbool>> index_bit_planes(ppc::Context& ctx, std::size_t p,
+                                                 std::size_t blocks, int idx_bits) {
+  std::vector<std::vector<Pbool>> planes(blocks);
+  std::vector<sim::Flag> flags(p * p);
+  for (std::size_t bj = 0; bj < blocks; ++bj) {
+    for (int j = idx_bits - 1; j >= 0; --j) {
+      for (std::size_t r = 0; r < p; ++r) {
+        for (std::size_t c = 0; c < p; ++c) {
+          flags[r * p + c] =
+              static_cast<sim::Flag>(((bj * p + c) >> static_cast<std::size_t>(j)) & 1u);
+        }
+      }
+      planes[bj].emplace_back(ctx, flags);
+    }
+  }
+  return planes;
+}
+
+/// The k > 1 row reduction: a FUSED bit-serial min/argmin of h + idx_bits
+/// wired-OR elimination rounds, MSB-first over the candidate value bits
+/// and then the global column-index bits. The controller reads each
+/// round's per-row OR line off column 0 (the row cluster spans the whole
+/// row) and reconstructs both results from it: a round whose OR finds no
+/// surviving 0 pins that result bit to 1, otherwise the bit is 0 and the
+/// candidate set narrows. One survivor per row remains — the minimum with
+/// the smallest global index — matching panel_row_reduce's tie-break bit
+/// for bit while skipping its routing/spread broadcasts (docs/batching.md).
+void fused_row_reduce(ppc::Context& ctx, const Pint& sow, const std::vector<Pbool>& index_bits,
+                      const Pbool& row_end, std::size_t rows, std::vector<Word>& min_line,
+                      std::vector<Word>& arg_line, std::vector<sim::Flag>& or_line) {
+  const auto live_rows = static_cast<std::ptrdiff_t>(rows);
+  std::fill(min_line.begin(), min_line.begin() + live_rows, Word{0});
+  std::fill(arg_line.begin(), arg_line.begin() + live_rows, Word{0});
+  Pbool enable(ctx, true);
+  const auto round = [&](const Pbool& bit_set, int j, std::vector<Word>& out) {
+    const Pbool probe = enable & !bit_set;
+    const Pbool some = ppc::bus_or(probe, Direction::West, row_end);
+    some.read_column(0, or_line);
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[r] |= static_cast<Word>(or_line[r] ^ 1u) << j;
+    }
+    ppc::where(ctx, some, [&] { enable = probe; });
+  };
+  for (int j = static_cast<int>(ctx.field().bits()) - 1; j >= 0; --j) {
+    round(sow.bit(j), j, min_line);
+  }
+  const int idx_bits = static_cast<int>(index_bits.size());
+  for (int j = idx_bits - 1; j >= 0; --j) {
+    round(index_bits[static_cast<std::size_t>(idx_bits - 1 - j)], j, arg_line);
+  }
+}
 
 }  // namespace
 
@@ -33,12 +134,24 @@ Result run_minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& g
 
 Result tiled_minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph,
                                graph::Vertex destination, const Options& options) {
+  return std::move(detail::sweep(machine, graph, {destination}, options).front());
+}
+
+namespace detail {
+
+std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& graph,
+                          const std::vector<graph::Vertex>& destinations,
+                          const Options& options) {
   const std::size_t n = graph.size();
   const std::size_t p = machine.n();
+  const std::size_t k = destinations.size();
+  PPA_REQUIRE(k >= 1, "a sweep needs at least one destination");
   PPA_REQUIRE(p >= 1 && p <= n, "physical array side must be in [1, vertex count]");
   PPA_REQUIRE(machine.field() == graph.field(),
               "machine and graph must use the same h-bit field");
-  PPA_REQUIRE(destination < n, "destination out of range");
+  for (const graph::Vertex d : destinations) {
+    PPA_REQUIRE(d < n, "destination out of range");
+  }
   // PTN carries GLOBAL column indices through the argmin.
   PPA_REQUIRE(machine.field().representable(n - 1),
               "vertex indices must be representable in the h-bit field");
@@ -52,34 +165,56 @@ Result tiled_minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix&
   const MinVariant variant = two_sided ? MinVariant::OrProbe : options.min_variant;
 
   obs::Collector* const observer = options.observer;
-  detail::ScopedSink scoped_sink(machine, observer);
-  PPA_SPAN(observer, "solve", &machine, static_cast<std::int64_t>(destination));
+  ScopedSink scoped_sink(machine, observer);
+  PPA_SPAN(observer, k == 1 ? "solve" : "solve_batch", &machine,
+           static_cast<std::int64_t>(k == 1 ? destinations.front() : k));
 
   ppc::Context ctx(machine);
   const sim::StepCounter at_entry = machine.steps();
   const std::size_t faults_at_entry = machine.fault_count();
   const sim::Machine::PlanCacheStats plans_at_entry = machine.plan_cache_stats();
   const sim::MaskingStats masking_at_entry = machine.masking_stats();
-  const detail::ThroughputProbe throughput_at_entry =
-      observer != nullptr ? detail::probe_throughput(machine) : detail::ThroughputProbe{};
+  const ThroughputProbe throughput_at_entry =
+      observer != nullptr ? probe_throughput(machine) : ThroughputProbe{};
 
-  // ------------------------------------------------------------------
-  // Initialization. The row-d state lives with the controller as host
-  // n-vectors between panel visits; SOW starts at the 1-edge costs
-  // (column d of W, the full solver's init transposed host-side) and PTN
-  // at d. No array instructions are issued here, so init_steps only
-  // covers wiring the physical constants below.
-  // ------------------------------------------------------------------
-  auto init_span = std::make_optional(obs::open_span(observer, "init", &machine));
-  std::vector<graph::Weight> sow(n);
-  std::vector<graph::Vertex> ptn(n, destination);
-  for (std::size_t i = 0; i < n; ++i) {
-    sow[i] = (i == destination) ? 0 : graph.at(i, destination);
+  if (observer != nullptr && k > 1) {
+    observer->metrics().counter(obs::metric::kSolverBatches).add(1);
+    observer->metrics().counter(obs::metric::kSolverBatchWidth).add(k);
   }
 
-  // Per-PE constants of the p x p physical array. The carrier of the SOW
-  // fragment is machine row 0 (the full array uses row d; any fixed row
-  // works — the fragment rides the column buses either way).
+  // ------------------------------------------------------------------
+  // Initialization. Each member's row-d state lives with the controller
+  // as host n-vectors between panel visits; SOW starts at the 1-edge costs
+  // (column d of W, the full solver's init transposed host-side) and PTN
+  // at d. No array instructions are issued for it, so init_steps only
+  // covers wiring the physical constants below (and, for k > 1, the
+  // index bit planes).
+  // ------------------------------------------------------------------
+  auto init_span = std::make_optional(obs::open_span(observer, "init", &machine));
+  const bool active = options.active_panels;
+  std::vector<Member> members(k);
+  for (std::size_t mi = 0; mi < k; ++mi) {
+    Member& m = members[mi];
+    m.destination = destinations[mi];
+    m.sow.resize(n);
+    m.ptn.assign(n, m.destination);
+    m.next_min.resize(n);
+    m.next_arg.resize(n);
+    m.carry_min.resize(p);
+    m.carry_arg.resize(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      m.sow[i] = (i == m.destination) ? 0 : graph.at(i, m.destination);
+    }
+    if (active) {
+      m.dirty = DirtyBlocks(blocks);
+      m.cache_min.resize(blocks * blocks * p);
+      m.cache_arg.resize(blocks * blocks * p);
+    }
+  }
+
+  // Per-PE constants of the p x p physical array. The carrier of every
+  // SOW fragment is machine row 0 (the full array uses row d; any fixed
+  // row works — the fragment rides the column buses either way).
   const Pint ROW = ppc::row_of(ctx);
   const Pint COL = ppc::col_of(ctx);
   const Pbool carrier = (ROW == Word{0});
@@ -92,204 +227,277 @@ Result tiled_minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix&
   std::vector<std::vector<Word>> panels(blocks * blocks);
   for (std::size_t bi = 0; bi < blocks; ++bi) {
     for (std::size_t bj = 0; bj < blocks; ++bj) {
-      panels[bi * blocks + bj] = detail::panel_weights(graph, p, bi * p, bj * p);
+      panels[bi * blocks + bj] = panel_weights(graph, p, bi * p, bj * p);
     }
   }
+
+  // The fused reduction's index rounds need enough bits for the largest
+  // global column index any panel carries (padding columns of the last
+  // block included — they hold infinity candidates and lose every value
+  // round unless the whole row is at infinity, where the smallest index
+  // still wins).
+  const int idx_bits = static_cast<int>(std::bit_width(blocks * p - 1));
+  const std::vector<std::vector<Pbool>> index_bits =
+      k > 1 ? index_bit_planes(ctx, p, blocks, idx_bits) : std::vector<std::vector<Pbool>>{};
 
   const sim::StepCounter after_init = machine.steps();
   init_span.reset();
 
-  Result result;
-  result.init_steps = after_init.since(at_entry);
-
   // ------------------------------------------------------------------
-  // Relaxation sweeps. Each iteration covers all ceil(n/p)^2 panels —
-  // visiting the ones whose column block is dirty, replaying the cached
-  // readback for the rest (Options::active_panels; false visits all);
-  // row-block bi folds its panels' partial minima into a host carry
-  // (strict `<`, so the earliest column block wins ties and the paper's
-  // smallest-next-hop tie-break survives), and the row-d updates are
-  // buffered until the sweep completes (Jacobi order, like the array).
+  // Relaxation sweeps. Each iteration covers all ceil(n/p)^2 panels.
+  // Row-block bi folds its panels' partial minima into a host carry per
+  // member (strict `<`, so the earliest column block wins ties and the
+  // paper's smallest-next-hop tie-break survives), and the row-d updates
+  // are buffered until the sweep completes (Jacobi order, like the
+  // array). The W panel is loaded once per visit for every member; each
+  // still-live member rides it with its own SOW fragment. A panel no live
+  // member needs (its column block is clean for all of them) is skipped,
+  // and a clean member replays its cached readback (exact under Jacobi
+  // order — the panel's inputs are the static W panel and its column
+  // block's fragment, both unchanged while the block stays clean). The
+  // ledger double-buffers visited W loads and closes the accounting:
+  // charged PanelIo + saved == the dense schedule's charge exactly. A
+  // member freezes after its row first comes back unchanged; the pass
+  // runs until every member has frozen or the cap trips.
   // ------------------------------------------------------------------
   auto relax_span = std::make_optional(obs::open_span(observer, "relax", &machine));
-  std::vector<Word> sow_cells(p * p);
-  std::vector<Word> carry_min(p), carry_arg(p);
-  std::vector<Word> next_min(n), next_arg(n);
-  std::uint64_t panels_visited = 0;
-  // Active-panel schedule (docs/tiling.md "Active panels"): per-column-
-  // block dirty flags decide which visits can be skipped, the per-(bi,bj)
-  // cache replays a skipped panel's last readback (exact under Jacobi
-  // order — the panel's inputs are the static W panel and its column
-  // block's fragment, both unchanged while the block stays clean), and
-  // the ledger double-buffers visited loads and closes the accounting:
-  // charged PanelIo + saved == the dense I*blocks^2*(p+3) exactly.
-  const bool active = options.active_panels;
-  detail::DirtyBlocks dirty(blocks);
-  detail::PanelIoLedger ledger(machine, active);
-  std::vector<Word> cache_min(active ? blocks * blocks * p : 0);
-  std::vector<Word> cache_arg(active ? blocks * blocks * p : 0);
+  std::vector<Word> sow_cells(p * p, Word{0});
   std::vector<Word> min_line(p), arg_line(p);
+  std::vector<sim::Flag> or_line(p);
+  PanelIoLedger ledger(machine, active);
+  std::vector<std::uint8_t> need(blocks, 1);
+  std::uint64_t panels_visited = 0;
   std::uint64_t panels_skipped = 0;
   std::uint64_t active_blocks_total = 0;
-  for (;;) {
-    if (result.iterations >= iteration_cap) {
-      // Same diagnosis as the full solver: the DP is monotone, so an
-      // exhausted cap means corrupted state; report it.
-      result.outcome = SolveOutcome::NonConverged;
-      const sim::FaultEvent event{sim::FaultEventKind::NonConvergence,
-                                  sim::StepCategory::Alu, sim::Direction::North,
-                                  destination, destination, result.iterations};
-      machine.report_fault(event);
+  std::size_t sweeps = 0;
+  std::size_t live = k;
+
+  // A member's bj-th SOW fragment on the carrier row.
+  const auto inject = [&](const Member& m, std::size_t base_c, std::optional<Pint>& fragment) {
+    for (std::size_t c = 0; c < p; ++c) {
+      const std::size_t gj = base_c + c;
+      sow_cells[c] = gj < n ? m.sow[gj] : inf;
+    }
+    fragment.emplace(ctx, sow_cells);
+  };
+  const auto fold = [&](Member& m, const Word* mins, const Word* args, std::size_t rows) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (mins[r] < m.carry_min[r]) {
+        m.carry_min[r] = mins[r];
+        m.carry_arg[r] = args[r];
+      }
+    }
+  };
+
+  while (live > 0) {
+    if (sweeps >= iteration_cap) {
+      // The DP is monotone, so an exhausted cap means corrupted state
+      // (injected faults, or a caller-supplied cap below the true path
+      // length). Every still-live member reports its own event.
+      for (const Member& m : members) {
+        if (m.converged) continue;
+        machine.report_fault(sim::FaultEvent{sim::FaultEventKind::NonConvergence,
+                                             sim::StepCategory::Alu, Direction::North,
+                                             m.destination, m.destination, m.iterations});
+      }
       break;
     }
     const sim::StepCounter before_iteration = machine.steps();
-    PPA_SPAN(observer, "relax_iter", &machine,
-             static_cast<std::int64_t>(result.iterations));
+    PPA_SPAN(observer, "relax_iter", &machine, static_cast<std::int64_t>(sweeps));
 
     ledger.begin_sweep();
-    if (active) active_blocks_total += dirty.count();
+    if (active) {
+      // A column block is needed this sweep when ANY live member's slice
+      // of it changed last iteration. Computed once per sweep —
+      // convergence flags only move in the apply phase below.
+      std::size_t needed = 0;
+      for (std::size_t bj = 0; bj < blocks; ++bj) {
+        need[bj] = std::any_of(members.begin(), members.end(), [&](const Member& m) {
+          return !m.converged && m.dirty.dirty(bj);
+        });
+        needed += need[bj];
+      }
+      active_blocks_total += needed;
+    }
     for (std::size_t bi = 0; bi < blocks; ++bi) {
       const std::size_t base_r = bi * p;
       const std::size_t bh = std::min(p, n - base_r);
-      std::fill(carry_min.begin(), carry_min.end(), inf);
-      std::fill(carry_arg.begin(), carry_arg.end(), Word{0});
+      for (Member& m : members) {
+        if (m.converged) continue;
+        std::fill(m.carry_min.begin(), m.carry_min.end(), inf);
+        std::fill(m.carry_arg.begin(), m.carry_arg.end(), Word{0});
+      }
       for (std::size_t bj = 0; bj < blocks; ++bj) {
         const std::size_t base_c = bj * p;
+        const std::size_t cached = (bi * blocks + bj) * p;
         const auto panel_id = static_cast<std::int64_t>(bi * blocks + bj);
-        Word* const cache_m = active ? &cache_min[(bi * blocks + bj) * p] : nullptr;
-        Word* const cache_a = active ? &cache_arg[(bi * blocks + bj) * p] : nullptr;
 
-        if (active && !dirty.dirty(bj)) {
-          // ---- skipped visit: the column block's fragment is unchanged,
-          //      so the cached readback IS the visit's result. Fold it in
-          //      the same bj order and save the whole p+3 beats.
+        if (active && !need[bj]) {
+          // ---- skipped visit: every live member replays its cached
+          //      readback in the same bj order; the W load and every
+          //      member's 3 beats are saved.
           ++panels_skipped;
-          ledger.skip(static_cast<std::uint64_t>(p) + 3);
-          for (std::size_t r = 0; r < bh; ++r) {
-            if (cache_m[r] < carry_min[r]) {
-              carry_min[r] = cache_m[r];
-              carry_arg[r] = cache_a[r];
-            }
+          ledger.skip(static_cast<std::uint64_t>(p));
+          for (Member& m : members) {
+            if (m.converged) continue;
+            ledger.skip(3);
+            fold(m, &m.cache_min[cached], &m.cache_arg[cached], bh);
           }
           continue;
         }
         ++panels_visited;
 
-        // ---- panel load: W panel (p rows) + SOW fragment (1 row),
-        //      counted and traced as PanelIo; under the active schedule
-        //      the beats hidden by the previous panel's relax sweep are
-        //      not charged (double buffering).
+        // ---- panel load: the W panel, double-buffered against the
+        //      previous visited panel's relax phase under the active
+        //      schedule. A lone member's fragment rides the same load
+        //      (p + 1 beats); with k > 1 each member's fragment is
+        //      charged at injection instead.
         auto load_span =
             std::make_optional(obs::open_span(observer, "panel_load", &machine, panel_id));
-        std::fill(sow_cells.begin(), sow_cells.end(), Word{0});
-        for (std::size_t c = 0; c < p; ++c) {
-          const std::size_t gj = base_c + c;
-          sow_cells[c] = gj < n ? sow[gj] : inf;
-        }
         const Pint Wp(ctx, panels[bi * blocks + bj]);
-        Pint SOWP(ctx, sow_cells);
-        ledger.load(static_cast<std::uint64_t>(p) + 1);
+        std::optional<Pint> fragment;
+        if (k == 1) inject(members.front(), base_c, fragment);
+        ledger.load(static_cast<std::uint64_t>(p) + (k == 1 ? 1 : 0));
         load_span.reset();
 
-        // ---- panel relax: the shared core (relax_core.hpp).
         PPA_SPAN(observer, "panel_relax", &machine, panel_id);
         ledger.relax_begin();
-        // Global column indices for the argmin: one ALU op per visit.
-        const Pint INDEX = COL + static_cast<Word>(base_c);
-        Pint MINP(ctx, inf);
-        Pint PTNP(ctx, Word{0});
-        ppc::where(ctx, not_carrier, [&] {
-          detail::panel_candidates(Wp, carrier, options.broadcast_scheme, SOWP);
-        });
-        ppc::where(ctx, carrier, [&] {
-          // The carrier doubles as data row 0: its fragment value is still
-          // resident (the masked store above skipped it), so its candidates
-          // come from a local add — necessary under the two-sided scheme,
-          // where a driver never hears its own injection.
-          SOWP = SOWP + Wp;
-        });
-        detail::panel_row_reduce(INDEX, row_end, variant, SOWP, MINP, PTNP);
-        ledger.relax_end();
-
-        // ---- panel unload: one column readback per result register
-        //      (min / argmin are cluster-wide, so column 0 suffices).
-        ledger.unload(2);
-        MINP.read_column(0, min_line);
-        PTNP.read_column(0, arg_line);
-        for (std::size_t r = 0; r < bh; ++r) {
-          const Word m = min_line[r];
-          const Word a = arg_line[r];
+        for (Member& m : members) {
+          if (m.converged) continue;
+          if (active && !m.dirty.dirty(bj)) {
+            // ---- member replay: this member's bj block is clean.
+            ledger.skip(3);
+            fold(m, &m.cache_min[cached], &m.cache_arg[cached], bh);
+            continue;
+          }
+          if (k > 1) {
+            inject(m, base_c, fragment);
+            machine.charge_panel_io(1);
+          }
+          Pint& SOWP = *fragment;
+          // ---- candidates (statement 10) and the row reduction.
+          const auto candidates = [&] {
+            ppc::where(ctx, not_carrier, [&] {
+              panel_candidates(Wp, carrier, options.broadcast_scheme, SOWP);
+            });
+            ppc::where(ctx, carrier, [&] {
+              // The carrier doubles as data row 0: its fragment value is
+              // still resident (the masked store above skipped it), so its
+              // candidates come from a local add — necessary under the
+              // two-sided scheme, where a driver never hears itself.
+              SOWP = SOWP + Wp;
+            });
+          };
+          if (k == 1) {
+            // The paper's min/argmin over GLOBAL column indices (one ALU
+            // op per visit), so the tiled path stays the paper algorithm.
+            const Pint INDEX = COL + static_cast<Word>(base_c);
+            Pint MINP(ctx, inf);
+            Pint PTNP(ctx, Word{0});
+            candidates();
+            panel_row_reduce(INDEX, row_end, variant, SOWP, MINP, PTNP);
+            MINP.read_column(0, min_line);
+            PTNP.read_column(0, arg_line);
+          } else {
+            candidates();
+            fused_row_reduce(ctx, SOWP, index_bits[bj], row_end, bh, min_line, arg_line,
+                             or_line);
+          }
+          // ---- member readback: min + argmin columns (min / argmin are
+          //      cluster-wide, so column 0 suffices), 2 PanelIo rows.
+          ledger.unload(2);
           if (active) {
-            cache_m[r] = m;
-            cache_a[r] = a;
+            std::copy_n(min_line.begin(), bh, &m.cache_min[cached]);
+            std::copy_n(arg_line.begin(), bh, &m.cache_arg[cached]);
           }
-          if (m < carry_min[r]) {
-            carry_min[r] = m;
-            carry_arg[r] = a;
-          }
+          fold(m, min_line.data(), arg_line.data(), bh);
+        }
+        ledger.relax_end();
+      }
+      for (Member& m : members) {
+        if (m.converged) continue;
+        std::copy_n(m.carry_min.begin(), bh, &m.next_min[base_r]);
+        std::copy_n(m.carry_arg.begin(), bh, &m.next_arg[base_r]);
+      }
+    }
+
+    // Apply the buffered row-d updates; each member's loop test is the
+    // host's own (the controller already holds the fresh row, no
+    // global-OR cycle needed). Change counts are kept per row block
+    // (vertex i lives in block i/p): the sparsity signal the active
+    // schedule needs — a block whose count hits 0 has a settled fragment.
+    for (Member& m : members) {
+      if (m.converged) continue;
+      std::size_t changed = 0;
+      std::vector<std::uint64_t> panel_changes(observer != nullptr || active ? blocks : 0, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i == m.destination) continue;  // pinned at 0, like (d,d) on the array
+        if (m.next_min[i] != m.sow[i]) {
+          m.sow[i] = m.next_min[i];
+          m.ptn[i] = static_cast<graph::Vertex>(m.next_arg[i]);
+          ++changed;
+          if (!panel_changes.empty()) ++panel_changes[i / p];
         }
       }
-      for (std::size_t r = 0; r < bh; ++r) {
-        next_min[base_r + r] = carry_min[r];
-        next_arg[base_r + r] = carry_arg[r];
+      if (active) m.dirty.update(panel_changes);
+      ++m.iterations;
+      if (options.record_iterations) {
+        m.trace.push_back(IterationRecord{changed, machine.steps().since(before_iteration)});
+      }
+      if (observer != nullptr) {
+        observer->record_iteration(static_cast<std::int64_t>(m.destination), m.iterations,
+                                   changed, std::move(panel_changes));
+      }
+      if (changed == 0) {
+        m.converged = true;
+        --live;
       }
     }
-
-    // Apply the buffered row-d update; the loop test is the host's (the
-    // controller already holds the fresh row, no global-OR cycle needed).
-    // Change counts are kept per row block (vertex i lives in block i/p):
-    // the per-panel sparsity signal active-panel virtualization needs —
-    // a block whose count hits 0 has a settled SOW fragment.
-    std::size_t changed = 0;
-    std::vector<std::uint64_t> panel_changes(
-        observer != nullptr || active ? blocks : 0, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == destination) continue;  // pinned at 0, like (d,d) on the array
-      if (next_min[i] != sow[i]) {
-        sow[i] = next_min[i];
-        ptn[i] = static_cast<graph::Vertex>(next_arg[i]);
-        ++changed;
-        if (!panel_changes.empty()) ++panel_changes[i / p];
-      }
-    }
-    if (active) dirty.update(panel_changes);
-
-    ++result.iterations;
-    if (options.record_iterations) {
-      result.iteration_trace.push_back(
-          IterationRecord{changed, machine.steps().since(before_iteration)});
-    }
-    if (observer != nullptr) {
-      observer->record_iteration(static_cast<std::int64_t>(destination),
-                                 result.iterations, changed, std::move(panel_changes));
-    }
-    if (changed == 0) break;
+    ++sweeps;
   }
   relax_span.reset();
 
-  result.total_steps = machine.steps().since(at_entry);
-
+  // ------------------------------------------------------------------
+  // Finalization. Steps and masking counters are shared by construction:
+  // every member reports the whole pass's delta (docs/batching.md;
+  // all_pairs counts each group once).
+  // ------------------------------------------------------------------
+  const sim::StepCounter total = machine.steps().since(at_entry);
+  const sim::StepCounter init_delta = after_init.since(at_entry);
+  const sim::MaskingStats masking = machine.masking_stats().since(masking_at_entry);
+  std::vector<Result> results(k);
   {
     PPA_SPAN(observer, "unload", &machine);
-    result.solution.destination = destination;
-    result.solution.cost = sow;
-    result.solution.next = ptn;
+    for (std::size_t mi = 0; mi < k; ++mi) {
+      Member& m = members[mi];
+      Result& result = results[mi];
+      result.solution.destination = m.destination;
+      result.solution.cost = std::move(m.sow);
+      result.solution.next = std::move(m.ptn);
+      result.iterations = m.iterations;
+      result.iteration_trace = std::move(m.trace);
+      result.init_steps = init_delta;
+      result.total_steps = total;
+      result.masking = masking;
+      if (!m.converged) result.outcome = SolveOutcome::NonConverged;
+    }
   }
 
   if (observer != nullptr) {
-    observer->metrics().counter(obs::metric::kSolverPanels).add(panels_visited);
+    obs::MetricsRegistry& metrics = observer->metrics();
+    metrics.counter(obs::metric::kSolverPanels).add(panels_visited);
     if (active) {
-      obs::MetricsRegistry& metrics = observer->metrics();
       metrics.counter(obs::metric::kSolverPanelsSkipped).add(panels_skipped);
       metrics.counter(obs::metric::kSolverActiveBlocks).add(active_blocks_total);
       metrics.counter(obs::metric::kSolverPanelIoSaved).add(ledger.saved());
     }
   }
-  result.masking = machine.masking_stats().since(masking_at_entry);
-  detail::record_plan_cache_delta(machine, plans_at_entry, observer);
-  detail::record_throughput_delta(machine, throughput_at_entry, observer);
-  detail::finalize_result(machine, graph, destination, options, faults_at_entry, result);
-  return result;
+  record_plan_cache_delta(machine, plans_at_entry, observer);
+  record_throughput_delta(machine, throughput_at_entry, observer);
+  finalize_result(machine, graph, options, faults_at_entry, results);
+  return results;
 }
+
+}  // namespace detail
 
 }  // namespace ppa::mcp

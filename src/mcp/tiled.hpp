@@ -23,6 +23,11 @@
 //     iterate and the final solution are bit-identical to the full-array
 //     run — tests/mcp_tiled_test.cpp pins this on both backends.
 //
+// The same engine (detail::sweep, mcp/relax_core.hpp) runs k >= 1
+// destinations per pass: solve_batch (mcp/batch.hpp) rides it with a
+// group, tiled_minimum_cost_path with one member. Only the row reduction
+// and where a member's fragment beat is charged depend on k.
+//
 // Step model: the relaxation instructions are charged exactly like the
 // full array's (just on p-wide rows); the virtualization overhead is
 // charged separately as StepCategory::PanelIo, so E2/E4-style step curves

@@ -1,9 +1,10 @@
 #include "obs/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "obs/json_dom.hpp"
 
 namespace ppa::obs {
 
@@ -101,147 +102,8 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Recursive-descent syntax checker. Values only — no schema awareness.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct Checker {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool fail(const std::string& message) {
-    error = message + " at offset " + std::to_string(pos);
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) ++pos;
-  }
-
-  bool consume(char c) {
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return fail("bad literal");
-    pos += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!consume('"')) return fail("expected string");
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) break;
-        const char esc = text[pos++];
-        if (esc == 'u') {
-          for (int k = 0; k < 4; ++k) {
-            if (pos >= text.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text[pos]))) {
-              return fail("bad \\u escape");
-            }
-            ++pos;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(esc) == std::string_view::npos) {
-          return fail("bad escape");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool number() {
-    const std::size_t start = pos;
-    (void)consume('-');
-    while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
-    if (pos == start || (text[start] == '-' && pos == start + 1)) {
-      return fail("expected number");
-    }
-    if (consume('.')) {
-      const std::size_t frac = pos;
-      while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
-      if (pos == frac) return fail("bad fraction");
-    }
-    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-      ++pos;
-      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
-      const std::size_t exp = pos;
-      while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
-      if (pos == exp) return fail("bad exponent");
-    }
-    return true;
-  }
-
-  bool value(int depth) {
-    if (depth > 256) return fail("nesting too deep");
-    skip_ws();
-    if (pos >= text.size()) return fail("unexpected end of input");
-    const char c = text[pos];
-    if (c == '{') return object(depth);
-    if (c == '[') return array(depth);
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-
-  bool object(int depth) {
-    consume('{');
-    skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return true;
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(int depth) {
-    consume('[');
-    skip_ws();
-    if (consume(']')) return true;
-    for (;;) {
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return true;
-      return fail("expected ',' or ']'");
-    }
-  }
-};
-
-}  // namespace
-
 bool json_valid(std::string_view text, std::string* error) {
-  Checker checker{text, 0, {}};
-  if (!checker.value(0)) {
-    if (error != nullptr) *error = checker.error;
-    return false;
-  }
-  checker.skip_ws();
-  if (checker.pos != text.size()) {
-    if (error != nullptr) *error = "trailing garbage at offset " + std::to_string(checker.pos);
-    return false;
-  }
-  return true;
+  return json_parse(text, error).has_value();
 }
 
 }  // namespace ppa::obs

@@ -106,8 +106,9 @@ class JsonWriter {
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 /// Strict syntax check over a complete JSON document (the test suite
-/// validates the emitted metrics dump and Chrome trace with this). Returns
-/// false and fills `error` (when non-null) on the first violation.
+/// validates the emitted metrics dump and Chrome trace with this): the
+/// verdict of json_parse (obs/json_dom.hpp). Returns false and fills
+/// `error` (when non-null) on the first violation.
 [[nodiscard]] bool json_valid(std::string_view text, std::string* error = nullptr);
 
 }  // namespace ppa::obs

@@ -90,10 +90,10 @@ struct Parser {
   bool number_token(std::string& raw) {
     const std::size_t start = pos;
     (void)consume('-');
+    const std::size_t digits = pos;
     while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
-    if (pos == start || (text[start] == '-' && pos == start + 1)) {
-      return fail("expected number");
-    }
+    if (pos == digits) return fail("expected number");
+    if (pos - digits > 1 && text[digits] == '0') return fail("leading zero");
     if (consume('.')) {
       const std::size_t frac = pos;
       while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;

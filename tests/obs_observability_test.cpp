@@ -661,6 +661,18 @@ TEST(Json, ValidatorAcceptsAndRejects) {
   EXPECT_FALSE(json_valid("[1, 2,]", &error));
   EXPECT_FALSE(json_valid("{} trailing", &error));
   EXPECT_FALSE(json_valid("", &error));
+  // Malformed numbers, strings, containers and literals, and a raw tab
+  // inside a string.
+  for (const char* bad : {"-", "1.", "1e", "+1", ".5", R"("\x")", R"("\u12")", R"("abc)",
+                          R"({"a" 1})", "[1,]", R"({"a":1,})", "tru", "nan", "1 2", "{} x",
+                          "\"a\tb\""}) {
+    EXPECT_FALSE(json_valid(bad, &error)) << bad;
+  }
+  // RFC 8259 forbids leading zeros.
+  EXPECT_FALSE(json_valid("01", &error));
+  EXPECT_FALSE(json_valid("-01", &error));
+  EXPECT_FALSE(json_valid("[00]", &error));
+  EXPECT_TRUE(json_valid("[0, -0, 0.5, 10, 0e1]", &error)) << error;
 }
 
 }  // namespace
