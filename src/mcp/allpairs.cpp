@@ -108,9 +108,7 @@ EccentricityResult solve_eccentricity(const graph::WeightMatrix& graph,
   out.mcp = solve_with_recovery(*machine, oracle, graph, destination, options);
   // The reduction has no retry of its own, so it never runs on a faulty
   // machine: the eccentricity is always exact for the row reported.
-  if (machine->has_faults() && !oracle) {
-    oracle = detail::make_machine(Options{}, graph, machine->n());
-  }
+  if (machine->has_faults() && !oracle) oracle = detail::make_oracle(*machine, graph);
   reduce_eccentricity(machine->has_faults() ? *oracle : *machine, graph, destination, out);
   return out;
 }

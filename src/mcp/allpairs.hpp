@@ -41,9 +41,9 @@ struct EccentricityResult {
 /// solve()'s (array side, backend, checked mode, masking, faults): the MCP
 /// pass runs through the same attempt/recovery loop, so
 /// EccentricityResult::mcp equals solve()'s Result. The reduction then
-/// runs on a fault-free machine — the fault-free word-backend oracle when
-/// the built machine carries faults — so the eccentricity is exact for
-/// the row reported.
+/// runs on a fault-free machine — the retry oracle (same backend and
+/// geometry) when the built machine carries faults — so the eccentricity
+/// is exact for the row reported.
 [[nodiscard]] EccentricityResult solve_eccentricity(const graph::WeightMatrix& graph,
                                                     graph::Vertex destination,
                                                     const Options& options = {});

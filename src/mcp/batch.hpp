@@ -24,8 +24,8 @@
 //
 // Robustness: groups run through the same attempt/recovery loop as
 // solve(). A member whose run fails (VerificationFailed, NonConverged,
-// HardwareFault) retries ALONE on a fault-free word-backend oracle of the
-// same geometry, without re-running the rest of the batch
+// HardwareFault) retries ALONE on a fault-free oracle of the same backend
+// and geometry, without re-running the rest of the batch
 // (tests/mcp_batch_fault_test.cpp).
 #pragma once
 
@@ -51,7 +51,7 @@ namespace ppa::mcp {
 /// Options::batch_width, runs each group through one shared sweep pass
 /// on `machine` (a one-destination group runs the per-destination
 /// engine), then applies the per-member retry policy on
-/// `oracle` — a fault-free word-backend machine of the same geometry,
+/// `oracle` — a fault-free machine of the same backend and geometry,
 /// created on first use and reusable across calls (the same contract as
 /// solve_with_recovery). Batch members share the machine's step counter;
 /// each member's Result::total_steps reports the whole group's delta

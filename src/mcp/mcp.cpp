@@ -56,6 +56,21 @@ using ppc::Pint;
 using sim::Direction;
 using sim::Word;
 
+/// Statements 11..12: min_sow = min(sow, WEST, row_end) — the row minimum,
+/// available in every PE of the row — and ptn = selected_min(index, ...)
+/// — the smallest index attaining it, on the configured variant. Stores
+/// obey the ambient mask.
+void panel_row_reduce(const Pint& index, const Pbool& row_end, MinVariant variant,
+                      const Pint& sow, Pint& min_sow, Pint& ptn) {
+  if (variant == MinVariant::Paper) {
+    min_sow = ppc::pmin(sow, Direction::West, row_end);
+    ptn = ppc::selected_min(index, Direction::West, row_end, min_sow == sow);
+  } else {
+    min_sow = ppc::pmin_orprobe(sow, Direction::West, row_end);
+    ptn = ppc::selected_min_orprobe(index, Direction::West, row_end, min_sow == sow);
+  }
+}
+
 /// The weight matrix as loaded into the PEs: w_ij row-major with the
 /// diagonal forced to 0 (see header).
 std::vector<Word> machine_weights(const graph::WeightMatrix& g) {
@@ -178,7 +193,7 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
       // is the whole matrix: the carrier is row d and the argmin indices
       // are the wired COL constants.
       detail::panel_candidates(W, row_is_d, options.broadcast_scheme, SOW);
-      detail::panel_row_reduce(COL, row_end, variant, SOW, MIN_SOW, PTN);
+      panel_row_reduce(COL, row_end, variant, SOW, MIN_SOW, PTN);
     });
 
     Pbool changed(ctx, false);
@@ -307,11 +322,9 @@ std::vector<Result> solve_group(sim::Machine& machine, std::unique_ptr<sim::Mach
 
     while (retry_allowed(options.recovery) && retriable(result.outcome) &&
            attempts <= options.max_retries) {
-      if (!oracle) {
-        // Same geometry as the failed machine: a tiled run retries tiled,
-        // so the recovery path exercises the same panel schedule.
-        oracle = detail::make_machine(Options{}, graph, machine.n(), machine.config().topology);
-      }
+      // Same geometry as the failed machine: a tiled run retries tiled,
+      // so the recovery path exercises the same panel schedule.
+      if (!oracle) oracle = detail::make_oracle(machine, graph);
       if (options.observer != nullptr) {
         options.observer->metrics().counter(obs::metric::kSolverRetries).add(1);
       }

@@ -66,7 +66,8 @@ enum class BroadcastScheme {
 /// in place, during the run, via sim::BusMasking.
 enum class RecoveryPolicy {
   Retry,         // unprotected run; on a non-Verified outcome re-run on a
-                 // fresh fault-free word-backend oracle (max_retries times)
+                 // fresh fault-free oracle of the same backend and
+                 // geometry (max_retries times)
   Tmr,           // every bus cycle voted 2-of-3 (sim::BusMasking::Tmr); no
                  // retry loop — masking is expected to carry the run
   Ecc,           // parity planes + syndrome decode on every plane bus cycle
@@ -89,7 +90,13 @@ struct Options {
   /// Hard iteration cap; 0 means automatic (n + 2, beyond which the DP
   /// provably cannot still be changing — hitting it indicates a bug).
   std::size_t max_iterations = 0;
+  /// The row minimum of FULL-ARRAY runs (minimum_cost_path; forced to
+  /// OrProbe under TwoSidedLinear). Virtualized and batched runs ignore
+  /// it: the sweep engine always reduces rows with its fused elimination
+  /// (docs/tiling.md), so their rows and steps do not depend on it.
   MinVariant min_variant = MinVariant::Paper;
+  /// Applies everywhere: the full array and every panel visit of the
+  /// sweep engine issue their broadcasts through it.
   BroadcastScheme broadcast_scheme = BroadcastScheme::SingleRing;
   /// Record per-iteration step counts and changed-vertex counts.
   bool record_iterations = false;
@@ -143,8 +150,9 @@ struct Options {
   /// row d and set Result::outcome accordingly.
   bool verify = false;
   /// On a non-Verified outcome, the convenience entry points re-run the
-  /// destination up to this many times on a fresh fault-free machine (word
-  /// backend — the oracle). 0 = report the failure without retrying.
+  /// destination up to this many times on a fresh fault-free machine of
+  /// the same backend and geometry (the oracle). 0 = report the failure
+  /// without retrying.
   std::size_t max_retries = 0;
   /// Force checked execution (MachineConfig::checked) on the machines the
   /// convenience entry points build. Implied by a non-empty fault model.
@@ -229,7 +237,8 @@ struct Result {
 /// host-sequential) and solves. Applies the full robustness policy: faults
 /// from Options::faults are injected, the certificate checker runs when
 /// Options::verify is set, and a non-Verified outcome is retried up to
-/// Options::max_retries times on a fresh fault-free word-backend machine.
+/// Options::max_retries times on a fresh fault-free machine of the same
+/// backend and geometry.
 [[nodiscard]] Result solve(const graph::WeightMatrix& graph, graph::Vertex destination,
                            const Options& options = {});
 
@@ -237,8 +246,8 @@ struct Result {
 /// loop runs solve_batch_on's per-member recovery): one attempt on
 /// `machine` (as configured by the caller — faults, checked mode,
 /// backend), then, while the outcome is non-Verified and retries
-/// remain, re-runs on `oracle` — a fault-free word-backend machine of the
-/// same geometry, created on first use and reusable across calls. Collects
+/// remain, re-runs on `oracle` — a fault-free machine of the same backend
+/// and geometry, created on first use and reusable across calls. Collects
 /// fault events across attempts; Result::total_steps sums every attempt.
 /// A util::ContractError thrown out of a faulty machine is converted into a
 /// HardwareFault outcome (fault-free machines propagate it unchanged).

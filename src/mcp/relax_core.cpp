@@ -13,18 +13,6 @@ using ppc::Pbool;
 using ppc::Pint;
 using sim::Direction;
 
-Pint row_min(MinVariant variant, const Pint& sow, const Pbool& row_end) {
-  return variant == MinVariant::Paper ? ppc::pmin(sow, Direction::West, row_end)
-                                      : ppc::pmin_orprobe(sow, Direction::West, row_end);
-}
-
-Pint row_argmin(MinVariant variant, const Pint& index, const Pbool& row_end,
-                const Pbool& is_min) {
-  return variant == MinVariant::Paper
-             ? ppc::selected_min(index, Direction::West, row_end, is_min)
-             : ppc::selected_min_orprobe(index, Direction::West, row_end, is_min);
-}
-
 Pint scheme_broadcast(const Pint& value, Direction dir, const Pbool& open,
                       BroadcastScheme scheme) {
   return scheme == BroadcastScheme::TwoSidedLinear
@@ -35,12 +23,6 @@ Pint scheme_broadcast(const Pint& value, Direction dir, const Pbool& open,
 void panel_candidates(const Pint& W, const Pbool& carrier_row, BroadcastScheme scheme,
                       Pint& sow) {
   sow = scheme_broadcast(sow, Direction::South, carrier_row, scheme) + W;
-}
-
-void panel_row_reduce(const Pint& index, const Pbool& row_end, MinVariant variant,
-                      const Pint& sow, Pint& min_sow, Pint& ptn) {
-  min_sow = row_min(variant, sow, row_end);
-  ptn = row_argmin(variant, index, row_end, min_sow == sow);
 }
 
 ScopedSink::ScopedSink(sim::Machine& machine, obs::Collector* observer)
@@ -114,6 +96,13 @@ std::unique_ptr<sim::Machine> make_machine(const Options& options,
   auto machine = std::make_unique<sim::Machine>(config);
   if (!options.faults.empty()) machine->inject_faults(options.faults);
   return machine;
+}
+
+std::unique_ptr<sim::Machine> make_oracle(const sim::Machine& failed,
+                                          const graph::WeightMatrix& graph) {
+  Options fault_free;
+  fault_free.backend = failed.config().backend;
+  return make_machine(fault_free, graph, failed.n(), failed.config().topology);
 }
 
 void finalize_result(sim::Machine& machine, const graph::WeightMatrix& graph,

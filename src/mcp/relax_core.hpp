@@ -5,13 +5,12 @@
 //
 // One relaxation visit of a panel is the paper's statements 10..12 with
 // the geometry generalized: the carrier row's SOW fragment is column-
-// broadcast over the panel, added to the resident weight panel, and each
-// panel row is reduced to its minimum cost and the smallest column index
-// attaining it. On the full array the panel IS the whole matrix and the
-// carrier row is row d; on a p x p physical machine sweeping an n-vertex
-// graph the carrier is machine row 0 and `index` carries the *global*
-// column indices of the panel (COL + panel base), so the tie-break to the
-// smallest next-hop index survives virtualization unchanged.
+// broadcast over the panel and added to the resident weight panel. On the
+// full array the panel IS the whole matrix and the carrier row is row d;
+// on a p x p physical machine sweeping an n-vertex graph the carrier is
+// machine row 0. Each engine then reduces the panel rows its own way: the
+// full array with the paper's min() / selected_min() (mcp.cpp), the sweep
+// engine with its fused elimination over panel-local indices (tiled.cpp).
 //
 // Both functions issue instructions under the caller's ambient where-mask
 // and nothing else — the callers own all masking, which is what keeps the
@@ -30,12 +29,6 @@
 
 namespace ppa::mcp::detail {
 
-/// Row minimum / argmin dispatch on the configured variant.
-[[nodiscard]] ppc::Pint row_min(MinVariant variant, const ppc::Pint& sow,
-                                const ppc::Pbool& row_end);
-[[nodiscard]] ppc::Pint row_argmin(MinVariant variant, const ppc::Pint& index,
-                                   const ppc::Pbool& row_end, const ppc::Pbool& is_min);
-
 /// Scheme-dispatched column/row broadcast (one issue point for both
 /// schemes, like the lambda the full solver used to carry around).
 [[nodiscard]] ppc::Pint scheme_broadcast(const ppc::Pint& value, sim::Direction dir,
@@ -47,12 +40,6 @@ namespace ppa::mcp::detail {
 /// never hears its own injection, so the caller's mask must exclude it.
 void panel_candidates(const ppc::Pint& W, const ppc::Pbool& carrier_row,
                       BroadcastScheme scheme, ppc::Pint& sow);
-
-/// Statements 11..12: min_sow = min(sow, WEST, row_end) — the row minimum,
-/// available in every PE of the row — and ptn = selected_min(index, ...)
-/// — the smallest index attaining it. Stores obey the ambient mask.
-void panel_row_reduce(const ppc::Pint& index, const ppc::Pbool& row_end, MinVariant variant,
-                      const ppc::Pint& sow, ppc::Pint& min_sow, ppc::Pint& ptn);
 
 /// Per-column-block activity flags for the active-panel schedule
 /// (docs/tiling.md "Active panels"). A block is dirty when its slice of
@@ -185,24 +172,30 @@ void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry
 /// The one way src/mcp builds a machine: a side x side array over the
 /// graph's h-bit field on options.backend, checked when options.checked
 /// is set or options.faults is non-empty, masked per options.recovery,
-/// with options.faults injected. The retry oracle is make_machine of
-/// default Options (word backend, fault-free, unmasked) at the failed
-/// machine's side and topology.
+/// with options.faults injected.
 [[nodiscard]] std::unique_ptr<sim::Machine> make_machine(
     const Options& options, const graph::WeightMatrix& graph, std::size_t side,
     sim::BusTopology topology = sim::BusTopology::Ring);
+
+/// The retry oracle for a run that failed on `failed`: make_machine of
+/// default Options (fault-free, unchecked, unmasked) at the failed
+/// machine's side, topology and backend. Step counts are bit-identical
+/// across backends, so keeping the backend only changes wall-clock.
+[[nodiscard]] std::unique_ptr<sim::Machine> make_oracle(const sim::Machine& failed,
+                                                        const graph::WeightMatrix& graph);
 
 /// The virtualized sweep engine (tiled.cpp, docs/tiling.md): the paper's
 /// DP for k >= 1 destinations on a p x p machine, p <= n, sweeping the
 /// weight matrix in ceil(n/p)^2 panels per iteration with every member's
 /// row-d state held by the host. The W panel is loaded once per visit for
-/// all members. Two rules depend on k, and only on k:
-///   * row reduction — k == 1 runs panel_row_reduce under
-///     Options::min_variant (the paper's min/argmin); k > 1 runs a fused
-///     bit-serial min/argmin elimination over value and index bits;
-///   * fragment charge — k == 1's fragment beat rides the double-buffered
-///     panel load (p + 1 beats); k > 1 charges each member's beat at
-///     injection.
+/// all members (packed once per pass, resident afterwards). Every row
+/// reduction is one fused bit-serial min/argmin elimination: h value
+/// rounds, then ceil(log2 p) rounds over the panel-local column index,
+/// with the host adding the panel base to the argmin (so
+/// Options::min_variant does not apply here). One rule depends on k, and
+/// only on k: the fragment charge — k == 1's fragment beat rides the
+/// double-buffered panel load (p + 1 beats); k > 1 charges each member's
+/// beat at injection.
 /// Returns one Result per destination, in order; steps and masking
 /// counters are the whole pass's delta in every member. Opens a "solve"
 /// span for k == 1 and "solve_batch" otherwise.

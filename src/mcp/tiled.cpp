@@ -62,37 +62,37 @@ std::vector<Word> panel_weights(const graph::WeightMatrix& g, std::size_t p,
   return cells;
 }
 
-/// Global column-index bit planes per column block, MSB-first: PE (r, c)
-/// of block bj holds bit j of bj*p + c. Host flags (no field arithmetic,
-/// so padding indices never clamp), built once per pass and reused by
-/// every member, panel visit and sweep.
-std::vector<std::vector<Pbool>> index_bit_planes(ppc::Context& ctx, std::size_t p,
-                                                 std::size_t blocks, int idx_bits) {
-  std::vector<std::vector<Pbool>> planes(blocks);
+/// Panel-local column-index bit planes, MSB-first: PE (r, c) holds bit j
+/// of c, for the ceil(log2 p) bits a local index needs (none for p = 1).
+/// Host flags, built once per pass and shared by every member, panel
+/// visit and sweep — base_c is constant within a panel, so the host adds
+/// it to the argmin line instead.
+std::vector<Pbool> index_bit_planes(ppc::Context& ctx, std::size_t p) {
+  std::vector<Pbool> planes;
   std::vector<sim::Flag> flags(p * p);
-  for (std::size_t bj = 0; bj < blocks; ++bj) {
-    for (int j = idx_bits - 1; j >= 0; --j) {
-      for (std::size_t r = 0; r < p; ++r) {
-        for (std::size_t c = 0; c < p; ++c) {
-          flags[r * p + c] =
-              static_cast<sim::Flag>(((bj * p + c) >> static_cast<std::size_t>(j)) & 1u);
-        }
+  for (int j = static_cast<int>(std::bit_width(p - 1)) - 1; j >= 0; --j) {
+    for (std::size_t r = 0; r < p; ++r) {
+      for (std::size_t c = 0; c < p; ++c) {
+        flags[r * p + c] = static_cast<sim::Flag>((c >> static_cast<std::size_t>(j)) & 1u);
       }
-      planes[bj].emplace_back(ctx, flags);
     }
+    planes.emplace_back(ctx, flags);
   }
   return planes;
 }
 
-/// The k > 1 row reduction: a FUSED bit-serial min/argmin of h + idx_bits
+/// The sweep's row reduction: a FUSED bit-serial min/argmin of h + idx_bits
 /// wired-OR elimination rounds, MSB-first over the candidate value bits
-/// and then the global column-index bits. The controller reads each
+/// and then the panel-local column-index bits. The controller reads each
 /// round's per-row OR line off column 0 (the row cluster spans the whole
 /// row) and reconstructs both results from it: a round whose OR finds no
 /// surviving 0 pins that result bit to 1, otherwise the bit is 0 and the
 /// candidate set narrows. One survivor per row remains — the minimum with
-/// the smallest global index — matching panel_row_reduce's tie-break bit
-/// for bit while skipping its routing/spread broadcasts (docs/batching.md).
+/// the smallest local index, hence the smallest global one — matching
+/// panel_row_reduce's tie-break bit for bit while skipping its
+/// routing/spread broadcasts (docs/tiling.md). Padding columns hold
+/// infinity candidates and lose every value round unless the whole row is
+/// at infinity, where local index 0 wins, as the global index would.
 void fused_row_reduce(ppc::Context& ctx, const Pint& sow, const std::vector<Pbool>& index_bits,
                       const Pbool& row_end, std::size_t rows, std::vector<Word>& min_line,
                       std::vector<Word>& arg_line, std::vector<sim::Flag>& or_line) {
@@ -152,7 +152,8 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   for (const graph::Vertex d : destinations) {
     PPA_REQUIRE(d < n, "destination out of range");
   }
-  // PTN carries GLOBAL column indices through the argmin.
+  // Next hops are global column indices, held in the h-bit field like the
+  // full array's PTN.
   PPA_REQUIRE(machine.field().representable(n - 1),
               "vertex indices must be representable in the h-bit field");
 
@@ -160,9 +161,6 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   const Word inf = machine.field().infinity();
   const std::size_t iteration_cap =
       options.max_iterations != 0 ? options.max_iterations : n + 2;
-  const bool two_sided = options.broadcast_scheme == BroadcastScheme::TwoSidedLinear;
-  // Same variant forcing as the full-array solver (see minimum_cost_path).
-  const MinVariant variant = two_sided ? MinVariant::OrProbe : options.min_variant;
 
   obs::Collector* const observer = options.observer;
   ScopedSink scoped_sink(machine, observer);
@@ -187,8 +185,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   // as host n-vectors between panel visits; SOW starts at the 1-edge costs
   // (column d of W, the full solver's init transposed host-side) and PTN
   // at d. No array instructions are issued for it, so init_steps only
-  // covers wiring the physical constants below (and, for k > 1, the
-  // index bit planes).
+  // covers wiring the physical constants and the index bit planes below.
   // ------------------------------------------------------------------
   auto init_span = std::make_optional(obs::open_span(observer, "init", &machine));
   const bool active = options.active_panels;
@@ -221,24 +218,13 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   const Pbool not_carrier = !carrier;
   const Pbool row_end = (COL == static_cast<Word>(p - 1));  // min() cluster anchor
 
-  // Host panel views of W, built once and reused across iterations (the
-  // ARRAY still pays PanelIo for every visit; the host just avoids
-  // rebuilding the same cell vector each sweep).
-  std::vector<std::vector<Word>> panels(blocks * blocks);
-  for (std::size_t bi = 0; bi < blocks; ++bi) {
-    for (std::size_t bj = 0; bj < blocks; ++bj) {
-      panels[bi * blocks + bj] = panel_weights(graph, p, bi * p, bj * p);
-    }
-  }
-
-  // The fused reduction's index rounds need enough bits for the largest
-  // global column index any panel carries (padding columns of the last
-  // block included — they hold infinity candidates and lose every value
-  // round unless the whole row is at infinity, where the smallest index
-  // still wins).
-  const int idx_bits = static_cast<int>(std::bit_width(blocks * p - 1));
-  const std::vector<std::vector<Pbool>> index_bits =
-      k > 1 ? index_bit_planes(ctx, p, blocks, idx_bits) : std::vector<std::vector<Pbool>>{};
+  // The W panels, packed into a resident register on first visit and
+  // read in place on every later one (the ARRAY still pays the declaring
+  // ALU step and PanelIo for every visit; the host just avoids re-packing
+  // the same panel each sweep). A panel the active schedule never visits
+  // is never packed.
+  std::vector<std::optional<Pint>> panels(blocks * blocks);
+  const std::vector<Pbool> index_bits = index_bit_planes(ctx, p);
 
   const sim::StepCounter after_init = machine.steps();
   init_span.reset();
@@ -261,7 +247,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   // runs until every member has frozen or the cap trips.
   // ------------------------------------------------------------------
   auto relax_span = std::make_optional(obs::open_span(observer, "relax", &machine));
-  std::vector<Word> sow_cells(p * p, Word{0});
+  std::vector<Word> sow_row(p);
   std::vector<Word> min_line(p), arg_line(p);
   std::vector<sim::Flag> or_line(p);
   PanelIoLedger ledger(machine, active);
@@ -272,13 +258,13 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   std::size_t sweeps = 0;
   std::size_t live = k;
 
-  // A member's bj-th SOW fragment on the carrier row.
+  // A member's bj-th SOW fragment on the carrier row (every other PE 0).
   const auto inject = [&](const Member& m, std::size_t base_c, std::optional<Pint>& fragment) {
     for (std::size_t c = 0; c < p; ++c) {
       const std::size_t gj = base_c + c;
-      sow_cells[c] = gj < n ? m.sow[gj] : inf;
+      sow_row[c] = gj < n ? m.sow[gj] : inf;
     }
-    fragment.emplace(ctx, sow_cells);
+    fragment.emplace(Pint::load_row(ctx, 0, sow_row));
   };
   const auto fold = [&](Member& m, const Word* mins, const Word* args, std::size_t rows) {
     for (std::size_t r = 0; r < rows; ++r) {
@@ -354,7 +340,13 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
         //      charged at injection instead.
         auto load_span =
             std::make_optional(obs::open_span(observer, "panel_load", &machine, panel_id));
-        const Pint Wp(ctx, panels[bi * blocks + bj]);
+        std::optional<Pint>& resident = panels[bi * blocks + bj];
+        if (resident) {
+          machine.charge_alu();  // the declaration a reload would issue
+        } else {
+          resident.emplace(ctx, panel_weights(graph, p, base_r, base_c));
+        }
+        const Pint& Wp = *resident;
         std::optional<Pint> fragment;
         if (k == 1) inject(members.front(), base_c, fragment);
         ledger.load(static_cast<std::uint64_t>(p) + (k == 1 ? 1 : 0));
@@ -376,33 +368,18 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
           }
           Pint& SOWP = *fragment;
           // ---- candidates (statement 10) and the row reduction.
-          const auto candidates = [&] {
-            ppc::where(ctx, not_carrier, [&] {
-              panel_candidates(Wp, carrier, options.broadcast_scheme, SOWP);
-            });
-            ppc::where(ctx, carrier, [&] {
-              // The carrier doubles as data row 0: its fragment value is
-              // still resident (the masked store above skipped it), so its
-              // candidates come from a local add — necessary under the
-              // two-sided scheme, where a driver never hears itself.
-              SOWP = SOWP + Wp;
-            });
-          };
-          if (k == 1) {
-            // The paper's min/argmin over GLOBAL column indices (one ALU
-            // op per visit), so the tiled path stays the paper algorithm.
-            const Pint INDEX = COL + static_cast<Word>(base_c);
-            Pint MINP(ctx, inf);
-            Pint PTNP(ctx, Word{0});
-            candidates();
-            panel_row_reduce(INDEX, row_end, variant, SOWP, MINP, PTNP);
-            MINP.read_column(0, min_line);
-            PTNP.read_column(0, arg_line);
-          } else {
-            candidates();
-            fused_row_reduce(ctx, SOWP, index_bits[bj], row_end, bh, min_line, arg_line,
-                             or_line);
-          }
+          ppc::where(ctx, not_carrier, [&] {
+            panel_candidates(Wp, carrier, options.broadcast_scheme, SOWP);
+          });
+          ppc::where(ctx, carrier, [&] {
+            // The carrier doubles as data row 0: its fragment value is
+            // still resident (the masked store above skipped it), so its
+            // candidates come from a local add — necessary under the
+            // two-sided scheme, where a driver never hears itself.
+            SOWP = SOWP + Wp;
+          });
+          fused_row_reduce(ctx, SOWP, index_bits, row_end, bh, min_line, arg_line, or_line);
+          for (std::size_t r = 0; r < bh; ++r) arg_line[r] += static_cast<Word>(base_c);
           // ---- member readback: min + argmin columns (min / argmin are
           //      cluster-wide, so column 0 suffices), 2 PanelIo rows.
           ledger.unload(2);

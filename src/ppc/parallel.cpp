@@ -241,6 +241,35 @@ Pint::Pint(Context& ctx, std::span<const Word> values) : ctx_(&ctx) {
   ctx.machine().charge_alu();
 }
 
+Pint Pint::load_row(Context& ctx, std::size_t row, std::span<const Word> values) {
+  const std::size_t n = ctx.n();
+  PPA_REQUIRE(row < n, "row index out of range");
+  PPA_REQUIRE(values.size() == n, "row load needs exactly n elements");
+  for (const Word v : values) {
+    PPA_REQUIRE(ctx.field().representable(v), "initializer value does not fit in the field");
+  }
+  Pint p(&ctx);
+  if (ctx.bitplane()) {
+    const auto& g = ctx.geometry();
+    const std::size_t pw = g.plane_words();
+    p.planes_ = ctx.acquire_value_planes();
+    ctx.alu().op_zero(p.planes_.data(), p.planes_.size());
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t word = g.word_of(row, c);
+      const PlaneWord bit = PlaneWord{1} << sim::PlaneGeometry::bit_of(c);
+      for (Word v = values[c]; v != 0; v &= v - 1) {
+        p.planes_[static_cast<std::size_t>(__builtin_ctz(v)) * pw + word] |= bit;
+      }
+    }
+  } else {
+    p.data_ = ctx.acquire_words();
+    std::fill(p.data_.begin(), p.data_.end(), Word{0});
+    std::copy(values.begin(), values.end(), p.data_.begin() + static_cast<std::ptrdiff_t>(row * n));
+  }
+  ctx.machine().charge_alu();
+  return p;
+}
+
 Pint::Pint(const Pint& other) : ctx_(other.ctx_) {
   if (ctx_->bitplane()) {
     planes_ = ctx_->acquire_value_planes();

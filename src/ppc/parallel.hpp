@@ -45,6 +45,13 @@ class Pint {
   /// be representable in the field.
   Pint(Context& ctx, std::span<const Word> values);
 
+  /// Declaration loading ONE row from host data, the counterpart of
+  /// read_row: row `row` holds `values` (exactly n of them) and every other
+  /// PE holds 0. Unmasked, and charged exactly like Pint(ctx, span) — the
+  /// host just skips packing the n - 1 zero rows.
+  [[nodiscard]] static Pint load_row(Context& ctx, std::size_t row,
+                                     std::span<const Word> values);
+
   /// Clone — a fresh register unmasked-copied from `other` (buffer drawn
   /// from the context's register arena; charges nothing, like the old
   /// memberwise copy).

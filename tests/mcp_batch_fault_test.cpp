@@ -4,8 +4,8 @@
 // is either Verified and exactly right, or it reports a structured fault
 // event — zero silently wrong rows, on either backend, full or tiled.
 // The recovery pin: a failed member retries ALONE on the fault-free
-// word-backend oracle; members that verified on the first pass keep
-// attempts == 1 (the batch is NOT re-run for them).
+// oracle (same backend and geometry); members that verified on the first
+// pass keep attempts == 1 (the batch is NOT re-run for them).
 #include <gtest/gtest.h>
 
 #include <sstream>

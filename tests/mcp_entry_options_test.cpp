@@ -130,6 +130,34 @@ TEST(EntryOptions, EveryEntryPointHonoursEveryOptionsField) {
          EXPECT_TRUE(std::any_of(runs.begin(), runs.end(),
                                  [](const Result& r) { return r.attempts == 2; }));
        }},
+      {"max_retries (bit-plane oracle)",
+       [](Options& o) {
+         o.backend = sim::ExecBackend::BitPlane;
+         o.faults = stuck_row_wire();
+         o.verify = true;
+         o.max_retries = 1;
+       },
+       [&g](const std::vector<Result>& runs) {
+         // The retry oracle runs the failed machine's backend: a retried
+         // bit-plane row bills bit-plane kernel sweeps (the word backend
+         // bills none), so the retry adds simd.sweep.words on top of the
+         // first attempt's.
+         const auto retried = std::find_if(runs.begin(), runs.end(),
+                                           [](const Result& r) { return r.attempts == 2; });
+         ASSERT_NE(retried, runs.end());
+         const auto sweep_words = [&g, d = retried->solution.destination](std::size_t retries) {
+           obs::Collector collector;
+           Options o;
+           o.backend = sim::ExecBackend::BitPlane;
+           o.faults = stuck_row_wire();
+           o.verify = true;
+           o.max_retries = retries;
+           o.observer = &collector;
+           (void)solve(g, d, o);
+           return collector.metrics().counter(obs::metric::kSweepWords).value();
+         };
+         EXPECT_GT(sweep_words(1), sweep_words(0));
+       }},
       {"checked", [](Options& o) { o.checked = true; },
        [](const std::vector<Result>& runs) {
          for (const Result& r : runs) EXPECT_TRUE(r.fault_events.empty());
@@ -151,6 +179,28 @@ TEST(EntryOptions, EveryEntryPointHonoursEveryOptionsField) {
        },
        [](const std::vector<Result>& runs) {
          EXPECT_GT(count_outcome(runs, SolveOutcome::MaskedFaults), 0u);
+       }},
+      {"min_variant", [](Options& o) { o.min_variant = MinVariant::OrProbe; },
+       [&g, &dests](const std::vector<Result>& runs) {
+         // Full-array runs change their step profile; the sweep engine
+         // (tiled and batched) ignores the variant: same rows, same steps.
+         for (const Result& r : runs) {
+           EXPECT_FALSE(r.total_steps == solve(g, r.solution.destination).total_steps);
+         }
+         for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+           Options paper;
+           paper.array_side = 5;
+           paper.batch_width = width;
+           Options orprobe = paper;
+           orprobe.min_variant = MinVariant::OrProbe;
+           const std::vector<Result> a = solve_batch(g, dests, paper);
+           const std::vector<Result> b = solve_batch(g, dests, orprobe);
+           for (std::size_t d = 0; d < dests.size(); ++d) {
+             EXPECT_EQ(a[d].solution.cost, b[d].solution.cost) << "width=" << width;
+             EXPECT_EQ(a[d].solution.next, b[d].solution.next) << "width=" << width;
+             EXPECT_TRUE(a[d].total_steps == b[d].total_steps) << "width=" << width;
+           }
+         }
        }},
       {"max_iterations", [](Options& o) { o.max_iterations = 2; },
        [](const std::vector<Result>& runs) {

@@ -5,7 +5,8 @@
 // then its solution must equal Dijkstra's exactly — or it is reported as a
 // non-Verified outcome carrying at least one structured FaultEvent. No
 // silently wrong row may ever escape. With retries enabled the fault-free
-// word-backend oracle must recover every scenario to Verified. The two
+// oracle (same backend as the failed run: the word-backend arm retries on
+// the word backend) must recover every scenario to Verified. The two
 // backends must also stay bit-identical under IDENTICAL faults: same
 // solution, same outcome, same step counters, same fault-event log.
 #include <gtest/gtest.h>

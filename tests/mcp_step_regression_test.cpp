@@ -62,11 +62,11 @@ INSTANTIATE_TEST_SUITE_P(
 // The virtualized sweep's full step profile, not only its PanelIo formula:
 // a fragment beat moved into or out of the double buffer, or a reduction
 // swapped, shows here. The n = 64 bench graph on a 16 x 16 array (4 x 4
-// panels per sweep): `solve` toward destination 0 (the 1-member sweep and
-// the paper's row reduction), and `solve_batch` toward destinations 0..3
-// at width 4 (one 4-member group and the fused reduction; every member
-// carries the group's step delta). Each shape runs with active panels on
-// and off, on both backends, which must agree.
+// panels per sweep): `solve` toward destination 0 (the 1-member sweep),
+// and `solve_batch` toward destinations 0..3 at width 4 (one 4-member
+// group; every member carries the group's step delta). Both reduce rows
+// with the fused elimination over panel-local indices. Each shape runs
+// with active panels on and off, on both backends, which must agree.
 struct VirtualizedPin {
   bool batch;
   bool active_panels;
@@ -77,16 +77,16 @@ struct VirtualizedPin {
 TEST(McpStepRegressionVirtualized, SweepProfilesHold) {
   const auto g = bench_graph(64);
   const std::vector<VirtualizedPin> pins = {
-      {false, true, {8}, "steps=29373 alu=24713 bus_bcast=580 bus_or=3712 panel_io=368"},
-      {false, false, {8}, "steps=34437 alu=27269 bus_bcast=640 bus_or=4096 panel_io=2432"},
+      {false, true, {8}, "steps=14993 alu=12189 bus_bcast=116 bus_or=2320 panel_io=368"},
+      {false, false, {8}, "steps=18569 alu=13449 bus_bcast=128 bus_or=2560 panel_io=2432"},
       {true,
        true,
        {8, 10, 11, 8},
-       "steps=73789 alu=59781 bus_bcast=532 bus_or=11704 panel_io=1772"},
+       "steps=68449 alu=55505 bus_bcast=532 bus_or=10640 panel_io=1772"},
       {true,
        false,
        {8, 10, 11, 8},
-       "steps=84717 alu=66509 bus_bcast=592 bus_or=13024 panel_io=4592"},
+       "steps=78777 alu=61753 bus_bcast=592 bus_or=11840 panel_io=4592"},
   };
   for (const VirtualizedPin& pin : pins) {
     for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {

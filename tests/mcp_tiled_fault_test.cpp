@@ -262,7 +262,9 @@ TEST(McpTiledFaultInjection, DegradesPerDestinationWithoutRetries) {
   AllPairsOptions options;
   options.mcp.verify = true;
   options.mcp.array_side = 3;
-  options.mcp.faults = FaultModel::parse("dead:1,1", 3, 8);
+  // Column 0 carries every wired-OR line readback of the row reduction, so
+  // a dead PE there sits on the path every panel visit reads.
+  options.mcp.faults = FaultModel::parse("dead:1,0", 3, 8);
   const AllPairsResult r = all_pairs(g, options);
   ASSERT_EQ(r.outcomes.size(), n);
   std::size_t failed = 0;
@@ -270,9 +272,37 @@ TEST(McpTiledFaultInjection, DegradesPerDestinationWithoutRetries) {
     if (r.outcomes[d] != SolveOutcome::Verified) ++failed;
   }
   EXPECT_EQ(failed, r.failed_destinations());
-  EXPECT_GT(failed, 0u) << "a dead PE on a 3x3 physical array touches every "
-                           "panel; it must corrupt at least one destination";
+  EXPECT_GT(failed, 0u) << "a dead PE on the readback column of a 3x3 physical "
+                           "array touches every panel; it must corrupt at least "
+                           "one destination";
   EXPECT_FALSE(r.fault_events.empty());
+}
+
+TEST(McpTiledFaultInjection, DeadPeOffTheReadPathLeavesVerifiedRowsExact) {
+  // An interior dead PE never drives a bus, so under the fused elimination
+  // its candidate just never enters the row's wired-OR. Whatever that does
+  // to a row, every row that comes back Verified must be the fault-free
+  // tiled row, next hops included.
+  util::Rng rng(172);
+  const std::size_t n = 10;
+  const auto g = graph::random_reachable_digraph(n, 8, 0.3, {1, 20}, 0, rng);
+  AllPairsOptions options;
+  options.mcp.verify = true;
+  options.mcp.array_side = 3;
+  const AllPairsResult clean = all_pairs(g, options);
+  options.mcp.faults = FaultModel::parse("dead:1,1", 3, 8);
+  const AllPairsResult r = all_pairs(g, options);
+  ASSERT_EQ(r.outcomes.size(), n);
+  std::size_t verified = 0;
+  for (graph::Vertex d = 0; d < n; ++d) {
+    if (r.outcomes[d] != SolveOutcome::Verified) continue;
+    ++verified;
+    for (graph::Vertex i = 0; i < n; ++i) {
+      EXPECT_EQ(r.dist_at(i, d), clean.dist_at(i, d)) << "dest=" << d << " i=" << i;
+      EXPECT_EQ(r.next_at(i, d), clean.next_at(i, d)) << "dest=" << d << " i=" << i;
+    }
+  }
+  EXPECT_GT(verified, 0u) << "no row came back Verified; the check above is vacuous";
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "graph/generators.hpp"
 #include "mcp/allpairs.hpp"
+#include "mcp/batch.hpp"
 #include "mcp/mcp.hpp"
 #include "mcp/tiled.hpp"
 #include "obs/collector.hpp"
@@ -159,8 +160,10 @@ TEST(McpTiled, StructuredFamiliesWithVerification) {
 }
 
 TEST(McpTiled, AlgorithmVariantsAndIterationTrace) {
-  // Both min variants and broadcast schemes ride through the tiled core;
-  // the per-iteration changed counts must match the full array's exactly
+  // Both broadcast schemes ride through the tiled core; the min variant
+  // only selects the full-array reference's reduction (the sweep always
+  // runs its fused elimination), so every variant must still agree. The
+  // per-iteration changed counts must match the full array's exactly
   // (same Jacobi order), whatever the panel schedule.
   util::Rng rng(31);
   const auto g = graph::random_reachable_digraph(15, 8, 0.2, {1, 25}, 2, rng);
@@ -186,6 +189,57 @@ TEST(McpTiled, AlgorithmVariantsAndIterationTrace) {
       for (std::size_t k = 0; k < full.iteration_trace.size(); ++k) {
         EXPECT_EQ(tiled.iteration_trace[k].changed, full.iteration_trace[k].changed)
             << label.str() << " iteration " << k;
+      }
+    }
+  }
+}
+
+TEST(McpTiled, TieHeavyArgminMatchesFullArrayForEverySide) {
+  // The sweep's argmin runs over panel-LOCAL column indices and the host
+  // adds the panel base; the smallest global next hop must survive that
+  // on a graph built for ties: uniform weights (many equal-cost routes),
+  // vertices with no way out (rows at infinity in every panel) and sides
+  // that leave a ragged last block — including p = 1, where a panel has
+  // no index bits at all.
+  constexpr std::size_t n = 17;
+  graph::WeightMatrix g(n, 8);
+  for (graph::Vertex i = 0; i < n - 3; ++i) {
+    for (graph::Vertex j = 0; j < n; ++j) {
+      if (i != j && (i + 2 * j) % 3 != 0) g.set(i, j, 2);
+    }
+  }
+  // Vertices 14..16 have no outgoing edges: every row they own in any
+  // panel holds only infinity candidates (and the diagonal's 0 + inf).
+  const std::vector<graph::Vertex> dests = {0, 5, 16};
+
+  for (const std::size_t p : {1u, 2u, 3u, 5u, 7u, 16u}) {
+    for (const bool active : {true, false}) {
+      for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+        std::ostringstream label;
+        label << "p=" << p << (active ? " active" : " dense")
+              << (backend == sim::ExecBackend::BitPlane ? " bitplane" : " word");
+        mcp::Options options;
+        options.backend = backend;
+        options.active_panels = active;
+        options.verify = true;
+        options.array_side = p;
+        options.batch_width = dests.size();
+        const std::vector<mcp::Result> batched = mcp::solve_batch(g, dests, options);
+        ASSERT_EQ(batched.size(), dests.size()) << label.str();
+        for (std::size_t m = 0; m < dests.size(); ++m) {
+          mcp::Options full_options;
+          full_options.verify = true;
+          const mcp::Result full = mcp::solve(g, dests[m], full_options);
+          const mcp::Result tiled = mcp::solve(g, dests[m], options);
+          const std::string at = label.str() + " dest=" + std::to_string(dests[m]);
+          EXPECT_EQ(full.outcome, mcp::SolveOutcome::Verified) << at;
+          EXPECT_EQ(tiled.solution.next, full.solution.next) << at << " tiled";
+          EXPECT_EQ(tiled.solution.cost, full.solution.cost) << at << " tiled";
+          EXPECT_EQ(tiled.outcome, full.outcome) << at << " tiled";
+          EXPECT_EQ(batched[m].solution.next, full.solution.next) << at << " batched";
+          EXPECT_EQ(batched[m].solution.cost, full.solution.cost) << at << " batched";
+          EXPECT_EQ(batched[m].outcome, full.outcome) << at << " batched";
+        }
       }
     }
   }

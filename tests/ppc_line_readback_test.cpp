@@ -1,10 +1,13 @@
 // Host line readback: Pint/Pbool read_row and read_column must return what
 // at() returns for every element of every line, on both execution backends,
 // for sides on both sides of the 64-lane word boundary — including values
-// read off a floating bus (a partially driven Pint). Bad indices and
-// wrongly sized spans are contract errors.
+// read off a floating bus (a partially driven Pint). Its counterpart, the
+// one-row load Pint::load_row, must equal the full-array load of the same
+// row with zeros elsewhere, at the same step charge. Bad indices, wrongly
+// sized spans and unrepresentable values are contract errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -106,6 +109,64 @@ TEST_P(LineReadback, RejectsBadIndicesAndSpans) {
     EXPECT_THROW(f.read_column(0, long_bits), util::ContractError);
     EXPECT_THROW((void)v.at(n, 0), util::ContractError);
     EXPECT_THROW((void)f.at(0, n), util::ContractError);
+  }
+}
+
+TEST_P(LineReadback, RowLoadEqualsFullLoadWithZerosOffTheRow) {
+  const std::size_t n = GetParam();
+  for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    sim::Machine machine(config(n, backend));
+    Context ctx(machine);
+    util::Rng rng(n + 7);
+    for (const std::size_t row : {std::size_t{0}, n / 2, n - 1}) {
+      const std::string where = label(n, backend) + " row " + std::to_string(row);
+      std::vector<Word> values(n);
+      for (Word& v : values) v = static_cast<Word>(rng.below(1u << 12));
+      values.back() = (Word{1} << 12) - 1;  // every plane set somewhere
+      std::vector<Word> cells(n * n, Word{0});
+      std::copy(values.begin(), values.end(), cells.begin() + static_cast<std::ptrdiff_t>(row * n));
+
+      // Dirty the register arena first: the row load draws the recycled
+      // buffer and must not inherit its contents.
+      { const Pint junk(ctx, Word{(1u << 12) - 1}); }
+      const sim::StepCounter before = machine.steps();
+      const Pint one = Pint::load_row(ctx, row, values);
+      const sim::StepCounter row_charge = machine.steps().since(before);
+      const sim::StepCounter mid = machine.steps();
+      const Pint full(ctx, cells);
+      const sim::StepCounter full_charge = machine.steps().since(mid);
+
+      EXPECT_TRUE(row_charge == full_charge)
+          << where << ": " << row_charge.summary() << " vs " << full_charge.summary();
+      ASSERT_TRUE(one.fully_driven()) << where;
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+          ASSERT_EQ(one.at(r, c), full.at(r, c)) << where << " at (" << r << ", " << c << ")";
+        }
+      }
+      std::vector<Word> line(n);
+      one.read_row(row, line);
+      EXPECT_EQ(line, values) << where;
+    }
+  }
+}
+
+TEST_P(LineReadback, RowLoadRejectsBadRowsSpansAndValues) {
+  const std::size_t n = GetParam();
+  for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    sim::Machine machine(config(n, backend));
+    Context ctx(machine);
+    const std::vector<Word> ok(n, Word{5});
+    std::vector<Word> too_wide = ok;
+    too_wide[n / 2] = Word{1} << 12;  // not representable in a 12-bit field
+    const std::vector<Word> short_row(n - 1, Word{5}), long_row(n + 1, Word{5});
+    EXPECT_THROW((void)Pint::load_row(ctx, n, ok), util::ContractError) << label(n, backend);
+    EXPECT_THROW((void)Pint::load_row(ctx, 0, short_row), util::ContractError)
+        << label(n, backend);
+    EXPECT_THROW((void)Pint::load_row(ctx, 0, long_row), util::ContractError)
+        << label(n, backend);
+    EXPECT_THROW((void)Pint::load_row(ctx, n - 1, too_wide), util::ContractError)
+        << label(n, backend);
   }
 }
 

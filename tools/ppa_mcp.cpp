@@ -109,7 +109,7 @@ bool parse_backend(const std::string& name, sim::ExecBackend& out) {
 /// Robustness flags shared by `solve` and `allpairs`.
 void add_robustness_flags(util::CliParser& cli) {
   cli.flag("faults", "fault injection spec, e.g. 'dead:1,2;stuck-bit:row,0,3,1'", "");
-  cli.flag("max-retries", "solve retries on a fault-free word-backend oracle", "0");
+  cli.flag("max-retries", "solve retries on a fault-free oracle (same backend)", "0");
   cli.flag("recovery",
            "fault handling: retry (verify-then-retry), tmr (3x voted bus cycles), "
            "ecc (parity planes, bitplane backend only), tmr+retry",
