@@ -153,8 +153,8 @@ void record_plan_cache_delta(const sim::Machine& machine,
                              obs::Collector* observer);
 
 /// Entry snapshot for record_throughput_delta: the machine's cumulative
-/// kernel-sweep billing plus (bit-plane backend with workers) the host
-/// pool's per-lane busy seconds.
+/// kernel-sweep billing plus (word backend with host_threads > 1) the
+/// host pool's per-lane busy seconds.
 struct ThroughputProbe {
   sim::plane_kernels::SweepStats sweeps;
   std::vector<double> pool_busy;
@@ -163,8 +163,8 @@ struct ThroughputProbe {
 [[nodiscard]] ThroughputProbe probe_throughput(sim::Machine& machine);
 
 /// Records the delta since `entry` as the observer's simd.sweep.* counters
-/// (deterministic: billed per sweep on the controller thread, so pool-size
-/// and min-words independent) and the pool.* gauges (timing; gauge merge
+/// (deterministic: billed per sweep on the controller thread, so
+/// host_threads independent) and the pool.* gauges (timing; gauge merge
 /// keeps the worst case seen). No-op without an observer.
 void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry,
                              obs::Collector* observer);

@@ -278,7 +278,7 @@ inline constexpr const char* kBusTotalWires = "bus.wires.total";
 inline constexpr const char* kBusDrivenHist = "bus.driven_wires";
 // SIMD kernel throughput (sim::plane_kernels::SweepStats): dispatched
 // sweeps and plane words covered, recorded per solver run as the
-// machine-counter delta. Pool-size and plane_sweep_min_words independent.
+// machine-counter delta. Independent of host_threads and worker count.
 inline constexpr const char* kSweepDispatches = "simd.sweep.dispatches";
 inline constexpr const char* kSweepWords = "simd.sweep.words";
 // Convergence telemetry: total changed-vertex observations summed over

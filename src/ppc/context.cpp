@@ -9,8 +9,7 @@ namespace ppa::ppc {
 
 Context::Context(sim::Machine& machine)
     : machine_(machine),
-      alu_(sim::plane_kernels::active(), machine.host_pool(),
-           machine.config().plane_sweep_min_words, machine.mutable_sweep_stats()) {
+      alu_(sim::plane_kernels::active(), machine.mutable_sweep_stats()) {
   if (bitplane()) {
     full_.resize(geometry().plane_words());
     sim::plane_fill_full(geometry(), full_.data());

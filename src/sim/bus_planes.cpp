@@ -1,8 +1,6 @@
 #include "sim/bus_planes.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <optional>
 #include <vector>
 
 #include "sim/plane_kernels.hpp"
@@ -20,30 +18,6 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 [[nodiscard]] std::size_t flow_row(std::size_t n, Direction dir, std::size_t k) noexcept {
   return dir == Direction::South ? k : n - 1 - k;
-}
-
-/// max_segment partials from concurrent chunks merge with max, which is
-/// commutative and idempotent — the result is identical for every chunk
-/// interleaving (and every pool size).
-void merge_max(std::atomic<std::size_t>& into, std::size_t value) noexcept {
-  std::size_t cur = into.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !into.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-/// Runs `body(begin, end)` over [0, total_units), chunked across the pool
-/// when the cycle is big enough to amortize the fan-out. Chunks own
-/// disjoint unit ranges, so bodies never race on output words.
-template <typename Body>
-void run_chunked(const PlaneBusExec& exec, std::size_t total_units,
-                 std::size_t total_words, const Body& body) {
-  if (exec.pool != nullptr && exec.pool->worker_count() > 0 && total_units > 1 &&
-      total_words >= exec.min_words) {
-    exec.pool->parallel_for(total_units, body);
-  } else {
-    body(0, total_units);
-  }
 }
 
 /// Grows (never shrinks) a scratch vector to `need` elements.
@@ -115,15 +89,6 @@ template <typename T>
   return victim;
 }
 
-/// True when run_chunked would fan this cycle out over the pool — the plan
-/// cache serves only inline cycles (the paper-scale configuration), so the
-/// chunked resolvers stay exactly as profiled.
-[[nodiscard]] bool would_chunk(const PlaneBusExec& exec, std::size_t total_units,
-                               std::size_t total_words) noexcept {
-  return exec.pool != nullptr && exec.pool->worker_count() > 0 && total_units > 1 &&
-         total_words >= exec.min_words;
-}
-
 // ---------------------------------------------------------------------------
 // Row buses (East / West)
 // ---------------------------------------------------------------------------
@@ -149,7 +114,7 @@ template <typename T>
   return len;
 }
 
-/// max_segment of rows [r_begin, r_end), from the switches alone (bus.cpp's
+/// max_segment of the row lines, from the switches alone (bus.cpp's
 /// accounting): the longest run from one Open switch to the next, plus the
 /// ring wrap or the linear runs past the row's last Open switch (and, for a
 /// wired-OR, the linear head stub before its first). A row with no Open
@@ -159,13 +124,12 @@ template <typename T>
 /// longest run a line can have.
 [[nodiscard]] std::size_t row_max_segment(const PlaneGeometry& g, BusTopology topology,
                                           Direction dir, const PlaneWord* open,
-                                          bool wired_or, std::size_t r_begin,
-                                          std::size_t r_end) noexcept {
+                                          bool wired_or) noexcept {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
   const std::size_t ceiling = topology == BusTopology::Ring || wired_or ? n : n - 1;
   std::size_t max_segment = 0;
-  for (std::size_t r = r_begin; r < r_end && max_segment < ceiling; ++r) {
+  for (std::size_t r = 0; r < n && max_segment < ceiling; ++r) {
     const PlaneWord* o = open + r * rw;
     std::size_t lo = kNone;
     std::size_t hi = 0;
@@ -213,38 +177,19 @@ template <typename T>
 
 std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                           const PlaneWord* src, int planes, const PlaneWord* open,
-                          PlaneWord* out, PlaneWord* driven, const PlaneBusExec& exec) {
-  const std::size_t pw = g.plane_words();
-  std::optional<PlaneBusScratch> local;
-  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local.emplace();
+                          PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
   const PlaneWord* full = full_plane(g, s);
-  PlaneWord* fill_scratch = grown(s.per_k_a, 2 * pw);
-  const plane_kernels::PlaneKernels& k = plane_kernels::active();
-  std::atomic<std::size_t> max_segment{0};
-  run_chunked(exec, g.n, pw * static_cast<std::size_t>(planes + 1),
-              [&](std::size_t r_begin, std::size_t r_end) {
-    k.segmented_fill(g, topology, dir, src, planes, open, full, out, driven, fill_scratch,
-                     r_begin, r_end);
-    merge_max(max_segment,
-              row_max_segment(g, topology, dir, open, /*wired_or=*/false, r_begin, r_end));
-  });
-  return max_segment.load(std::memory_order_relaxed);
+  PlaneWord* fill_scratch = grown(s.per_k_a, 2 * g.plane_words());
+  plane_kernels::active().segmented_fill(g, topology, dir, src, planes, open, full, out,
+                                         driven, fill_scratch);
+  return row_max_segment(g, topology, dir, open, /*wired_or=*/false);
 }
 
 std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction dir,
                          const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
-                         const PlaneBusExec& exec) {
-  std::optional<PlaneBusScratch> local;
-  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local.emplace();
-  const PlaneWord* full = full_plane(g, s);
-  const plane_kernels::PlaneKernels& k = plane_kernels::active();
-  std::atomic<std::size_t> max_segment{0};
-  run_chunked(exec, g.n, g.plane_words(), [&](std::size_t r_begin, std::size_t r_end) {
-    k.segmented_or(g, topology, dir, src, open, full, out, r_begin, r_end);
-    merge_max(max_segment,
-              row_max_segment(g, topology, dir, open, /*wired_or=*/true, r_begin, r_end));
-  });
-  return max_segment.load(std::memory_order_relaxed);
+                         PlaneBusScratch& s) {
+  plane_kernels::active().segmented_or(g, topology, dir, src, open, full_plane(g, s), out);
+  return row_max_segment(g, topology, dir, open, /*wired_or=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,21 +248,20 @@ std::size_t column_max_segment(const PlaneGeometry& g, BusTopology topology, Dir
   return max_segment;
 }
 
-/// Column-broadcast pass 1 over word-columns [w_begin, w_end), from the
-/// switches alone: have_k[k * rw + w] is the driven mask of flow row k (the
-/// lanes that saw an Open switch strictly upstream), pend_k the ring's
-/// wrap-carry mask per row; `driven` gets both. Returns the number of flow
-/// rows the wrap reaches (0 on a linear bus).
+/// Column-broadcast pass 1, from the switches alone: have_k[k * rw + w] is
+/// the driven mask of flow row k (the lanes that saw an Open switch
+/// strictly upstream), pend_k the ring's wrap-carry mask per row; `driven`
+/// gets both. Returns the number of flow rows the wrap reaches (0 on a
+/// linear bus).
 std::size_t column_pass1(const PlaneGeometry& g, BusTopology topology, Direction dir,
                          const PlaneWord* open, PlaneWord* driven, PlaneWord* have_k,
-                         PlaneWord* pend_k, PlaneWord* state, std::size_t w_begin,
-                         std::size_t w_end) {
+                         PlaneWord* pend_k, PlaneWord* state) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  std::fill(state + w_begin, state + w_end, PlaneWord{0});
+  std::fill(state, state + rw, PlaneWord{0});
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t base = flow_row(n, dir, k) * rw;
-    for (std::size_t w = w_begin; w < w_end; ++w) {
+    for (std::size_t w = 0; w < rw; ++w) {
       const PlaneWord ow = open[base + w];
       have_k[k * rw + w] = state[w];
       driven[base + w] = state[w];
@@ -331,7 +275,7 @@ std::size_t column_pass1(const PlaneGeometry& g, BusTopology topology, Direction
     for (std::size_t k = 0; k < n; ++k) {
       PlaneWord alive = 0;
       const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = w_begin; w < w_end; ++w) {
+      for (std::size_t w = 0; w < rw; ++w) {
         const PlaneWord ow = open[base + w];
         alive |= state[w];
         pend_k[k * rw + w] = state[w];
@@ -345,22 +289,21 @@ std::size_t column_pass1(const PlaneGeometry& g, BusTopology topology, Direction
   return k_stop;
 }
 
-/// Column-broadcast pass 2 over word-columns [w_begin, w_end): carry the
-/// latest driver word down the flow, reading the pass-1 products (per-row
-/// driven and wrap-carry masks) from wherever they live — the scratch
-/// block on the plain path, a cached plan on a hit. Each (plane, word
-/// column) is one chain over the rows, held in a register.
+/// Column-broadcast pass 2: carry the latest driver word down the flow,
+/// reading the pass-1 products (per-row driven and wrap-carry masks) from
+/// wherever they live — the scratch block on the plain path, a cached plan
+/// on a hit. Each (plane, word column) is one chain over the rows, held in
+/// a register.
 void column_pass2(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,
                   const PlaneWord* open, PlaneWord* out, const PlaneWord* have_k,
-                  const PlaneWord* pend_k, std::size_t k_stop, std::size_t w_begin,
-                  std::size_t w_end) {
+                  const PlaneWord* pend_k, std::size_t k_stop) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
   for (int j = 0; j < planes; ++j) {
     const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
     PlaneWord* op = out + static_cast<std::size_t>(j) * pw;
-    for (std::size_t w = w_begin; w < w_end; ++w) {
+    for (std::size_t w = 0; w < rw; ++w) {
       PlaneWord cur = 0;
       for (std::size_t k = 0; k < n; ++k) {
         const std::size_t idx = flow_row(n, dir, k) * rw + w;
@@ -392,8 +335,8 @@ void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direc
   PlaneWord* have_k = plan.col_have.data();
   PlaneWord* pend_k = plan.col_pend.data();
   plan.k_stop = column_pass1(g, topology, dir, open, driven, have_k, pend_k,
-                             grown(s.lane_a, rw), 0, rw);
-  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, plan.k_stop, 0, rw);
+                             grown(s.lane_a, rw));
+  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, plan.k_stop);
   plan.driven.assign(driven, driven + g.plane_words());
   plan.max_segment = column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
 }
@@ -404,119 +347,101 @@ void column_broadcast_exec(const PlaneGeometry& g, const BroadcastPlan& plan,
                            PlaneWord* out, PlaneWord* driven) {
   std::copy(plan.driven.begin(), plan.driven.end(), driven);
   column_pass2(g, dir, src, planes, plan.open.data(), out, plan.col_have.data(),
-               plan.col_pend.data(), plan.k_stop, 0, g.row_words);
+               plan.col_pend.data(), plan.k_stop);
 }
 
 std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                              const PlaneWord* src, int planes, const PlaneWord* open,
-                             PlaneWord* out, PlaneWord* driven, const PlaneBusExec& exec) {
+                             PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
   PPA_ASSERT(planes <= 32, "a register has at most 32 planes");
-  if (exec.scratch != nullptr &&
-      !would_chunk(exec, rw, pw * static_cast<std::size_t>(planes + 1))) {
-    bool hit = false;
-    BroadcastPlan* plan = lookup_broadcast_plan(exec.scratch->broadcast_plans, g,
-                                                topology, dir, open, hit);
-    if (plan != nullptr) {
-      if (hit) {
-        column_broadcast_exec(g, *plan, dir, src, planes, out, driven);
-      } else {
-        column_broadcast_record(g, topology, dir, src, planes, open, out, driven,
-                                *exec.scratch, *plan);
-      }
-      return plan->max_segment;
+  bool hit = false;
+  BroadcastPlan* plan = lookup_broadcast_plan(s.broadcast_plans, g, topology, dir, open, hit);
+  if (plan != nullptr) {
+    if (hit) {
+      column_broadcast_exec(g, *plan, dir, src, planes, out, driven);
+    } else {
+      column_broadcast_record(g, topology, dir, src, planes, open, out, driven, s, *plan);
     }
+    return plan->max_segment;
   }
 
-  PlaneBusScratch local;
-  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local;
   PlaneWord* have_k = grown(s.per_k_a, n * rw);
   PlaneWord* pend_k = grown(s.per_k_b, n * rw);
-  PlaneWord* state = grown(s.lane_a, rw);
-
-  run_chunked(exec, rw, pw * static_cast<std::size_t>(planes + 1),
-              [&](std::size_t w_begin, std::size_t w_end) {
-    const std::size_t k_stop = column_pass1(g, topology, dir, open, driven, have_k, pend_k,
-                                            state, w_begin, w_end);
-    column_pass2(g, dir, src, planes, open, out, have_k, pend_k, k_stop, w_begin, w_end);
-  });
+  const std::size_t k_stop =
+      column_pass1(g, topology, dir, open, driven, have_k, pend_k, grown(s.lane_a, rw));
+  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, k_stop);
   return column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
 }
 
 std::size_t column_wired_or(const PlaneGeometry& g, BusTopology topology, Direction dir,
                             const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
-                            const PlaneBusExec& exec) {
+                            PlaneBusScratch& s) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-
-  PlaneBusScratch local;
-  PlaneBusScratch& s = exec.scratch != nullptr ? *exec.scratch : local;
   PlaneWord* forward = grown(s.per_k_a, n * rw);    // running OR of the segment
   PlaneWord* head_mask = grown(s.per_k_b, n * rw);  // lanes before their first Open
   PlaneWord* acc = grown(s.lane_a, rw);   // then: seg (backward full-segment OR)
   PlaneWord* have = grown(s.lane_b, rw);  // then: tail (no Open strictly downstream)
   PlaneWord* head_acc = grown(s.lane_c, rw);  // then, on a ring: the wrap value
 
-  run_chunked(exec, rw, g.plane_words(), [&](std::size_t w_begin, std::size_t w_end) {
-    std::fill(acc + w_begin, acc + w_end, PlaneWord{0});
-    std::fill(have + w_begin, have + w_end, PlaneWord{0});
-    std::fill(head_acc + w_begin, head_acc + w_end, PlaneWord{0});
-    for (std::size_t k = 0; k < n; ++k) {
+  std::fill(acc, acc + rw, PlaneWord{0});
+  std::fill(have, have + rw, PlaneWord{0});
+  std::fill(head_acc, head_acc + rw, PlaneWord{0});
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t base = flow_row(n, dir, k) * rw;
+    for (std::size_t w = 0; w < rw; ++w) {
+      const PlaneWord ow = open[base + w];
+      const PlaneWord sw = src[base + w];
+      const PlaneWord head = ~(have[w] | ow);
+      head_acc[w] |= sw & head;
+      // An Open row starts a new segment that includes its own src bit.
+      acc[w] = sw | (acc[w] & ~ow);
+      forward[k * rw + w] = acc[w];
+      head_mask[k * rw + w] = head;
+      have[w] |= ow;
+    }
+  }
+  // Backward pass: seg carries each row's full-segment OR; tail marks
+  // lanes with no Open row strictly downstream (the tail segment).
+  PlaneWord* seg = acc;   // seg starts as forward[n-1], which acc now holds
+  PlaneWord* tail = have;
+  PlaneWord* wrap = head_acc;
+  if (topology == BusTopology::Ring) {
+    for (std::size_t w = 0; w < rw; ++w) {
+      wrap[w] = forward[(n - 1) * rw + w] | head_acc[w];
+      tail[w] = ~PlaneWord{0};
+    }
+    for (std::size_t k = n; k-- > 0;) {
       const std::size_t base = flow_row(n, dir, k) * rw;
-      for (std::size_t w = w_begin; w < w_end; ++w) {
-        const PlaneWord ow = open[base + w];
-        const PlaneWord sw = src[base + w];
-        const PlaneWord head = ~(have[w] | ow);
-        head_acc[w] |= sw & head;
-        // An Open row starts a new segment that includes its own src bit.
-        acc[w] = sw | (acc[w] & ~ow);
-        forward[k * rw + w] = acc[w];
-        head_mask[k * rw + w] = head;
-        have[w] |= ow;
+      for (std::size_t w = 0; w < rw; ++w) {
+        const PlaneWord in_wrap = head_mask[k * rw + w] | tail[w];
+        out[base + w] = (wrap[w] & in_wrap) | (seg[w] & ~in_wrap);
       }
-    }
-    // Backward pass: seg carries each row's full-segment OR; tail marks
-    // lanes with no Open row strictly downstream (the tail segment).
-    PlaneWord* seg = acc;   // seg starts as forward[n-1], which acc now holds
-    PlaneWord* tail = have;
-    PlaneWord* wrap = head_acc;
-    if (topology == BusTopology::Ring) {
-      for (std::size_t w = w_begin; w < w_end; ++w) {
-        wrap[w] = forward[(n - 1) * rw + w] | head_acc[w];
-        tail[w] = ~PlaneWord{0};
-      }
-      for (std::size_t k = n; k-- > 0;) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord in_wrap = head_mask[k * rw + w] | tail[w];
-          out[base + w] = (wrap[w] & in_wrap) | (seg[w] & ~in_wrap);
-        }
-        if (k > 0) {
-          for (std::size_t w = w_begin; w < w_end; ++w) {
-            const PlaneWord ow = open[base + w];
-            seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
-            tail[w] &= ~ow;
-          }
-        }
-      }
-    } else {
-      for (std::size_t k = n; k-- > 0;) {
-        const std::size_t base = flow_row(n, dir, k) * rw;
-        for (std::size_t w = w_begin; w < w_end; ++w) {
-          const PlaneWord hm = head_mask[k * rw + w];
-          out[base + w] = (head_acc[w] & hm) | (seg[w] & ~hm);
-        }
-        if (k > 0) {
-          for (std::size_t w = w_begin; w < w_end; ++w) {
-            const PlaneWord ow = open[base + w];
-            seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
-          }
+      if (k > 0) {
+        for (std::size_t w = 0; w < rw; ++w) {
+          const PlaneWord ow = open[base + w];
+          seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
+          tail[w] &= ~ow;
         }
       }
     }
-  });
+  } else {
+    for (std::size_t k = n; k-- > 0;) {
+      const std::size_t base = flow_row(n, dir, k) * rw;
+      for (std::size_t w = 0; w < rw; ++w) {
+        const PlaneWord hm = head_mask[k * rw + w];
+        out[base + w] = (head_acc[w] & hm) | (seg[w] & ~hm);
+      }
+      if (k > 0) {
+        for (std::size_t w = 0; w < rw; ++w) {
+          const PlaneWord ow = open[base + w];
+          seg[w] = (forward[(k - 1) * rw + w] & ow) | (seg[w] & ~ow);
+        }
+      }
+    }
+  }
   return column_max_segment(g, topology, dir, open, /*wired_or=*/true, s);
 }
 
@@ -525,21 +450,21 @@ std::size_t column_wired_or(const PlaneGeometry& g, BusTopology topology, Direct
 std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
                                  Direction dir, const PlaneWord* src, int planes,
                                  const PlaneWord* open, PlaneWord* out,
-                                 PlaneWord* driven, const PlaneBusExec& exec) {
+                                 PlaneWord* driven, PlaneBusScratch& scratch) {
   PPA_REQUIRE(g.n >= 1, "array side must be positive");
   PPA_REQUIRE(planes >= 1, "a bus cycle needs at least one plane");
   return is_row_axis(dir)
-             ? row_broadcast(g, topology, dir, src, planes, open, out, driven, exec)
-             : column_broadcast(g, topology, dir, src, planes, open, out, driven, exec);
+             ? row_broadcast(g, topology, dir, src, planes, open, out, driven, scratch)
+             : column_broadcast(g, topology, dir, src, planes, open, out, driven, scratch);
 }
 
 std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,
                                 Direction dir, const PlaneWord* src,
                                 const PlaneWord* open, PlaneWord* out,
-                                const PlaneBusExec& exec) {
+                                PlaneBusScratch& scratch) {
   PPA_REQUIRE(g.n >= 1, "array side must be positive");
-  return is_row_axis(dir) ? row_wired_or(g, topology, dir, src, open, out, exec)
-                          : column_wired_or(g, topology, dir, src, open, out, exec);
+  return is_row_axis(dir) ? row_wired_or(g, topology, dir, src, open, out, scratch)
+                          : column_wired_or(g, topology, dir, src, open, out, scratch);
 }
 
 void plane_shift(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,

@@ -26,19 +26,16 @@
 // (BroadcastPlanCache), so a repeat configuration runs only the per-plane
 // pass — results and max_segment are identical either way.
 //
-// Each entry point takes an optional PlaneBusExec: a thread pool to chunk
-// the cycle over (rows for the row axis, word-columns for the column axis
-// — every chunk owns a disjoint slice of the output planes, and per-chunk
-// max_segment partials merge with max, which is order-independent, so
-// results and step counts are bit-identical for every pool size) and a
-// scratch block that keeps the resolvers allocation-free across cycles.
+// Every entry point runs its cycle inline on the caller's thread, one
+// cycle per call, and takes the PlaneBusScratch that keeps the resolvers
+// allocation-free across cycles and holds the column plan cache (the
+// Machine owns one; a fresh block per call gives the cold resolver).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/bit_planes.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::sim {
 
@@ -87,8 +84,7 @@ struct BroadcastPlanCache {
 /// Reusable buffers for the plane bus resolvers, owned by the Machine (one
 /// per machine; bus cycles are issued sequentially by the controller).
 /// Sized lazily on first use. The per-k arrays are indexed [k * row_words
-/// + w], the per-line arrays by column — under chunking, every chunk
-/// touches only its own w / column slice.
+/// + w], the per-line arrays by column.
 struct PlaneBusScratch {
   std::vector<PlaneWord> per_k_a;     // n * row_words (row broadcast: 2x)
   std::vector<PlaneWord> per_k_b;     // n * row_words
@@ -103,16 +99,6 @@ struct PlaneBusScratch {
   BroadcastPlanCache broadcast_plans; // see BroadcastPlanCache
 };
 
-/// Execution knobs for one plane bus cycle. Defaults preserve the plain
-/// sequential, self-allocating behavior (free-function callers and tests).
-struct PlaneBusExec {
-  util::ThreadPool* pool = nullptr;  // null = run on the caller
-  /// Minimum total plane words the cycle must touch before it is chunked
-  /// over the pool (same knob as MachineConfig::plane_sweep_min_words).
-  std::size_t min_words = static_cast<std::size_t>(-1);
-  PlaneBusScratch* scratch = nullptr;  // null = allocate locally
-};
-
 /// One broadcast bus cycle over `planes` bit planes sharing a single
 /// switch configuration (the planes of one h-bit register ride the same
 /// physical cycle). `src`/`out` hold `planes` contiguous planes; `open`
@@ -121,7 +107,7 @@ struct PlaneBusExec {
 std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
                                  Direction dir, const PlaneWord* src, int planes,
                                  const PlaneWord* open, PlaneWord* out,
-                                 PlaneWord* driven, const PlaneBusExec& exec = {});
+                                 PlaneWord* driven, PlaneBusScratch& scratch);
 
 /// One wired-OR bus cycle on a single plane. Never floats (a segment
 /// nobody pulls reads 0), so there is no driven output. Returns
@@ -129,7 +115,7 @@ std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
 std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,
                                 Direction dir, const PlaneWord* src,
                                 const PlaneWord* open, PlaneWord* out,
-                                const PlaneBusExec& exec = {});
+                                PlaneBusScratch& scratch);
 
 /// Nearest-neighbour move of `planes` bit planes; lanes shifted in from
 /// the array edge read bit j of `fill_bits` in plane j. dst must not alias

@@ -13,9 +13,11 @@
 // the controller issues, and activity masking is a property of the
 // *program*, applied at register write-back.
 //
-// Host execution can be parallelized over a thread pool (config
-// host_threads). Every primitive computes each PE's result independently,
-// so results are identical for any thread count.
+// The word backend can split its per-PE sweeps over a host thread pool
+// (config host_threads); every primitive computes each PE's result
+// independently, so results are identical for any thread count. The
+// bit-plane backend runs every plane sweep and bus cycle inline on the
+// controller thread, as the paper's array runs one instruction at a time.
 #pragma once
 
 #include <memory>
@@ -79,21 +81,12 @@ struct MachineConfig {
   int bits = 16;            // word width h
   BusTopology topology = BusTopology::Ring;
   UndrivenPolicy undriven = UndrivenPolicy::Error;
-  /// Host worker threads for per-PE sweeps; 0 or 1 = host-sequential.
-  /// Both backends honor it: the Words backend chunks PE ranges, the
-  /// BitPlane backend chunks contiguous plane-word ranges of its ALU
-  /// sweeps (sim/plane_kernels.hpp) once a sweep reaches
-  /// `plane_sweep_min_words` words. Results, driven flags and step counts
-  /// are bit-identical for every value on both backends
-  /// (tests/mcp_backend_diff_test.cpp pins thread-count invariance).
+  /// Word-backend knob: host worker threads that split the Words
+  /// backend's per-PE sweeps into PE ranges (for_each_pe); 0 or 1 =
+  /// host-sequential. The BitPlane backend ignores it and builds no pool.
+  /// Results, driven flags and step counts are bit-identical for every
+  /// value (tests/mcp_backend_diff_test.cpp pins thread-count invariance).
   std::size_t host_threads = 1;
-  /// Minimum plane-sweep length (in 64-bit plane words, total across the
-  /// h planes of a value) before the BitPlane backend dispatches the
-  /// sweep to the thread pool. Below it, pool hand-off costs more than
-  /// the loop: a full n = 512, h = 16 value is 65536 words (~one L2-ish
-  /// working set), which is roughly where chunking starts to pay. Tests
-  /// set 1 to force chunking on small arrays.
-  std::size_t plane_sweep_min_words = 65536;
   ExecBackend backend = ExecBackend::Words;
   /// Checked execution: bus contention (a program driver whose switch a
   /// fault forced closed) and undriven program reads are recorded as
@@ -291,9 +284,8 @@ class Machine {
     }
   }
 
-  /// The host worker pool (nullptr when host_threads <= 1). The BitPlane
-  /// backend's ALU (sim/plane_kernels.hpp) and the plane bus engine chunk
-  /// their sweeps over it.
+  /// The word backend's host worker pool (nullptr when host_threads <= 1
+  /// or backend == BitPlane).
   [[nodiscard]] util::ThreadPool* host_pool() noexcept { return pool_.get(); }
 
   /// Cumulative hit/miss counters of this machine's column
@@ -310,8 +302,7 @@ class Machine {
 
   /// Cumulative SIMD kernel-dispatch / plane-word throughput counters for
   /// the ppc-layer plane ALU bound to this machine (ppc::Context wires its
-  /// PlaneAlu here). Billed once per sweep on the controller thread, so
-  /// the totals are pool-size and plane_sweep_min_words independent;
+  /// PlaneAlu here). Billed once per sweep on the controller thread;
   /// solvers report the per-run delta as simd.sweep.* counters.
   [[nodiscard]] const plane_kernels::SweepStats& sweep_stats() const noexcept {
     return sweep_stats_;
@@ -321,12 +312,6 @@ class Machine {
   }
 
  private:
-  /// Execution knobs handed to every plane bus cycle: the host pool (when
-  /// the cycle is large enough to chunk) and the machine-owned scratch.
-  [[nodiscard]] PlaneBusExec plane_bus_exec() noexcept {
-    return PlaneBusExec{pool_.get(), config_.plane_sweep_min_words, &bus_scratch_};
-  }
-
   // Fault transform around a bus cycle (machine.cpp). `effective_open`
   // returns `open` untouched when the axis has no switch faults; the other
   // helpers are no-ops without the corresponding fault class.
@@ -397,7 +382,7 @@ class Machine {
   StepCounter steps_;
   std::vector<Word> row_index_;
   std::vector<Word> col_index_;
-  std::unique_ptr<util::ThreadPool> pool_;  // null when host-sequential
+  std::unique_ptr<util::ThreadPool> pool_;  // word backend only; null when sequential
   TraceSink* trace_ = nullptr;              // not owned
 
   CompiledFaults faults_;

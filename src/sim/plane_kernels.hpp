@@ -3,8 +3,11 @@
 //
 // A table of function pointers filled per SIMD variant (scalar / AVX2 /
 // AVX-512), selected once per process from what the build compiled in and
-// what the CPU reports, plus the PlaneAlu wrapper that chunks big sweeps
-// over the machine's host thread pool. tests/ppc_plane_kernels_test.cpp
+// what the CPU reports, plus the PlaneAlu wrapper that bills each sweep
+// and runs it inline: one SIMD instruction is one kernel call on the
+// controller thread, never split over host threads (host parallelism
+// comes from whole destinations and batches, one level up).
+// tests/ppc_plane_kernels_test.cpp
 // fuzzes every arm against plain word loops, and the segmented fill and
 // segmented OR of every arm against the scalar arm (which
 // tests/sim_bus_planes_test.cpp holds to the word-engine bus, sim/bus.cpp).
@@ -17,18 +20,12 @@
 //   2. The PPA_SIMD environment variable (scalar|avx2|avx512) overrides
 //      at run time, with the same graceful fallback.
 //   3. Otherwise the widest compiled-in variant the CPU supports wins.
-//
-// The multi-plane kernels (add_sat / compare_*) take a [begin, end) word
-// sub-range of every plane so the thread pool can split one logical SIMD
-// instruction into contiguous plane-word chunks: the ripple-carry and
-// MSB-first scans carry state across PLANES (j), never across word index
-// (i), so range splitting is exact, not approximate.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "sim/bit_planes.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::sim::plane_kernels {
 
@@ -43,7 +40,7 @@ struct PlaneKernels {
   SimdVariant variant = SimdVariant::Scalar;
 
   // Elementwise bitwise sweeps over raw word ranges (callers pass pw or
-  // h * pw; chunking slices the pointers).
+  // h * pw).
   void (*op_and)(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
                  std::size_t words) noexcept = nullptr;
   void (*op_or)(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
@@ -61,52 +58,43 @@ struct PlaneKernels {
   bool (*all_zero)(const PlaneWord* a, std::size_t words) noexcept = nullptr;
   bool (*equal)(const PlaneWord* a, const PlaneWord* b, std::size_t words) noexcept = nullptr;
 
-  // Multi-plane kernels on the word sub-range [begin, end) of every
-  // plane: saturating add (util::HField::add's clamp rule) and MSB-first
-  // compares; carry/ones/lt/eq live in registers per word block.
+  // Multi-plane kernels over all pw words of every plane: saturating add
+  // (util::HField::add's clamp rule) and MSB-first compares; carry/ones/
+  // lt/eq live in registers per word block.
   void (*add_sat)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-                  const PlaneWord* full, PlaneWord* out, std::size_t begin,
-                  std::size_t end) noexcept = nullptr;
+                  const PlaneWord* full, PlaneWord* out) noexcept = nullptr;
   void (*compare_lt)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-                     const PlaneWord* full, PlaneWord* lt, PlaneWord* eq,
-                     std::size_t begin, std::size_t end) noexcept = nullptr;
+                     const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) noexcept = nullptr;
   void (*compare_eq)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-                     const PlaneWord* full, PlaneWord* eq, std::size_t begin,
-                     std::size_t end) noexcept = nullptr;
+                     const PlaneWord* full, PlaneWord* eq) noexcept = nullptr;
 
-  /// Packs rows [row_begin, row_end) of per-PE words into `planes` bit
-  /// planes (plane j at offset j * plane_words). Fully overwrites the
-  /// covered words, pads read 0 — no pre-zeroing needed, and row ranges
-  /// write disjoint words, so the pool can split on rows.
+  /// Packs per-PE words into `planes` bit planes (plane j at offset
+  /// j * plane_words). Fully overwrites every word, pads read 0 — no
+  /// pre-zeroing needed.
   void (*pack_words)(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
-                     PlaneWord* out, std::size_t row_begin, std::size_t row_end) = nullptr;
+                     PlaneWord* out) = nullptr;
 
-  /// One row-bus broadcast cycle (dir East or West) on rows [row_begin,
-  /// row_end) of `planes` src planes, as a segmented fill: every lane
-  /// reads the nearest Open switch strictly upstream, a ring wraps the
-  /// row's last Open switch around to its head, undriven lanes read 0 —
-  /// bus.cpp's rules exactly. Fully overwrites those rows of `out` and
-  /// `driven`. `full` is the valid-lane plane (plane_fill_full);
-  /// `scratch` holds two planes. Rows touch disjoint words, so the pool
-  /// can split on rows. max_segment is not computed here (it depends on
-  /// the switches alone).
+  /// One row-bus broadcast cycle (dir East or West) on `planes` src
+  /// planes, as a segmented fill: every lane reads the nearest Open switch
+  /// strictly upstream, a ring wraps the row's last Open switch around to
+  /// its head, undriven lanes read 0 — bus.cpp's rules exactly. Fully
+  /// overwrites `out` and `driven`. `full` is the valid-lane plane
+  /// (plane_fill_full); `scratch` holds two planes. max_segment is not
+  /// computed here (it depends on the switches alone).
   void (*segmented_fill)(const sim::PlaneGeometry& g, sim::BusTopology topology,
                          sim::Direction dir, const PlaneWord* src, int planes,
                          const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
-                         PlaneWord* driven, PlaneWord* scratch, std::size_t row_begin,
-                         std::size_t row_end) noexcept = nullptr;
+                         PlaneWord* driven, PlaneWord* scratch) noexcept = nullptr;
 
-  /// One row-bus wired-OR cycle (dir East or West) on rows [row_begin,
-  /// row_end) of the single plane `src`: every lane reads the OR of its
-  /// segment — an Open lane starts one, a ring's head stub joins the row's
-  /// last segment, a linear head stub stands alone, a row with no Open
-  /// lane is one segment — bus.cpp's rules exactly. Fully overwrites those
-  /// rows of `out`; pads stay 0. Rows touch disjoint words, so the pool can
-  /// split on rows. max_segment is not computed here.
+  /// One row-bus wired-OR cycle (dir East or West) on the single plane
+  /// `src`: every lane reads the OR of its segment — an Open lane starts
+  /// one, a ring's head stub joins the row's last segment, a linear head
+  /// stub stands alone, a row with no Open lane is one segment — bus.cpp's
+  /// rules exactly. Fully overwrites `out`; pads stay 0. max_segment is
+  /// not computed here.
   void (*segmented_or)(const sim::PlaneGeometry& g, sim::BusTopology topology,
                        sim::Direction dir, const PlaneWord* src, const PlaneWord* open,
-                       const PlaneWord* full, PlaneWord* out, std::size_t row_begin,
-                       std::size_t row_end) noexcept = nullptr;
+                       const PlaneWord* full, PlaneWord* out) noexcept = nullptr;
 };
 
 /// The scalar arm (always compiled; the dispatch fallback).
@@ -123,10 +111,9 @@ struct PlaneKernels {
 [[nodiscard]] SimdVariant active_variant() noexcept;
 
 /// SIMD kernel-throughput counters, billed on the controller thread once
-/// per dispatched sweep (BEFORE any pool chunking), so the totals are
-/// independent of the pool size and of `plane_sweep_min_words` — the
-/// profiler's determinism contract (docs/observability.md). Plain host
-/// bookkeeping: never charged as SIMD steps.
+/// per dispatched sweep — the profiler's determinism contract
+/// (docs/observability.md). Plain host bookkeeping: never charged as SIMD
+/// steps.
 struct SweepStats {
   std::uint64_t dispatches = 0;  // kernel sweeps issued
   std::uint64_t words = 0;       // total plane words those sweeps covered
@@ -137,66 +124,55 @@ struct SweepStats {
 };
 
 /// The ppc layer's view of one plane sweep: the dispatched kernels plus
-/// the machine's thread pool. Sweeps at least `min_words` words long are
-/// chunked into contiguous plane-word ranges over the pool (one chunk per
-/// pool lane, deterministic boundaries); smaller sweeps run inline.
-/// Results are bit-identical for every pool size because no kernel
-/// carries state across the word index.
+/// the throughput billing. Each op bills its word footprint and is one
+/// kernel call.
 class PlaneAlu {
  public:
-  PlaneAlu() = default;
-  PlaneAlu(const PlaneKernels& kernels, util::ThreadPool* pool,
-           std::size_t min_words, SweepStats* stats = nullptr) noexcept
-      : k_(&kernels), pool_(pool), min_words_(min_words), stats_(stats) {}
+  PlaneAlu(const PlaneKernels& kernels, SweepStats* stats) noexcept
+      : k_(&kernels), stats_(stats) {}
 
   [[nodiscard]] const PlaneKernels& kernels() const noexcept { return *k_; }
 
   void op_and(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
               std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_and(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_and(a, b, out, words);
   }
   void op_or(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
              std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_or(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_or(a, b, out, words);
   }
   void op_xor(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
               std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_xor(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_xor(a, b, out, words);
   }
   void op_andnot(const PlaneWord* a, const PlaneWord* b, PlaneWord* out,
                  std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_andnot(a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_andnot(a, b, out, words);
   }
   void op_copy(const PlaneWord* a, PlaneWord* out, std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->op_copy(a + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->op_copy(a, out, words);
   }
   void op_zero(PlaneWord* out, std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) { k_->op_zero(out + lo, hi - lo); });
+    bill(words);
+    k_->op_zero(out, words);
   }
   void masked_assign(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
                      std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->masked_assign(mask + lo, src + lo, dst + lo, hi - lo);
-    });
+    bill(words);
+    k_->masked_assign(mask, src, dst, words);
   }
   void blend(const PlaneWord* cond, const PlaneWord* a, const PlaneWord* b,
              PlaneWord* out, std::size_t words) const {
-    sweep(words, [&](std::size_t lo, std::size_t hi) {
-      k_->blend(cond + lo, a + lo, b + lo, out + lo, hi - lo);
-    });
+    bill(words);
+    k_->blend(cond, a, b, out, words);
   }
 
-  // Early-exit scans stay inline: splitting them buys nothing.
+  // Early-exit scans are not billed as sweeps.
   [[nodiscard]] bool all_zero(const PlaneWord* a, std::size_t words) const {
     return k_->all_zero(a, words);
   }
@@ -219,69 +195,36 @@ class PlaneAlu {
 
   void add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                const PlaneWord* full, PlaneWord* out) const {
-    planes_sweep(h, pw, [&](std::size_t lo, std::size_t hi) {
-      k_->add_sat(a, b, h, pw, full, out, lo, hi);
-    });
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->add_sat(a, b, h, pw, full, out);
   }
   void compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) const {
-    planes_sweep(h, pw, [&](std::size_t lo, std::size_t hi) {
-      k_->compare_lt(a, b, h, pw, full, lt, eq, lo, hi);
-    });
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->compare_lt(a, b, h, pw, full, lt, eq);
   }
   void compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* eq) const {
-    planes_sweep(h, pw, [&](std::size_t lo, std::size_t hi) {
-      k_->compare_eq(a, b, h, pw, full, eq, lo, hi);
-    });
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->compare_eq(a, b, h, pw, full, eq);
   }
 
   void pack_words(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
                   PlaneWord* out) const {
     bill(g.plane_words() * static_cast<std::size_t>(planes));
-    if (pool_ == nullptr || g.plane_words() * static_cast<std::size_t>(planes) < min_words_) {
-      k_->pack_words(g, src, planes, out, 0, g.n);
-      return;
-    }
-    pool_->parallel_for(g.n, [&](std::size_t lo, std::size_t hi) {
-      k_->pack_words(g, src, planes, out, lo, hi);
-    });
+    k_->pack_words(g, src, planes, out);
   }
 
  private:
-  /// Controller-thread throughput billing; deterministic by construction
-  /// (counts the whole sweep, not its chunks).
   void bill(std::size_t words) const noexcept {
     if (stats_ != nullptr) {
       ++stats_->dispatches;
       stats_->words += words;
     }
   }
-  template <typename Body>
-  void sweep(std::size_t words, Body&& body) const {
-    bill(words);
-    if (pool_ == nullptr || words < min_words_) {
-      body(std::size_t{0}, words);
-      return;
-    }
-    pool_->parallel_for(words, body);
-  }
-  /// Chunks the word domain [0, pw) when the TOTAL work (h planes) is big
-  /// enough; every chunk runs all h planes of its word range.
-  template <typename Body>
-  void planes_sweep(int h, std::size_t pw, Body&& body) const {
-    bill(static_cast<std::size_t>(h) * pw);
-    if (pool_ == nullptr || static_cast<std::size_t>(h) * pw < min_words_) {
-      body(std::size_t{0}, pw);
-      return;
-    }
-    pool_->parallel_for(pw, body);
-  }
 
-  const PlaneKernels* k_ = &scalar_kernels();
-  util::ThreadPool* pool_ = nullptr;
-  std::size_t min_words_ = static_cast<std::size_t>(-1);
-  SweepStats* stats_ = nullptr;
+  const PlaneKernels* k_;
+  SweepStats* stats_;
 };
 
 }  // namespace ppa::sim::plane_kernels

@@ -49,13 +49,13 @@ struct VecAvx2 {
 /// 64 lanes per group: bit j of each 32-bit PE word is lifted to the sign
 /// position and harvested with movemask — 8 bits per 256-bit register,
 /// eight registers per plane word.
-void pack_words_rows_avx2(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
-                          sim::PlaneWord* out, std::size_t row_begin, std::size_t row_end) {
+void pack_words_avx2(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
+                     sim::PlaneWord* out) {
   const std::size_t pw = g.plane_words();
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
   alignas(32) sim::Word buf[sim::kLanesPerWord];
-  for (std::size_t r = row_begin; r < row_end; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     const sim::Word* row = src + r * n;
     for (std::size_t w = 0; w < rw; ++w) {
       const std::size_t lane0 = w * sim::kLanesPerWord;
@@ -105,7 +105,7 @@ const PlaneKernels* avx2_table() noexcept {
     t.add_sat = detail::t_add_sat<VecAvx2>;
     t.compare_lt = detail::t_compare_lt<VecAvx2>;
     t.compare_eq = detail::t_compare_eq<VecAvx2>;
-    t.pack_words = pack_words_rows_avx2;
+    t.pack_words = pack_words_avx2;
     t.segmented_fill = detail::t_segmented_fill<VecAvx2>;
     t.segmented_or = detail::t_segmented_or<VecAvx2>;
     return t;

@@ -45,14 +45,13 @@ struct VecAvx512 {
 /// 64 lanes per group: bit j of each 32-bit PE word is harvested with a
 /// vptestm mask — 16 lanes per 512-bit register, four registers per plane
 /// word.
-void pack_words_rows_avx512(const sim::PlaneGeometry& g, const sim::Word* src,
-                            int planes, sim::PlaneWord* out, std::size_t row_begin,
-                            std::size_t row_end) {
+void pack_words_avx512(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
+                       sim::PlaneWord* out) {
   const std::size_t pw = g.plane_words();
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
   alignas(64) sim::Word buf[sim::kLanesPerWord];
-  for (std::size_t r = row_begin; r < row_end; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     const sim::Word* row = src + r * n;
     for (std::size_t w = 0; w < rw; ++w) {
       const std::size_t lane0 = w * sim::kLanesPerWord;
@@ -99,7 +98,7 @@ const PlaneKernels* avx512_table() noexcept {
     t.add_sat = detail::t_add_sat<VecAvx512>;
     t.compare_lt = detail::t_compare_lt<VecAvx512>;
     t.compare_eq = detail::t_compare_eq<VecAvx512>;
-    t.pack_words = pack_words_rows_avx512;
+    t.pack_words = pack_words_avx512;
     t.segmented_fill = detail::t_segmented_fill<VecAvx512>;
     t.segmented_or = detail::t_segmented_or<VecAvx512>;
     return t;

@@ -15,8 +15,8 @@
 // MSB-first lt/eq pair, the saturation mask) in registers; the only
 // memory traffic is the operand planes themselves. Every multi-plane
 // kernel iterates the WORD index outermost and the plane index inside,
-// so a [begin, end) word sub-range is exact — that is what makes the
-// thread-pool chunking in PlaneAlu bit-identical to a sequential sweep.
+// so its body runs on any [begin, end) word sub-range: the table entry
+// covers [0, pw) and hands the ragged tail to the scalar instantiation.
 //
 // VecScalar (W = 1) instantiates the same bodies for the scalar table
 // and serves as every wider arm's tail loop.
@@ -153,9 +153,9 @@ bool t_equal(const PlaneWord* a, const PlaneWord* b, std::size_t words) noexcept
 }
 
 template <class V>
-void t_add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-               const PlaneWord* full, PlaneWord* out, std::size_t begin,
-               std::size_t end) noexcept {
+void t_add_sat_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                     const PlaneWord* full, PlaneWord* out, std::size_t begin,
+                     std::size_t end) noexcept {
   std::size_t i = begin;
   for (; i + V::W <= end; i += V::W) {
     auto carry = V::zero();
@@ -178,14 +178,20 @@ void t_add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
     }
   }
   if constexpr (V::W > 1) {
-    if (i < end) t_add_sat<VecScalar>(a, b, h, pw, full, out, i, end);
+    if (i < end) t_add_sat_words<VecScalar>(a, b, h, pw, full, out, i, end);
   }
 }
 
 template <class V>
-void t_compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-                  const PlaneWord* full, PlaneWord* lt, PlaneWord* eq,
-                  std::size_t begin, std::size_t end) noexcept {
+void t_add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+               const PlaneWord* full, PlaneWord* out) noexcept {
+  t_add_sat_words<V>(a, b, h, pw, full, out, 0, pw);
+}
+
+template <class V>
+void t_compare_lt_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                        const PlaneWord* full, PlaneWord* lt, PlaneWord* eq,
+                        std::size_t begin, std::size_t end) noexcept {
   std::size_t i = begin;
   for (; i + V::W <= end; i += V::W) {
     auto vlt = V::zero();
@@ -201,14 +207,20 @@ void t_compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
     V::store(eq + i, veq);
   }
   if constexpr (V::W > 1) {
-    if (i < end) t_compare_lt<VecScalar>(a, b, h, pw, full, lt, eq, i, end);
+    if (i < end) t_compare_lt_words<VecScalar>(a, b, h, pw, full, lt, eq, i, end);
   }
 }
 
 template <class V>
-void t_compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-                  const PlaneWord* full, PlaneWord* eq, std::size_t begin,
-                  std::size_t end) noexcept {
+void t_compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                  const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) noexcept {
+  t_compare_lt_words<V>(a, b, h, pw, full, lt, eq, 0, pw);
+}
+
+template <class V>
+void t_compare_eq_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                        const PlaneWord* full, PlaneWord* eq, std::size_t begin,
+                        std::size_t end) noexcept {
   std::size_t i = begin;
   for (; i + V::W <= end; i += V::W) {
     auto veq = V::load(full + i);
@@ -219,20 +231,25 @@ void t_compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
     V::store(eq + i, veq);
   }
   if constexpr (V::W > 1) {
-    if (i < end) t_compare_eq<VecScalar>(a, b, h, pw, full, eq, i, end);
+    if (i < end) t_compare_eq_words<VecScalar>(a, b, h, pw, full, eq, i, end);
   }
+}
+
+template <class V>
+void t_compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                  const PlaneWord* full, PlaneWord* eq) noexcept {
+  t_compare_eq_words<V>(a, b, h, pw, full, eq, 0, pw);
 }
 
 /// Scalar pack: transpose one 64-lane group at a time through a register
 /// accumulator, then store each plane word once — instead of the
 /// oracle's per-bit read-modify-write into spread-out plane words.
-inline void pack_words_rows_scalar(const sim::PlaneGeometry& g, const sim::Word* src,
-                                   int planes, PlaneWord* out, std::size_t row_begin,
-                                   std::size_t row_end) {
+inline void pack_words_scalar(const sim::PlaneGeometry& g, const sim::Word* src,
+                              int planes, PlaneWord* out) {
   const std::size_t pw = g.plane_words();
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  for (std::size_t r = row_begin; r < row_end; ++r) {
+  for (std::size_t r = 0; r < n; ++r) {
     const sim::Word* row = src + r * n;
     for (std::size_t w = 0; w < rw; ++w) {
       const std::size_t lane0 = w * sim::kLanesPerWord;
@@ -282,15 +299,14 @@ typename V::reg flow_shift(typename V::reg a) noexcept {
   }
 }
 
-/// Head carries of rows [row_begin, row_end): `carry_pos[i]` is the flat
+/// Head carries of every row: `carry_pos[i]` is the flat
 /// lane index (word * 64 + bit) of the Open switch that drives word i's
 /// flow-first lane, `carry_lane[i]` that lane as a mask. An undriven head
 /// gets mask 0 and a position inside its own word, so the gather that
 /// reads it stays in bounds.
 template <bool kWest>
 void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* open,
-                      PlaneWord* carry_pos, PlaneWord* carry_lane, std::size_t row_begin,
-                      std::size_t row_end) noexcept {
+                      PlaneWord* carry_pos, PlaneWord* carry_lane) noexcept {
   const std::size_t rw = g.row_words;
   constexpr std::size_t kNone = ~std::size_t{0};
   // The Open switch of word w that is last in flow order, as a flat index.
@@ -298,7 +314,7 @@ void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* o
     const auto bit = kWest ? __builtin_ctzll(bits) : 63 - __builtin_clzll(bits);
     return word * sim::kLanesPerWord + static_cast<unsigned>(bit);
   };
-  for (std::size_t r = row_begin; r < row_end; ++r) {
+  for (std::size_t r = 0; r < g.n; ++r) {
     const std::size_t base = r * rw;
     std::size_t cur = kNone;
     if (ring) {
@@ -383,26 +399,19 @@ template <class V>
 void t_segmented_fill(const sim::PlaneGeometry& g, sim::BusTopology topology,
                       sim::Direction dir, const PlaneWord* src, int planes,
                       const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
-                      PlaneWord* driven, PlaneWord* scratch, std::size_t row_begin,
-                      std::size_t row_end) noexcept {
+                      PlaneWord* driven, PlaneWord* scratch) noexcept {
   const std::size_t pw = g.plane_words();
-  const std::size_t begin = row_begin * g.row_words;
-  const std::size_t end = row_end * g.row_words;
   const bool ring = topology == sim::BusTopology::Ring;
   PlaneWord* carry_pos = scratch;
   PlaneWord* carry_lane = ring || g.row_words > 1 ? scratch + pw : nullptr;
   if (dir == sim::Direction::West) {
-    if (carry_lane != nullptr) {
-      fill_carry_setup<true>(g, ring, open, carry_pos, carry_lane, row_begin, row_end);
-    }
-    t_fill_words<V, true>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven,
-                          begin, end);
+    if (carry_lane != nullptr) fill_carry_setup<true>(g, ring, open, carry_pos, carry_lane);
+    t_fill_words<V, true>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven, 0,
+                          pw);
   } else {
-    if (carry_lane != nullptr) {
-      fill_carry_setup<false>(g, ring, open, carry_pos, carry_lane, row_begin, row_end);
-    }
+    if (carry_lane != nullptr) fill_carry_setup<false>(g, ring, open, carry_pos, carry_lane);
     t_fill_words<V, false>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven,
-                           begin, end);
+                           0, pw);
   }
 }
 
@@ -563,18 +572,17 @@ void or_row_carries(std::size_t rw, bool ring, const PlaneWord* o, const PlaneWo
 /// other row runs the in-word pass and the carries of each of its rows.
 template <class V, bool kWest>
 void t_or_rows(const sim::PlaneGeometry& g, bool ring, const PlaneWord* src,
-               const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
-               std::size_t row_begin, std::size_t row_end) noexcept {
+               const PlaneWord* open, const PlaneWord* full, PlaneWord* out) noexcept {
   const std::size_t rw = g.row_words;
   const std::size_t head_w = kWest ? rw - 1 : 0;
   const PlaneWord head_lane = PlaneWord{1} << (kWest ? sim::PlaneGeometry::bit_of(g.n - 1) : 0u);
-  std::size_t r = row_begin;
+  std::size_t r = 0;
   if constexpr (V::W > 1) {
     if (rw == 2) {
       PlaneWord pattern[V::W];
       for (std::size_t k = 0; k < V::W; ++k) pattern[k] = k % 2 == head_w ? head_lane : 0;
       const auto heads = V::load(pattern);
-      for (; r + V::W / 2 <= row_end; r += V::W / 2) {
+      for (; r + V::W / 2 <= g.n; r += V::W / 2) {
         const std::size_t i = r * 2;
         const auto o = V::load(open + i);
         if (V::is_zero(V::andnot(o, heads))) {
@@ -591,7 +599,7 @@ void t_or_rows(const sim::PlaneGeometry& g, bool ring, const PlaneWord* src,
       }
     }
   }
-  for (; r < row_end; ++r) {
+  for (; r < g.n; ++r) {
     const PlaneWord* o = open + r * rw;
     const PlaneWord* s = src + r * rw;
     const PlaneWord* valid = full + r * rw;
@@ -616,20 +624,19 @@ void t_or_rows(const sim::PlaneGeometry& g, bool ring, const PlaneWord* src,
 template <class V>
 void t_segmented_or(const sim::PlaneGeometry& g, sim::BusTopology topology,
                     sim::Direction dir, const PlaneWord* src, const PlaneWord* open,
-                    const PlaneWord* full, PlaneWord* out, std::size_t row_begin,
-                    std::size_t row_end) noexcept {
+                    const PlaneWord* full, PlaneWord* out) noexcept {
   const bool ring = topology == sim::BusTopology::Ring;
   const bool west = dir == sim::Direction::West;
   if (g.row_words == 1) {
     if (west) {
-      t_or_words<V, true>(src, open, full, out, ring, row_begin, row_end);
+      t_or_words<V, true>(src, open, full, out, ring, 0, g.n);
     } else {
-      t_or_words<V, false>(src, open, full, out, ring, row_begin, row_end);
+      t_or_words<V, false>(src, open, full, out, ring, 0, g.n);
     }
   } else if (west) {
-    t_or_rows<V, true>(g, ring, src, open, full, out, row_begin, row_end);
+    t_or_rows<V, true>(g, ring, src, open, full, out);
   } else {
-    t_or_rows<V, false>(g, ring, src, open, full, out, row_begin, row_end);
+    t_or_rows<V, false>(g, ring, src, open, full, out);
   }
 }
 

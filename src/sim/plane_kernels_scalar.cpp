@@ -27,7 +27,7 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.add_sat = detail::t_add_sat<VecScalar>;
     t.compare_lt = detail::t_compare_lt<VecScalar>;
     t.compare_eq = detail::t_compare_eq<VecScalar>;
-    t.pack_words = detail::pack_words_rows_scalar;
+    t.pack_words = detail::pack_words_scalar;
     t.segmented_fill = detail::t_segmented_fill<VecScalar>;
     t.segmented_or = detail::t_segmented_or<VecScalar>;
     return t;

@@ -121,9 +121,4 @@ std::vector<double> ThreadPool::busy_seconds() {
   return busy_;
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
-}
-
 }  // namespace ppa::util

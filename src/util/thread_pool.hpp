@@ -38,10 +38,6 @@ class ThreadPool {
   void parallel_for(std::size_t total,
                     const std::function<void(std::size_t begin, std::size_t end)>& body);
 
-  /// The machine-wide default pool (hardware_concurrency workers). Lazily
-  /// constructed, never destroyed before exit.
-  static ThreadPool& shared();
-
   /// Cumulative wall time each lane spent inside parallel_for bodies since
   /// construction (docs/observability.md). Lane 0 is the caller's share,
   /// lanes 1..worker_count the workers — the spread across lanes is the

@@ -156,13 +156,10 @@ TEST(McpBackendDiff, AlgorithmVariants) {
 }
 
 TEST(McpBackendDiff, HostThreadsInvariantOnBothBackends) {
-  // MachineConfig::host_threads chunks PE sweeps on the Words backend and
-  // plane sweeps / bus cycles on the BitPlane backend. The pinned contract
-  // is the same everywhere: results and step counters are bit-identical
-  // for every thread count, on both backends, full-array and tiled.
-  // plane_sweep_min_words is forced to 1 so the pool actually engages at
-  // these small sides (the production threshold would keep every sweep
-  // inline and the bit-plane half of the test would be vacuous).
+  // MachineConfig::host_threads chunks PE sweeps on the Words backend; the
+  // BitPlane backend ignores it. The pinned contract is the same
+  // everywhere: results and step counters are bit-identical for every
+  // thread count, on both backends, full-array and tiled.
   util::Rng rng(83);
   const auto g = graph::random_reachable_digraph(33, 8, 0.15, {1, 20}, 6, rng);
   const auto run = [&](sim::ExecBackend backend, std::size_t threads, std::size_t side) {
@@ -171,7 +168,6 @@ TEST(McpBackendDiff, HostThreadsInvariantOnBothBackends) {
     config.bits = g.field().bits();
     config.backend = backend;
     config.host_threads = threads;
-    config.plane_sweep_min_words = 1;
     sim::Machine machine(config);
     return mcp::run_minimum_cost_path(machine, g, 6, {});
   };

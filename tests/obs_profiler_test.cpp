@@ -1,8 +1,8 @@
 // The utilization profiler's deterministic telemetry: the new counters
 // (bus occupancy, SIMD sweep throughput, active lanes) and the convergence
 // series are part of the bit-identical contract — independent of host
-// worker count, of the thread pool size, and of plane_sweep_min_words, in
-// every solver mode (full / tiled / batched, both backends). Plus the
+// worker count and of the machine's host_threads, in every solver mode
+// (full / tiled / batched, both backends). Plus the
 // tiled n = 128 ring: the per-panel change counts expose exactly the
 // sparse-panel structure active-panel virtualization needs.
 #include <gtest/gtest.h>
@@ -101,33 +101,29 @@ TEST(Profiler, CountersAreWorkerCountIndependentInEveryMode) {
   }
 }
 
-TEST(Profiler, SweepCountersArePoolAndMinWordsIndependent) {
-  // simd.sweep.* is billed once per sweep on the controller thread,
-  // BEFORE the pool / min-words dispatch decision — so the totals cannot
-  // depend on either knob (and a sweep split into chunks still counts
-  // once, with its full word footprint).
+TEST(Profiler, SweepCountersAreHostThreadsIndependent) {
+  // simd.sweep.* is billed once per sweep on the controller thread, and a
+  // bit-plane machine runs every sweep inline whatever host_threads says —
+  // so the totals cannot depend on it.
   util::Rng rng(11);
   const auto g = graph::random_reachable_digraph(17, 8, 0.3, {1, 9}, 0, rng);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
   for (const std::size_t host_threads : {1u, 4u}) {
-    for (const std::size_t min_words : {1u, 65536u}) {
-      sim::MachineConfig cfg;
-      cfg.n = g.size();
-      cfg.bits = g.field().bits();
-      cfg.backend = sim::ExecBackend::BitPlane;
-      cfg.host_threads = host_threads;
-      cfg.plane_sweep_min_words = min_words;
-      sim::Machine machine(cfg);
-      Collector collector;
-      mcp::Options options;
-      options.observer = &collector;
-      (void)mcp::minimum_cost_path(machine, g, 0, options);
-      const auto& counters = collector.metrics().counters();
-      seen.emplace_back(counters.at(metric::kSweepDispatches).value(),
-                        counters.at(metric::kSweepWords).value());
-    }
+    sim::MachineConfig cfg;
+    cfg.n = g.size();
+    cfg.bits = g.field().bits();
+    cfg.backend = sim::ExecBackend::BitPlane;
+    cfg.host_threads = host_threads;
+    sim::Machine machine(cfg);
+    Collector collector;
+    mcp::Options options;
+    options.observer = &collector;
+    (void)mcp::minimum_cost_path(machine, g, 0, options);
+    const auto& counters = collector.metrics().counters();
+    seen.emplace_back(counters.at(metric::kSweepDispatches).value(),
+                      counters.at(metric::kSweepWords).value());
   }
-  ASSERT_EQ(seen.size(), 4u);
+  ASSERT_EQ(seen.size(), 2u);
   EXPECT_GT(seen.front().first, 0u);
   EXPECT_GT(seen.front().second, 0u);
   for (const auto& pair : seen) {

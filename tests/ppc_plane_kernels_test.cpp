@@ -1,10 +1,10 @@
 // Differential fuzz of every compiled SIMD kernel arm against plain word
 // loops written out below (and sim::pack_words for the pack kernel; the
 // segmented fill and segmented OR against the scalar arm, which
-// tests/sim_bus_planes_test.cpp holds to bus.cpp), plus determinism pins
-// for the PlaneAlu thread-pool chunking. Geometries deliberately include
-// ragged tails (n not a multiple of 64, plane_words not a multiple of the
-// vector width).
+// tests/sim_bus_planes_test.cpp holds to bus.cpp). Every kernel call
+// covers the whole array. Geometries deliberately include ragged tails (n
+// not a multiple of 64, plane_words not a multiple of the vector width),
+// so each wider arm's scalar tail loop runs too.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,12 +14,10 @@
 #include "sim/bit_planes.hpp"
 #include "sim/plane_kernels.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa {
 namespace {
 
-using sim::plane_kernels::PlaneAlu;
 using sim::plane_kernels::PlaneKernels;
 using sim::plane_kernels::SimdVariant;
 using sim::PlaneGeometry;
@@ -228,7 +226,7 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
         std::vector<PlaneWord> want(total), got(total), carry(pw), ones(pw);
         ref::add_sat(a.data(), b.data(), h, pw, full.data(), carry.data(),
                                 ones.data(), want.data());
-        arm->add_sat(a.data(), b.data(), h, pw, full.data(), got.data(), 0, pw);
+        arm->add_sat(a.data(), b.data(), h, pw, full.data(), got.data());
         EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                              << " add_sat n=" << n << " h=" << h;
 
@@ -236,25 +234,16 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
         ref::compare_lt(a.data(), b.data(), h, pw, full.data(), want_lt.data(),
                                    want_eq.data());
         arm->compare_lt(a.data(), b.data(), h, pw, full.data(), got_lt.data(),
-                        got_eq.data(), 0, pw);
+                        got_eq.data());
         EXPECT_EQ(want_lt, got_lt) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_lt n=" << n << " h=" << h;
         EXPECT_EQ(want_eq, got_eq) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_lt(eq) n=" << n << " h=" << h;
 
         ref::compare_eq(a.data(), b.data(), h, pw, full.data(), want_eq.data());
-        arm->compare_eq(a.data(), b.data(), h, pw, full.data(), got_eq.data(), 0, pw);
+        arm->compare_eq(a.data(), b.data(), h, pw, full.data(), got_eq.data());
         EXPECT_EQ(want_eq, got_eq) << sim::plane_kernels::variant_name(arm->variant)
                                    << " compare_eq n=" << n << " h=" << h;
-
-        // Split the word range at every boundary in a coarse grid and check
-        // the chunked result is identical — the thread-pool contract.
-        for (const std::size_t cut : {std::size_t{0}, pw / 3, pw / 2, pw}) {
-          std::vector<PlaneWord> chunked(total, 0xDEADBEEFu);
-          arm->add_sat(a.data(), b.data(), h, pw, full.data(), chunked.data(), 0, cut);
-          arm->add_sat(a.data(), b.data(), h, pw, full.data(), chunked.data(), cut, pw);
-          EXPECT_EQ(want, chunked) << "add_sat split at " << cut << " n=" << n << " h=" << h;
-        }
       }
     }
   }
@@ -281,7 +270,7 @@ TEST(PlaneKernels, AddSatClampsToAllOnes) {
   sim::pack_words(g, bv, h, b.data());
   for (const PlaneKernels* arm : all_arms()) {
     std::vector<PlaneWord> out(pw * h);
-    arm->add_sat(a.data(), b.data(), h, pw, full.data(), out.data(), 0, pw);
+    arm->add_sat(a.data(), b.data(), h, pw, full.data(), out.data());
     std::vector<sim::Word> res(g.n * g.n);
     sim::unpack_words(g, out.data(), h, res);
     EXPECT_EQ(res[0], 207u);
@@ -306,16 +295,9 @@ TEST(PlaneKernels, PackWordsMatchesSimOracle) {
         std::vector<PlaneWord> want(pw * static_cast<std::size_t>(planes));
         sim::pack_words(g, src, planes, want.data());
         std::vector<PlaneWord> got(pw * static_cast<std::size_t>(planes), 0xABABABABu);
-        arm->pack_words(g, src.data(), planes, got.data(), 0, g.n);
+        arm->pack_words(g, src.data(), planes, got.data());
         EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                              << " pack n=" << n << " planes=" << planes;
-
-        // Row-range splits must compose to the same result.
-        std::vector<PlaneWord> split(pw * static_cast<std::size_t>(planes), 0x5555u);
-        const std::size_t mid = g.n / 2;
-        arm->pack_words(g, src.data(), planes, split.data(), mid, g.n);
-        arm->pack_words(g, src.data(), planes, split.data(), 0, mid);
-        EXPECT_EQ(want, split);
       }
     }
   }
@@ -323,9 +305,8 @@ TEST(PlaneKernels, PackWordsMatchesSimOracle) {
 
 // The segmented fill (one row-bus broadcast) of every arm against the
 // scalar arm: values and driven planes over every row, both topologies and
-// both row directions, for Open densities from none to all, and row-range
-// splits composing to the whole cycle (the pool chunks on rows). Every
-// output word must be overwritten, pads included.
+// both row directions, for Open densities from none to all. Every output
+// word must be overwritten, pads included.
 TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
   util::Rng rng(0xE7'0005);
   const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
@@ -352,16 +333,12 @@ TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
               std::vector<PlaneWord> want(total), want_driven(pw), scratch(2 * pw);
               scalar.segmented_fill(g, topology, dir, src.data(), planes, open.data(),
                                     full.data(), want.data(), want_driven.data(),
-                                    scratch.data(), 0, n);
+                                    scratch.data());
               std::vector<PlaneWord> got(total, ~PlaneWord{0});
               std::vector<PlaneWord> got_driven(pw, ~PlaneWord{0});
-              const std::size_t mid = n / 3;
               arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
                                   full.data(), got.data(), got_driven.data(),
-                                  scratch.data(), mid, n);
-              arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
-                                  full.data(), got.data(), got_driven.data(),
-                                  scratch.data(), 0, mid);
+                                  scratch.data());
               const auto what = [&] {
                 return std::string(sim::plane_kernels::variant_name(arm->variant)) +
                        " n=" + std::to_string(n) + " density=" + std::to_string(density) +
@@ -410,13 +387,10 @@ TEST(PlaneKernels, SegmentedOrMatchesScalarArm) {
           for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
             std::vector<PlaneWord> want(pw);
             scalar.segmented_or(g, topology, dir, src.data(), open.data(), full.data(),
-                                want.data(), 0, n);
+                                want.data());
             std::vector<PlaneWord> got(pw, ~PlaneWord{0});
-            const std::size_t mid = n / 3;
             arm->segmented_or(g, topology, dir, src.data(), open.data(), full.data(),
-                              got.data(), mid, n);
-            arm->segmented_or(g, topology, dir, src.data(), open.data(), full.data(),
-                              got.data(), 0, mid);
+                              got.data());
             ASSERT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                                  << " n=" << n << " layout=" << layout
                                  << (topology == sim::BusTopology::Ring ? " ring" : " linear")
@@ -428,7 +402,10 @@ TEST(PlaneKernels, SegmentedOrMatchesScalarArm) {
   }
 }
 
-TEST(PlaneKernelsAlu, PooledSweepsAreBitIdenticalAcrossThreadCounts) {
+// PlaneAlu is the kernel call plus its throughput bill: each op runs the
+// dispatched kernel once over the whole operand and bills one dispatch
+// with the op's full word footprint.
+TEST(PlaneKernelsAlu, EachOpIsOneBilledKernelCall) {
   util::Rng rng(0xE7'0004);
   const PlaneGeometry g{130};
   const std::size_t pw = g.plane_words();
@@ -440,26 +417,27 @@ TEST(PlaneKernelsAlu, PooledSweepsAreBitIdenticalAcrossThreadCounts) {
   for (auto& v : src) v = static_cast<sim::Word>(rng.next() & 0xFFFFu);
 
   const PlaneKernels& k = sim::plane_kernels::active();
-  PlaneAlu inline_alu(k, nullptr, static_cast<std::size_t>(-1));
-  std::vector<PlaneWord> ref_add(pw * h), ref_lt(pw), ref_eq(pw),
-      ref_pack(pw * h);
-  inline_alu.add_sat(a.data(), b.data(), h, pw, full.data(), ref_add.data());
-  inline_alu.compare_lt(a.data(), b.data(), h, pw, full.data(), ref_lt.data(),
-                        ref_eq.data());
-  inline_alu.pack_words(g, src.data(), h, ref_pack.data());
+  std::vector<PlaneWord> want_add(pw * h), want_lt(pw), want_eq(pw), want_pack(pw * h);
+  k.add_sat(a.data(), b.data(), h, pw, full.data(), want_add.data());
+  k.compare_lt(a.data(), b.data(), h, pw, full.data(), want_lt.data(), want_eq.data());
+  k.pack_words(g, src.data(), h, want_pack.data());
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    util::ThreadPool pool(workers);
-    PlaneAlu alu(k, &pool, 1);  // min_words=1: always chunk
-    std::vector<PlaneWord> add(pw * h, 1), lt(pw, 1), eq(pw, 1), pack(pw * h, 1);
-    alu.add_sat(a.data(), b.data(), h, pw, full.data(), add.data());
-    alu.compare_lt(a.data(), b.data(), h, pw, full.data(), lt.data(), eq.data());
-    alu.pack_words(g, src.data(), h, pack.data());
-    EXPECT_EQ(ref_add, add) << "workers=" << workers;
-    EXPECT_EQ(ref_lt, lt) << "workers=" << workers;
-    EXPECT_EQ(ref_eq, eq) << "workers=" << workers;
-    EXPECT_EQ(ref_pack, pack) << "workers=" << workers;
-  }
+  sim::plane_kernels::SweepStats stats;
+  const sim::plane_kernels::PlaneAlu alu(k, &stats);
+  std::vector<PlaneWord> add(pw * h, 1), lt(pw, 1), eq(pw, 1), pack(pw * h, 1), both(pw, 1);
+  alu.add_sat(a.data(), b.data(), h, pw, full.data(), add.data());
+  alu.compare_lt(a.data(), b.data(), h, pw, full.data(), lt.data(), eq.data());
+  alu.pack_words(g, src.data(), h, pack.data());
+  alu.op_and(a.data(), b.data(), both.data(), pw);
+  EXPECT_EQ(want_add, add);
+  EXPECT_EQ(want_lt, lt);
+  EXPECT_EQ(want_eq, eq);
+  EXPECT_EQ(want_pack, pack);
+  EXPECT_EQ(stats.dispatches, 4u);
+  EXPECT_EQ(stats.words, 3 * pw * h + pw);
+  // Early-exit scans are not billed.
+  EXPECT_FALSE(alu.all_zero(full.data(), pw));
+  EXPECT_EQ(stats.dispatches, 4u);
 }
 
 }  // namespace

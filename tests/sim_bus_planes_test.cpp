@@ -4,17 +4,18 @@
 // flags AND max_segment — the latter is load-bearing for the step-counter
 // contract between the two execution backends. Sides straddle the 64-lane
 // word boundary on purpose (63 / 64 / 65, and 130 = 2 words + 2 lanes).
+// Every cycle runs inline; a fresh PlaneBusScratch per call is the cold
+// resolver, one block kept across calls the warm one (the column plan
+// cache included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "sim/bus.hpp"
 #include "sim/bus_planes.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::sim {
 namespace {
@@ -69,9 +70,10 @@ TEST_P(BusPlaneFuzz, BroadcastMatchesWordEngine) {
     std::vector<PlaneWord> driven_plane(pw, ~PlaneWord{0});
     pack_words(g, src, planes, src_planes.data());
     pack_flags(g, open, open_plane.data());
+    PlaneBusScratch scratch;
     const std::size_t got_segment =
         plane_broadcast_into(g, topology, dir, src_planes.data(), planes, open_plane.data(),
-                             out_planes.data(), driven_plane.data());
+                             out_planes.data(), driven_plane.data(), scratch);
 
     ASSERT_EQ(got_segment, want_segment)
         << "n=" << n << " dir=" << name_of(dir) << " round=" << round;
@@ -125,21 +127,14 @@ void pin_edge_lines(std::size_t n, Direction dir, std::vector<Flag>& open) {
 // one shared position — 0, 63, 64 and n - 1, so whole vectors of lines
 // share a shape, and one of the ends is each line's flow head (the solver
 // shape) and the other its flow tail. Each configuration
-// runs three ways: self-allocating, through one scratch block shared by
-// every call of the test, and chunked over a thread pool with
-// min_words = 1.
+// runs twice: cold, through a fresh scratch block, and warm, through one
+// scratch block shared by every call of the test.
 TEST_P(BusPlaneFuzz, WiredOrMatchesWordEngine) {
   const auto [n, seed, density] = GetParam();
   const PlaneGeometry g(n);
   const std::size_t pw = g.plane_words();
   util::Rng rng(seed ^ 0xF00D);
-  PlaneBusScratch scratch;
-  util::ThreadPool pool(2);
-  const PlaneBusExec execs[] = {
-      {},
-      {nullptr, static_cast<std::size_t>(-1), &scratch},
-      {&pool, 1, &scratch},
-  };
+  PlaneBusScratch warm;
   // Shared Open positions (column of a row line, row of a column line);
   // kRandom is the random layout.
   constexpr std::size_t kRandom = static_cast<std::size_t>(-1);
@@ -179,16 +174,17 @@ TEST_P(BusPlaneFuzz, WiredOrMatchesWordEngine) {
           std::vector<PlaneWord> open_plane(pw);
           pack_flags(g, src, src_plane.data());
           pack_flags(g, open, open_plane.data());
-          for (std::size_t e = 0; e < std::size(execs); ++e) {
+          for (const bool cold : {true, false}) {
+            PlaneBusScratch fresh;
             std::vector<PlaneWord> out_plane(pw, ~PlaneWord{0});  // must be overwritten
             const std::size_t got_segment =
                 plane_wired_or_into(g, topology, dir, src_plane.data(), open_plane.data(),
-                                    out_plane.data(), execs[e]);
+                                    out_plane.data(), cold ? fresh : warm);
             const auto where = [&] {
               return "n=" + std::to_string(n) + " dir=" + std::string(name_of(dir)) +
                      (topology == BusTopology::Ring ? " ring" : " linear") + " layout=" +
                      (shared == kRandom ? std::string("random") : std::to_string(shared)) +
-                     " round=" + std::to_string(round) + " exec=" + std::to_string(e);
+                     " round=" + std::to_string(round) + (cold ? " cold" : " warm");
             };
             ASSERT_EQ(got_segment, want_segment) << where();
             std::vector<Flag> got_values(n * n);
@@ -261,7 +257,6 @@ TEST_P(BusPlaneFuzz, CachedBroadcastMatchesColdOnRepeats) {
   const std::size_t pw = g.plane_words();
   util::Rng rng(seed ^ 0xBEEF);
   PlaneBusScratch scratch;  // persists across all configurations below
-  const PlaneBusExec exec{nullptr, static_cast<std::size_t>(-1), &scratch};
 
   for (int config = 0; config < 3; ++config) {
     for (Direction dir : {Direction::East, Direction::West, Direction::South,
@@ -289,7 +284,7 @@ TEST_P(BusPlaneFuzz, CachedBroadcastMatchesColdOnRepeats) {
             std::vector<PlaneWord> driven(pw, ~PlaneWord{0});
             const std::size_t got_segment =
                 plane_broadcast_into(g, topology, dir, src_planes.data(), planes,
-                                     open_plane.data(), out.data(), driven.data(), exec);
+                                     open_plane.data(), out.data(), driven.data(), scratch);
 
             const auto where = [&] {
               return "n=" + std::to_string(n) + " dir=" + std::string(name_of(dir)) +
@@ -330,10 +325,9 @@ TEST(BroadcastPlanCache, CountsHitsAfterSecondSight) {
   for (std::size_t i = 0; i < src.size(); ++i) src[i] = i * 0x9E3779B97F4A7C15ull;
   for (std::size_t w = 0; w < g.row_words; ++w) open[5 * g.row_words + w] = g.word_mask(w);
   PlaneBusScratch scratch;
-  const PlaneBusExec exec{nullptr, static_cast<std::size_t>(-1), &scratch};
   for (int call = 0; call < 5; ++call) {
     plane_broadcast_into(g, BusTopology::Ring, Direction::South, src.data(), planes,
-                         open.data(), out.data(), driven.data(), exec);
+                         open.data(), out.data(), driven.data(), scratch);
   }
   EXPECT_EQ(scratch.broadcast_plans.hits, 3u);
   EXPECT_EQ(scratch.broadcast_plans.misses, 2u);

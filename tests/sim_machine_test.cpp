@@ -125,6 +125,20 @@ TEST(Machine, HostThreadsProduceIdenticalResults) {
   EXPECT_EQ(run(1), run(4));
 }
 
+// host_threads is a word-backend knob: the bit-plane backend runs every
+// plane sweep and bus cycle inline, so it builds no pool at all.
+TEST(Machine, BitPlaneMachineBuildsNoHostPool) {
+  auto cfg = config_of(8);
+  cfg.host_threads = 4;
+  cfg.backend = ExecBackend::BitPlane;
+  Machine bitplane(cfg);
+  EXPECT_EQ(bitplane.host_pool(), nullptr);
+  cfg.backend = ExecBackend::Words;
+  Machine words(cfg);
+  ASSERT_NE(words.host_pool(), nullptr);
+  EXPECT_EQ(words.host_pool()->worker_count(), 4u);
+}
+
 TEST(Machine, RingVersusLinearTopologyConfig) {
   auto cfg = config_of(4);
   cfg.topology = BusTopology::Linear;

@@ -90,14 +90,5 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
   EXPECT_EQ(total.load(), 5000);
 }
 
-TEST(ThreadPool, SharedPoolExists) {
-  ThreadPool& shared = ThreadPool::shared();
-  std::atomic<int> touched{0};
-  shared.parallel_for(17, [&](std::size_t begin, std::size_t end) {
-    touched += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(touched.load(), 17);
-}
-
 }  // namespace
 }  // namespace ppa::util
