@@ -248,27 +248,36 @@ std::size_t column_max_segment(const PlaneGeometry& g, BusTopology topology, Dir
   return max_segment;
 }
 
+/// What column-broadcast pass 1 derives beyond its per-row masks.
+struct ColumnPass1 {
+  std::size_t k_stop = 0;      // flow rows the ring wrap reaches (0 on a linear bus)
+  bool single_driver = false;  // no column line has two Open switches
+};
+
 /// Column-broadcast pass 1, from the switches alone: have_k[k * rw + w] is
 /// the driven mask of flow row k (the lanes that saw an Open switch
 /// strictly upstream), pend_k the ring's wrap-carry mask per row; `driven`
-/// gets both. Returns the number of flow rows the wrap reaches (0 on a
-/// linear bus).
-std::size_t column_pass1(const PlaneGeometry& g, BusTopology topology, Direction dir,
+/// gets both. Its upstream-OR doubles as the single-driver test: a lane
+/// Open downstream of an earlier Open lane marks a line with two drivers.
+ColumnPass1 column_pass1(const PlaneGeometry& g, BusTopology topology, Direction dir,
                          const PlaneWord* open, PlaneWord* driven, PlaneWord* have_k,
                          PlaneWord* pend_k, PlaneWord* state) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
   std::fill(state, state + rw, PlaneWord{0});
+  PlaneWord second_open = 0;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t base = flow_row(n, dir, k) * rw;
     for (std::size_t w = 0; w < rw; ++w) {
       const PlaneWord ow = open[base + w];
       have_k[k * rw + w] = state[w];
       driven[base + w] = state[w];
+      second_open |= state[w] & ow;
       state[w] |= ow;
     }
   }
-  std::size_t k_stop = 0;
+  ColumnPass1 pass1;
+  pass1.single_driver = second_open == 0;
   if (topology == BusTopology::Ring) {
     // Wrap: every lane's prefix through its FIRST Open row reads the
     // signal carried around from its LAST Open row.
@@ -283,10 +292,10 @@ std::size_t column_pass1(const PlaneGeometry& g, BusTopology topology, Direction
         state[w] &= ~ow;
       }
       if (alive == 0) break;
-      k_stop = k + 1;
+      pass1.k_stop = k + 1;
     }
   }
-  return k_stop;
+  return pass1;
 }
 
 /// Column-broadcast pass 2: carry the latest driver word down the flow,
@@ -318,8 +327,21 @@ void column_pass2(const PlaneGeometry& g, Direction dir, const PlaneWord* src, i
   }
 }
 
+/// The values of one column broadcast, from `driven` and the pass-1
+/// products: the dispatched column fill when every line has at most one
+/// driver, pass 2 otherwise. Both give the same values.
+void column_values(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,
+                   const PlaneWord* open, PlaneWord* out, const PlaneWord* driven,
+                   const PlaneWord* have_k, const PlaneWord* pend_k, ColumnPass1 pass1) {
+  if (pass1.single_driver) {
+    plane_kernels::active().column_fill(g, src, planes, open, driven, out);
+  } else {
+    column_pass2(g, dir, src, planes, open, out, have_k, pend_k, pass1.k_stop);
+  }
+}
+
 /// Recording miss path: pass 1 writing its per-row products straight into
-/// `plan`, then pass 2 — a miss costs what the plain resolver costs.
+/// `plan`, then the values — a miss costs what the plain resolver costs.
 void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direction dir,
                              const PlaneWord* src, int planes, const PlaneWord* open,
                              PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s,
@@ -334,20 +356,22 @@ void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direc
   plan.col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
   PlaneWord* have_k = plan.col_have.data();
   PlaneWord* pend_k = plan.col_pend.data();
-  plan.k_stop = column_pass1(g, topology, dir, open, driven, have_k, pend_k,
-                             grown(s.lane_a, rw));
-  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, plan.k_stop);
+  const ColumnPass1 pass1 =
+      column_pass1(g, topology, dir, open, driven, have_k, pend_k, grown(s.lane_a, rw));
+  plan.k_stop = pass1.k_stop;
+  plan.single_driver = pass1.single_driver;
+  column_values(g, dir, src, planes, open, out, driven, have_k, pend_k, pass1);
   plan.driven.assign(driven, driven + g.plane_words());
   plan.max_segment = column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
 }
 
-/// Executes one column broadcast from a resolved plan: pass 2 only.
+/// Executes one column broadcast from a resolved plan: the values only.
 void column_broadcast_exec(const PlaneGeometry& g, const BroadcastPlan& plan,
                            Direction dir, const PlaneWord* src, int planes,
                            PlaneWord* out, PlaneWord* driven) {
   std::copy(plan.driven.begin(), plan.driven.end(), driven);
-  column_pass2(g, dir, src, planes, plan.open.data(), out, plan.col_have.data(),
-               plan.col_pend.data(), plan.k_stop);
+  column_values(g, dir, src, planes, plan.open.data(), out, driven, plan.col_have.data(),
+                plan.col_pend.data(), {plan.k_stop, plan.single_driver});
 }
 
 std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
@@ -369,9 +393,9 @@ std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direc
 
   PlaneWord* have_k = grown(s.per_k_a, n * rw);
   PlaneWord* pend_k = grown(s.per_k_b, n * rw);
-  const std::size_t k_stop =
+  const ColumnPass1 pass1 =
       column_pass1(g, topology, dir, open, driven, have_k, pend_k, grown(s.lane_a, rw));
-  column_pass2(g, dir, src, planes, open, out, have_k, pend_k, k_stop);
+  column_values(g, dir, src, planes, open, out, driven, have_k, pend_k, pass1);
   return column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
 }
 

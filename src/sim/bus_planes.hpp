@@ -21,10 +21,18 @@
 // and is one any() per row.
 // max_segment comes from the open plane alone (row_max_segment).
 // Column buses (South/North) are resolved 64 lines at a time with vertical
-// scans whose inner loop runs across the row's words; column broadcasts
-// memoize the switch-only half of that scan in an 8-deep LRU plan cache
-// (BroadcastPlanCache), so a repeat configuration runs only the per-plane
-// pass — results and max_segment are identical either way.
+// scans whose inner loop runs across the row's words. A column broadcast
+// runs a switch-only pass first (the driven plane, the ring's wrap carries,
+// and whether any column line has two Open switches), then the values:
+// when every line has at most one driver, through the dispatched
+// column_fill kernel (an OR-gather of src & open over the rows and a
+// replicate of that driver row under the driven plane, two whole-plane
+// sweeps); otherwise through a per-row select chain per (plane, word
+// column). The solver's column broadcasts (carrier row, diagonal) are all
+// single-driver; only stuck-switch faults give a line two drivers. An
+// 8-deep LRU plan cache (BroadcastPlanCache) memoizes the switch-only
+// pass, so a repeat configuration runs only the values — results and
+// max_segment are identical on every path.
 //
 // Every entry point runs its cycle inline on the caller's thread, one
 // cycle per call, and takes the PlaneBusScratch that keeps the resolvers
@@ -41,8 +49,9 @@ namespace ppa::sim {
 
 /// Memoized decomposition of one column BROADCAST switch configuration.
 /// Everything a column broadcast cycle derives from the switches alone is
-/// cached: the driven plane, the max_segment, and the vertical-scan
-/// products.
+/// cached: the driven plane, the max_segment, the single-driver flag that
+/// picks the column fill over the select chain, and the chain's per-row
+/// scan products (recorded whichever path the flag picks).
 struct BroadcastPlan {
   // Key: exact switch configuration. n == 0 marks an empty slot.
   std::vector<PlaneWord> open;
@@ -57,6 +66,8 @@ struct BroadcastPlan {
   std::vector<PlaneWord> col_have;
   std::vector<PlaneWord> col_pend;
   std::size_t k_stop = 0;
+  // No column line has two Open switches: the cycle runs the column fill.
+  bool single_driver = false;
 };
 
 /// 8-deep LRU cache of column broadcast decompositions. The

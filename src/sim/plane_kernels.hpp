@@ -1,5 +1,5 @@
-// Runtime-dispatched SIMD kernel table for the bit-plane ALU and the row
-// buses (broadcast and wired-OR).
+// Runtime-dispatched SIMD kernel table for the bit-plane ALU, the row
+// buses (broadcast and wired-OR) and single-driver column broadcasts.
 //
 // A table of function pointers filled per SIMD variant (scalar / AVX2 /
 // AVX-512), selected once per process from what the build compiled in and
@@ -8,8 +8,8 @@
 // controller thread, never split over host threads (host parallelism
 // comes from whole destinations and batches, one level up).
 // tests/ppc_plane_kernels_test.cpp
-// fuzzes every arm against plain word loops, and the segmented fill and
-// segmented OR of every arm against the scalar arm (which
+// fuzzes every arm against plain word loops, and the segmented fill,
+// segmented OR and column fill of every arm against the scalar arm (which
 // tests/sim_bus_planes_test.cpp holds to the word-engine bus, sim/bus.cpp).
 //
 // Dispatch order:
@@ -95,6 +95,17 @@ struct PlaneKernels {
   void (*segmented_or)(const sim::PlaneGeometry& g, sim::BusTopology topology,
                        sim::Direction dir, const PlaneWord* src, const PlaneWord* open,
                        const PlaneWord* full, PlaneWord* out) noexcept = nullptr;
+
+  /// One column-bus broadcast cycle (dir South or North) on `planes` src
+  /// planes, for a switch configuration with at most one Open switch per
+  /// column line: every driven lane reads its line's one driver, so per
+  /// plane the cycle is an OR-gather of src & open over the rows and a
+  /// replicate of that word row under `driven` (the chain resolver's pass
+  /// 1 product, which carries the direction and topology). Fully
+  /// overwrites `out`; pads stay 0 when `driven`'s are.
+  void (*column_fill)(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
+                      const PlaneWord* open, const PlaneWord* driven,
+                      PlaneWord* out) noexcept = nullptr;
 };
 
 /// The scalar arm (always compiled; the dispatch fallback).

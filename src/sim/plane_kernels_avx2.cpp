@@ -108,6 +108,7 @@ const PlaneKernels* avx2_table() noexcept {
     t.pack_words = pack_words_avx2;
     t.segmented_fill = detail::t_segmented_fill<VecAvx2>;
     t.segmented_or = detail::t_segmented_or<VecAvx2>;
+    t.column_fill = detail::t_column_fill<VecAvx2>;
     return t;
   }();
   return &table;

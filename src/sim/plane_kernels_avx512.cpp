@@ -26,10 +26,13 @@ struct VecAvx512 {
   static reg xor_(reg a, reg b) noexcept { return _mm512_xor_si512(a, b); }
   // _mm512_andnot_si512(a, b) computes ~a & b; our contract is a & ~b.
   static reg andnot(reg a, reg b) noexcept { return _mm512_andnot_si512(b, a); }
+  // The maskz forms with an all-ones mask are the same instruction; the
+  // plain forms pass GCC an _mm512_undefined_epi32() source that
+  // -Wuninitialized flags.
   template <int D>
-  static reg shl(reg a) noexcept { return _mm512_slli_epi64(a, D); }
+  static reg shl(reg a) noexcept { return _mm512_maskz_slli_epi64(0xFF, a, D); }
   template <int D>
-  static reg shr(reg a) noexcept { return _mm512_srli_epi64(a, D); }
+  static reg shr(reg a) noexcept { return _mm512_maskz_srli_epi64(0xFF, a, D); }
   static reg srlv(reg a, reg count) noexcept { return _mm512_srlv_epi64(a, count); }
   static reg sub(reg a, reg b) noexcept { return _mm512_sub_epi64(a, b); }
   static reg set1(sim::PlaneWord v) noexcept {
@@ -101,6 +104,7 @@ const PlaneKernels* avx512_table() noexcept {
     t.pack_words = pack_words_avx512;
     t.segmented_fill = detail::t_segmented_fill<VecAvx512>;
     t.segmented_or = detail::t_segmented_or<VecAvx512>;
+    t.column_fill = detail::t_column_fill<VecAvx512>;
     return t;
   }();
   return &table;

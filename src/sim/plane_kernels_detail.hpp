@@ -14,7 +14,7 @@
 // The bodies below keep all loop-carried state (ripple carry, the
 // MSB-first lt/eq pair, the saturation mask) in registers; the only
 // memory traffic is the operand planes themselves. Every multi-plane
-// kernel iterates the WORD index outermost and the plane index inside,
+// ALU kernel iterates the WORD index outermost and the plane index inside,
 // so its body runs on any [begin, end) word sub-range: the table entry
 // covers [0, pw) and hands the ragged tail to the scalar instantiation.
 //
@@ -637,6 +637,98 @@ void t_segmented_or(const sim::PlaneGeometry& g, sim::BusTopology topology,
     t_or_rows<V, true>(g, ring, src, open, full, out);
   } else {
     t_or_rows<V, false>(g, ring, src, open, full, out);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Column fill: one column-bus broadcast cycle (South / North) for a switch
+// configuration with at most one Open switch per column line. A driven lane
+// then reads its line's one driver whatever the direction and topology
+// (those only decide which lanes are driven, and the caller's driven plane
+// already says that), so per plane the cycle is an OR-gather of src & open
+// over the rows — one driver word per word column — and a replicate of
+// that word row under the driven plane: two whole-plane sweeps with no
+// serial dependency over the rows.
+//
+// Rows of 1, 2, 4 or 8 words tile an 8-word block exactly, so such planes
+// are swept flat in 8-word blocks: the gather ORs every block into one
+// accumulator block, whose word k belongs to word column k mod row_words,
+// and the replicate ANDs the folded driver row, repeated across a block,
+// into every block. Any other row width is swept row by row.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kFillBlock = 8;
+
+template <class V>
+void t_column_fill_flat(std::size_t rw, std::size_t pw, const PlaneWord* src, int planes,
+                        const PlaneWord* open, const PlaneWord* driven,
+                        PlaneWord* out) noexcept {
+  constexpr std::size_t kRegs = kFillBlock / V::W;
+  const std::size_t body = pw - pw % kFillBlock;
+  for (int j = 0; j < planes; ++j) {
+    const PlaneWord* s = src + static_cast<std::size_t>(j) * pw;
+    PlaneWord* o = out + static_cast<std::size_t>(j) * pw;
+    typename V::reg acc[kRegs];
+    for (std::size_t q = 0; q < kRegs; ++q) acc[q] = V::zero();
+    for (std::size_t i = 0; i < body; i += kFillBlock) {
+      for (std::size_t q = 0; q < kRegs; ++q) {
+        const std::size_t k = i + q * V::W;
+        acc[q] = V::or_(acc[q], V::and_(V::load(s + k), V::load(open + k)));
+      }
+    }
+    PlaneWord block[kFillBlock];
+    for (std::size_t q = 0; q < kRegs; ++q) V::store(block + q * V::W, acc[q]);
+    // The driver row, folded from the block and the ragged tail, then
+    // repeated across a whole block.
+    PlaneWord line[kFillBlock] = {};
+    for (std::size_t k = 0; k < kFillBlock; ++k) line[k % rw] |= block[k];
+    for (std::size_t i = body; i < pw; ++i) line[i % rw] |= s[i] & open[i];
+    for (std::size_t k = rw; k < kFillBlock; ++k) line[k] = line[k % rw];
+    for (std::size_t q = 0; q < kRegs; ++q) acc[q] = V::load(line + q * V::W);
+    for (std::size_t i = 0; i < body; i += kFillBlock) {
+      for (std::size_t q = 0; q < kRegs; ++q) {
+        const std::size_t k = i + q * V::W;
+        V::store(o + k, V::and_(acc[q], V::load(driven + k)));
+      }
+    }
+    for (std::size_t i = body; i < pw; ++i) o[i] = line[i % rw] & driven[i];
+  }
+}
+
+/// Any row width: the gather builds the driver row in the output plane's
+/// first row, which the replicate rewrites last.
+template <class V>
+void t_column_fill_rows(std::size_t n, std::size_t rw, std::size_t pw, const PlaneWord* src,
+                        int planes, const PlaneWord* open, const PlaneWord* driven,
+                        PlaneWord* out) noexcept {
+  for (int j = 0; j < planes; ++j) {
+    const PlaneWord* s = src + static_cast<std::size_t>(j) * pw;
+    PlaneWord* o = out + static_cast<std::size_t>(j) * pw;
+    PlaneWord* line = o;
+    for (std::size_t w = 0; w < rw; ++w) line[w] = s[w] & open[w];
+    for (std::size_t base = rw; base < n * rw; base += rw) {
+      std::size_t w = 0;
+      for (; w + V::W <= rw; w += V::W) {
+        V::store(line + w, V::or_(V::load(line + w),
+                                  V::and_(V::load(s + base + w), V::load(open + base + w))));
+      }
+      for (; w < rw; ++w) line[w] |= s[base + w] & open[base + w];
+    }
+    for (std::size_t base = rw; base < n * rw; base += rw) {
+      t_op_and<V>(line, driven + base, o + base, rw);
+    }
+    t_op_and<V>(line, driven, line, rw);
+  }
+}
+
+/// The kernel-table entry. `out` must not alias `src`.
+template <class V>
+void t_column_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
+                   const PlaneWord* open, const PlaneWord* driven, PlaneWord* out) noexcept {
+  if (kFillBlock % g.row_words == 0) {
+    t_column_fill_flat<V>(g.row_words, g.plane_words(), src, planes, open, driven, out);
+  } else {
+    t_column_fill_rows<V>(g.n, g.row_words, g.plane_words(), src, planes, open, driven, out);
   }
 }
 

@@ -30,6 +30,7 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.pack_words = detail::pack_words_scalar;
     t.segmented_fill = detail::t_segmented_fill<VecScalar>;
     t.segmented_or = detail::t_segmented_or<VecScalar>;
+    t.column_fill = detail::t_column_fill<VecScalar>;
     return t;
   }();
   return table;

@@ -126,7 +126,9 @@ TEST_P(GeneratorSeeds, RingOfCliquesStructure) {
     const Vertex base = static_cast<Vertex>(k * size);
     for (Vertex a = 0; a < size; ++a) {
       for (Vertex b = 0; b < size; ++b) {
-        if (a != b) EXPECT_TRUE(g.has_edge(base + a, base + b)) << k;
+        if (a != b) {
+          EXPECT_TRUE(g.has_edge(base + a, base + b)) << k;
+        }
       }
     }
     // Gateway: last slot of clique k -> first slot of clique k+1 (wrap).

@@ -1,6 +1,6 @@
 // Differential fuzz of every compiled SIMD kernel arm against plain word
 // loops written out below (and sim::pack_words for the pack kernel; the
-// segmented fill and segmented OR against the scalar arm, which
+// segmented fill, segmented OR and column fill against the scalar arm, which
 // tests/sim_bus_planes_test.cpp holds to bus.cpp). Every kernel call
 // covers the whole array. Geometries deliberately include ragged tails (n
 // not a multiple of 64, plane_words not a multiple of the vector width),
@@ -395,6 +395,55 @@ TEST(PlaneKernels, SegmentedOrMatchesScalarArm) {
                                  << " n=" << n << " layout=" << layout
                                  << (topology == sim::BusTopology::Ring ? " ring" : " linear")
                                  << " " << sim::name_of(dir);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The column fill (one single-driver column broadcast) of every arm against
+// the scalar arm, on row widths that take the flat 8-word blocks (1, 2, 4
+// words) with and without a ragged tail, and a width that takes the row
+// loop (3 words). Open layouts: one random row per column with about 1/8 of
+// the columns empty (the single-driver shape), then random switches at
+// density 0.3 (the kernel's arithmetic is defined for any open plane).
+// Every output word must be overwritten and every pad must read 0.
+TEST(PlaneKernels, ColumnFillMatchesScalarArm) {
+  util::Rng rng(0xE7'0007);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, std::size_t{96}, std::size_t{128},
+                                std::size_t{130}, std::size_t{256}}) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      for (const bool single : {true, false}) {
+        std::vector<PlaneWord> open(pw);
+        for (std::size_t c = 0; c < n; ++c) {
+          const std::size_t row = rng.chance(0.125) ? n : static_cast<std::size_t>(rng.below(n));
+          for (std::size_t r = 0; r < n; ++r) {
+            if (single ? r == row : rng.chance(0.3)) {
+              open[g.word_of(r, c)] |= PlaneWord{1} << g.bit_of(c);
+            }
+          }
+        }
+        const auto driven = random_planes(rng, g, 1);
+        for (const int planes : {1, 16, 32}) {
+          const auto src = random_planes(rng, g, planes);
+          const std::size_t total = pw * static_cast<std::size_t>(planes);
+          std::vector<PlaneWord> want(total, ~PlaneWord{0});
+          scalar.column_fill(g, src.data(), planes, open.data(), driven.data(), want.data());
+          std::vector<PlaneWord> got(total, ~PlaneWord{0});
+          arm->column_fill(g, src.data(), planes, open.data(), driven.data(), got.data());
+          const auto what = [&] {
+            return std::string(sim::plane_kernels::variant_name(arm->variant)) +
+                   " n=" + std::to_string(n) + (single ? " single" : " random") +
+                   " planes=" + std::to_string(planes);
+          };
+          ASSERT_EQ(want, got) << what();
+          for (std::size_t i = 0; i < total; ++i) {
+            ASSERT_EQ(got[i] & ~g.word_mask(i % g.row_words), 0u) << what() << " word " << i;
           }
         }
       }

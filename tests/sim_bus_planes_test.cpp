@@ -314,6 +314,123 @@ TEST_P(BusPlaneFuzz, CachedBroadcastMatchesColdOnRepeats) {
   EXPECT_GE(scratch.broadcast_plans.hits, 2u);
 }
 
+// Switch shapes with at most one Open switch per column line — the
+// solver's column broadcasts — which a column broadcast resolves with the
+// column fill instead of the per-row chain, and one shape that puts a
+// second Open switch on one column line, which must fall back to the chain.
+enum class ColumnShape {
+  Diagonal,
+  AntiDiagonal,
+  CarrierFirst,   // every switch of the first flow row Open
+  CarrierMiddle,  // ... of the middle flow row
+  CarrierLast,    // ... of the last flow row
+  RandomRow,      // one random row per column, about 1/8 of the columns empty
+  MultiOpen,      // RandomRow plus a second Open switch on column 0
+};
+
+std::vector<Flag> column_shape(std::size_t n, Direction dir, ColumnShape shape,
+                               util::Rng& rng) {
+  std::vector<Flag> open(n * n, Flag{0});
+  const auto flow_row = [&](std::size_t k) { return dir == Direction::North ? n - 1 - k : k; };
+  for (std::size_t c = 0; c < n; ++c) {
+    std::size_t r = n;  // n: the column stays empty
+    switch (shape) {
+      case ColumnShape::Diagonal: r = c; break;
+      case ColumnShape::AntiDiagonal: r = n - 1 - c; break;
+      case ColumnShape::CarrierFirst: r = flow_row(0); break;
+      case ColumnShape::CarrierMiddle: r = flow_row(n / 2); break;
+      case ColumnShape::CarrierLast: r = flow_row(n - 1); break;
+      case ColumnShape::RandomRow:
+      case ColumnShape::MultiOpen:
+        if (!rng.chance(0.125)) r = static_cast<std::size_t>(rng.below(n));
+        break;
+    }
+    if (r < n) open[r * n + c] = Flag{1};
+  }
+  if (shape == ColumnShape::MultiOpen) {
+    open[0] = Flag{1};
+    open[(n - 1) * n] = Flag{1};
+  }
+  return open;
+}
+
+// Every single-driver shape, and the multi-Open fallback, must match the
+// word oracle bus.cpp in values, driven flags and max_segment, with zero
+// pads, in all four directions on both topologies, for 1-, 11-, 16- and
+// 32-plane registers: through a fresh scratch (the plain path) and through
+// one scratch shared by the four register widths of a configuration (plain
+// on first sight, then record, then hits). The plan recorded for a column
+// configuration must carry the single-driver flag exactly when no column
+// line has two Open switches.
+TEST_P(BusPlaneFuzz, SingleDriverColumnBroadcastMatchesWordEngine) {
+  const auto [n, seed, density] = GetParam();
+  (void)density;
+  const PlaneGeometry g(n);
+  const std::size_t pw = g.plane_words();
+  util::Rng rng(seed ^ 0xD21E);
+  for (const ColumnShape shape :
+       {ColumnShape::Diagonal, ColumnShape::AntiDiagonal, ColumnShape::CarrierFirst,
+        ColumnShape::CarrierMiddle, ColumnShape::CarrierLast, ColumnShape::RandomRow,
+        ColumnShape::MultiOpen}) {
+    const bool multi = shape == ColumnShape::MultiOpen;
+    if (multi && n < 2) continue;
+    for (Direction dir : {Direction::East, Direction::West, Direction::South,
+                          Direction::North}) {
+      for (BusTopology topology : {BusTopology::Ring, BusTopology::Linear}) {
+        const std::vector<Flag> open = column_shape(n, dir, shape, rng);
+        std::vector<PlaneWord> open_plane(pw);
+        pack_flags(g, open, open_plane.data());
+        PlaneBusScratch shared;
+        for (const int planes : {1, 11, 16, 32}) {
+          std::vector<Word> src(n * n);
+          for (auto& v : src) v = static_cast<Word>(rng.next() >> (64 - planes));
+          std::vector<Word> want_values(n * n);
+          std::vector<Flag> want_driven(n * n);
+          const std::size_t want_segment =
+              bus_broadcast_into(n, topology, dir, src, open, want_values, want_driven);
+          std::vector<PlaneWord> src_planes(pw * static_cast<std::size_t>(planes));
+          pack_words(g, src, planes, src_planes.data());
+          for (const bool fresh : {true, false}) {
+            PlaneBusScratch cold;
+            std::vector<PlaneWord> out(pw * static_cast<std::size_t>(planes), ~PlaneWord{0});
+            std::vector<PlaneWord> driven(pw, ~PlaneWord{0});
+            const std::size_t got_segment = plane_broadcast_into(
+                g, topology, dir, src_planes.data(), planes, open_plane.data(), out.data(),
+                driven.data(), fresh ? cold : shared);
+            const auto where = [&] {
+              return "n=" + std::to_string(n) + " dir=" + std::string(name_of(dir)) +
+                     (topology == BusTopology::Ring ? " ring" : " linear") + " shape=" +
+                     std::to_string(static_cast<int>(shape)) + " planes=" +
+                     std::to_string(planes) + (fresh ? " fresh" : " shared");
+            };
+            ASSERT_EQ(got_segment, want_segment) << where();
+            std::vector<Word> got_values(n * n);
+            std::vector<Flag> got_driven(n * n);
+            unpack_words(g, out.data(), planes, got_values);
+            unpack_flags(g, driven.data(), got_driven);
+            ASSERT_EQ(got_driven, want_driven) << where();
+            ASSERT_EQ(got_values, want_values) << where();
+            for (int j = 0; j < planes; ++j) {
+              expect_pads_zero(g, out.data() + static_cast<std::size_t>(j) * pw,
+                               "single-driver broadcast");
+            }
+            expect_pads_zero(g, driven.data(), "single-driver broadcast driven");
+          }
+        }
+        if (dir == Direction::South || dir == Direction::North) {
+          EXPECT_EQ(shared.broadcast_plans.misses, 2u);
+          EXPECT_EQ(shared.broadcast_plans.hits, 2u);
+          for (const BroadcastPlan& plan : shared.broadcast_plans.slots) {
+            if (plan.n != 0) {
+              EXPECT_EQ(plan.single_driver, !multi) << "n=" << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // Pin of the second-chance policy: call 1 runs the plain resolver (first
 // sight), call 2 records a plan, calls 3..5 hit it.
 TEST(BroadcastPlanCache, CountsHitsAfterSecondSight) {
