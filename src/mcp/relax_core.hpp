@@ -10,7 +10,7 @@
 // on a p x p physical machine sweeping an n-vertex graph the carrier is
 // machine row 0. Each engine then reduces the panel rows its own way: the
 // full array with the paper's min() / selected_min() (mcp.cpp), the sweep
-// engine with its fused elimination over panel-local indices (tiled.cpp).
+// engine with ppc::fused_row_min_argmin over panel-local indices.
 //
 // Both functions issue instructions under the caller's ambient where-mask
 // and nothing else — the callers own all masking, which is what keeps the

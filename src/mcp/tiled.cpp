@@ -54,10 +54,9 @@ std::vector<Word> panel_weights(const graph::WeightMatrix& g, std::size_t p,
   const std::size_t bw = std::min(p, n - base_c);
   for (std::size_t r = 0; r < bh; ++r) {
     const std::size_t gi = base_r + r;
-    for (std::size_t c = 0; c < bw; ++c) {
-      const std::size_t gj = base_c + c;
-      cells[r * p + c] = (gi == gj) ? Word{0} : g.at(gi, gj);
-    }
+    const auto row = g.row(static_cast<graph::Vertex>(gi)).subspan(base_c, bw);
+    std::copy(row.begin(), row.end(), cells.begin() + static_cast<std::ptrdiff_t>(r * p));
+    if (gi >= base_c && gi < base_c + bw) cells[r * p + (gi - base_c)] = 0;
   }
   return cells;
 }
@@ -79,43 +78,6 @@ std::vector<Pbool> index_bit_planes(ppc::Context& ctx, std::size_t p) {
     planes.emplace_back(ctx, flags);
   }
   return planes;
-}
-
-/// The sweep's row reduction: a FUSED bit-serial min/argmin of h + idx_bits
-/// wired-OR elimination rounds, MSB-first over the candidate value bits
-/// and then the panel-local column-index bits. The controller reads each
-/// round's per-row OR line off column 0 (the row cluster spans the whole
-/// row) and reconstructs both results from it: a round whose OR finds no
-/// surviving 0 pins that result bit to 1, otherwise the bit is 0 and the
-/// candidate set narrows. One survivor per row remains — the minimum with
-/// the smallest local index, hence the smallest global one — matching
-/// panel_row_reduce's tie-break bit for bit while skipping its
-/// routing/spread broadcasts (docs/tiling.md). Padding columns hold
-/// infinity candidates and lose every value round unless the whole row is
-/// at infinity, where local index 0 wins, as the global index would.
-void fused_row_reduce(ppc::Context& ctx, const Pint& sow, const std::vector<Pbool>& index_bits,
-                      const Pbool& row_end, std::size_t rows, std::vector<Word>& min_line,
-                      std::vector<Word>& arg_line, std::vector<sim::Flag>& or_line) {
-  const auto live_rows = static_cast<std::ptrdiff_t>(rows);
-  std::fill(min_line.begin(), min_line.begin() + live_rows, Word{0});
-  std::fill(arg_line.begin(), arg_line.begin() + live_rows, Word{0});
-  Pbool enable(ctx, true);
-  const auto round = [&](const Pbool& bit_set, int j, std::vector<Word>& out) {
-    const Pbool probe = enable & !bit_set;
-    const Pbool some = ppc::bus_or(probe, Direction::West, row_end);
-    some.read_column(0, or_line);
-    for (std::size_t r = 0; r < rows; ++r) {
-      out[r] |= static_cast<Word>(or_line[r] ^ 1u) << j;
-    }
-    ppc::where(ctx, some, [&] { enable = probe; });
-  };
-  for (int j = static_cast<int>(ctx.field().bits()) - 1; j >= 0; --j) {
-    round(sow.bit(j), j, min_line);
-  }
-  const int idx_bits = static_cast<int>(index_bits.size());
-  for (int j = idx_bits - 1; j >= 0; --j) {
-    round(index_bits[static_cast<std::size_t>(idx_bits - 1 - j)], j, arg_line);
-  }
 }
 
 }  // namespace
@@ -249,7 +211,6 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   auto relax_span = std::make_optional(obs::open_span(observer, "relax", &machine));
   std::vector<Word> sow_row(p);
   std::vector<Word> min_line(p), arg_line(p);
-  std::vector<sim::Flag> or_line(p);
   PanelIoLedger ledger(machine, active);
   std::vector<std::uint8_t> need(blocks, 1);
   std::uint64_t panels_visited = 0;
@@ -378,7 +339,12 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
             // two-sided scheme, where a driver never hears itself.
             SOWP = SOWP + Wp;
           });
-          fused_row_reduce(ctx, SOWP, index_bits, row_end, bh, min_line, arg_line, or_line);
+          // The smallest local index is the smallest global one (base_c
+          // is constant within a panel): panel_row_reduce's tie-break.
+          // Padding columns hold infinity and lose every value round
+          // unless the whole row is at infinity, where local 0 wins, as
+          // global base_c would.
+          ppc::fused_row_min_argmin(SOWP, index_bits, row_end, bh, min_line, arg_line);
           for (std::size_t r = 0; r < bh; ++r) arg_line[r] += static_cast<Word>(base_c);
           // ---- member readback: min + argmin columns (min / argmin are
           //      cluster-wide, so column 0 suffices), 2 PanelIo rows.

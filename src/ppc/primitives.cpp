@@ -264,6 +264,113 @@ Pint selected_min_orprobe(const Pint& src, sim::Direction orientation, const Pbo
   return reconstructed;
 }
 
+void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
+                          const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
+                          std::span<Word> arg_line) {
+  Context& ctx = value.context();
+  require_same(ctx, row_end.context());
+  require_injectable(value, "fused_row_min_argmin");
+  for (const Pbool& bit : index_bits) {
+    require_same(ctx, bit.context());
+    require_injectable(bit, "fused_row_min_argmin");
+  }
+  const std::size_t n = ctx.n();
+  PPA_REQUIRE(rows <= n && min_line.size() >= rows && arg_line.size() >= rows,
+              "fused_row_min_argmin: the result lines must hold `rows` <= n entries");
+  std::fill_n(min_line.begin(), rows, Word{0});
+  std::fill_n(arg_line.begin(), rows, Word{0});
+  sim::Machine& machine = ctx.machine();
+  // One charge per instruction, so a trace sees the eDSL's event sequence.
+  const auto charge = [&machine](int instructions) {
+    for (int i = 0; i < instructions; ++i) machine.charge_alu();
+  };
+  const int h = ctx.field().bits();
+  const auto idx_bits = static_cast<int>(index_bits.size());
+  const auto index_plane = [&](int j) -> const Pbool& {
+    return index_bits[static_cast<std::size_t>(idx_bits - 1 - j)];
+  };
+
+  // Each `round` is one elimination round: probe = enable & !bit (its
+  // 3 or 2 ALU steps charged by the caller), the OR cycle, result bit j
+  // off column 0, then where(some) { enable = probe; } (2 ALU steps).
+  if (ctx.bitplane()) {
+    const std::size_t pw = ctx.geometry().plane_words();
+    const std::size_t row_words = ctx.geometry().row_words;
+    const sim::plane_kernels::PlaneAlu& alu = ctx.alu();
+    std::vector<PlaneWord> enable = ctx.acquire_flag_plane();
+    std::vector<PlaneWord> probe = ctx.acquire_flag_plane();
+    std::vector<PlaneWord> some = ctx.acquire_flag_plane();
+    const PlaneWord* ambient = ctx.mask_is_full() ? nullptr : ctx.mask_plane();
+    alu.op_copy(ctx.full_plane(), enable.data(), pw);
+    charge(1);
+    const auto round = [&](const PlaneWord* bit, int j, std::span<Word> out) {
+      alu.op_andnot(enable.data(), bit, probe.data(), pw);
+      machine.wired_or_plane_into(probe.data(), sim::Direction::West,
+                                  row_end.plane_view().data(), some.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        out[r] |= static_cast<Word>((some[r * row_words] & 1u) ^ 1u) << j;
+      }
+      if (ambient != nullptr) alu.op_and(some.data(), ambient, some.data(), pw);
+      charge(2);
+      alu.masked_assign(some.data(), probe.data(), enable.data(), pw);
+    };
+    const PlaneWord* planes = value.planes_view().data();
+    for (int j = h - 1; j >= 0; --j) {
+      charge(3);
+      round(planes + static_cast<std::size_t>(j) * pw, j, min_line);
+    }
+    for (int j = idx_bits - 1; j >= 0; --j) {
+      charge(2);
+      round(index_plane(j).plane_view().data(), j, arg_line);
+    }
+    ctx.release_flag_plane(std::move(enable));
+    ctx.release_flag_plane(std::move(probe));
+    ctx.release_flag_plane(std::move(some));
+    return;
+  }
+  std::vector<Flag> enable = ctx.acquire_flags();
+  std::vector<Flag> probe = ctx.acquire_flags();
+  std::vector<Flag> some = ctx.acquire_flags();
+  std::fill(enable.begin(), enable.end(), Flag{1});
+  charge(1);
+  // `zero_at(pe)` is 1 where the round's bit is 0.
+  const auto round = [&](auto zero_at, int j, std::span<Word> out) {
+    const Flag* active = ctx.mask().data();
+    const Flag* found = some.data();
+    Flag* probing = probe.data();
+    Flag* enabled = enable.data();
+    machine.for_each_pe([=](std::size_t begin, std::size_t end) {
+      for (std::size_t pe = begin; pe < end; ++pe) {
+        probing[pe] = static_cast<Flag>(enabled[pe] & zero_at(pe));
+      }
+    });
+    machine.wired_or_into(probe, sim::Direction::West, row_end.values(), some);
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[r] |= static_cast<Word>(some[r * n] == 0) << j;
+    }
+    charge(2);
+    machine.for_each_pe([=](std::size_t begin, std::size_t end) {
+      for (std::size_t pe = begin; pe < end; ++pe) {
+        if (active[pe] != 0 && found[pe] != 0) enabled[pe] = probing[pe];
+      }
+    });
+  };
+  const Word* words = value.values().data();
+  for (int j = h - 1; j >= 0; --j) {
+    charge(3);
+    round([=](std::size_t pe) { return static_cast<Flag>(((words[pe] >> j) & 1u) ^ 1u); }, j,
+          min_line);
+  }
+  for (int j = idx_bits - 1; j >= 0; --j) {
+    const Flag* flags = index_plane(j).values().data();
+    charge(2);
+    round([=](std::size_t pe) { return static_cast<Flag>(flags[pe] ^ 1u); }, j, arg_line);
+  }
+  ctx.release_flags(std::move(enable));
+  ctx.release_flags(std::move(probe));
+  ctx.release_flags(std::move(some));
+}
+
 namespace {
 
 /// Mirror of eliminate_non_minima for the MAXIMUM: a candidate survives

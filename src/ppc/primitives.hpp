@@ -22,6 +22,10 @@
 //                                routing it at the end (every PE already
 //                                learns each bit of the minimum); used by
 //                                the GCN baseline and the ablation bench.
+//   fused_row_min_argmin       — the virtualized sweep's row reduction:
+//                                min and smallest-index argmin of every
+//                                row from h + log2 p wired-OR rounds,
+//                                read back by the controller.
 //
 // Injection precondition for shift and bus_or: values injected must be
 // fully driven (store a received bus value into a variable first).
@@ -108,6 +112,31 @@ namespace ppa::ppc {
 /// yield 0.
 [[nodiscard]] Pint selected_max_orprobe(const Pint& src, sim::Direction orientation,
                                         const Pbool& L, const Pbool& selected);
+
+/// The sweep engine's row reduction (docs/batching.md, "The fused
+/// min/argmin"): a FUSED bit-serial min/argmin of h + index_bits.size()
+/// wired-OR elimination rounds along the row buses (Direction::West,
+/// clusters anchored at the Open PEs of `row_end`), MSB-first over the
+/// value bits and then over `index_bits` (MSB-first planes of a per-PE
+/// index). The controller reads each round's per-row OR line off column 0
+/// — so `row_end` must make each row one cluster — and reconstructs both
+/// results from it: a round whose OR finds no surviving 0 pins that result
+/// bit to 1, otherwise the bit is 0 and the candidate set narrows. For
+/// rows r < `rows`, min_line[r] is the row minimum of `value` and
+/// arg_line[r] the smallest index among the PEs holding it.
+///
+/// The instruction stream is exactly the eDSL formulation's — an unmasked
+/// `Pbool enable(ctx, true)` (1 ALU step), then per round
+/// `probe = enable & !bit` (3 ALU steps for a value bit, whose extraction
+/// costs one; 2 for an index plane), `some = bus_or(probe, West, row_end)`
+/// (one BusOr cycle, masked and fault-transformed like any other), and
+/// `where(some) { enable = probe; }` (2 ALU steps, stored under the
+/// ambient mask & some) — but it runs in place on three arena flag
+/// buffers instead of building per-round temporaries. Like bus_or, it
+/// requires `value` and `index_bits` to be fully driven.
+void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
+                          const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
+                          std::span<Word> arg_line);
 
 // ---------------------------------------------------------------------------
 // Priority-resolution idioms (classic reconfigurable-mesh building blocks,

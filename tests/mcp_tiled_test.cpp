@@ -139,6 +139,28 @@ TEST(McpTiled, RandomGraphsAcrossGeometries) {
   }
 }
 
+TEST(McpTiled, MultiWordRowGeometries) {
+  // p > 64 packs each machine row into 2 or 3 plane words, so the sweep
+  // reads its OR lines and runs its row buses across word boundaries.
+  // Ragged last blocks (130 = 2 x 65 exactly; 200 = 2 x 96 + 8;
+  // 140 = 130 + 10) keep infinity padding in play.
+  struct Case {
+    std::size_t n;
+    std::size_t p;
+    double density;
+    std::uint64_t seed;
+  };
+  const Case cases[] = {{130, 65, 0.04, 41}, {200, 96, 0.03, 42}, {140, 130, 0.04, 43}};
+  for (const Case& c : cases) {
+    util::Rng rng(c.seed);
+    const auto g = graph::random_digraph(c.n, 12, c.density, {1, 60}, rng);
+    const auto dest = static_cast<graph::Vertex>(rng.below(c.n));
+    std::ostringstream label;
+    label << "multi-word n=" << c.n << " p=" << c.p << " dest=" << dest;
+    expect_tiled_matches_full(g, dest, {}, c.p, label.str());
+  }
+}
+
 TEST(McpTiled, StructuredFamiliesWithVerification) {
   // The host certificate checker is array-agnostic: verdicts must match
   // the full array bit for bit, on structured workloads where paths are
