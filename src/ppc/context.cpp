@@ -19,6 +19,18 @@ Context::Context(sim::Machine& machine)
   }
 }
 
+std::span<const Flag> Context::mask() const {
+  PPA_REQUIRE(!bitplane(), "Context::mask() is the word-backend mask; a bit-plane context "
+                           "keeps its mask as a plane (mask_plane())");
+  return stack_.back();
+}
+
+const sim::PlaneWord* Context::mask_plane() const {
+  PPA_REQUIRE(bitplane(), "Context::mask_plane() is the bit-plane mask; a word-backend "
+                          "context keeps its mask as flags (mask())");
+  return plane_stack_.back().data();
+}
+
 bool Context::mask_is_full() const noexcept {
   if (bitplane()) {
     return alu_.equal(plane_stack_.back().data(), full_.data(),
@@ -30,7 +42,7 @@ bool Context::mask_is_full() const noexcept {
 
 void Context::push_mask_and(std::span<const Flag> cond) {
   PPA_REQUIRE(cond.size() == pe_count(), "where-condition must cover the whole array");
-  const auto& top = stack_.back();
+  const std::span<const Flag> top = mask();
   std::vector<Flag> next = acquire_flags();
   // Raw pointers: keeps the sweep at real loads/stores even when the
   // vector/span operator[] calls don't inline (unoptimized builds).
@@ -42,11 +54,12 @@ void Context::push_mask_and(std::span<const Flag> cond) {
   });
   machine_.charge_alu();
   stack_.push_back(std::move(next));
+  ++depth_;
 }
 
 void Context::push_mask_and_not(std::span<const Flag> cond) {
   PPA_REQUIRE(cond.size() == pe_count(), "where-condition must cover the whole array");
-  const auto& top = stack_.back();
+  const std::span<const Flag> top = mask();
   std::vector<Flag> next = acquire_flags();
   const Flag* pt = top.data();
   const Flag* pc = cond.data();
@@ -56,34 +69,37 @@ void Context::push_mask_and_not(std::span<const Flag> cond) {
   });
   machine_.charge_alu();
   stack_.push_back(std::move(next));
+  ++depth_;
 }
 
 void Context::pop_mask() {
+  PPA_REQUIRE(depth_ > 0, "pop_mask without a matching where");
+  --depth_;
   if (bitplane()) {
-    PPA_REQUIRE(plane_stack_.size() > 1, "pop_mask without a matching where");
     release_flag_plane(std::move(plane_stack_.back()));
     plane_stack_.pop_back();
     return;
   }
-  PPA_REQUIRE(stack_.size() > 1, "pop_mask without a matching where");
   release_flags(std::move(stack_.back()));
   stack_.pop_back();
 }
 
 void Context::push_mask_and_plane(const sim::PlaneWord* cond) {
+  const sim::PlaneWord* top = mask_plane();
   std::vector<sim::PlaneWord> next = acquire_flag_plane();
-  alu_.op_and(plane_stack_.back().data(), cond, next.data(),
-              geometry().plane_words());
+  alu_.op_and(top, cond, next.data(), geometry().plane_words());
   machine_.charge_alu();
   plane_stack_.push_back(std::move(next));
+  ++depth_;
 }
 
 void Context::push_mask_and_not_plane(const sim::PlaneWord* cond) {
+  const sim::PlaneWord* top = mask_plane();
   std::vector<sim::PlaneWord> next = acquire_flag_plane();
-  alu_.op_andnot(plane_stack_.back().data(), cond, next.data(),
-                 geometry().plane_words());
+  alu_.op_andnot(top, cond, next.data(), geometry().plane_words());
   machine_.charge_alu();
   plane_stack_.push_back(std::move(next));
+  ++depth_;
 }
 
 std::vector<Word> Context::acquire_words() {

@@ -51,8 +51,10 @@ class Context {
   /// plane-backend elementwise operation goes through it.
   [[nodiscard]] const sim::plane_kernels::PlaneAlu& alu() const noexcept { return alu_; }
 
-  /// Current activity mask (1 = PE executes write-backs).
-  [[nodiscard]] std::span<const Flag> mask() const noexcept { return stack_.back(); }
+  /// Current activity mask (1 = PE executes write-backs). Word backend
+  /// only: a bit-plane context throws util::ContractError (use
+  /// mask_plane()).
+  [[nodiscard]] std::span<const Flag> mask() const;
 
   /// True iff no `where` is active (every PE active).
   [[nodiscard]] bool mask_is_full() const noexcept;
@@ -65,13 +67,13 @@ class Context {
 
   /// Bit-plane twins of the mask stack (used when bitplane() is true; the
   /// two stacks never mix — a Context runs one backend for its lifetime).
-  [[nodiscard]] const sim::PlaneWord* mask_plane() const noexcept {
-    return plane_stack_.back().data();
-  }
+  /// A word-backend context throws util::ContractError (use mask()).
+  [[nodiscard]] const sim::PlaneWord* mask_plane() const;
   void push_mask_and_plane(const sim::PlaneWord* cond);
   void push_mask_and_not_plane(const sim::PlaneWord* cond);
 
-  [[nodiscard]] std::size_t mask_depth() const noexcept { return stack_.size() - 1; }
+  /// Number of enclosing wheres (0 at top level), on either backend.
+  [[nodiscard]] std::size_t mask_depth() const noexcept { return depth_; }
 
   // -------------------------------------------------------------------------
   // Register arena. Parallel temporaries (every SIMD operator's result, mask
@@ -104,6 +106,7 @@ class Context {
  private:
   sim::Machine& machine_;
   sim::plane_kernels::PlaneAlu alu_;
+  std::size_t depth_ = 0;                 // pushes not yet popped
   std::vector<std::vector<Flag>> stack_;  // stack_[0] = all ones
   std::vector<std::vector<Word>> free_words_;
   std::vector<std::vector<Flag>> free_flags_;

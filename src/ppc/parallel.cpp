@@ -165,28 +165,9 @@ std::size_t plane_pe_of(const sim::PlaneGeometry& g, std::size_t word, PlaneWord
   return row * g.n + col;
 }
 
-void check_store_driven_plane(Context& ctx, const PlaneWord* mask,
-                              std::span<const PlaneWord> rhs_driven) {
-  if (rhs_driven.empty()) return;
-  const sim::MachineConfig& config = ctx.machine().config();
-  if (!config.checked && config.undriven != sim::UndrivenPolicy::Error) return;
-  const std::size_t pw = ctx.geometry().plane_words();
-  const PlaneWord* pd = rhs_driven.data();
-  std::size_t first = 0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < pw; ++i) {
-    const PlaneWord bad = mask[i] & ~pd[i];
-    if (bad == 0) continue;
-    if (count == 0) first = plane_pe_of(ctx.geometry(), i, bad);
-    count += static_cast<std::size_t>(__builtin_popcountll(bad));
-    if (!config.checked) break;  // the throw only reports the first PE
-  }
-  if (count != 0) handle_undriven(ctx, first, count);
-}
-
 /// store_all's unmasked variant of the check: every PE must be driven.
 void check_store_all_driven_plane(Context& ctx, std::span<const PlaneWord> rhs_driven) {
-  check_store_driven_plane(ctx, ctx.full_plane(), rhs_driven);
+  detail::check_store_driven_plane(ctx, ctx.full_plane(), rhs_driven);
 }
 
 /// store_all's unmasked word-path variant.
@@ -307,7 +288,7 @@ Pint& Pint::operator=(const Pint& rhs) {
   Context& ctx = *ctx_;
   if (ctx.bitplane()) {
     const PlaneWord* pm = ctx.mask_plane();
-    check_store_driven_plane(ctx, pm, rhs.driven_plane_);
+    detail::check_store_driven_plane(ctx, pm, rhs.driven_plane_);
     ctx.machine().charge_alu();
     const std::size_t pw = ctx.geometry().plane_words();
     const int h = ctx.field().bits();
@@ -955,7 +936,7 @@ Pbool& Pbool::operator=(const Pbool& rhs) {
   Context& ctx = *ctx_;
   if (ctx.bitplane()) {
     const PlaneWord* pm = ctx.mask_plane();
-    check_store_driven_plane(ctx, pm, rhs.driven_plane_);
+    detail::check_store_driven_plane(ctx, pm, rhs.driven_plane_);
     ctx.machine().charge_alu();
     const std::size_t pw = ctx.geometry().plane_words();
     ctx.alu().masked_assign(pm, rhs.plane_.data(), plane_.data(), pw);
@@ -1183,12 +1164,62 @@ Pint Pbool::to_pint() const {
 // Coordinate constants
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The lanes of a plane word whose lane index has bit j set, j < 6: the
+/// in-word part of COL's plane j.
+constexpr PlaneWord kLaneBits[6] = {0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC,
+                                    0xF0F0F0F0F0F0F0F0, 0xFF00FF00FF00FF00,
+                                    0xFFFF0000FFFF0000, 0xFFFFFFFF00000000};
+
+/// Every lane when bit j of `index` is set, none otherwise.
+PlaneWord lanes_if(std::size_t index, int j) {
+  return ((index >> j) & 1u) != 0 ? ~PlaneWord{0} : PlaneWord{0};
+}
+
+/// ROW (`rows`) or COL as h bit planes written straight from the indices:
+/// plane j of ROW holds the whole of every row r with bit j of r set, and
+/// plane j of COL the columns c with bit j set, in every row. Every word
+/// is written; pads stay 0.
+Pint index_planes(Context& ctx, bool rows) {
+  const sim::PlaneGeometry& g = ctx.geometry();
+  const std::size_t pw = g.plane_words();
+  const std::size_t rw = g.row_words;
+  const PlaneWord* full = ctx.full_plane();
+  std::vector<PlaneWord> planes = ctx.acquire_value_planes();
+  for (int j = 0; j < ctx.field().bits(); ++j) {
+    PlaneWord* plane = planes.data() + static_cast<std::size_t>(j) * pw;
+    for (std::size_t r = 0; r < g.n; ++r) {
+      for (std::size_t w = 0; w < rw; ++w) {
+        const PlaneWord lanes = rows     ? lanes_if(r, j)
+                                : j < 6 ? kLaneBits[j]
+                                        : lanes_if(w * sim::kLanesPerWord, j);
+        plane[r * rw + w] = full[r * rw + w] & lanes;
+      }
+    }
+  }
+  ctx.machine().charge_alu();
+  return detail_access::raw_pint_planes(ctx, std::move(planes), {});
+}
+
+/// ROW (`rows`) or COL as per-PE words, for the word backend.
+std::vector<Word> index_words(const Context& ctx, bool rows) {
+  const std::size_t n = ctx.n();
+  std::vector<Word> out(ctx.pe_count());
+  for (std::size_t pe = 0; pe < out.size(); ++pe) {
+    out[pe] = static_cast<Word>(rows ? pe / n : pe % n);
+  }
+  return out;
+}
+
+}  // namespace
+
 Pint row_of(Context& ctx) {
-  return Pint(ctx, ctx.machine().row_index());
+  return ctx.bitplane() ? index_planes(ctx, true) : Pint(ctx, index_words(ctx, true));
 }
 
 Pint col_of(Context& ctx) {
-  return Pint(ctx, ctx.machine().col_index());
+  return ctx.bitplane() ? index_planes(ctx, false) : Pint(ctx, index_words(ctx, false));
 }
 
 namespace {
@@ -1228,6 +1259,25 @@ Pbool driven_mask(const Pbool& value) {
 }
 
 namespace detail {
+
+void check_store_driven_plane(Context& ctx, const PlaneWord* mask,
+                              std::span<const PlaneWord> rhs_driven) {
+  if (rhs_driven.empty()) return;
+  const sim::MachineConfig& config = ctx.machine().config();
+  if (!config.checked && config.undriven != sim::UndrivenPolicy::Error) return;
+  const std::size_t pw = ctx.geometry().plane_words();
+  const PlaneWord* pd = rhs_driven.data();
+  std::size_t first = 0;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < pw; ++i) {
+    const PlaneWord bad = mask[i] & ~pd[i];
+    if (bad == 0) continue;
+    if (count == 0) first = plane_pe_of(ctx.geometry(), i, bad);
+    count += static_cast<std::size_t>(__builtin_popcountll(bad));
+    if (!config.checked) break;  // the throw only reports the first PE
+  }
+  if (count != 0) handle_undriven(ctx, first, count);
+}
 
 Pint make_bus_pint(Context& ctx, std::vector<Word> values, std::vector<Flag> driven) {
   return detail_access::raw_pint(ctx, std::move(values), std::move(driven));

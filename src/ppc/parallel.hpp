@@ -217,7 +217,9 @@ class Pbool {
   std::vector<sim::PlaneWord> driven_plane_;
 };
 
-/// ROW and COL — the coordinate constants every PPC program can read.
+/// ROW and COL — the coordinate constants every PPC program can read. One
+/// ALU step each, like any declaration loaded from the host; a bit-plane
+/// context writes the index planes directly.
 [[nodiscard]] Pint row_of(Context& ctx);
 [[nodiscard]] Pint col_of(Context& ctx);
 
@@ -237,6 +239,12 @@ Pint make_bus_pint_planes(Context& ctx, std::vector<sim::PlaneWord> planes,
                           std::vector<sim::PlaneWord> driven);
 Pbool make_bus_pbool_plane(Context& ctx, std::vector<sim::PlaneWord> plane,
                            std::vector<sim::PlaneWord> driven);
+/// The masked store's UndrivenPolicy check on the bit-plane backend: a PE
+/// set in `mask` whose `driven` bit is clear consumed a floating bus read
+/// (checked execution records it, otherwise the Error policy throws).
+/// Empty `driven` = fully driven. For primitives that store in place.
+void check_store_driven_plane(Context& ctx, const sim::PlaneWord* mask,
+                              std::span<const sim::PlaneWord> driven);
 }  // namespace detail
 
 }  // namespace ppa::ppc

@@ -183,6 +183,14 @@ bool any(const Pbool& flags) {
   return ctx.machine().global_or(flags.values());
 }
 
+// ---------------------------------------------------------------------------
+// min() / max() on the word backend: the paper's listing (Section 3, second
+// listing) as written, one Pbool temporary per operator, one bus_or and one
+// where per round, the route under where(L). It is the reference the
+// bit-plane core below is held to (tests/ppc_minmax_test.cpp,
+// tests/mcp_backend_diff_test.cpp), so it stays as printed.
+// ---------------------------------------------------------------------------
+
 namespace {
 
 /// The shared MSB-first elimination loop of min()/selected_min(): after it
@@ -210,169 +218,6 @@ void eliminate_non_minima(const Pint& src, sim::Direction orientation, const Pbo
   }
 }
 
-/// Statements 11–13: route the surviving minimum to the cluster's extreme
-/// node and broadcast it back to the whole cluster.
-Pint route_and_spread(const Pint& src, sim::Direction orientation, const Pbool& L,
-                      const Pbool& enable) {
-  Context& ctx = src.context();
-  Pint result(src);
-  where(ctx, L, [&] {
-    result = broadcast(result, sim::opposite(orientation), enable);
-  });
-  return broadcast(result, orientation, L);
-}
-
-}  // namespace
-
-Pint pmin(const Pint& src, sim::Direction orientation, const Pbool& L) {
-  require_injectable(src, "pmin");
-  require_same(src.context(), L.context());
-  Pbool enable(src.context(), true);
-  eliminate_non_minima(src, orientation, L, enable, nullptr);
-  return route_and_spread(src, orientation, L, enable);
-}
-
-Pint selected_min(const Pint& src, sim::Direction orientation, const Pbool& L,
-                  const Pbool& selected) {
-  require_injectable(src, "selected_min");
-  require_same(src.context(), L.context());
-  require_same(src.context(), selected.context());
-  Pbool enable(selected);
-  eliminate_non_minima(src, orientation, L, enable, nullptr);
-  return route_and_spread(src, orientation, L, enable);
-}
-
-Pint pmin_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L) {
-  require_injectable(src, "pmin_orprobe");
-  require_same(src.context(), L.context());
-  Context& ctx = src.context();
-  Pbool enable(ctx, true);
-  Pint reconstructed(ctx, 0);
-  eliminate_non_minima(src, orientation, L, enable, &reconstructed);
-  return reconstructed;
-}
-
-Pint selected_min_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L,
-                          const Pbool& selected) {
-  require_injectable(src, "selected_min_orprobe");
-  require_same(src.context(), L.context());
-  require_same(src.context(), selected.context());
-  Context& ctx = src.context();
-  Pbool enable(selected);
-  Pint reconstructed(ctx, 0);
-  eliminate_non_minima(src, orientation, L, enable, &reconstructed);
-  return reconstructed;
-}
-
-void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
-                          const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
-                          std::span<Word> arg_line) {
-  Context& ctx = value.context();
-  require_same(ctx, row_end.context());
-  require_injectable(value, "fused_row_min_argmin");
-  for (const Pbool& bit : index_bits) {
-    require_same(ctx, bit.context());
-    require_injectable(bit, "fused_row_min_argmin");
-  }
-  const std::size_t n = ctx.n();
-  PPA_REQUIRE(rows <= n && min_line.size() >= rows && arg_line.size() >= rows,
-              "fused_row_min_argmin: the result lines must hold `rows` <= n entries");
-  std::fill_n(min_line.begin(), rows, Word{0});
-  std::fill_n(arg_line.begin(), rows, Word{0});
-  sim::Machine& machine = ctx.machine();
-  // One charge per instruction, so a trace sees the eDSL's event sequence.
-  const auto charge = [&machine](int instructions) {
-    for (int i = 0; i < instructions; ++i) machine.charge_alu();
-  };
-  const int h = ctx.field().bits();
-  const auto idx_bits = static_cast<int>(index_bits.size());
-  const auto index_plane = [&](int j) -> const Pbool& {
-    return index_bits[static_cast<std::size_t>(idx_bits - 1 - j)];
-  };
-
-  // Each `round` is one elimination round: probe = enable & !bit (its
-  // 3 or 2 ALU steps charged by the caller), the OR cycle, result bit j
-  // off column 0, then where(some) { enable = probe; } (2 ALU steps).
-  if (ctx.bitplane()) {
-    const std::size_t pw = ctx.geometry().plane_words();
-    const std::size_t row_words = ctx.geometry().row_words;
-    const sim::plane_kernels::PlaneAlu& alu = ctx.alu();
-    std::vector<PlaneWord> enable = ctx.acquire_flag_plane();
-    std::vector<PlaneWord> probe = ctx.acquire_flag_plane();
-    std::vector<PlaneWord> some = ctx.acquire_flag_plane();
-    const PlaneWord* ambient = ctx.mask_is_full() ? nullptr : ctx.mask_plane();
-    alu.op_copy(ctx.full_plane(), enable.data(), pw);
-    charge(1);
-    const auto round = [&](const PlaneWord* bit, int j, std::span<Word> out) {
-      alu.op_andnot(enable.data(), bit, probe.data(), pw);
-      machine.wired_or_plane_into(probe.data(), sim::Direction::West,
-                                  row_end.plane_view().data(), some.data());
-      for (std::size_t r = 0; r < rows; ++r) {
-        out[r] |= static_cast<Word>((some[r * row_words] & 1u) ^ 1u) << j;
-      }
-      if (ambient != nullptr) alu.op_and(some.data(), ambient, some.data(), pw);
-      charge(2);
-      alu.masked_assign(some.data(), probe.data(), enable.data(), pw);
-    };
-    const PlaneWord* planes = value.planes_view().data();
-    for (int j = h - 1; j >= 0; --j) {
-      charge(3);
-      round(planes + static_cast<std::size_t>(j) * pw, j, min_line);
-    }
-    for (int j = idx_bits - 1; j >= 0; --j) {
-      charge(2);
-      round(index_plane(j).plane_view().data(), j, arg_line);
-    }
-    ctx.release_flag_plane(std::move(enable));
-    ctx.release_flag_plane(std::move(probe));
-    ctx.release_flag_plane(std::move(some));
-    return;
-  }
-  std::vector<Flag> enable = ctx.acquire_flags();
-  std::vector<Flag> probe = ctx.acquire_flags();
-  std::vector<Flag> some = ctx.acquire_flags();
-  std::fill(enable.begin(), enable.end(), Flag{1});
-  charge(1);
-  // `zero_at(pe)` is 1 where the round's bit is 0.
-  const auto round = [&](auto zero_at, int j, std::span<Word> out) {
-    const Flag* active = ctx.mask().data();
-    const Flag* found = some.data();
-    Flag* probing = probe.data();
-    Flag* enabled = enable.data();
-    machine.for_each_pe([=](std::size_t begin, std::size_t end) {
-      for (std::size_t pe = begin; pe < end; ++pe) {
-        probing[pe] = static_cast<Flag>(enabled[pe] & zero_at(pe));
-      }
-    });
-    machine.wired_or_into(probe, sim::Direction::West, row_end.values(), some);
-    for (std::size_t r = 0; r < rows; ++r) {
-      out[r] |= static_cast<Word>(some[r * n] == 0) << j;
-    }
-    charge(2);
-    machine.for_each_pe([=](std::size_t begin, std::size_t end) {
-      for (std::size_t pe = begin; pe < end; ++pe) {
-        if (active[pe] != 0 && found[pe] != 0) enabled[pe] = probing[pe];
-      }
-    });
-  };
-  const Word* words = value.values().data();
-  for (int j = h - 1; j >= 0; --j) {
-    charge(3);
-    round([=](std::size_t pe) { return static_cast<Flag>(((words[pe] >> j) & 1u) ^ 1u); }, j,
-          min_line);
-  }
-  for (int j = idx_bits - 1; j >= 0; --j) {
-    const Flag* flags = index_plane(j).values().data();
-    charge(2);
-    round([=](std::size_t pe) { return static_cast<Flag>(flags[pe] ^ 1u); }, j, arg_line);
-  }
-  ctx.release_flags(std::move(enable));
-  ctx.release_flags(std::move(probe));
-  ctx.release_flags(std::move(some));
-}
-
-namespace {
-
 /// Mirror of eliminate_non_minima for the MAXIMUM: a candidate survives
 /// round j unless some enabled candidate has a 1 where it has a 0. The
 /// probe reconstructs bit j of the maximum as "some enabled candidate has
@@ -390,46 +235,327 @@ void eliminate_non_maxima(const Pint& src, sim::Direction orientation, const Pbo
   }
 }
 
+/// Statements 11–13: route the surviving minimum to the cluster's extreme
+/// node and broadcast it back to the whole cluster.
+Pint route_and_spread(const Pint& src, sim::Direction orientation, const Pbool& L,
+                      const Pbool& enable) {
+  Context& ctx = src.context();
+  Pint result(src);
+  where(ctx, L, [&] {
+    result = broadcast(result, sim::opposite(orientation), enable);
+  });
+  return broadcast(result, orientation, L);
+}
+
+/// The listing behind every min/max primitive on the word backend:
+/// `selected` == nullptr starts from every PE, `or_probe` reconstructs the
+/// extreme from the OR bits instead of routing it.
+Pint listing_extreme(const Pint& src, bool keep_max, sim::Direction orientation,
+                     const Pbool& L, const Pbool* selected, bool or_probe) {
+  Context& ctx = src.context();
+  Pbool enable = selected != nullptr ? Pbool(*selected) : Pbool(ctx, true);
+  const auto eliminate = keep_max ? eliminate_non_maxima : eliminate_non_minima;
+  if (!or_probe) {
+    eliminate(src, orientation, L, enable, nullptr);
+    return route_and_spread(src, orientation, L, enable);
+  }
+  Pint reconstructed(ctx, 0);
+  eliminate(src, orientation, L, enable, &reconstructed);
+  return reconstructed;
+}
+
+/// The sweep engine's row reduction as eDSL statements: per round
+/// probe = enable & !bit, one bus_or, the OR line read off column 0, and
+/// where(some) { enable = probe; }.
+void listing_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
+                            const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
+                            std::span<Word> arg_line) {
+  Context& ctx = value.context();
+  std::vector<Flag> or_line(ctx.n());
+  Pbool enable(ctx, true);
+  const auto round = [&](const Pbool& bit_set, int j, std::span<Word> out) {
+    const Pbool probe = enable & !bit_set;
+    const Pbool some = bus_or(probe, sim::Direction::West, row_end);
+    some.read_column(0, or_line);
+    for (std::size_t r = 0; r < rows; ++r) out[r] |= static_cast<Word>(or_line[r] ^ 1u) << j;
+    where(ctx, some, [&] { enable = probe; });
+  };
+  for (int j = ctx.field().bits() - 1; j >= 0; --j) round(value.bit(j), j, min_line);
+  const auto idx_bits = static_cast<int>(index_bits.size());
+  for (int j = idx_bits - 1; j >= 0; --j) {
+    round(index_bits[static_cast<std::size_t>(idx_bits - 1 - j)], j, arg_line);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The bit-plane elimination core: the same rounds in place. `enable`,
+// `probe` and `some` are arena flag planes acquired once per call; each
+// round is
+//
+//   probe = enable & ~bit          (enable & bit for the maximum)
+//   some  = wired-OR(probe)        one Machine::wired_or_plane_into cycle
+//   enable = (some & ambient) ? probe : enable
+//
+// which is the listing's where(some & bit) { enable = false; } (its mirror
+// for the maximum), with `ambient` the enclosing where-mask. The bus
+// cycles are the listing's own Machine calls on the same planes, so faults,
+// TMR/ECC, bus_cycles() and traces see the same cycles; the listing's
+// operators are charged one ALU step each, before and after the OR as the
+// listing issues them, so the step counters and the trace agree event for
+// event.
+// ---------------------------------------------------------------------------
+
+void charge(sim::Machine& machine, int instructions) {
+  for (int i = 0; i < instructions; ++i) machine.charge_alu();
+}
+
+class PlaneElimination {
+ public:
+  /// `initial` == nullptr starts from every PE.
+  PlaneElimination(Context& ctx, bool keep_max, sim::Direction orientation,
+                   const PlaneWord* open, const PlaneWord* initial)
+      : ctx_(ctx),
+        keep_max_(keep_max),
+        orientation_(orientation),
+        open_(open),
+        ambient_(ctx.mask_is_full() ? nullptr : ctx.mask_plane()),
+        enable_(ctx.acquire_flag_plane()),
+        probe_(ctx.acquire_flag_plane()),
+        some_(ctx.acquire_flag_plane()) {
+    // Pads stay 0, as `!bit & enable` leaves them in the listing.
+    const std::size_t pw = ctx.geometry().plane_words();
+    if (initial == nullptr) {
+      ctx.alu().op_copy(ctx.full_plane(), enable_.data(), pw);
+    } else {
+      ctx.alu().op_and(initial, ctx.full_plane(), enable_.data(), pw);
+    }
+  }
+
+  ~PlaneElimination() {
+    ctx_.release_flag_plane(std::move(enable_));
+    ctx_.release_flag_plane(std::move(probe_));
+    ctx_.release_flag_plane(std::move(some_));
+  }
+
+  PlaneElimination(const PlaneElimination&) = delete;
+  PlaneElimination& operator=(const PlaneElimination&) = delete;
+
+  /// One round over the bit plane `bit`: `before` ALU steps, the OR cycle,
+  /// `after` ALU steps, then `read(some)` sees the unmasked OR plane before
+  /// enable narrows.
+  template <typename Read>
+  void round(const PlaneWord* bit, int before, int after, Read&& read) {
+    const auto& alu = ctx_.alu();
+    const std::size_t pw = ctx_.geometry().plane_words();
+    charge(ctx_.machine(), before);
+    if (keep_max_) {
+      alu.op_and(enable_.data(), bit, probe_.data(), pw);
+    } else {
+      alu.op_andnot(enable_.data(), bit, probe_.data(), pw);
+    }
+    ctx_.machine().wired_or_plane_into(probe_.data(), orientation_, open_, some_.data());
+    charge(ctx_.machine(), after);
+    read(static_cast<const PlaneWord*>(some_.data()));
+    if (ambient_ != nullptr) alu.op_and(some_.data(), ambient_, some_.data(), pw);
+    alu.masked_assign(some_.data(), probe_.data(), enable_.data(), pw);
+  }
+
+  [[nodiscard]] const PlaneWord* enable() const noexcept { return enable_.data(); }
+  /// The enclosing where-mask, or nullptr when every PE is active.
+  [[nodiscard]] const PlaneWord* ambient() const noexcept { return ambient_; }
+
+ private:
+  Context& ctx_;
+  bool keep_max_;
+  sim::Direction orientation_;
+  const PlaneWord* open_;
+  const PlaneWord* ambient_;
+  std::vector<PlaneWord> enable_;
+  std::vector<PlaneWord> probe_;
+  std::vector<PlaneWord> some_;
+};
+
+/// Statements 11–13 in place: where(L) { r = broadcast(src, opposite,
+/// enable); } then broadcast(r, orientation, L). The routed value is a
+/// blend of the first broadcast and src under L & ambient; the taint check
+/// is the masked store's.
+Pint plane_route_and_spread(const Pint& src, sim::Direction orientation, const Pbool& L,
+                            const PlaneWord* enable) {
+  Context& ctx = src.context();
+  sim::Machine& machine = ctx.machine();
+  const auto& alu = ctx.alu();
+  const std::size_t pw = ctx.geometry().plane_words();
+  const int h = ctx.field().bits();
+  const PlaneWord* open = L.plane_view().data();
+  std::vector<PlaneWord> stores = ctx.acquire_flag_plane();
+  alu.op_and(ctx.mask_plane(), open, stores.data(), pw);
+  machine.charge_alu();  // the where(L) push
+  std::vector<PlaneWord> routed = ctx.acquire_value_planes();
+  std::vector<PlaneWord> driven = ctx.acquire_flag_plane();
+  machine.broadcast_planes_into(src.planes_view().data(), h, sim::opposite(orientation), enable,
+                                routed.data(), driven.data());
+  detail::check_store_driven_plane(ctx, stores.data(), driven);
+  machine.charge_alu();  // the masked store
+  for (int j = 0; j < h; ++j) {
+    const std::size_t off = static_cast<std::size_t>(j) * pw;
+    alu.blend(stores.data(), routed.data() + off, src.planes_view().data() + off,
+              routed.data() + off, pw);
+  }
+  std::vector<PlaneWord> out = ctx.acquire_value_planes();
+  machine.broadcast_planes_into(routed.data(), h, orientation, open, out.data(), driven.data());
+  ctx.release_flag_plane(std::move(stores));
+  ctx.release_value_planes(std::move(routed));
+  if (alu.equal(driven.data(), ctx.full_plane(), pw)) {
+    ctx.release_flag_plane(std::move(driven));
+    driven = {};
+  }
+  return detail::make_bus_pint_planes(ctx, std::move(out), std::move(driven));
+}
+
+/// The bit-plane arm of every min/max primitive, charged as
+/// listing_extreme issues it.
+Pint plane_extreme(const Pint& src, bool keep_max, sim::Direction orientation, const Pbool& L,
+                   const Pbool* selected, bool or_probe) {
+  Context& ctx = src.context();
+  sim::Machine& machine = ctx.machine();
+  // Prologue: `Pbool enable(ctx, true)` (a copy of `selected` is free),
+  // `Pint reconstructed(ctx, 0)`, the loop's `k_false`.
+  charge(machine, (selected == nullptr ? 1 : 0) + (or_probe ? 1 : 0) + 1);
+  // Per round: bit(j), !, & before the OR (the maximum skips the !);
+  // after it the where's condition (& — the maximum adds a !), its push
+  // and the store into enable, then for the OR probe the ! (minimum only),
+  // or_bit and the store into the reconstruction.
+  const int before = keep_max ? 2 : 3;
+  const int after = (keep_max ? 4 : 3) + (or_probe ? (keep_max ? 2 : 3) : 0);
+  if (selected != nullptr && !selected->fully_driven()) {
+    // The listing's first bus_or rejects the tainted probe.
+    charge(machine, before);
+    require_injectable(*selected, "bus_or");
+  }
+  PlaneElimination core(ctx, keep_max, orientation, L.plane_view().data(),
+                        selected != nullptr ? selected->plane_view().data() : nullptr);
+  const std::size_t pw = ctx.geometry().plane_words();
+  const int h = ctx.field().bits();
+  const PlaneWord* planes = src.planes_view().data();
+  if (!or_probe) {
+    for (int j = h - 1; j >= 0; --j) {
+      core.round(planes + static_cast<std::size_t>(j) * pw, before, after,
+                 [](const PlaneWord*) {});
+    }
+    return plane_route_and_spread(src, orientation, L, core.enable());
+  }
+  // Bit j of the extreme is "no enabled 0" (minimum) or "some enabled 1"
+  // (maximum), stored under the ambient mask; outside it the
+  // reconstruction keeps its initial 0. Each plane is written once.
+  const PlaneWord* stored = core.ambient() != nullptr ? core.ambient() : ctx.full_plane();
+  std::vector<PlaneWord> out = ctx.acquire_value_planes();
+  for (int j = h - 1; j >= 0; --j) {
+    PlaneWord* bit_out = out.data() + static_cast<std::size_t>(j) * pw;
+    core.round(planes + static_cast<std::size_t>(j) * pw, before, after,
+               [&](const PlaneWord* some) {
+                 if (keep_max) {
+                   ctx.alu().op_and(some, stored, bit_out, pw);
+                 } else {
+                   ctx.alu().op_andnot(stored, some, bit_out, pw);
+                 }
+               });
+  }
+  return detail::make_bus_pint_planes(ctx, std::move(out), {});
+}
+
+/// Shared entry checks and backend dispatch of the min/max primitives.
+Pint extreme(const char* what, const Pint& src, bool keep_max, sim::Direction orientation,
+             const Pbool& L, const Pbool* selected, bool or_probe) {
+  require_injectable(src, what);
+  require_same(src.context(), L.context());
+  if (selected != nullptr) require_same(src.context(), selected->context());
+  if (src.context().bitplane()) {
+    return plane_extreme(src, keep_max, orientation, L, selected, or_probe);
+  }
+  return listing_extreme(src, keep_max, orientation, L, selected, or_probe);
+}
+
 }  // namespace
 
+Pint pmin(const Pint& src, sim::Direction orientation, const Pbool& L) {
+  return extreme("pmin", src, false, orientation, L, nullptr, false);
+}
+
+Pint selected_min(const Pint& src, sim::Direction orientation, const Pbool& L,
+                  const Pbool& selected) {
+  return extreme("selected_min", src, false, orientation, L, &selected, false);
+}
+
+Pint pmin_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L) {
+  return extreme("pmin_orprobe", src, false, orientation, L, nullptr, true);
+}
+
+Pint selected_min_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L,
+                          const Pbool& selected) {
+  return extreme("selected_min_orprobe", src, false, orientation, L, &selected, true);
+}
+
 Pint pmax(const Pint& src, sim::Direction orientation, const Pbool& L) {
-  require_injectable(src, "pmax");
-  require_same(src.context(), L.context());
-  Pbool enable(src.context(), true);
-  eliminate_non_maxima(src, orientation, L, enable, nullptr);
-  return route_and_spread(src, orientation, L, enable);
+  return extreme("pmax", src, true, orientation, L, nullptr, false);
 }
 
 Pint selected_max(const Pint& src, sim::Direction orientation, const Pbool& L,
                   const Pbool& selected) {
-  require_injectable(src, "selected_max");
-  require_same(src.context(), L.context());
-  require_same(src.context(), selected.context());
-  Pbool enable(selected);
-  eliminate_non_maxima(src, orientation, L, enable, nullptr);
-  return route_and_spread(src, orientation, L, enable);
+  return extreme("selected_max", src, true, orientation, L, &selected, false);
 }
 
 Pint pmax_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L) {
-  require_injectable(src, "pmax_orprobe");
-  require_same(src.context(), L.context());
-  Context& ctx = src.context();
-  Pbool enable(ctx, true);
-  Pint reconstructed(ctx, 0);
-  eliminate_non_maxima(src, orientation, L, enable, &reconstructed);
-  return reconstructed;
+  return extreme("pmax_orprobe", src, true, orientation, L, nullptr, true);
 }
 
 Pint selected_max_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L,
                           const Pbool& selected) {
-  require_injectable(src, "selected_max_orprobe");
-  require_same(src.context(), L.context());
-  require_same(src.context(), selected.context());
-  Context& ctx = src.context();
-  Pbool enable(selected);
-  Pint reconstructed(ctx, 0);
-  eliminate_non_maxima(src, orientation, L, enable, &reconstructed);
-  return reconstructed;
+  return extreme("selected_max_orprobe", src, true, orientation, L, &selected, true);
+}
+
+void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
+                          const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
+                          std::span<Word> arg_line) {
+  Context& ctx = value.context();
+  require_same(ctx, row_end.context());
+  require_injectable(value, "fused_row_min_argmin");
+  for (const Pbool& bit : index_bits) {
+    require_same(ctx, bit.context());
+    require_injectable(bit, "fused_row_min_argmin");
+  }
+  PPA_REQUIRE(rows <= ctx.n() && min_line.size() >= rows && arg_line.size() >= rows,
+              "fused_row_min_argmin: the result lines must hold `rows` <= n entries");
+  std::fill_n(min_line.begin(), rows, Word{0});
+  std::fill_n(arg_line.begin(), rows, Word{0});
+  if (!ctx.bitplane()) {
+    listing_row_min_argmin(value, index_bits, row_end, rows, min_line, arg_line);
+    return;
+  }
+  // The listing's rounds on the core: `Pbool enable(ctx, true)`, then per
+  // value round bit(j), !, & | OR | push, store, and per index round
+  // !, & | OR | push, store. Result bit j is 1 where the row's OR,
+  // read off column 0, found no surviving 0.
+  charge(ctx.machine(), 1);
+  PlaneElimination core(ctx, false, sim::Direction::West, row_end.plane_view().data(),
+                        nullptr);
+  const std::size_t pw = ctx.geometry().plane_words();
+  const std::size_t row_words = ctx.geometry().row_words;
+  const auto round = [&](const PlaneWord* bit, int before, int j, std::span<Word> out) {
+    core.round(bit, before, 2, [&](const PlaneWord* some) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        out[r] |= static_cast<Word>((some[r * row_words] & 1u) ^ 1u) << j;
+      }
+    });
+  };
+  const PlaneWord* planes = value.planes_view().data();
+  for (int j = ctx.field().bits() - 1; j >= 0; --j) {
+    round(planes + static_cast<std::size_t>(j) * pw, 3, j, min_line);
+  }
+  const auto idx_bits = static_cast<int>(index_bits.size());
+  for (int j = idx_bits - 1; j >= 0; --j) {
+    round(index_bits[static_cast<std::size_t>(idx_bits - 1 - j)].plane_view().data(), 2, j,
+          arg_line);
+  }
 }
 
 Pbool has_upstream(const Pbool& flags, sim::Direction dir) {

@@ -17,6 +17,9 @@
 //                                rounds MSB-first, then the surviving
 //                                minimum is routed to the cluster's extreme
 //                                node and broadcast back. O(h) bus cycles.
+//                                The word backend runs the listing as
+//                                printed; the bit-plane backend runs the
+//                                same instructions in place.
 //   pmin_orprobe               — GCN-style variant that *reconstructs* the
 //                                minimum from the OR bits instead of
 //                                routing it at the end (every PE already
@@ -125,15 +128,12 @@ namespace ppa::ppc {
 /// rows r < `rows`, min_line[r] is the row minimum of `value` and
 /// arg_line[r] the smallest index among the PEs holding it.
 ///
-/// The instruction stream is exactly the eDSL formulation's — an unmasked
-/// `Pbool enable(ctx, true)` (1 ALU step), then per round
-/// `probe = enable & !bit` (3 ALU steps for a value bit, whose extraction
-/// costs one; 2 for an index plane), `some = bus_or(probe, West, row_end)`
-/// (one BusOr cycle, masked and fault-transformed like any other), and
-/// `where(some) { enable = probe; }` (2 ALU steps, stored under the
-/// ambient mask & some) — but it runs in place on three arena flag
-/// buffers instead of building per-round temporaries. Like bus_or, it
-/// requires `value` and `index_bits` to be fully driven.
+/// The word backend runs the eDSL listing — `Pbool enable(ctx, true)`,
+/// then per round `probe = enable & !bit`, `some = bus_or(probe, West,
+/// row_end)` and `where(some) { enable = probe; }` — and the bit-plane
+/// backend the same rounds in place on the elimination core behind pmin
+/// (docs/ppc_language.md), charge for charge. Like bus_or, it requires
+/// `value` and `index_bits` to be fully driven.
 void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
                           const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
                           std::span<Word> arg_line);

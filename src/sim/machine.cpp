@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <type_traits>
 
 #include "sim/plane_kernels.hpp"
@@ -20,15 +19,6 @@ Machine::Machine(const MachineConfig& config)
   PPA_REQUIRE(config.masking != BusMasking::Ecc || config.backend == ExecBackend::BitPlane,
               "ECC masking rides the bit-plane bus engine; it requires "
               "backend == BitPlane (use TMR on the word backend)");
-  const std::size_t n = config.n;
-  row_index_.resize(pe_count());
-  col_index_.resize(pe_count());
-  for (std::size_t r = 0; r < n; ++r) {
-    Word* row = row_index_.data() + r * n;
-    Word* col = col_index_.data() + r * n;
-    std::fill(row, row + n, static_cast<Word>(r));
-    std::iota(col, col + n, Word{0});
-  }
   if (config.backend == ExecBackend::Words && config.host_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(config.host_threads);
   }

@@ -131,10 +131,6 @@ class Machine {
   [[nodiscard]] StepCounter& steps() noexcept { return steps_; }
   [[nodiscard]] const StepCounter& steps() const noexcept { return steps_; }
 
-  /// Per-PE row / column index constants (the paper's ROW and COL).
-  [[nodiscard]] std::span<const Word> row_index() const noexcept { return row_index_; }
-  [[nodiscard]] std::span<const Word> col_index() const noexcept { return col_index_; }
-
   /// Attaches / detaches an instruction observer (nullptr = off). The
   /// sink is not owned and must outlive its attachment.
   void set_trace(TraceSink* sink) noexcept { trace_ = sink; }
@@ -380,8 +376,6 @@ class Machine {
   util::HField field_;
   PlaneGeometry geometry_;
   StepCounter steps_;
-  std::vector<Word> row_index_;
-  std::vector<Word> col_index_;
   std::unique_ptr<util::ThreadPool> pool_;  // word backend only; null when sequential
   TraceSink* trace_ = nullptr;              // not owned
 

@@ -93,6 +93,45 @@ TEST(Parallel, MaskRestoredAfterException) {
   EXPECT_TRUE(ctx.mask_is_full());
 }
 
+TEST(MaskDepth, CountsNestedWheresOnBothBackends) {
+  for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    sim::MachineConfig cfg = config_of(3);
+    cfg.backend = backend;
+    sim::Machine m(cfg);
+    Context ctx(m);
+    EXPECT_EQ(ctx.mask_depth(), 0u);
+    const Pbool cond(ctx, true);
+    where(ctx, cond, [&] {
+      EXPECT_EQ(ctx.mask_depth(), 1u);
+      where_else(
+          ctx, cond, [&] { EXPECT_EQ(ctx.mask_depth(), 2u); },
+          [&] { EXPECT_EQ(ctx.mask_depth(), 2u); });
+      EXPECT_EQ(ctx.mask_depth(), 1u);
+    });
+    EXPECT_EQ(ctx.mask_depth(), 0u);
+    EXPECT_THROW(ctx.pop_mask(), util::ContractError);
+    EXPECT_EQ(ctx.mask_depth(), 0u);
+  }
+}
+
+TEST(MaskDepth, EachBackendReadsOnlyItsOwnMask) {
+  sim::MachineConfig cfg = config_of(3);
+  sim::Machine words(cfg);
+  Context word_ctx(words);
+  EXPECT_EQ(word_ctx.mask().size(), 9u);
+  EXPECT_THROW((void)word_ctx.mask_plane(), util::ContractError);
+  EXPECT_THROW(word_ctx.push_mask_and_plane(nullptr), util::ContractError);
+  cfg.backend = sim::ExecBackend::BitPlane;
+  sim::Machine planes(cfg);
+  Context plane_ctx(planes);
+  EXPECT_NE(plane_ctx.mask_plane(), nullptr);
+  EXPECT_THROW((void)plane_ctx.mask(), util::ContractError);
+  const std::vector<sim::Flag> all(9, sim::Flag{1});
+  EXPECT_THROW(plane_ctx.push_mask_and(all), util::ContractError);
+  EXPECT_EQ(word_ctx.mask_depth(), 0u);
+  EXPECT_EQ(plane_ctx.mask_depth(), 0u);
+}
+
 TEST(Parallel, ExpressionsEvaluateUnmasked) {
   // Operators run on every PE; only stores are masked.
   sim::Machine m(config_of(2));
