@@ -32,7 +32,7 @@ struct PerfRecord {
   std::string workload;  // "mcp" | "all_pairs"
   std::string backend;   // "word" | "bitplane"
   std::size_t n = 0;
-  std::size_t host_threads = 1;
+  std::size_t host_threads = 1;  // all-pairs worker lanes; 1 for every other workload
   std::size_t batch_width = 1;  // destinations per machine pass (docs/batching.md)
   std::size_t active_panels = 1;  // 0 = dense every-panel sweep (docs/tiling.md)
   std::uint64_t simd_steps = 0;
@@ -80,15 +80,6 @@ inline graph::WeightMatrix chain_with_direct(std::size_t n, std::size_t p, int b
   for (std::size_t v = 1; v <= p; ++v) g.set(v, v - 1, 1);
   for (std::size_t v = p + 1; v < n; ++v) g.set(v, 0, 1);
   return g;
-}
-
-/// Fresh host-sequential PPA machine matching a graph.
-inline sim::Machine machine_for(const graph::WeightMatrix& g, std::size_t host_threads = 1) {
-  sim::MachineConfig cfg;
-  cfg.n = g.size();
-  cfg.bits = g.field().bits();
-  cfg.host_threads = host_threads;
-  return sim::Machine(cfg);
 }
 
 /// Steps spent per relaxation iteration, excluding the init phase.

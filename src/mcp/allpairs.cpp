@@ -201,12 +201,8 @@ AllPairsResult all_pairs(const graph::WeightMatrix& graph, const AllPairsOptions
     }
   };
 
-  if (options.workers > 1 && groups > 1) {
-    util::ThreadPool pool(std::min(options.workers, groups));
-    pool.parallel_for(groups, run_groups);
-  } else {
-    run_groups(0, groups);
-  }
+  util::ThreadPool pool(std::min(options.workers, groups));
+  pool.parallel_for(groups, run_groups);
 
   // Deterministic reduction: merge in destination order, whatever the
   // thread count was. StepCounter::merge is a component-wise sum, so even

@@ -86,7 +86,7 @@ struct AllPairsResult {
 /// and merged in destination order).
 struct AllPairsOptions {
   Options mcp;              // forwarded to every minimum_cost_path run
-  std::size_t workers = 1;  // host threads; 0 or 1 = sequential
+  std::size_t workers = 1;  // host threads, the caller included; 0 or 1 = sequential
 };
 
 /// All-pairs with `options.workers` destinations in flight at once, one

@@ -106,8 +106,7 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
   const std::size_t faults_at_entry = machine.fault_count();
   const sim::Machine::PlanCacheStats plans_at_entry = machine.plan_cache_stats();
   const sim::MaskingStats masking_at_entry = machine.masking_stats();
-  const detail::ThroughputProbe throughput_at_entry =
-      observer != nullptr ? detail::probe_throughput(machine) : detail::ThroughputProbe{};
+  const sim::plane_kernels::SweepStats sweeps_at_entry = machine.sweep_stats();
 
   // ------------------------------------------------------------------
   // Data layout (paper Section 3): W, SOW, PTN are n x n parallel ints;
@@ -250,7 +249,7 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
   // driver — relax_core.hpp).
   result.masking = machine.masking_stats().since(masking_at_entry);
   detail::record_plan_cache_delta(machine, plans_at_entry, observer);
-  detail::record_throughput_delta(machine, throughput_at_entry, observer);
+  detail::record_throughput_delta(machine, sweeps_at_entry, observer);
   detail::finalize_result(machine, graph, options, faults_at_entry, {&result, 1});
   return result;
 }

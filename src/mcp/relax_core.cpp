@@ -5,7 +5,6 @@
 #include "mcp/verify.hpp"
 #include "obs/collector.hpp"
 #include "ppc/primitives.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::mcp::detail {
 
@@ -42,45 +41,14 @@ void record_plan_cache_delta(const sim::Machine& machine,
   metrics.counter(obs::metric::kPlanCacheMisses).add(now.misses - entry.misses);
 }
 
-ThroughputProbe probe_throughput(sim::Machine& machine) {
-  ThroughputProbe probe;
-  probe.sweeps = machine.sweep_stats();
-  if (util::ThreadPool* pool = machine.host_pool(); pool != nullptr) {
-    probe.pool_busy = pool->busy_seconds();
-  }
-  return probe;
-}
-
-void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry,
+void record_throughput_delta(const sim::Machine& machine,
+                             const sim::plane_kernels::SweepStats& entry,
                              obs::Collector* observer) {
   if (observer == nullptr) return;
   obs::MetricsRegistry& metrics = observer->metrics();
-  const sim::plane_kernels::SweepStats delta = machine.sweep_stats().since(entry.sweeps);
+  const sim::plane_kernels::SweepStats delta = machine.sweep_stats().since(entry);
   metrics.counter(obs::metric::kSweepDispatches).add(delta.dispatches);
   metrics.counter(obs::metric::kSweepWords).add(delta.words);
-
-  util::ThreadPool* const pool = machine.host_pool();
-  if (pool == nullptr) return;
-  // Per-lane busy delta for this solve. The pool may be shared by several
-  // machines, so this is an upper bound under concurrency — which is
-  // exactly the pessimism a worst-case gauge wants.
-  const std::vector<double> now = pool->busy_seconds();
-  double max_busy = 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < now.size(); ++i) {
-    const double before = i < entry.pool_busy.size() ? entry.pool_busy[i] : 0.0;
-    const double lane = now[i] - before;
-    max_busy = std::max(max_busy, lane);
-    total += lane;
-  }
-  if (max_busy <= 0.0) return;  // the pool never ran during this solve
-  obs::Gauge& busy = metrics.gauge(obs::metric::kPoolBusyMax);
-  busy.set(std::max(busy.value(), max_busy));
-  const double mean = total / static_cast<double>(now.size());
-  if (mean > 0.0) {
-    obs::Gauge& imbalance = metrics.gauge(obs::metric::kPoolImbalance);
-    imbalance.set(std::max(imbalance.value(), max_busy / mean));
-  }
 }
 
 std::unique_ptr<sim::Machine> make_machine(const Options& options,

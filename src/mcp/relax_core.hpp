@@ -152,21 +152,12 @@ void record_plan_cache_delta(const sim::Machine& machine,
                              sim::Machine::PlanCacheStats entry,
                              obs::Collector* observer);
 
-/// Entry snapshot for record_throughput_delta: the machine's cumulative
-/// kernel-sweep billing plus (word backend with host_threads > 1) the
-/// host pool's per-lane busy seconds.
-struct ThroughputProbe {
-  sim::plane_kernels::SweepStats sweeps;
-  std::vector<double> pool_busy;
-};
-
-[[nodiscard]] ThroughputProbe probe_throughput(sim::Machine& machine);
-
-/// Records the delta since `entry` as the observer's simd.sweep.* counters
-/// (deterministic: billed per sweep on the controller thread, so
-/// host_threads independent) and the pool.* gauges (timing; gauge merge
-/// keeps the worst case seen). No-op without an observer.
-void record_throughput_delta(sim::Machine& machine, const ThroughputProbe& entry,
+/// Records the machine's kernel-sweep billing delta since `entry` (a
+/// Machine::sweep_stats() snapshot) as the observer's simd.sweep.*
+/// counters: deterministic, billed per sweep on the controller thread.
+/// No-op without an observer.
+void record_throughput_delta(const sim::Machine& machine,
+                             const sim::plane_kernels::SweepStats& entry,
                              obs::Collector* observer);
 
 /// The one way src/mcp builds a machine: a side x side array over the

@@ -134,8 +134,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   const std::size_t faults_at_entry = machine.fault_count();
   const sim::Machine::PlanCacheStats plans_at_entry = machine.plan_cache_stats();
   const sim::MaskingStats masking_at_entry = machine.masking_stats();
-  const ThroughputProbe throughput_at_entry =
-      observer != nullptr ? probe_throughput(machine) : ThroughputProbe{};
+  const sim::plane_kernels::SweepStats sweeps_at_entry = machine.sweep_stats();
 
   if (observer != nullptr && k > 1) {
     observer->metrics().counter(obs::metric::kSolverBatches).add(1);
@@ -436,7 +435,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
     }
   }
   record_plan_cache_delta(machine, plans_at_entry, observer);
-  record_throughput_delta(machine, throughput_at_entry, observer);
+  record_throughput_delta(machine, sweeps_at_entry, observer);
   finalize_result(machine, graph, options, faults_at_entry, results);
   return results;
 }

@@ -278,16 +278,12 @@ inline constexpr const char* kBusTotalWires = "bus.wires.total";
 inline constexpr const char* kBusDrivenHist = "bus.driven_wires";
 // SIMD kernel throughput (sim::plane_kernels::SweepStats): dispatched
 // sweeps and plane words covered, recorded per solver run as the
-// machine-counter delta. Independent of host_threads and worker count.
+// machine-counter delta. Independent of the all-pairs worker count.
 inline constexpr const char* kSweepDispatches = "simd.sweep.dispatches";
 inline constexpr const char* kSweepWords = "simd.sweep.words";
 // Convergence telemetry: total changed-vertex observations summed over
 // iterations (per-iteration detail lives in the convergence series).
 inline constexpr const char* kActiveLanes = "solver.active_lanes";
-// Host-pool utilization gauges (timing; merge keeps the worst case):
-// busiest-lane seconds and busiest/mean imbalance ratio for the run.
-inline constexpr const char* kPoolBusyMax = "pool.busy_seconds.max";
-inline constexpr const char* kPoolImbalance = "pool.imbalance";
 /// Prefixes completed by a kind/outcome name.
 inline constexpr const char* kFaultPrefix = "faults.";
 inline constexpr const char* kOutcomePrefix = "solver.outcome.";

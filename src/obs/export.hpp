@@ -21,6 +21,8 @@ struct RunInfo {
   std::string workload;  // "mcp" | "all_pairs" | ...
   std::string backend;   // "word" | "bitplane"
   std::size_t n = 0;
+  /// All-pairs worker lanes (AllPairsOptions::workers); 1 for every other
+  /// workload. The name is kept as a perf-gate configuration key.
   std::size_t host_threads = 1;
   /// Destinations per shared machine pass (docs/batching.md); 1 = the
   /// per-destination engine. Part of the perf gate's configuration key.

@@ -49,9 +49,7 @@ void Context::push_mask_and(std::span<const Flag> cond) {
   const Flag* pt = top.data();
   const Flag* pc = cond.data();
   Flag* pn = next.data();
-  machine_.for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/false, begin, end);
-  });
+  flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/false, pe_count());
   machine_.charge_alu();
   stack_.push_back(std::move(next));
   ++depth_;
@@ -64,9 +62,7 @@ void Context::push_mask_and_not(std::span<const Flag> cond) {
   const Flag* pt = top.data();
   const Flag* pc = cond.data();
   Flag* pn = next.data();
-  machine_.for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/true, begin, end);
-  });
+  flag_sweep::mask_and_cond(pt, pc, pn, /*negate=*/true, pe_count());
   machine_.charge_alu();
   stack_.push_back(std::move(next));
   ++depth_;

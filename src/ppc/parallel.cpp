@@ -308,11 +308,9 @@ Pint& Pint::operator=(const Pint& rhs) {
   const Flag* pm = mask.data();
   const Word* ps = rhs.data_.data();
   Word* pd = data_.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      if (pm[pe]) pd[pe] = ps[pe];
-    }
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe) {
+    if (pm[pe]) pd[pe] = ps[pe];
+  }
   if (!driven_.empty()) {
     // Written cells now hold defined values (undriven reads were rejected
     // or zeroed above).
@@ -440,11 +438,9 @@ Pbool Pint::bit(int j) const {
   std::vector<Flag> out = ctx.acquire_flags();
   const Word* ps = data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      po[pe] = static_cast<Flag>((ps[pe] >> j) & 1u);
-    }
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe) {
+    po[pe] = static_cast<Flag>((ps[pe] >> j) & 1u);
+  }
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out), copy_driven(ctx, driven_));
 }
@@ -468,11 +464,9 @@ Pint Pint::or_bit(int j, const Pbool& flag) const {
   const Flag* pf = flag.values().data();
   const Word* ps = data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      po[pe] = ps[pe] | (pf[pe] ? (Word{1} << j) : Word{0});
-    }
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe) {
+    po[pe] = ps[pe] | (pf[pe] ? (Word{1} << j) : Word{0});
+  }
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out),
                                  combine_driven(ctx, driven_, flag.driven_view()));
@@ -500,9 +494,7 @@ Pint operator+(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=, &field](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = field.add(pa[pe], pb[pe]);
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe) po[pe] = field.add(pa[pe], pb[pe]);
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out),
                                  combine_driven(ctx, a.driven_, b.driven_));
@@ -528,9 +520,7 @@ Pint operator+(const Pint& a, Word b) {
   std::vector<Word> out = ctx.acquire_words();
   const Word* pa = a.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=, &field](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = field.add(pa[pe], b);
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe) po[pe] = field.add(pa[pe], b);
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
 }
@@ -574,10 +564,8 @@ Pint emin(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] < pb[pe] ? pa[pe] : pb[pe];
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] < pb[pe] ? pa[pe] : pb[pe];
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out),
                                  combine_driven(ctx, a.driven_, b.driven_));
@@ -604,10 +592,8 @@ Pint emax(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] > pb[pe] ? pa[pe] : pb[pe];
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] > pb[pe] ? pa[pe] : pb[pe];
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out),
                                  combine_driven(ctx, a.driven_, b.driven_));
@@ -663,10 +649,8 @@ Pbool operator==(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] == pb[pe] ? Flag{1} : Flag{0};
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] == pb[pe] ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -685,10 +669,8 @@ Pbool operator!=(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] != pb[pe] ? Flag{1} : Flag{0};
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] != pb[pe] ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -707,10 +689,8 @@ Pbool operator<(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] < pb[pe] ? Flag{1} : Flag{0};
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] < pb[pe] ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -729,10 +709,8 @@ Pbool operator<=(const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe)
-      po[pe] = pa[pe] <= pb[pe] ? Flag{1} : Flag{0};
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] <= pb[pe] ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -751,9 +729,8 @@ Pbool operator==(const Pint& a, Word b) {
   std::vector<Flag> out = ctx.acquire_flags();
   const Word* pa = a.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pa[pe] == b ? Flag{1} : Flag{0};
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] == b ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
 }
@@ -771,9 +748,8 @@ Pbool operator!=(const Pint& a, Word b) {
   std::vector<Flag> out = ctx.acquire_flags();
   const Word* pa = a.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pa[pe] != b ? Flag{1} : Flag{0};
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] != b ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
 }
@@ -791,9 +767,8 @@ Pbool operator<(const Pint& a, Word b) {
   std::vector<Flag> out = ctx.acquire_flags();
   const Word* pa = a.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pa[pe] < b ? Flag{1} : Flag{0};
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe)
+    po[pe] = pa[pe] < b ? Flag{1} : Flag{0};
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out), combine_driven(ctx, a.driven_, {}));
 }
@@ -836,9 +811,7 @@ Pint select(const Pbool& cond, const Pint& a, const Pint& b) {
   const Word* pa = a.data_.data();
   const Word* pb = b.data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = pc[pe] ? pa[pe] : pb[pe];
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe) po[pe] = pc[pe] ? pa[pe] : pb[pe];
   ctx.machine().charge_alu();
   // Driven-ness follows the SELECTED operand per element (a tainted
   // condition taints everything).
@@ -951,9 +924,7 @@ Pbool& Pbool::operator=(const Pbool& rhs) {
   const Flag* pm = mask.data();
   const Flag* ps = rhs.data_.data();
   Flag* pd = data_.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::masked_assign_flags(pm, ps, pd, begin, end);
-  });
+  flag_sweep::masked_assign_flags(pm, ps, pd, ctx.pe_count());
   if (!driven_.empty()) {
     Flag* pv = driven_.data();
     for (std::size_t pe = 0; pe < driven_.size(); ++pe) {
@@ -1063,9 +1034,7 @@ Pbool operator!(const Pbool& a) {
   std::vector<Flag> out = ctx.acquire_flags();
   const Flag* pa = a.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::not_flags(pa, po, begin, end);
-  });
+  flag_sweep::not_flags(pa, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out), copy_driven(ctx, a.driven_));
 }
@@ -1084,9 +1053,7 @@ Pbool operator&(const Pbool& a, const Pbool& b) {
   const Flag* pa = a.data_.data();
   const Flag* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::and_flags(pa, pb, po, begin, end);
-  });
+  flag_sweep::and_flags(pa, pb, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -1106,9 +1073,7 @@ Pbool operator|(const Pbool& a, const Pbool& b) {
   const Flag* pa = a.data_.data();
   const Flag* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::or_flags(pa, pb, po, begin, end);
-  });
+  flag_sweep::or_flags(pa, pb, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -1128,9 +1093,7 @@ Pbool operator^(const Pbool& a, const Pbool& b) {
   const Flag* pa = a.data_.data();
   const Flag* pb = b.data_.data();
   Flag* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    flag_sweep::xor_flags(pa, pb, po, begin, end);
-  });
+  flag_sweep::xor_flags(pa, pb, po, ctx.pe_count());
   ctx.machine().charge_alu();
   return detail_access::raw_pbool(ctx, std::move(out),
                                   combine_driven(ctx, a.driven_, b.driven_));
@@ -1153,9 +1116,7 @@ Pint Pbool::to_pint() const {
   std::vector<Word> out = ctx.acquire_words();
   const Flag* ps = data_.data();
   Word* po = out.data();
-  ctx.machine().for_each_pe([=](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) po[pe] = ps[pe] ? 1u : 0u;
-  });
+  for (std::size_t pe = 0, end = ctx.pe_count(); pe < end; ++pe) po[pe] = ps[pe] ? 1u : 0u;
   ctx.machine().charge_alu();
   return detail_access::raw_pint(ctx, std::move(out), copy_driven(ctx, driven_));
 }

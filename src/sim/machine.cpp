@@ -19,9 +19,6 @@ Machine::Machine(const MachineConfig& config)
   PPA_REQUIRE(config.masking != BusMasking::Ecc || config.backend == ExecBackend::BitPlane,
               "ECC masking rides the bit-plane bus engine; it requires "
               "backend == BitPlane (use TMR on the word backend)");
-  if (config.backend == ExecBackend::Words && config.host_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config.host_threads);
-  }
 }
 
 void Machine::shift(std::span<const Word> src, Direction dir, Word fill,
@@ -32,28 +29,26 @@ void Machine::shift(std::span<const Word> src, Direction dir, Word fill,
   const std::size_t side = config_.n;
   steps_.charge(StepCategory::Shift);
   if (trace_ != nullptr) trace_->on_event(TraceEvent{StepCategory::Shift, dir, 0, 0});
-  for_each_pe([&](std::size_t begin, std::size_t end) {
-    for (std::size_t pe = begin; pe < end; ++pe) {
-      const std::size_t r = pe / side;
-      const std::size_t c = pe % side;
-      // Receiving from the upstream neighbour: data moving East arrives
-      // from the West, etc.
-      switch (dir) {
-        case Direction::East:
-          dst[pe] = (c == 0) ? fill : src[pe - 1];
-          break;
-        case Direction::West:
-          dst[pe] = (c + 1 == side) ? fill : src[pe + 1];
-          break;
-        case Direction::South:
-          dst[pe] = (r == 0) ? fill : src[pe - side];
-          break;
-        case Direction::North:
-          dst[pe] = (r + 1 == side) ? fill : src[pe + side];
-          break;
-      }
+  for (std::size_t pe = 0; pe < pe_count(); ++pe) {
+    const std::size_t r = pe / side;
+    const std::size_t c = pe % side;
+    // Receiving from the upstream neighbour: data moving East arrives
+    // from the West, etc.
+    switch (dir) {
+      case Direction::East:
+        dst[pe] = (c == 0) ? fill : src[pe - 1];
+        break;
+      case Direction::West:
+        dst[pe] = (c + 1 == side) ? fill : src[pe + 1];
+        break;
+      case Direction::South:
+        dst[pe] = (r == 0) ? fill : src[pe - side];
+        break;
+      case Direction::North:
+        dst[pe] = (r + 1 == side) ? fill : src[pe + side];
+        break;
     }
-  });
+  }
 }
 
 namespace {

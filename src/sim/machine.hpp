@@ -13,14 +13,12 @@
 // the controller issues, and activity masking is a property of the
 // *program*, applied at register write-back.
 //
-// The word backend can split its per-PE sweeps over a host thread pool
-// (config host_threads); every primitive computes each PE's result
-// independently, so results are identical for any thread count. The
-// bit-plane backend runs every plane sweep and bus cycle inline on the
-// controller thread, as the paper's array runs one instruction at a time.
+// Both backends run every sweep and bus cycle on the controller thread,
+// one instruction at a time, as the paper's array does. Host parallelism
+// lives above the machine: whole destinations (mcp::AllPairsOptions::
+// workers) and batched destination groups (mcp::Options::batch_width).
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -32,7 +30,6 @@
 #include "sim/step_counter.hpp"
 #include "sim/trace.hpp"
 #include "util/saturating.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ppa::sim {
 
@@ -81,12 +78,6 @@ struct MachineConfig {
   int bits = 16;            // word width h
   BusTopology topology = BusTopology::Ring;
   UndrivenPolicy undriven = UndrivenPolicy::Error;
-  /// Word-backend knob: host worker threads that split the Words
-  /// backend's per-PE sweeps into PE ranges (for_each_pe); 0 or 1 =
-  /// host-sequential. The BitPlane backend ignores it and builds no pool.
-  /// Results, driven flags and step counts are bit-identical for every
-  /// value (tests/mcp_backend_diff_test.cpp pins thread-count invariance).
-  std::size_t host_threads = 1;
   ExecBackend backend = ExecBackend::Words;
   /// Checked execution: bus contention (a program driver whose switch a
   /// fault forced closed) and undriven program reads are recorded as
@@ -267,23 +258,6 @@ class Machine {
   /// Controller response line over a flag plane. Charges one GlobalOr step.
   [[nodiscard]] bool global_or_plane(const PlaneWord* plane);
 
-  /// Splits [0, pe_count) over the host pool; `body(begin, end)` must only
-  /// write indices it owns. Charges nothing (callers charge per SIMD
-  /// instruction, not per sweep). A template so the host-sequential path
-  /// is a direct, inlinable call — no std::function on the hot path.
-  template <typename Body>
-  void for_each_pe(Body&& body) {
-    if (pool_) {
-      pool_->parallel_for(pe_count(), body);
-    } else {
-      body(std::size_t{0}, pe_count());
-    }
-  }
-
-  /// The word backend's host worker pool (nullptr when host_threads <= 1
-  /// or backend == BitPlane).
-  [[nodiscard]] util::ThreadPool* host_pool() noexcept { return pool_.get(); }
-
   /// Cumulative hit/miss counters of this machine's column
   /// broadcast-decomposition plan cache (sim::BroadcastPlanCache —
   /// bit-plane backend only; the word backend never consults it). Solvers report the per-run delta as
@@ -376,8 +350,7 @@ class Machine {
   util::HField field_;
   PlaneGeometry geometry_;
   StepCounter steps_;
-  std::unique_ptr<util::ThreadPool> pool_;  // word backend only; null when sequential
-  TraceSink* trace_ = nullptr;              // not owned
+  TraceSink* trace_ = nullptr;  // not owned
 
   CompiledFaults faults_;
   std::vector<FaultEvent> fault_log_;

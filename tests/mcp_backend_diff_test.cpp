@@ -155,41 +155,5 @@ TEST(McpBackendDiff, AlgorithmVariants) {
   }
 }
 
-TEST(McpBackendDiff, HostThreadsInvariantOnBothBackends) {
-  // MachineConfig::host_threads chunks PE sweeps on the Words backend; the
-  // BitPlane backend ignores it. The pinned contract is the same
-  // everywhere: results and step counters are bit-identical for every
-  // thread count, on both backends, full-array and tiled.
-  util::Rng rng(83);
-  const auto g = graph::random_reachable_digraph(33, 8, 0.15, {1, 20}, 6, rng);
-  const auto run = [&](sim::ExecBackend backend, std::size_t threads, std::size_t side) {
-    sim::MachineConfig config;
-    config.n = side;
-    config.bits = g.field().bits();
-    config.backend = backend;
-    config.host_threads = threads;
-    sim::Machine machine(config);
-    return mcp::run_minimum_cost_path(machine, g, 6, {});
-  };
-  for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
-    for (const std::size_t side : {g.size(), std::size_t{8}}) {
-      const mcp::Result sequential = run(backend, 1, side);
-      for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-        const mcp::Result threaded = run(backend, threads, side);
-        const std::string label =
-            std::string(backend == sim::ExecBackend::Words ? "word" : "bitplane") +
-            " side=" + std::to_string(side) + " threads=" + std::to_string(threads);
-        ASSERT_EQ(threaded.solution.cost, sequential.solution.cost) << label;
-        ASSERT_EQ(threaded.solution.next, sequential.solution.next) << label;
-        ASSERT_EQ(threaded.iterations, sequential.iterations) << label;
-        ASSERT_TRUE(threaded.total_steps == sequential.total_steps)
-            << label << ": host_threads changed the step counter (1 thread "
-            << sequential.total_steps.summary() << " vs " << threads << " threads "
-            << threaded.total_steps.summary() << ")";
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace ppa

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/check.hpp"
@@ -20,6 +24,27 @@ TEST(ThreadPool, InlineModeRunsOnCaller) {
     for (std::size_t i = begin; i < end; ++i) data[i] = 1;
   });
   EXPECT_EQ(std::accumulate(data.begin(), data.end(), 0), 100);
+}
+
+TEST(ThreadPool, LaneCountIncludesTheCaller) {
+  // ThreadPool(k) runs k lanes, the caller's among them: k - 1 worker
+  // threads, k distinct threads and k non-empty chunks over 16 items.
+  constexpr std::size_t kItems = 16;
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    ThreadPool pool(lanes);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    std::size_t chunks = 0;
+    pool.parallel_for(kItems, [&](std::size_t begin, std::size_t end) {
+      const std::lock_guard lock(mutex);
+      if (begin < end) ++chunks;
+      threads.insert(std::this_thread::get_id());
+    });
+    const std::size_t expected = std::min(lanes, kItems);
+    EXPECT_EQ(pool.worker_count(), lanes - 1) << "lanes=" << lanes;
+    EXPECT_EQ(threads.size(), expected) << "lanes=" << lanes;
+    EXPECT_EQ(chunks, expected) << "lanes=" << lanes;
+  }
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {

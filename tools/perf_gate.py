@@ -14,7 +14,10 @@ host_threads, batch_width, active_panels); a record without a batch_width
 field counts as batch_width 1, and one without an active_panels field as
 active_panels 1, so baselines predating multi-destination batching
 (docs/batching.md) and the active-panel schedule (docs/tiling.md) keep
-matching.  For every matched pair the gate fails when
+matching.  host_threads holds the all-pairs worker lane count (the
+caller's lane included) and is 1 for every other workload; the name is
+kept so older baselines keep matching.  For every matched pair the gate
+fails when
 
     current.wall_seconds > baseline.wall_seconds * (1 + threshold)
 

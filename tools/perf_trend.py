@@ -11,7 +11,8 @@ fresh run, or a whole directory of dated snapshots.  Where the gate is a
 binary pass/fail against ONE baseline, the trend report shows the
 *trajectory*: per configuration key (workload, backend, n, host_threads,
 batch_width, active_panels — the gate's key, with the same batch_width=1
-and active_panels=1 defaults for old records), the first and last
+and active_panels=1 defaults for old records; host_threads is the
+all-pairs worker lane count and 1 elsewhere), the first and last
 wall_seconds / pe_ops_per_sec, the relative
 drift between them, and the worst single-step jump along the series.
 

@@ -579,7 +579,9 @@ int cmd_info(int argc, const char* const* argv) {
 int cmd_allpairs(int argc, const char* const* argv) {
   util::CliParser cli("all-pairs minimum cost paths + diameter on the PPA");
   cli.flag("graph", "input graph file", "graph.txt");
-  cli.flag("workers", "host threads for independent destination runs (results identical)",
+  cli.flag("workers",
+           "host threads, caller included, for independent destination runs "
+           "(results identical)",
            "1");
   cli.flag("backend", "host execution backend, word|bitplane", "word");
   cli.flag("array-side", "physical array side P; 0 = full array, P < n runs tiled", "0");
