@@ -127,7 +127,8 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
 
   // One broadcast issue point for both schemes.
   const auto bcast = [&](const Pint& value, Direction dir, const Pbool& open) {
-    return detail::scheme_broadcast(value, dir, open, options.broadcast_scheme);
+    return two_sided ? ppc::two_sided_broadcast(value, dir, open)
+                     : ppc::broadcast(value, dir, open);
   };
 
   // Step 1 — initialization (paper statements 4..7): the d-th row gets the
@@ -195,21 +196,12 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
       panel_row_reduce(COL, row_end, variant, SOW, MIN_SOW, PTN);
     });
 
-    Pbool changed(ctx, false);
-    ppc::where(ctx, row_is_d, [&] {
-      // 15..18: pull the new costs/pointers from the diagonal into row d.
-      // (d,d) is excluded: its cost is pinned at 0 and its MIN_SOW was
-      // never recomputed; under the two-sided scheme it would also read
-      // its own floating injection.
-      ppc::where(ctx, !on_diagonal, [&] {
-        OLD_SOW = SOW;
-        SOW = bcast(MIN_SOW, Direction::South, on_diagonal);
-        changed = (SOW != OLD_SOW);
-        ppc::where(ctx, changed, [&] {
-          PTN = bcast(PTN, Direction::South, on_diagonal);
-        });
-      });
-    });
+    // 15..18: pull the new costs/pointers from the diagonal into row d.
+    // (d,d) is excluded: its cost is pinned at 0 and its MIN_SOW was
+    // never recomputed; under the two-sided scheme it would also read its
+    // own floating injection.
+    const Pbool changed =
+        ppc::pullback(SOW, OLD_SOW, PTN, MIN_SOW, row_is_d, on_diagonal, two_sided);
 
     ++result.iterations;
     // changed.count() is a free host read (it never charges SIMD steps),

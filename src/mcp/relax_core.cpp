@@ -10,18 +10,11 @@ namespace ppa::mcp::detail {
 
 using ppc::Pbool;
 using ppc::Pint;
-using sim::Direction;
-
-Pint scheme_broadcast(const Pint& value, Direction dir, const Pbool& open,
-                      BroadcastScheme scheme) {
-  return scheme == BroadcastScheme::TwoSidedLinear
-             ? ppc::two_sided_broadcast(value, dir, open)
-             : ppc::broadcast(value, dir, open);
-}
 
 void panel_candidates(const Pint& W, const Pbool& carrier_row, BroadcastScheme scheme,
-                      Pint& sow) {
-  sow = scheme_broadcast(sow, Direction::South, carrier_row, scheme) + W;
+                      Pint& sow, const Pbool* receivers) {
+  ppc::broadcast_add(sow, W, carrier_row, scheme == BroadcastScheme::TwoSidedLinear,
+                     receivers);
 }
 
 ScopedSink::ScopedSink(sim::Machine& machine, obs::Collector* observer)

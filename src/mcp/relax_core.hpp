@@ -12,10 +12,12 @@
 // full array with the paper's min() / selected_min() (mcp.cpp), the sweep
 // engine with ppc::fused_row_min_argmin over panel-local indices.
 //
-// Both functions issue instructions under the caller's ambient where-mask
-// and nothing else — the callers own all masking, which is what keeps the
-// full-array instruction stream bit-identical to the pre-extraction
-// solver (tests/mcp_step_regression_test.cpp pins the step counts).
+// panel_candidates issues instructions under the caller's ambient
+// where-mask; the only masks it pushes itself are the sweep engine's two
+// (its `receivers` form), in the order the engine issued them around the
+// call. That keeps both instruction streams bit-identical to the
+// pre-extraction solvers (tests/mcp_step_regression_test.cpp pins the
+// step counts).
 #pragma once
 
 #include <algorithm>
@@ -29,17 +31,15 @@
 
 namespace ppa::mcp::detail {
 
-/// Scheme-dispatched column/row broadcast (one issue point for both
-/// schemes, like the lambda the full solver used to carry around).
-[[nodiscard]] ppc::Pint scheme_broadcast(const ppc::Pint& value, sim::Direction dir,
-                                         const ppc::Pbool& open, BroadcastScheme scheme);
-
-/// Statement 10: sow = broadcast(sow, SOUTH, carrier_row) + W.
-/// PE (i,j) of the panel then holds w_ij + SOW[carrier][j]. The store is
-/// masked by the ambient mask; under the two-sided scheme the carrier row
-/// never hears its own injection, so the caller's mask must exclude it.
+/// Statement 10, one ppc::broadcast_add: sow = broadcast(sow, SOUTH,
+/// carrier_row) + W. PE (i,j) of the panel then holds w_ij +
+/// SOW[carrier][j]. Without `receivers` the store is masked by the ambient
+/// mask, which must exclude the carrier row (under the two-sided scheme it
+/// never hears its own injection); with them it is masked by
+/// where(receivers), and the carrier row adds its resident SOW locally.
 void panel_candidates(const ppc::Pint& W, const ppc::Pbool& carrier_row,
-                      BroadcastScheme scheme, ppc::Pint& sow);
+                      BroadcastScheme scheme, ppc::Pint& sow,
+                      const ppc::Pbool* receivers = nullptr);
 
 /// Per-column-block activity flags for the active-panel schedule
 /// (docs/tiling.md "Active panels"). A block is dirty when its slice of

@@ -61,25 +61,6 @@ std::vector<Word> panel_weights(const graph::WeightMatrix& g, std::size_t p,
   return cells;
 }
 
-/// Panel-local column-index bit planes, MSB-first: PE (r, c) holds bit j
-/// of c, for the ceil(log2 p) bits a local index needs (none for p = 1).
-/// Host flags, built once per pass and shared by every member, panel
-/// visit and sweep — base_c is constant within a panel, so the host adds
-/// it to the argmin line instead.
-std::vector<Pbool> index_bit_planes(ppc::Context& ctx, std::size_t p) {
-  std::vector<Pbool> planes;
-  std::vector<sim::Flag> flags(p * p);
-  for (int j = static_cast<int>(std::bit_width(p - 1)) - 1; j >= 0; --j) {
-    for (std::size_t r = 0; r < p; ++r) {
-      for (std::size_t c = 0; c < p; ++c) {
-        flags[r * p + c] = static_cast<sim::Flag>((c >> static_cast<std::size_t>(j)) & 1u);
-      }
-    }
-    planes.emplace_back(ctx, flags);
-  }
-  return planes;
-}
-
 }  // namespace
 
 std::size_t effective_array_side(const Options& options, std::size_t n) {
@@ -146,7 +127,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   // as host n-vectors between panel visits; SOW starts at the 1-edge costs
   // (column d of W, the full solver's init transposed host-side) and PTN
   // at d. No array instructions are issued for it, so init_steps only
-  // covers wiring the physical constants and the index bit planes below.
+  // covers wiring the physical constants and the index planes below.
   // ------------------------------------------------------------------
   auto init_span = std::make_optional(obs::open_span(observer, "init", &machine));
   const bool active = options.active_panels;
@@ -185,7 +166,14 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   // the same panel each sweep). A panel the active schedule never visits
   // is never packed.
   std::vector<std::optional<Pint>> panels(blocks * blocks);
-  const std::vector<Pbool> index_bits = index_bit_planes(ctx, p);
+  // Panel-local column-index planes, MSB-first: COL's low ceil(log2 p)
+  // planes (none for p = 1). Shared by every member, panel visit and sweep
+  // — base_c is constant within a panel, so the host adds it to the argmin
+  // line instead.
+  std::vector<Pbool> index_bits;
+  for (int j = static_cast<int>(std::bit_width(p - 1)) - 1; j >= 0; --j) {
+    index_bits.push_back(COL.bit(j));
+  }
 
   const sim::StepCounter after_init = machine.steps();
   init_span.reset();
@@ -218,13 +206,24 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   std::size_t sweeps = 0;
   std::size_t live = k;
 
-  // A member's bj-th SOW fragment on the carrier row (every other PE 0).
-  const auto inject = [&](const Member& m, std::size_t base_c, std::optional<Pint>& fragment) {
+  // A member's bj-th SOW fragment on the carrier row, loaded into the one
+  // resident fragment register. Every other PE holds 0 after the first
+  // load. A later load rewrites only the carrier row on a fault-free
+  // machine: there the carrier is the only driver of the column broadcast,
+  // and broadcast_add rewrites every other row before any instruction
+  // reads it. On a faulty machine a stuck-open switch can make any PE a
+  // driver, so the other rows are zeroed as on the first load.
+  std::optional<Pint> fragment;
+  const auto inject = [&](const Member& m, std::size_t base_c) {
     for (std::size_t c = 0; c < p; ++c) {
       const std::size_t gj = base_c + c;
       sow_row[c] = gj < n ? m.sow[gj] : inf;
     }
-    fragment.emplace(Pint::load_row(ctx, 0, sow_row));
+    if (fragment) {
+      fragment->reload_row(0, sow_row, machine.has_faults());
+    } else {
+      fragment.emplace(Pint::load_row(ctx, 0, sow_row));
+    }
   };
   const auto fold = [&](Member& m, const Word* mins, const Word* args, std::size_t rows) {
     for (std::size_t r = 0; r < rows; ++r) {
@@ -307,8 +306,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
           resident.emplace(ctx, panel_weights(graph, p, base_r, base_c));
         }
         const Pint& Wp = *resident;
-        std::optional<Pint> fragment;
-        if (k == 1) inject(members.front(), base_c, fragment);
+        if (k == 1) inject(members.front(), base_c);
         ledger.load(static_cast<std::uint64_t>(p) + (k == 1 ? 1 : 0));
         load_span.reset();
 
@@ -323,21 +321,16 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
             continue;
           }
           if (k > 1) {
-            inject(m, base_c, fragment);
+            inject(m, base_c);
             machine.charge_panel_io(1);
           }
           Pint& SOWP = *fragment;
-          // ---- candidates (statement 10) and the row reduction.
-          ppc::where(ctx, not_carrier, [&] {
-            panel_candidates(Wp, carrier, options.broadcast_scheme, SOWP);
-          });
-          ppc::where(ctx, carrier, [&] {
-            // The carrier doubles as data row 0: its fragment value is
-            // still resident (the masked store above skipped it), so its
-            // candidates come from a local add — necessary under the
-            // two-sided scheme, where a driver never hears itself.
-            SOWP = SOWP + Wp;
-          });
+          // ---- candidates (statement 10) and the row reduction. The
+          //      carrier doubles as data row 0: its fragment value is
+          //      still resident (the store under not_carrier skips it), so
+          //      its candidates come from a local add — necessary under
+          //      the two-sided scheme, where a driver never hears itself.
+          panel_candidates(Wp, carrier, options.broadcast_scheme, SOWP, &not_carrier);
           // The smallest local index is the smallest global one (base_c
           // is constant within a panel): panel_row_reduce's tie-break.
           // Padding columns hold infinity and lose every value round

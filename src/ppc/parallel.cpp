@@ -42,6 +42,9 @@ class detail_access {
     return p;
   }
 
+  static std::vector<PlaneWord>& planes(Pint& p) { return p.planes_; }
+  static std::vector<PlaneWord>& driven_plane(Pint& p) { return p.driven_plane_; }
+
   static Pbool raw_pbool_plane(Context& ctx, std::vector<PlaneWord> plane,
                                std::vector<PlaneWord> driven) {
     Pbool p(&ctx);
@@ -223,32 +226,50 @@ Pint::Pint(Context& ctx, std::span<const Word> values) : ctx_(&ctx) {
 }
 
 Pint Pint::load_row(Context& ctx, std::size_t row, std::span<const Word> values) {
+  Pint p(&ctx);
+  if (ctx.bitplane()) {
+    p.planes_ = ctx.acquire_value_planes();
+  } else {
+    p.data_ = ctx.acquire_words();
+  }
+  p.reload_row(row, values, true);
+  return p;
+}
+
+void Pint::reload_row(std::size_t row, std::span<const Word> values, bool zero_rest) {
+  Context& ctx = *ctx_;
   const std::size_t n = ctx.n();
   PPA_REQUIRE(row < n, "row index out of range");
   PPA_REQUIRE(values.size() == n, "row load needs exactly n elements");
   for (const Word v : values) {
     PPA_REQUIRE(ctx.field().representable(v), "initializer value does not fit in the field");
   }
-  Pint p(&ctx);
   if (ctx.bitplane()) {
     const auto& g = ctx.geometry();
-    const std::size_t pw = g.plane_words();
-    p.planes_ = ctx.acquire_value_planes();
-    ctx.alu().op_zero(p.planes_.data(), p.planes_.size());
-    for (std::size_t c = 0; c < n; ++c) {
-      const std::size_t word = g.word_of(row, c);
-      const PlaneWord bit = PlaneWord{1} << sim::PlaneGeometry::bit_of(c);
-      for (Word v = values[c]; v != 0; v &= v - 1) {
-        p.planes_[static_cast<std::size_t>(__builtin_ctz(v)) * pw + word] |= bit;
+    if (zero_rest) ctx.alu().op_zero(planes_.data(), planes_.size());
+    ctx.alu().pack_row(g, values.data(), ctx.field().bits(), row, planes_.data());
+    if (!driven_plane_.empty()) {
+      if (zero_rest) {
+        ctx.release_flag_plane(std::move(driven_plane_));
+        driven_plane_ = {};
+      } else {
+        std::copy_n(ctx.full_plane() + row * g.row_words, g.row_words,
+                    driven_plane_.begin() + static_cast<std::ptrdiff_t>(row * g.row_words));
       }
     }
   } else {
-    p.data_ = ctx.acquire_words();
-    std::fill(p.data_.begin(), p.data_.end(), Word{0});
-    std::copy(values.begin(), values.end(), p.data_.begin() + static_cast<std::ptrdiff_t>(row * n));
+    if (zero_rest) std::fill(data_.begin(), data_.end(), Word{0});
+    std::copy(values.begin(), values.end(), data_.begin() + static_cast<std::ptrdiff_t>(row * n));
+    if (!driven_.empty()) {
+      if (zero_rest) {
+        ctx.release_flags(std::move(driven_));
+        driven_ = {};
+      } else {
+        std::fill_n(driven_.begin() + static_cast<std::ptrdiff_t>(row * n), n, Flag{1});
+      }
+    }
   }
   ctx.machine().charge_alu();
-  return p;
 }
 
 Pint::Pint(const Pint& other) : ctx_(other.ctx_) {
@@ -287,18 +308,7 @@ Pint& Pint::operator=(const Pint& rhs) {
   check_same_context(*ctx_, *rhs.ctx_);
   Context& ctx = *ctx_;
   if (ctx.bitplane()) {
-    const PlaneWord* pm = ctx.mask_plane();
-    detail::check_store_driven_plane(ctx, pm, rhs.driven_plane_);
-    ctx.machine().charge_alu();
-    const std::size_t pw = ctx.geometry().plane_words();
-    const int h = ctx.field().bits();
-    for (int j = 0; j < h; ++j) {
-      ctx.alu().masked_assign(pm, rhs.planes_.data() + static_cast<std::size_t>(j) * pw,
-                               planes_.data() + static_cast<std::size_t>(j) * pw, pw);
-    }
-    if (!driven_plane_.empty()) {
-      ctx.alu().op_or(driven_plane_.data(), pm, driven_plane_.data(), pw);
-    }
+    detail::store_planes(*this, ctx.mask_plane(), rhs.planes_.data(), rhs.driven_plane_);
     return *this;
   }
   const auto mask = ctx.mask();
@@ -1238,6 +1248,24 @@ void check_store_driven_plane(Context& ctx, const PlaneWord* mask,
     if (!config.checked) break;  // the throw only reports the first PE
   }
   if (count != 0) handle_undriven(ctx, first, count);
+}
+
+void store_planes(Pint& dst, const PlaneWord* mask, const PlaneWord* values,
+                  std::span<const PlaneWord> driven, const PlaneWord* addend) {
+  Context& ctx = dst.context();
+  check_store_driven_plane(ctx, mask, driven);
+  ctx.machine().charge_alu();
+  const std::size_t pw = ctx.geometry().plane_words();
+  const int h = ctx.field().bits();
+  PlaneWord* out = detail_access::planes(dst).data();
+  // Self-assignment is harmless: each PE rewrites its own value.
+  if (addend != nullptr) {
+    ctx.alu().add_sat_masked(values, addend, h, pw, mask, out);
+  } else {
+    ctx.alu().masked_assign_planes(mask, values, out, h, pw);
+  }
+  std::vector<PlaneWord>& dst_driven = detail_access::driven_plane(dst);
+  if (!dst_driven.empty()) ctx.alu().op_or(dst_driven.data(), mask, dst_driven.data(), pw);
 }
 
 Pint make_bus_pint(Context& ctx, std::vector<Word> values, std::vector<Flag> driven) {

@@ -52,6 +52,12 @@ class Pint {
   [[nodiscard]] static Pint load_row(Context& ctx, std::size_t row,
                                      std::span<const Word> values);
 
+  /// load_row into this register in place: row `row` gets `values`, and
+  /// with `zero_rest` every other PE gets 0 (load_row's contents exactly);
+  /// without it the other rows keep theirs. Unmasked, and charged like
+  /// load_row. The loaded PEs are driven afterwards.
+  void reload_row(std::size_t row, std::span<const Word> values, bool zero_rest);
+
   /// Clone — a fresh register unmasked-copied from `other` (buffer drawn
   /// from the context's register arena; charges nothing, like the old
   /// memberwise copy).
@@ -245,6 +251,16 @@ Pbool make_bus_pbool_plane(Context& ctx, std::vector<sim::PlaneWord> plane,
 /// Empty `driven` = fully driven. For primitives that store in place.
 void check_store_driven_plane(Context& ctx, const sim::PlaneWord* mask,
                               std::span<const sim::PlaneWord> driven);
+/// Pint::operator='s bit-plane store from raw planes: the check above for
+/// `driven` under `mask`, one ALU step, the h `values` planes stored under
+/// `mask` in one sweep, and the stored PEs marked driven. With `addend`
+/// the stored value is the saturating sum values + addend, computed in the
+/// same sweep (its own ALU step is the caller's to charge). For primitives
+/// that compute a value in arena planes and store it in place; `values`
+/// may be dst's own planes.
+void store_planes(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* values,
+                  std::span<const sim::PlaneWord> driven,
+                  const sim::PlaneWord* addend = nullptr);
 }  // namespace detail
 
 }  // namespace ppa::ppc

@@ -558,6 +558,196 @@ void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Statement 10 and statements 15–18. The word backend runs the eDSL
+// statements; the bit-plane backend computes each value in arena planes
+// and stores it in place, issuing the statements' Machine calls on the
+// same planes and charging each where-push, operator and store where the
+// statements do.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+Pint scheme_broadcast(const Pint& src, sim::Direction dir, const Pbool& open, bool two_sided) {
+  return two_sided ? two_sided_broadcast(src, dir, open) : broadcast(src, dir, open);
+}
+
+/// The value planes and driven plane of one bus read, in arena buffers.
+struct PlaneRead {
+  explicit PlaneRead(Context& context)
+      : ctx(context),
+        values(context.acquire_value_planes()),
+        driven(context.acquire_flag_plane()) {}
+  ~PlaneRead() {
+    ctx.release_value_planes(std::move(values));
+    ctx.release_flag_plane(std::move(driven));
+  }
+  PlaneRead(const PlaneRead&) = delete;
+  PlaneRead& operator=(const PlaneRead&) = delete;
+
+  Context& ctx;
+  std::vector<PlaneWord> values;
+  std::vector<PlaneWord> driven;
+};
+
+/// broadcast(src, dir, open) into `out`: one cycle, with a tainted src's
+/// driven flags riding it on a shadow cycle, as broadcast() does.
+void plane_broadcast(const Pint& src, sim::Direction dir, const PlaneWord* open, PlaneRead& out) {
+  Context& ctx = src.context();
+  ctx.machine().broadcast_planes_into(src.planes_view().data(), ctx.field().bits(), dir, open,
+                                      out.values.data(), out.driven.data());
+  if (src.fully_driven()) return;
+  PlaneRead taint(ctx);
+  ctx.machine().shadow_broadcast_planes_into(src.driven_plane_view().data(), dir, open,
+                                             taint.values.data(), taint.driven.data());
+  ctx.alu().op_and(out.driven.data(), taint.values.data(), out.driven.data(),
+                   ctx.geometry().plane_words());
+}
+
+/// The column broadcast of `src` from `open`, or its two-sided pair: the
+/// backward read fills the PEs the forward one left undriven, charged as
+/// two_sided_broadcast's driven_mask and select.
+void plane_scheme_broadcast(const Pint& src, const PlaneWord* open, bool two_sided,
+                            PlaneRead& out) {
+  plane_broadcast(src, sim::Direction::South, open, out);
+  if (!two_sided) return;
+  Context& ctx = src.context();
+  PlaneRead backward(ctx);
+  plane_broadcast(src, sim::Direction::North, open, backward);
+  charge(ctx.machine(), 2);
+  const std::size_t pw = ctx.geometry().plane_words();
+  ctx.alu().masked_assign_planes(out.driven.data(), out.values.data(), backward.values.data(),
+                                 ctx.field().bits(), pw);
+  ctx.alu().op_or(out.driven.data(), backward.driven.data(), backward.driven.data(), pw);
+  std::swap(out.values, backward.values);
+  std::swap(out.driven, backward.driven);
+}
+
+/// `mask` = `ambient` & `cond`: a where-push on the bit-plane backend.
+void plane_push(Context& ctx, const PlaneWord* ambient, const Pbool& cond, PlaneWord* mask) {
+  ctx.alu().op_and(ambient, cond.plane_view().data(), mask, ctx.geometry().plane_words());
+  ctx.machine().charge_alu();
+}
+
+/// The driven flags of a sum: `a` & `b`, a missing plane counting as full.
+std::span<const PlaneWord> sum_driven(Context& ctx, const Pint& a, const Pint& b,
+                                      std::vector<PlaneWord>& scratch) {
+  if (a.fully_driven()) return b.driven_plane_view();
+  if (b.fully_driven()) return a.driven_plane_view();
+  ctx.alu().op_and(a.driven_plane_view().data(), b.driven_plane_view().data(), scratch.data(),
+                   ctx.geometry().plane_words());
+  return scratch;
+}
+
+void plane_broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two_sided,
+                         const Pbool* receivers) {
+  Context& ctx = sow.context();
+  const auto& alu = ctx.alu();
+  const std::size_t pw = ctx.geometry().plane_words();
+  const PlaneWord* ambient = ctx.mask_plane();
+  std::vector<PlaneWord> pushed;
+  if (receivers != nullptr) {
+    pushed = ctx.acquire_flag_plane();
+    plane_push(ctx, ambient, *receivers, pushed.data());
+  }
+  const PlaneWord* stores = receivers != nullptr ? pushed.data() : ambient;
+  // Each `+` is fused into the store that follows it.
+  PlaneRead read(ctx);
+  plane_scheme_broadcast(sow, carrier.plane_view().data(), two_sided, read);
+  ctx.machine().charge_alu();  // + addend
+  if (!addend.fully_driven()) {
+    alu.op_and(read.driven.data(), addend.driven_plane_view().data(), read.driven.data(), pw);
+  }
+  detail::store_planes(sow, stores, read.values.data(), read.driven,
+                       addend.planes_view().data());
+  if (receivers == nullptr) return;
+  // The carrier's local add: its SOW is still resident.
+  plane_push(ctx, ambient, carrier, pushed.data());
+  ctx.machine().charge_alu();  // sow + addend
+  detail::store_planes(sow, pushed.data(), sow.planes_view().data(),
+                       sum_driven(ctx, sow, addend, read.driven), addend.planes_view().data());
+  ctx.release_flag_plane(std::move(pushed));
+}
+
+Pbool plane_pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow, const Pbool& row,
+                     const Pbool& diagonal, bool two_sided) {
+  Context& ctx = sow.context();
+  sim::Machine& machine = ctx.machine();
+  const auto& alu = ctx.alu();
+  const std::size_t pw = ctx.geometry().plane_words();
+  const int h = ctx.field().bits();
+  const PlaneWord* open = diagonal.plane_view().data();
+  // `Pbool changed(ctx, false)`, where(row), !diagonal and its where:
+  // `stores` = ambient & row & !diagonal.
+  std::vector<PlaneWord> changed = ctx.acquire_flag_plane();
+  machine.charge_alu();
+  std::vector<PlaneWord> stores = ctx.acquire_flag_plane();
+  plane_push(ctx, ctx.mask_plane(), row, stores.data());
+  charge(machine, 2);
+  alu.op_andnot(stores.data(), open, stores.data(), pw);
+  detail::store_planes(old_sow, stores.data(), sow.planes_view().data(),
+                       sow.driven_plane_view());
+  PlaneRead pulled(ctx);
+  plane_scheme_broadcast(min_sow, open, two_sided, pulled);
+  // Under `stores` old_sow holds the old sow, so changed = stores & (pulled
+  // != sow) before the store, and both sides of the compare are driven
+  // there once stored: the changed store never meets an undriven value.
+  alu.compare_eq(pulled.values.data(), sow.planes_view().data(), h, pw, ctx.full_plane(),
+                 changed.data());
+  alu.op_andnot(stores.data(), changed.data(), changed.data(), pw);
+  detail::store_planes(sow, stores.data(), pulled.values.data(), pulled.driven);
+  charge(machine, 3);  // !=, the store into changed, where(changed)
+  plane_scheme_broadcast(ptn, open, two_sided, pulled);
+  detail::store_planes(ptn, changed.data(), pulled.values.data(), pulled.driven);
+  ctx.release_flag_plane(std::move(stores));
+  return detail::make_bus_pbool_plane(ctx, std::move(changed), {});
+}
+
+}  // namespace
+
+void broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two_sided,
+                   const Pbool* receivers) {
+  Context& ctx = sow.context();
+  require_same(ctx, addend.context());
+  require_same(ctx, carrier.context());
+  if (receivers != nullptr) require_same(ctx, receivers->context());
+  if (ctx.bitplane()) {
+    plane_broadcast_add(sow, addend, carrier, two_sided, receivers);
+    return;
+  }
+  if (receivers == nullptr) {
+    sow = scheme_broadcast(sow, sim::Direction::South, carrier, two_sided) + addend;
+    return;
+  }
+  where(ctx, *receivers, [&] {
+    sow = scheme_broadcast(sow, sim::Direction::South, carrier, two_sided) + addend;
+  });
+  where(ctx, carrier, [&] { sow = sow + addend; });
+}
+
+Pbool pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow, const Pbool& row,
+               const Pbool& diagonal, bool two_sided) {
+  Context& ctx = sow.context();
+  for (const Context* other : {&old_sow.context(), &ptn.context(), &min_sow.context(),
+                               &row.context(), &diagonal.context()}) {
+    require_same(ctx, *other);
+  }
+  if (ctx.bitplane()) {
+    return plane_pullback(sow, old_sow, ptn, min_sow, row, diagonal, two_sided);
+  }
+  Pbool changed(ctx, false);
+  where(ctx, row, [&] {
+    where(ctx, !diagonal, [&] {
+      old_sow = sow;
+      sow = scheme_broadcast(min_sow, sim::Direction::South, diagonal, two_sided);
+      changed = (sow != old_sow);
+      where(ctx, changed,
+            [&] { ptn = scheme_broadcast(ptn, sim::Direction::South, diagonal, two_sided); });
+    });
+  });
+  return changed;
+}
+
 Pbool has_upstream(const Pbool& flags, sim::Direction dir) {
   Context& ctx = flags.context();
   PPA_REQUIRE(ctx.machine().config().topology == sim::BusTopology::Linear,

@@ -29,6 +29,14 @@
 //                                min and smallest-index argmin of every
 //                                row from h + log2 p wired-OR rounds,
 //                                read back by the controller.
+//   broadcast_add              — statement 10: a column broadcast of the
+//                                carrier row plus a saturating add, stored
+//                                in place.
+//   pullback                   — statements 15–18: the diagonal's row
+//                                minima and pointers pulled into row d.
+//                                Both run as eDSL statements on the word
+//                                backend and in place on the bit-plane
+//                                backend.
 //
 // Injection precondition for shift and bus_or: values injected must be
 // fully driven (store a received bus value into a variable first).
@@ -137,6 +145,40 @@ namespace ppa::ppc {
 void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
                           const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
                           std::span<Word> arg_line);
+
+/// Statement 10 in place, `two_sided` choosing two_sided_broadcast over
+/// broadcast:
+///
+///   sow = broadcast(sow, South, carrier) + addend;
+///
+/// stored under the ambient where-mask (the full array, whose caller's
+/// where(ROW != d) excludes the carrier). With `receivers` it is the sweep
+/// engine's form instead, where the carrier row doubles as data row 0:
+///
+///   where (receivers) sow = broadcast(sow, South, carrier) + addend;
+///   where (carrier)   sow = sow + addend;
+///
+/// The adds saturate. The word backend runs these eDSL statements; the
+/// bit-plane backend writes sow in place with no Pint result, charging
+/// every where-push, operator and store as the statements do, on the same
+/// bus cycles.
+void broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two_sided,
+                   const Pbool* receivers = nullptr);
+
+/// Statements 15–18, the full array's pullback of the row minima into row
+/// `row`, `two_sided` choosing two_sided_broadcast over broadcast:
+///
+///   parallel logical changed = false;
+///   where (row) where (!diagonal) {
+///     old_sow = sow;
+///     sow = broadcast(min_sow, South, diagonal);
+///     changed = (sow != old_sow);
+///     where (changed) ptn = broadcast(ptn, South, diagonal);
+///   }
+///
+/// Returns `changed`. Same backend split as broadcast_add.
+[[nodiscard]] Pbool pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow,
+                             const Pbool& row, const Pbool& diagonal, bool two_sided);
 
 // ---------------------------------------------------------------------------
 // Priority-resolution idioms (classic reconfigurable-mesh building blocks,

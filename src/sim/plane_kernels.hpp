@@ -53,6 +53,10 @@ struct PlaneKernels {
   void (*op_zero)(PlaneWord* out, std::size_t words) noexcept = nullptr;
   void (*masked_assign)(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
                         std::size_t words) noexcept = nullptr;
+  /// masked_assign of `planes` planes (plane j at offset j * pw) under the
+  /// one mask plane: a whole-register masked store in one sweep.
+  void (*masked_assign_planes)(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
+                               int planes, std::size_t pw) noexcept = nullptr;
   void (*blend)(const PlaneWord* cond, const PlaneWord* a, const PlaneWord* b,
                 PlaneWord* out, std::size_t words) noexcept = nullptr;
   bool (*all_zero)(const PlaneWord* a, std::size_t words) noexcept = nullptr;
@@ -63,6 +67,10 @@ struct PlaneKernels {
   // lt/eq live in registers per word block.
   void (*add_sat)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* out) noexcept = nullptr;
+  /// add_sat fused into a masked store: dst = mask ? a + b : dst, dst
+  /// free to alias a or b; word blocks the mask leaves empty are skipped.
+  void (*add_sat_masked)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                         const PlaneWord* mask, PlaneWord* dst) noexcept = nullptr;
   void (*compare_lt)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                      const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) noexcept = nullptr;
   void (*compare_eq)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
@@ -73,6 +81,10 @@ struct PlaneKernels {
   /// pre-zeroing needed.
   void (*pack_words)(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
                      PlaneWord* out) = nullptr;
+  /// pack_words of the single row `r`: `row` holds its n words, and only
+  /// row r's words of each plane are written (pads read 0).
+  void (*pack_row)(const sim::PlaneGeometry& g, const sim::Word* row, int planes,
+                   std::size_t r, PlaneWord* out) noexcept = nullptr;
 
   /// One row-bus broadcast cycle (dir East or West) on `planes` src
   /// planes, as a segmented fill: every lane reads the nearest Open switch
@@ -177,6 +189,11 @@ class PlaneAlu {
     bill(words);
     k_->masked_assign(mask, src, dst, words);
   }
+  void masked_assign_planes(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
+                            int planes, std::size_t pw) const {
+    bill(static_cast<std::size_t>(planes) * pw);
+    k_->masked_assign_planes(mask, src, dst, planes, pw);
+  }
   void blend(const PlaneWord* cond, const PlaneWord* a, const PlaneWord* b,
              PlaneWord* out, std::size_t words) const {
     bill(words);
@@ -209,6 +226,11 @@ class PlaneAlu {
     bill(static_cast<std::size_t>(h) * pw);
     k_->add_sat(a, b, h, pw, full, out);
   }
+  void add_sat_masked(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                      const PlaneWord* mask, PlaneWord* dst) const {
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->add_sat_masked(a, b, h, pw, mask, dst);
+  }
   void compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) const {
     bill(static_cast<std::size_t>(h) * pw);
@@ -224,6 +246,11 @@ class PlaneAlu {
                   PlaneWord* out) const {
     bill(g.plane_words() * static_cast<std::size_t>(planes));
     k_->pack_words(g, src, planes, out);
+  }
+  void pack_row(const sim::PlaneGeometry& g, const sim::Word* row, int planes, std::size_t r,
+                PlaneWord* out) const {
+    bill(g.row_words * static_cast<std::size_t>(planes));
+    k_->pack_row(g, row, planes, r, out);
   }
 
  private:

@@ -49,37 +49,32 @@ struct VecAvx2 {
 /// 64 lanes per group: bit j of each 32-bit PE word is lifted to the sign
 /// position and harvested with movemask — 8 bits per 256-bit register,
 /// eight registers per plane word.
-void pack_words_avx2(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
-                     sim::PlaneWord* out) {
+void pack_row_avx2(const sim::PlaneGeometry& g, const sim::Word* row, int planes, std::size_t r,
+                   sim::PlaneWord* out) noexcept {
   const std::size_t pw = g.plane_words();
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
   alignas(32) sim::Word buf[sim::kLanesPerWord];
-  for (std::size_t r = 0; r < n; ++r) {
-    const sim::Word* row = src + r * n;
-    for (std::size_t w = 0; w < rw; ++w) {
-      const std::size_t lane0 = w * sim::kLanesPerWord;
-      const std::size_t lanes = std::min(sim::kLanesPerWord, n - lane0);
-      const sim::Word* p = row + lane0;
-      if (lanes < sim::kLanesPerWord) {
-        std::memset(buf, 0, sizeof(buf));
-        std::memcpy(buf, p, lanes * sizeof(sim::Word));
-        p = buf;
-      }
-      __m256i v[8];
+  for (std::size_t w = 0; w < g.row_words; ++w) {
+    const std::size_t lane0 = w * sim::kLanesPerWord;
+    const std::size_t lanes = std::min(sim::kLanesPerWord, g.n - lane0);
+    const sim::Word* p = row + lane0;
+    if (lanes < sim::kLanesPerWord) {
+      std::memset(buf, 0, sizeof(buf));
+      std::memcpy(buf, p, lanes * sizeof(sim::Word));
+      p = buf;
+    }
+    __m256i v[8];
+    for (int k = 0; k < 8; ++k) {
+      v[k] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8 * k));
+    }
+    const std::size_t idx = r * g.row_words + w;
+    for (int j = 0; j < planes; ++j) {
+      std::uint64_t m = 0;
       for (int k = 0; k < 8; ++k) {
-        v[k] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8 * k));
+        const int bits =
+            _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_slli_epi32(v[k], 31 - j)));
+        m |= static_cast<std::uint64_t>(static_cast<unsigned>(bits) & 0xffu) << (8 * k);
       }
-      const std::size_t idx = r * rw + w;
-      for (int j = 0; j < planes; ++j) {
-        std::uint64_t m = 0;
-        for (int k = 0; k < 8; ++k) {
-          const int bits = _mm256_movemask_ps(
-              _mm256_castsi256_ps(_mm256_slli_epi32(v[k], 31 - j)));
-          m |= static_cast<std::uint64_t>(static_cast<unsigned>(bits) & 0xffu) << (8 * k);
-        }
-        out[static_cast<std::size_t>(j) * pw + idx] = m;
-      }
+      out[static_cast<std::size_t>(j) * pw + idx] = m;
     }
   }
 }
@@ -99,13 +94,16 @@ const PlaneKernels* avx2_table() noexcept {
     t.op_copy = detail::t_op_copy<VecAvx2>;
     t.op_zero = detail::t_op_zero<VecAvx2>;
     t.masked_assign = detail::t_masked_assign<VecAvx2>;
+    t.masked_assign_planes = detail::t_masked_assign_planes<VecAvx2>;
     t.blend = detail::t_blend<VecAvx2>;
     t.all_zero = detail::t_all_zero<VecAvx2>;
     t.equal = detail::t_equal<VecAvx2>;
     t.add_sat = detail::t_add_sat<VecAvx2>;
+    t.add_sat_masked = detail::t_add_sat_masked<VecAvx2>;
     t.compare_lt = detail::t_compare_lt<VecAvx2>;
     t.compare_eq = detail::t_compare_eq<VecAvx2>;
-    t.pack_words = pack_words_avx2;
+    t.pack_words = detail::pack_words_by_rows<pack_row_avx2>;
+    t.pack_row = pack_row_avx2;
     t.segmented_fill = detail::t_segmented_fill<VecAvx2>;
     t.segmented_or = detail::t_segmented_or<VecAvx2>;
     t.column_fill = detail::t_column_fill<VecAvx2>;

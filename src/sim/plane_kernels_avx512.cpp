@@ -48,34 +48,29 @@ struct VecAvx512 {
 /// 64 lanes per group: bit j of each 32-bit PE word is harvested with a
 /// vptestm mask — 16 lanes per 512-bit register, four registers per plane
 /// word.
-void pack_words_avx512(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
-                       sim::PlaneWord* out) {
+void pack_row_avx512(const sim::PlaneGeometry& g, const sim::Word* row, int planes,
+                     std::size_t r, sim::PlaneWord* out) noexcept {
   const std::size_t pw = g.plane_words();
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
   alignas(64) sim::Word buf[sim::kLanesPerWord];
-  for (std::size_t r = 0; r < n; ++r) {
-    const sim::Word* row = src + r * n;
-    for (std::size_t w = 0; w < rw; ++w) {
-      const std::size_t lane0 = w * sim::kLanesPerWord;
-      const std::size_t lanes = std::min(sim::kLanesPerWord, n - lane0);
-      const sim::Word* p = row + lane0;
-      if (lanes < sim::kLanesPerWord) {
-        std::memset(buf, 0, sizeof(buf));
-        std::memcpy(buf, p, lanes * sizeof(sim::Word));
-        p = buf;
+  for (std::size_t w = 0; w < g.row_words; ++w) {
+    const std::size_t lane0 = w * sim::kLanesPerWord;
+    const std::size_t lanes = std::min(sim::kLanesPerWord, g.n - lane0);
+    const sim::Word* p = row + lane0;
+    if (lanes < sim::kLanesPerWord) {
+      std::memset(buf, 0, sizeof(buf));
+      std::memcpy(buf, p, lanes * sizeof(sim::Word));
+      p = buf;
+    }
+    __m512i v[4];
+    for (int k = 0; k < 4; ++k) v[k] = _mm512_loadu_si512(p + 16 * k);
+    const std::size_t idx = r * g.row_words + w;
+    for (int j = 0; j < planes; ++j) {
+      const __m512i bit = _mm512_set1_epi32(1 << j);
+      std::uint64_t m = 0;
+      for (int k = 0; k < 4; ++k) {
+        m |= static_cast<std::uint64_t>(_mm512_test_epi32_mask(v[k], bit)) << (16 * k);
       }
-      __m512i v[4];
-      for (int k = 0; k < 4; ++k) v[k] = _mm512_loadu_si512(p + 16 * k);
-      const std::size_t idx = r * rw + w;
-      for (int j = 0; j < planes; ++j) {
-        const __m512i bit = _mm512_set1_epi32(1 << j);
-        std::uint64_t m = 0;
-        for (int k = 0; k < 4; ++k) {
-          m |= static_cast<std::uint64_t>(_mm512_test_epi32_mask(v[k], bit)) << (16 * k);
-        }
-        out[static_cast<std::size_t>(j) * pw + idx] = m;
-      }
+      out[static_cast<std::size_t>(j) * pw + idx] = m;
     }
   }
 }
@@ -95,13 +90,16 @@ const PlaneKernels* avx512_table() noexcept {
     t.op_copy = detail::t_op_copy<VecAvx512>;
     t.op_zero = detail::t_op_zero<VecAvx512>;
     t.masked_assign = detail::t_masked_assign<VecAvx512>;
+    t.masked_assign_planes = detail::t_masked_assign_planes<VecAvx512>;
     t.blend = detail::t_blend<VecAvx512>;
     t.all_zero = detail::t_all_zero<VecAvx512>;
     t.equal = detail::t_equal<VecAvx512>;
     t.add_sat = detail::t_add_sat<VecAvx512>;
+    t.add_sat_masked = detail::t_add_sat_masked<VecAvx512>;
     t.compare_lt = detail::t_compare_lt<VecAvx512>;
     t.compare_eq = detail::t_compare_eq<VecAvx512>;
-    t.pack_words = pack_words_avx512;
+    t.pack_words = detail::pack_words_by_rows<pack_row_avx512>;
+    t.pack_row = pack_row_avx512;
     t.segmented_fill = detail::t_segmented_fill<VecAvx512>;
     t.segmented_or = detail::t_segmented_or<VecAvx512>;
     t.column_fill = detail::t_column_fill<VecAvx512>;

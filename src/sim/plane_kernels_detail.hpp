@@ -116,6 +116,35 @@ void t_masked_assign(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst
   for (; i < words; ++i) dst[i] ^= (dst[i] ^ src[i]) & mask[i];
 }
 
+/// masked_assign over `planes` planes under ONE mask plane, the word index
+/// outermost so each mask block is loaded once for every plane, and a
+/// block the mask leaves empty is skipped (a one-row store touches one
+/// row of words).
+template <class V>
+void t_masked_assign_planes_words(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
+                                  int planes, std::size_t pw, std::size_t begin,
+                                  std::size_t end) noexcept {
+  std::size_t i = begin;
+  for (; i + V::W <= end; i += V::W) {
+    const auto m = V::load(mask + i);
+    if (V::is_zero(m)) continue;
+    for (int j = 0; j < planes; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+      const auto d = V::load(dst + off);
+      V::store(dst + off, V::xor_(d, V::and_(V::xor_(d, V::load(src + off)), m)));
+    }
+  }
+  if constexpr (V::W > 1) {
+    if (i < end) t_masked_assign_planes_words<VecScalar>(mask, src, dst, planes, pw, i, end);
+  }
+}
+
+template <class V>
+void t_masked_assign_planes(const PlaneWord* mask, const PlaneWord* src, PlaneWord* dst,
+                            int planes, std::size_t pw) noexcept {
+  t_masked_assign_planes_words<V>(mask, src, dst, planes, pw, 0, pw);
+}
+
 template <class V>
 void t_blend(const PlaneWord* cond, const PlaneWord* a, const PlaneWord* b,
              PlaneWord* out, std::size_t words) noexcept {
@@ -188,6 +217,48 @@ void t_add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
   t_add_sat_words<V>(a, b, h, pw, full, out, 0, pw);
 }
 
+/// The saturating add fused into a masked store: dst = mask ? a + b : dst
+/// per plane, the sums held in registers until the block's clamp is known,
+/// so dst may alias a or b. A block whose mask is all zero is skipped.
+template <class V>
+void t_add_sat_masked_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                            const PlaneWord* mask, PlaneWord* dst, std::size_t begin,
+                            std::size_t end) noexcept {
+  std::size_t i = begin;
+  for (; i + V::W <= end; i += V::W) {
+    const auto m = V::load(mask + i);
+    if (V::is_zero(m)) continue;
+    typename V::reg sum[32];
+    auto carry = V::zero();
+    auto ones = m;
+    for (int j = 0; j < h; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+      const auto va = V::load(a + off);
+      const auto vb = V::load(b + off);
+      const auto axb = V::xor_(va, vb);
+      sum[j] = V::xor_(axb, carry);
+      carry = V::or_(V::and_(va, vb), V::and_(carry, axb));
+      ones = V::and_(ones, sum[j]);
+    }
+    const auto clamp = V::or_(ones, carry);
+    for (int j = 0; j < h; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+      const auto d = V::load(dst + off);
+      const auto s = V::or_(sum[j], clamp);
+      V::store(dst + off, V::xor_(d, V::and_(V::xor_(d, s), m)));
+    }
+  }
+  if constexpr (V::W > 1) {
+    if (i < end) t_add_sat_masked_words<VecScalar>(a, b, h, pw, mask, dst, i, end);
+  }
+}
+
+template <class V>
+void t_add_sat_masked(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                      const PlaneWord* mask, PlaneWord* dst) noexcept {
+  t_add_sat_masked_words<V>(a, b, h, pw, mask, dst, 0, pw);
+}
+
 template <class V>
 void t_compare_lt_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                         const PlaneWord* full, PlaneWord* lt, PlaneWord* eq,
@@ -241,32 +312,35 @@ void t_compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
   t_compare_eq_words<V>(a, b, h, pw, full, eq, 0, pw);
 }
 
-/// Scalar pack: transpose one 64-lane group at a time through a register
-/// accumulator, then store each plane word once — instead of the
-/// oracle's per-bit read-modify-write into spread-out plane words.
-inline void pack_words_scalar(const sim::PlaneGeometry& g, const sim::Word* src,
-                              int planes, PlaneWord* out) {
+/// Scalar pack of one row: transpose one 64-lane group at a time through
+/// a register accumulator, then store each plane word once — instead of
+/// the oracle's per-bit read-modify-write into spread-out plane words.
+inline void pack_row_scalar(const sim::PlaneGeometry& g, const sim::Word* row, int planes,
+                            std::size_t r, PlaneWord* out) noexcept {
   const std::size_t pw = g.plane_words();
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  for (std::size_t r = 0; r < n; ++r) {
-    const sim::Word* row = src + r * n;
-    for (std::size_t w = 0; w < rw; ++w) {
-      const std::size_t lane0 = w * sim::kLanesPerWord;
-      const std::size_t lanes = std::min(sim::kLanesPerWord, n - lane0);
-      PlaneWord acc[32] = {};
-      for (std::size_t l = 0; l < lanes; ++l) {
-        sim::Word v = row[lane0 + l];
-        while (v != 0) {
-          const int j = __builtin_ctz(v);
-          acc[j] |= PlaneWord{1} << l;
-          v &= v - 1;
-        }
+  for (std::size_t w = 0; w < g.row_words; ++w) {
+    const std::size_t lane0 = w * sim::kLanesPerWord;
+    const std::size_t lanes = std::min(sim::kLanesPerWord, g.n - lane0);
+    PlaneWord acc[32] = {};
+    for (std::size_t l = 0; l < lanes; ++l) {
+      sim::Word v = row[lane0 + l];
+      while (v != 0) {
+        const int j = __builtin_ctz(v);
+        acc[j] |= PlaneWord{1} << l;
+        v &= v - 1;
       }
-      const std::size_t idx = r * rw + w;
-      for (int j = 0; j < planes; ++j) out[static_cast<std::size_t>(j) * pw + idx] = acc[j];
     }
+    const std::size_t idx = r * g.row_words + w;
+    for (int j = 0; j < planes; ++j) out[static_cast<std::size_t>(j) * pw + idx] = acc[j];
   }
+}
+
+/// pack_words as one arm's pack_row per row.
+template <void (*PackRow)(const sim::PlaneGeometry&, const sim::Word*, int, std::size_t,
+                          PlaneWord*) noexcept>
+void pack_words_by_rows(const sim::PlaneGeometry& g, const sim::Word* src, int planes,
+                        PlaneWord* out) {
+  for (std::size_t r = 0; r < g.n; ++r) PackRow(g, src + r * g.n, planes, r, out);
 }
 
 // ---------------------------------------------------------------------------

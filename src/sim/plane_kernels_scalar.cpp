@@ -21,13 +21,16 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.op_copy = detail::t_op_copy<VecScalar>;
     t.op_zero = detail::t_op_zero<VecScalar>;
     t.masked_assign = detail::t_masked_assign<VecScalar>;
+    t.masked_assign_planes = detail::t_masked_assign_planes<VecScalar>;
     t.blend = detail::t_blend<VecScalar>;
     t.all_zero = detail::t_all_zero<VecScalar>;
     t.equal = detail::t_equal<VecScalar>;
     t.add_sat = detail::t_add_sat<VecScalar>;
+    t.add_sat_masked = detail::t_add_sat_masked<VecScalar>;
     t.compare_lt = detail::t_compare_lt<VecScalar>;
     t.compare_eq = detail::t_compare_eq<VecScalar>;
-    t.pack_words = detail::pack_words_scalar;
+    t.pack_words = detail::pack_words_by_rows<detail::pack_row_scalar>;
+    t.pack_row = detail::pack_row_scalar;
     t.segmented_fill = detail::t_segmented_fill<VecScalar>;
     t.segmented_or = detail::t_segmented_or<VecScalar>;
     t.column_fill = detail::t_column_fill<VecScalar>;

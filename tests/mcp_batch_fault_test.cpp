@@ -215,6 +215,42 @@ TEST(McpBatchFaultInjection, AllPairsBatchedRecoversExactly) {
   EXPECT_EQ(faulty.next, clean.next);
 }
 
+// A stuck-open column switch off the carrier row makes its PE a second
+// driver of every panel's column broadcast, so that PE's fragment value
+// reaches the PEs below it. The sweep engine keeps one fragment register
+// for the whole pass, and on a faulty machine each load must leave it
+// exactly as a fresh one-row load would: then a member's rows depend only
+// on its own fragments, and a batched member computes what it computes
+// alone, wrong answers included.
+TEST(McpBatchFaultInjection, StuckOpenColumnSwitchBitesMembersAsItBitesSoloRuns) {
+  util::Rng rng(23);
+  const auto g = graph::random_reachable_digraph(16, 8, 0.6, {1, 20}, 0, rng);
+  FaultModel model;
+  for (const std::size_t col : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
+    model.add({FaultKind::StuckOpen, sim::Axis::Column, 1, col});
+  }
+  const std::vector<graph::Vertex> dests{0, 5, 9, 13};
+  for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    Options options;
+    options.backend = backend;
+    options.array_side = 8;
+    options.batch_width = 4;
+    const std::vector<Result> clean = solve_batch(g, dests, options);
+    options.faults = model;
+    const std::vector<Result> batched = solve_batch(g, dests, options);
+    std::size_t bitten = 0;
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      const Result solo = solve(g, dests[i], options);
+      const std::string label = "dest=" + std::to_string(dests[i]) +
+                                (backend == sim::ExecBackend::Words ? " word" : " bitplane");
+      EXPECT_EQ(batched[i].solution.cost, solo.solution.cost) << label;
+      EXPECT_EQ(batched[i].solution.next, solo.solution.next) << label;
+      if (batched[i].solution.cost != clean[i].solution.cost) ++bitten;
+    }
+    EXPECT_GT(bitten, 0u) << "the stuck switch never changed a row";
+  }
+}
+
 TEST(McpBatchFaultInjection, DegradesPerMemberWithoutRetries) {
   // Without retries a batch degrades member by member: failed members
   // report themselves, verified members stay exact — the batch never

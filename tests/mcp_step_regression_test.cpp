@@ -8,6 +8,7 @@
 // regression — it must be deliberate and explained in the commit.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,15 @@ struct Pinned {
   std::uint64_t total_steps;
   const char* summary;
 };
+
+// gtest would print a Pinned as its raw bytes, the summary's address
+// among them, and ctest ids carry that print: a printer and a name
+// generator keep the ids the same from one build to the next.
+void PrintTo(const Pinned& pin, std::ostream* os) { *os << "n=" << pin.n; }
+
+std::string pinned_name(const ::testing::TestParamInfo<Pinned>& info) {
+  return "N" + std::to_string(info.param.n);
+}
 
 graph::WeightMatrix bench_graph(std::size_t n) {
   util::Rng rng(n);
@@ -57,7 +67,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Pinned{32, 4, 1045, "steps=1045 alu=883 bus_bcast=30 bus_or=128 global_or=4"},
         Pinned{64, 8, 2069, "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8"},
-        Pinned{128, 8, 2069, "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8"}));
+        Pinned{128, 8, 2069, "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8"}),
+    pinned_name);
 
 // The virtualized sweep's full step profile, not only its PanelIo formula:
 // a fragment beat moved into or out of the double buffer, or a reduction

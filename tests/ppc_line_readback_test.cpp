@@ -3,8 +3,10 @@
 // for sides on both sides of the 64-lane word boundary — including values
 // read off a floating bus (a partially driven Pint). Its counterpart, the
 // one-row load Pint::load_row, must equal the full-array load of the same
-// row with zeros elsewhere, at the same step charge. Bad indices, wrongly
-// sized spans and unrepresentable values are contract errors.
+// row with zeros elsewhere, at the same step charge, and its in-place form
+// Pint::reload_row must rewrite that row and either keep or zero the rest.
+// Bad indices, wrongly sized spans and unrepresentable values are contract
+// errors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,6 +149,45 @@ TEST_P(LineReadback, RowLoadEqualsFullLoadWithZerosOffTheRow) {
       std::vector<Word> line(n);
       one.read_row(row, line);
       EXPECT_EQ(line, values) << where;
+    }
+  }
+}
+
+TEST_P(LineReadback, RowReloadRewritesTheRowAndKeepsOrZeroesTheRest) {
+  const std::size_t n = GetParam();
+  for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    sim::Machine machine(config(n, backend));
+    Context ctx(machine);
+    util::Rng rng(n + 11);
+    std::vector<Word> cells(n * n);
+    for (Word& v : cells) v = static_cast<Word>(rng.below(1u << 12));
+    for (const bool zero_rest : {false, true}) {
+      for (const std::size_t row : {std::size_t{0}, n / 2, n - 1}) {
+        const std::string where = label(n, backend) + " row " + std::to_string(row) +
+                                  (zero_rest ? " zeroing" : " keeping");
+        std::vector<Word> values(n);
+        for (Word& v : values) v = static_cast<Word>(rng.below(1u << 12));
+        // A register with its row `row` read off a floating bus: the
+        // reload defines it.
+        const Pint loaded(ctx, cells);
+        const Pbool off_row = !(row_of(ctx) == static_cast<Word>(row));
+        Pint reg = select(off_row, loaded, broadcast(loaded, sim::Direction::East,
+                                                     Pbool(ctx, false)));
+        ASSERT_FALSE(reg.fully_driven()) << where;
+        const sim::StepCounter before = machine.steps();
+        reg.reload_row(row, values, zero_rest);
+        const sim::StepCounter charge = machine.steps().since(before);
+        EXPECT_EQ(charge.total(), 1u) << where;
+        EXPECT_EQ(charge.count(sim::StepCategory::Alu), 1u) << where;
+        EXPECT_EQ(reg.fully_driven(), zero_rest) << where;
+        EXPECT_TRUE(driven_mask(reg).count() == n * n) << where;
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t c = 0; c < n; ++c) {
+            const Word want = r == row ? values[c] : zero_rest ? Word{0} : cells[r * n + c];
+            ASSERT_EQ(reg.at(r, c), want) << where << " at (" << r << ", " << c << ")";
+          }
+        }
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
 // pmax / selected_max and their OR-probe variants, mirrored from the
 // pmin tests: randomized against host-computed cluster maxima. Then every
 // min/max primitive and the sweep engine's fused row min/argmin on the
-// bit-plane core against the paper's listing on the word backend.
+// bit-plane core, and the relaxation primitives broadcast_add and
+// pullback in place, against the paper's listing on the word backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,6 +226,8 @@ enum class Scenario {
   FaultsAmbient,  // the same faults, unchecked, inside a where-mask
   FaultsTmr,      // the same faults under TMR
   FaultsEcc,      // bit-plane machine under ECC with every fault, word machine no wires
+  Tainted,        // no faults, some SOW elements undriven: an unchecked store throws
+  TaintedChecked, // the same, checked: the store records the undriven reads
 };
 
 constexpr Scenario kScenarios[] = {Scenario::Clean,         Scenario::AmbientMask,
@@ -583,6 +586,270 @@ TEST_P(FusedRowMinArgmin, MatchesEdslReferenceEverywhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sides, FusedRowMinArgmin, kSides, side_name);
+
+// ---------------------------------------------------------------------------
+// Statement 10 (broadcast_add, in the full array's and the sweep engine's
+// form) and statements 15–18 (pullback) on the bit-plane backend against
+// their eDSL statements on the word backend, observed as above. The state
+// the primitives write (SOW, and for the pullback OLD_SOW, PTN and the
+// returned `changed`) is compared whether or not the call threw, so a
+// store that throws must leave the same partial state as the statements.
+// ---------------------------------------------------------------------------
+
+enum class Relax {
+  Candidates,       // where(!carrier) broadcast_add(...): the full array's form
+  SweepCandidates,  // broadcast_add(..., &not_carrier): the sweep engine's form
+  Pullback,
+};
+
+constexpr Scenario kRelaxScenarios[] = {
+    Scenario::Clean,     Scenario::AmbientMask, Scenario::FaultsChecked,
+    Scenario::FaultsAmbient, Scenario::FaultsTmr, Scenario::FaultsEcc,
+    Scenario::Tainted,   Scenario::TaintedChecked};
+
+struct RelaxSetup {
+  std::size_t side;
+  sim::BusTopology topology;
+  bool two_sided;
+  std::size_t carrier;  // the carrier row; the pullback's row d
+  Scenario scenario;
+  Relax primitive;
+};
+
+/// The operands, row-major. SOW, W and PTN mix random values with 0 and
+/// infinity (the adds saturate); MIN_SOW's diagonal repeats row d's SOW in
+/// every third column, so the pullback changes some PEs and not others.
+/// Column 2 (1 on a side-2 array) of SOW, MIN_SOW and PTN is all infinity,
+/// so the stuck wire on that column line bites every broadcast.
+struct RelaxOperands {
+  std::vector<Word> sow, w, min_sow, ptn;
+};
+
+RelaxOperands relax_operands(const RelaxSetup& s, int bits) {
+  const std::size_t n = s.side;
+  const Word inf = (Word{1} << bits) - 1;
+  util::Rng rng(n * 131 + s.carrier);
+  const auto draw = [&] {
+    const std::uint64_t kind = rng.below(8);
+    return kind == 0 ? Word{0} : kind == 1 ? inf : static_cast<Word>(rng.below(inf + 1ull));
+  };
+  const std::size_t wired = std::min<std::size_t>(2, n - 1);
+  RelaxOperands ops;
+  for (auto* v : {&ops.sow, &ops.w, &ops.min_sow, &ops.ptn}) {
+    v->resize(n * n);
+    for (std::size_t pe = 0; pe < n * n; ++pe) (*v)[pe] = pe % n == wired ? inf : draw();
+  }
+  for (std::size_t pe = 0; pe < n * n; ++pe) {
+    if (pe % n != wired) ops.w[pe] = draw();
+  }
+  for (std::size_t c = 0; c < n; c += 3) ops.min_sow[c * n + c] = ops.sow[s.carrier * n + c];
+  return ops;
+}
+
+/// `values` with about one element in seven undriven (and read as 0) when
+/// `tainted`, PE `undriven` always among them: a select between the loaded
+/// values and a broadcast with no Open node, whose every element floats.
+Pint maybe_tainted(Context& ctx, const std::vector<Word>& values, bool tainted,
+                   std::uint64_t seed, std::size_t undriven) {
+  if (!tainted) return Pint(ctx, values);
+  util::Rng rng(seed);
+  std::vector<sim::Flag> keep(values.size());
+  for (auto& f : keep) f = rng.chance(6.0 / 7.0) ? sim::Flag{1} : sim::Flag{0};
+  keep[undriven] = 0;
+  const Pint loaded(ctx, values);
+  const Pint floating = broadcast(loaded, Direction::East, Pbool(ctx, false));
+  return select(Pbool(ctx, keep), loaded, floating);
+}
+
+void append(Observed& seen, const Pint& v) {
+  const std::size_t n = v.context().n();
+  const std::size_t at = seen.values.size();
+  seen.values.resize(at + n * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    v.read_row(r, std::span<Word>(seen.values).subspan(at + r * n, n));
+  }
+  const std::vector<sim::Flag> driven = driven_flags(v);
+  seen.driven.insert(seen.driven.end(), driven.begin(), driven.end());
+  seen.fully_driven = seen.fully_driven && v.fully_driven();
+}
+
+Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
+  const Scenario sc = s.scenario;
+  const std::size_t n = s.side;
+  sim::MachineConfig config;
+  config.n = n;
+  config.bits = field_bits_of(n);
+  config.topology = s.topology;
+  config.backend = backend;
+  config.checked = sc == Scenario::FaultsChecked || sc == Scenario::TaintedChecked;
+  const bool ecc = sc == Scenario::FaultsEcc && backend == sim::ExecBackend::BitPlane;
+  config.masking = sc == Scenario::FaultsTmr ? sim::BusMasking::Tmr
+                   : ecc                     ? sim::BusMasking::Ecc
+                                             : sim::BusMasking::None;
+  sim::Machine m(config);
+  const bool faults = sc == Scenario::FaultsChecked || sc == Scenario::FaultsAmbient ||
+                      sc == Scenario::FaultsTmr || sc == Scenario::FaultsEcc;
+  if (faults) m.inject_faults(faults_of(n, sc != Scenario::FaultsEcc || ecc));
+  sim::RecordingTrace trace;
+  m.set_trace(&trace);
+  Context ctx(m);
+  const RelaxOperands ops = relax_operands(s, config.bits);
+  const bool tainted = sc == Scenario::Tainted || sc == Scenario::TaintedChecked;
+  // The carrier row's SOW and one diagonal MIN_SOW are undriven in a
+  // column off the carrier's diagonal, so the taint reaches a store.
+  const std::size_t tainted_col = (s.carrier + 1) % n;
+  Pint sow = maybe_tainted(ctx, ops.sow, tainted, n * 3 + 1, s.carrier * n + tainted_col);
+  const Pint W(ctx, ops.w);
+  const Pint min_sow =
+      maybe_tainted(ctx, ops.min_sow, tainted, n * 5 + 2, tainted_col * n + tainted_col);
+  Pint ptn(ctx, ops.ptn);
+  Pint old_sow(ctx, 0);
+  const Pbool carrier = (row_of(ctx) == static_cast<Word>(s.carrier));
+  const Pbool not_carrier = !carrier;
+  const Pbool diagonal = (row_of(ctx) == col_of(ctx));
+
+  Observed seen;
+  std::vector<Word> changed(n * n, Word{0xBEEF});
+  const auto call = [&] {
+    try {
+      switch (s.primitive) {
+        case Relax::Candidates:
+          where(ctx, not_carrier, [&] { broadcast_add(sow, W, carrier, s.two_sided); });
+          break;
+        case Relax::SweepCandidates:
+          broadcast_add(sow, W, carrier, s.two_sided, &not_carrier);
+          break;
+        case Relax::Pullback: {
+          const Pbool flags = pullback(sow, old_sow, ptn, min_sow, carrier, diagonal, s.two_sided);
+          EXPECT_TRUE(flags.fully_driven());
+          for (std::size_t pe = 0; pe < n * n; ++pe) changed[pe] = flags.at(pe) ? 1 : 0;
+          break;
+        }
+      }
+    } catch (const util::ContractError& e) {
+      seen.error = e.what();
+    }
+  };
+  if (sc == Scenario::AmbientMask || sc == Scenario::FaultsAmbient) {
+    util::Rng rng(n);
+    std::vector<sim::Flag> active(n * n);
+    for (auto& f : active) f = rng.chance(0.7) ? sim::Flag{1} : sim::Flag{0};
+    const Pbool cond(ctx, active);
+    where(ctx, cond, call);
+  } else {
+    call();
+  }
+  m.set_trace(nullptr);
+  append(seen, sow);
+  if (s.primitive == Relax::Pullback) {
+    append(seen, old_sow);
+    append(seen, ptn);
+    seen.values.insert(seen.values.end(), changed.begin(), changed.end());
+  }
+  seen.steps = m.steps();
+  seen.bus_cycles = m.bus_cycles();
+  seen.masking = m.masking_stats();
+  seen.fault_log = m.fault_events();
+  seen.fault_count = m.fault_count();
+  seen.events = trace.events();
+  seen.traced_faults = trace.faults();
+  return seen;
+}
+
+/// Fault-free on a Ring, with a full ambient mask: statement 10 leaves PE
+/// (r, c) off the carrier row with min(SOW[carrier][c] + w_rc, infinity)
+/// (the sweep form gives the carrier row its own SOW + w), and the pullback
+/// moves MIN_SOW's diagonal and, where that changed row d, PTN's into row
+/// d, diagonal element excepted.
+void expect_relax_host_answer(const RelaxSetup& s, const Observed& got) {
+  const std::size_t n = s.side;
+  const int bits = field_bits_of(n);
+  const Word inf = (Word{1} << bits) - 1;
+  const RelaxOperands ops = relax_operands(s, bits);
+  const std::size_t d = s.carrier;
+  const auto sat = [inf](Word a, Word b) { return std::min<Word>(a + b, inf); };
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t pe = r * n + c;
+      if (s.primitive != Relax::Pullback) {
+        const Word want = r != d                                   ? sat(ops.sow[d * n + c], ops.w[pe])
+                          : s.primitive == Relax::SweepCandidates ? sat(ops.sow[pe], ops.w[pe])
+                                                                  : ops.sow[pe];
+        ASSERT_EQ(got.values[pe], want) << "PE (" << r << ", " << c << ")";
+        continue;
+      }
+      const bool pulled = r == d && c != d;
+      const bool changed = pulled && ops.min_sow[c * n + c] != ops.sow[pe];
+      ASSERT_EQ(got.values[pe], pulled ? ops.min_sow[c * n + c] : ops.sow[pe]) << pe;
+      ASSERT_EQ(got.values[n * n + pe], pulled ? ops.sow[pe] : Word{0}) << pe;
+      ASSERT_EQ(got.values[2 * n * n + pe], changed ? ops.ptn[c * n + c] : ops.ptn[pe]) << pe;
+      ASSERT_EQ(got.values[3 * n * n + pe], changed ? Word{1} : Word{0}) << pe;
+    }
+  }
+}
+
+std::string describe(const RelaxSetup& s) {
+  return "side=" + std::to_string(s.side) +
+         (s.topology == sim::BusTopology::Ring ? " ring" : " linear") +
+         (s.two_sided ? " two-sided" : " one-sided") + " carrier=" + std::to_string(s.carrier) +
+         " scenario=" + std::to_string(static_cast<int>(s.scenario)) +
+         " primitive=" + std::to_string(static_cast<int>(s.primitive));
+}
+
+/// Runs `primitives` on both topologies and schemes, with the carrier at
+/// the first, middle and last row, in every scenario.
+void expect_relax_matches_listing(std::size_t side, std::initializer_list<Relax> primitives) {
+  std::uint64_t ecc_corrections = 0;
+  for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+    for (const bool two_sided : {false, true}) {
+      for (const std::size_t carrier : {std::size_t{0}, side / 2, side - 1}) {
+        for (const Scenario scenario : kRelaxScenarios) {
+          for (const Relax primitive : primitives) {
+            const RelaxSetup setup{side, topology, two_sided, carrier, scenario, primitive};
+            SCOPED_TRACE(describe(setup));
+            const Observed want = observe_relax(setup, sim::ExecBackend::Words);
+            const Observed got = observe_relax(setup, sim::ExecBackend::BitPlane);
+            expect_same(got, want, scenario == Scenario::FaultsEcc);
+            if (scenario == Scenario::FaultsEcc) ecc_corrections += got.masking.corrections;
+            if (scenario == Scenario::Tainted && side > 1) {
+              // Some tainted element reaches a store, and the unchecked
+              // machine rejects it: the throw path is exercised.
+              EXPECT_NE(got.error, "");
+            }
+            if (scenario == Scenario::TaintedChecked && side > 1) {
+              EXPECT_GT(got.fault_count, 0u);
+            }
+            if (scenario != Scenario::Clean || topology != sim::BusTopology::Ring) continue;
+            EXPECT_EQ(got.error, "");
+            expect_relax_host_answer(setup, got);
+          }
+        }
+      }
+    }
+  }
+  // Some cases hear no wire hit (a Linear broadcast from the last row
+  // reaches nobody, a dead PE sits on the wired line), but the wires bite
+  // somewhere, and ECC repairs them (a 1x1 array's only PE is the dead one).
+  if (side > 1) {
+    EXPECT_GT(ecc_corrections, 0u);
+  }
+}
+
+class BroadcastAddBackendDiff : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BroadcastAddBackendDiff, InPlaceMatchesListing) {
+  expect_relax_matches_listing(GetParam(), {Relax::Candidates, Relax::SweepCandidates});
+}
+
+INSTANTIATE_TEST_SUITE_P(Sides, BroadcastAddBackendDiff, kSides, side_name);
+
+class PullbackBackendDiff : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PullbackBackendDiff, InPlaceMatchesListing) {
+  expect_relax_matches_listing(GetParam(), {Relax::Pullback});
+}
+
+INSTANTIATE_TEST_SUITE_P(Sides, PullbackBackendDiff, kSides, side_name);
 
 TEST(MinMaxBackendDiffContract, UndrivenSelectionThrowsAfterTheListingsCharges) {
   for (const Primitive p : kMinMax) {

@@ -303,6 +303,85 @@ TEST(PlaneKernels, PackWordsMatchesSimOracle) {
   }
 }
 
+// pack_row writes one row of pack_words' result and no other word.
+TEST(PlaneKernels, PackRowMatchesPackWords) {
+  util::Rng rng(0xE7'0009);
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : kSides) {
+      for (const int planes : {1, 16, 32}) {
+        const PlaneGeometry g{n};
+        const std::size_t pw = g.plane_words();
+        std::vector<sim::Word> src(g.n * g.n);
+        for (auto& v : src) {
+          v = static_cast<sim::Word>(rng.next() &
+                                     ((planes < 32) ? ((1u << planes) - 1u) : ~0u));
+        }
+        std::vector<PlaneWord> packed(pw * static_cast<std::size_t>(planes));
+        sim::pack_words(g, src, planes, packed.data());
+        for (const std::size_t r : {std::size_t{0}, n / 2, n - 1}) {
+          std::vector<PlaneWord> want(packed.size(), 0xABABABABu);
+          for (int j = 0; j < planes; ++j) {
+            const std::size_t row = static_cast<std::size_t>(j) * pw + r * g.row_words;
+            std::copy_n(packed.begin() + static_cast<std::ptrdiff_t>(row), g.row_words,
+                        want.begin() + static_cast<std::ptrdiff_t>(row));
+          }
+          std::vector<PlaneWord> got(packed.size(), 0xABABABABu);
+          arm->pack_row(g, src.data() + r * n, planes, r, got.data());
+          EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
+                               << " n=" << n << " planes=" << planes << " row=" << r;
+        }
+      }
+    }
+  }
+}
+
+// The fused saturating add and masked store of every arm against the
+// scalar arm's add_sat and masked_assign: under a random mask, under a
+// one-row mask (the other word blocks are skipped), and in place (dst is
+// a). Masked-off lanes and pads keep dst.
+TEST(PlaneKernels, AddSatMaskedMatchesAddThenStore) {
+  util::Rng rng(0xE7'000A);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : kSides) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const auto full = full_plane(g);
+      std::vector<PlaneWord> one_row(pw);
+      std::copy_n(full.begin(), g.row_words, one_row.begin());
+      for (const int h : {1, 8, 16, 32}) {
+        const std::size_t total = pw * static_cast<std::size_t>(h);
+        const auto a = random_planes(rng, g, h);
+        const auto b = random_planes(rng, g, h);
+        std::vector<PlaneWord> sum(total);
+        scalar.add_sat(a.data(), b.data(), h, pw, full.data(), sum.data());
+        for (const bool random_mask : {true, false}) {
+          const auto mask = random_mask ? random_planes(rng, g, 1) : one_row;
+          for (const bool in_place : {false, true}) {
+            std::vector<PlaneWord> dst(total);
+            if (in_place) {
+              dst = a;
+            } else {
+              for (auto& w : dst) w = rng.next();
+            }
+            std::vector<PlaneWord> want = dst;
+            for (int j = 0; j < h; ++j) {
+              const std::size_t off = static_cast<std::size_t>(j) * pw;
+              scalar.masked_assign(mask.data(), sum.data() + off, want.data() + off, pw);
+            }
+            std::vector<PlaneWord> got = dst;
+            arm->add_sat_masked(in_place ? got.data() : a.data(), b.data(), h, pw, mask.data(),
+                                got.data());
+            EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
+                                 << " n=" << n << " h=" << h << " random=" << random_mask
+                                 << " in_place=" << in_place;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The segmented fill (one row-bus broadcast) of every arm against the
 // scalar arm: values and driven planes over every row, both topologies and
 // both row directions, for Open densities from none to all. Every output
@@ -444,6 +523,53 @@ TEST(PlaneKernels, ColumnFillMatchesScalarArm) {
           ASSERT_EQ(want, got) << what();
           for (std::size_t i = 0; i < total; ++i) {
             ASSERT_EQ(got[i] & ~g.word_mask(i % g.row_words), 0u) << what() << " word " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The multi-plane masked store of every arm against the scalar arm, on
+// widths with and without a ragged tail past the vector blocks, under a
+// random mask and a one-row mask (the other word blocks are skipped).
+// Masked-off lanes keep dst, pads included (a store never writes a lane
+// its mask clears), and the planes are h = 1, 16 and 32 deep.
+TEST(PlaneKernels, MaskedAssignPlanesMatchesScalarArm) {
+  util::Rng rng(0xE7'0008);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, std::size_t{96}, std::size_t{128},
+                                std::size_t{130}}) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const std::size_t row = (n / 2) * g.row_words;
+      std::vector<PlaneWord> one_row(pw);
+      std::copy_n(full_plane(g).begin() + static_cast<std::ptrdiff_t>(row), g.row_words,
+                  one_row.begin() + static_cast<std::ptrdiff_t>(row));
+      const std::vector<PlaneWord> masks[] = {random_planes(rng, g, 1), one_row};
+      for (std::size_t k = 0; k < 2; ++k) {
+        for (const int planes : {1, 16, 32}) {
+          const auto src = random_planes(rng, g, planes);
+          const std::size_t total = pw * static_cast<std::size_t>(planes);
+          // dst's pad bits set: the store must leave them alone.
+          std::vector<PlaneWord> dst(total);
+          for (auto& w : dst) w = rng.next();
+          std::vector<PlaneWord> want = dst;
+          for (int j = 0; j < planes; ++j) {
+            const std::size_t off = static_cast<std::size_t>(j) * pw;
+            scalar.masked_assign(masks[k].data(), src.data() + off, want.data() + off, pw);
+          }
+          std::vector<PlaneWord> got = dst;
+          arm->masked_assign_planes(masks[k].data(), src.data(), got.data(), planes, pw);
+          const std::string what = std::string(sim::plane_kernels::variant_name(arm->variant)) +
+                                   " n=" + std::to_string(n) + " mask=" + std::to_string(k) +
+                                   " planes=" + std::to_string(planes);
+          ASSERT_EQ(want, got) << what;
+          for (std::size_t i = 0; i < total; ++i) {
+            const PlaneWord pads = ~g.word_mask(i % g.row_words);
+            ASSERT_EQ(got[i] & pads, dst[i] & pads) << what << " word " << i;
           }
         }
       }
