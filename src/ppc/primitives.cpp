@@ -376,9 +376,9 @@ class PlaneElimination {
 };
 
 /// Statements 11–13 in place: where(L) { r = broadcast(src, opposite,
-/// enable); } then broadcast(r, orientation, L). The routed value is a
-/// blend of the first broadcast and src under L & ambient; the taint check
-/// is the masked store's.
+/// enable); } then broadcast(r, orientation, L). The routed value is the
+/// first broadcast under L & ambient and src elsewhere; the taint check is
+/// the masked store's.
 Pint plane_route_and_spread(const Pint& src, sim::Direction orientation, const Pbool& L,
                             const PlaneWord* enable) {
   Context& ctx = src.context();
@@ -396,11 +396,11 @@ Pint plane_route_and_spread(const Pint& src, sim::Direction orientation, const P
                                 routed.data(), driven.data());
   detail::check_store_driven_plane(ctx, stores.data(), driven);
   machine.charge_alu();  // the masked store
-  for (int j = 0; j < h; ++j) {
-    const std::size_t off = static_cast<std::size_t>(j) * pw;
-    alu.blend(stores.data(), routed.data() + off, src.planes_view().data() + off,
-              routed.data() + off, pw);
-  }
+  // routed = stores ? routed : src, as one store of src outside `stores`.
+  std::vector<PlaneWord> keep = ctx.acquire_flag_plane();
+  alu.op_andnot(ctx.full_plane(), stores.data(), keep.data(), pw);
+  alu.masked_assign_planes(keep.data(), src.planes_view().data(), routed.data(), h, pw);
+  ctx.release_flag_plane(std::move(keep));
   std::vector<PlaneWord> out = ctx.acquire_value_planes();
   machine.broadcast_planes_into(routed.data(), h, orientation, open, out.data(), driven.data());
   ctx.release_flag_plane(std::move(stores));
@@ -692,9 +692,9 @@ Pbool plane_pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow, c
   // Under `stores` old_sow holds the old sow, so changed = stores & (pulled
   // != sow) before the store, and both sides of the compare are driven
   // there once stored: the changed store never meets an undriven value.
-  alu.compare_eq(pulled.values.data(), sow.planes_view().data(), h, pw, ctx.full_plane(),
-                 changed.data());
-  alu.op_andnot(stores.data(), changed.data(), changed.data(), pw);
+  // Only the word blocks `stores` reaches are compared.
+  alu.compare_ne_masked(pulled.values.data(), sow.planes_view().data(), h, pw, stores.data(),
+                        changed.data());
   detail::store_planes(sow, stores.data(), pulled.values.data(), pulled.driven);
   charge(machine, 3);  // !=, the store into changed, where(changed)
   plane_scheme_broadcast(ptn, open, two_sided, pulled);

@@ -119,50 +119,44 @@ template <typename T>
 /// ring wrap or the linear runs past the row's last Open switch (and, for a
 /// wired-OR, the linear head stub before its first). A row with no Open
 /// switch floats under a broadcast and adds nothing; under a wired-OR it is
-/// one segment of n. Words whose switches span no more than the longest run
-/// found so far are not searched, and the walk stops once it reaches the
-/// longest run a line can have.
-[[nodiscard]] std::size_t row_max_segment(const PlaneGeometry& g, BusTopology topology,
-                                          Direction dir, const PlaneWord* open,
-                                          bool wired_or) noexcept {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
-  const std::size_t ceiling = topology == BusTopology::Ring || wired_or ? n : n - 1;
-  std::size_t max_segment = 0;
-  for (std::size_t r = 0; r < n && max_segment < ceiling; ++r) {
-    const PlaneWord* o = open + r * rw;
-    std::size_t lo = kNone;
-    std::size_t hi = 0;
-    for (std::size_t w = 0; w < rw; ++w) {
-      const PlaneWord bits = o[w];
-      if (bits == 0) continue;
-      const std::size_t base = w * kLanesPerWord;
-      const std::size_t first = base + static_cast<unsigned>(__builtin_ctzll(bits));
-      const std::size_t last = base + static_cast<unsigned>(63 - __builtin_clzll(bits));
-      if (lo == kNone) {
-        lo = first;
-      } else {
-        max_segment = std::max(max_segment, first - hi);
-      }
-      if (last - first > max_segment) {
-        max_segment = std::max(max_segment, std::size_t{longest_inner_gap(bits)} + 1);
-      }
-      hi = last;
-    }
+/// one segment of n. This is one row `o` folded into `max_segment`: words
+/// whose switches span no more than the longest run found so far are not
+/// searched.
+[[nodiscard]] std::size_t row_line_segment(std::size_t n, std::size_t rw,
+                                           BusTopology topology, Direction dir,
+                                           const PlaneWord* o, bool wired_or,
+                                           std::size_t max_segment) noexcept {
+  std::size_t lo = kNone;
+  std::size_t hi = 0;
+  for (std::size_t w = 0; w < rw; ++w) {
+    const PlaneWord bits = o[w];
+    if (bits == 0) continue;
+    const std::size_t base = w * kLanesPerWord;
+    const std::size_t first = base + static_cast<unsigned>(__builtin_ctzll(bits));
+    const std::size_t last = base + static_cast<unsigned>(63 - __builtin_clzll(bits));
     if (lo == kNone) {
-      if (wired_or) max_segment = n;
-      continue;
-    }
-    if (topology == BusTopology::Ring) {
-      max_segment = std::max(max_segment, n - hi + lo);
-    } else if (wired_or) {
-      max_segment = std::max({max_segment, dir == Direction::East ? n - hi : lo + 1,
-                              dir == Direction::East ? lo : n - 1 - hi});
+      lo = first;
     } else {
-      max_segment = std::max(max_segment, dir == Direction::East ? n - 1 - hi : lo);
+      max_segment = std::max(max_segment, first - hi);
     }
+    if (last - first > max_segment) {
+      max_segment = std::max(max_segment, std::size_t{longest_inner_gap(bits)} + 1);
+    }
+    hi = last;
   }
-  return max_segment;
+  if (lo == kNone) return wired_or ? n : max_segment;
+  if (topology == BusTopology::Ring) return std::max(max_segment, n - hi + lo);
+  if (wired_or) {
+    return std::max({max_segment, dir == Direction::East ? n - hi : lo + 1,
+                     dir == Direction::East ? lo : n - 1 - hi});
+  }
+  return std::max(max_segment, dir == Direction::East ? n - 1 - hi : lo);
+}
+
+/// The longest run a row line can have: the walk stops once it reaches it.
+[[nodiscard]] std::size_t row_ceiling(std::size_t n, BusTopology topology,
+                                      bool wired_or) noexcept {
+  return topology == BusTopology::Ring || wired_or ? n : n - 1;
 }
 
 /// The valid-lane plane for `g`, built once per array side.
@@ -175,21 +169,113 @@ template <typename T>
   return s.full.data();
 }
 
+/// The row broadcast's switch-only pass over rows of `kRowWords` words (0:
+/// g.row_words, for widths past two). It sorts each row by its Open
+/// lanes: none (the row floats: driven 0, no segment), one at lane p
+/// (driven: on a ring the whole row, on a linear bus the lanes strictly
+/// downstream of p; segment: n on a ring, n-1-p East, p West), or two and
+/// more, which it marks in a row mask for the ladder (their driven words
+/// are the ladder's to write). The mask is built from the first marked row
+/// on, in `s`; `ladder` stays null when no row is marked. Returns the
+/// max_segment.
+template <std::size_t kRowWords>
+std::size_t sort_rows(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                      const PlaneWord* open, const PlaneWord* full, PlaneWord* driven,
+                      PlaneBusScratch& s, PlaneWord*& ladder, std::size_t& ladder_rows) {
+  const std::size_t n = g.n;
+  const std::size_t rw = kRowWords != 0 ? kRowWords : g.row_words;
+  const bool ring = topology == BusTopology::Ring;
+  const bool east = dir == Direction::East;
+  const std::size_t ceiling = row_ceiling(n, topology, /*wired_or=*/false);
+  std::size_t max_segment = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const PlaneWord* o = open + r * rw;
+    const PlaneWord* valid = full + r * rw;
+    PlaneWord* d = driven + r * rw;
+    std::size_t open_words = 0;
+    std::size_t driver_word = 0;
+    PlaneWord crowded = 0;  // nonzero when one word holds two Open lanes
+    for (std::size_t w = 0; w < rw; ++w) {
+      open_words += o[w] != 0 ? 1 : 0;
+      driver_word = o[w] != 0 ? w : driver_word;
+      crowded |= o[w] & (o[w] - 1);
+    }
+    const bool several = open_words > 1 || crowded != 0;
+    if (several && ladder == nullptr) {
+      ladder = grown(s.per_k_b, g.plane_words());
+      std::fill(ladder, ladder + r * rw, PlaneWord{0});
+    }
+    if (ladder != nullptr) {
+      for (std::size_t w = 0; w < rw; ++w) ladder[r * rw + w] = several ? ~PlaneWord{0} : 0;
+    }
+    if (several) {
+      ++ladder_rows;
+      if (max_segment < ceiling) {
+        max_segment = row_line_segment(n, rw, topology, dir, o, false, max_segment);
+      }
+      continue;
+    }
+    const PlaneWord any = open_words != 0 ? ~PlaneWord{0} : PlaneWord{0};
+    if (ring) {
+      for (std::size_t w = 0; w < rw; ++w) d[w] = valid[w] & any;
+      max_segment = open_words != 0 ? n : max_segment;
+      continue;
+    }
+    // Lanes strictly downstream of p: above it East, below it West. An
+    // empty row takes bit 63 in place of p; `any` clears its words.
+    const auto bit = static_cast<unsigned>(__builtin_ctzll(o[driver_word] | ~any << 63));
+    const PlaneWord below = (PlaneWord{1} << bit) - 1;
+    const PlaneWord at_and_below = below | (PlaneWord{1} << bit);
+    for (std::size_t w = 0; w < rw; ++w) {
+      const PlaneWord downstream = w == driver_word ? (east ? ~at_and_below : below)
+                                   : (w > driver_word) == east ? ~PlaneWord{0}
+                                                               : PlaneWord{0};
+      d[w] = valid[w] & downstream & any;
+    }
+    const std::size_t p = driver_word * kLanesPerWord + bit;
+    max_segment = open_words != 0 ? std::max(max_segment, east ? n - 1 - p : p) : max_segment;
+  }
+  return max_segment;
+}
+
+/// Row broadcast: the switch-only pass, then the values — the row fill
+/// over the rows the pass left unmarked, the segmented fill (which writes
+/// their driven words too) over the marked ones.
 std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                           const PlaneWord* src, int planes, const PlaneWord* open,
                           PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
   const PlaneWord* full = full_plane(g, s);
-  PlaneWord* fill_scratch = grown(s.per_k_a, 2 * g.plane_words());
-  plane_kernels::active().segmented_fill(g, topology, dir, src, planes, open, full, out,
-                                         driven, fill_scratch);
-  return row_max_segment(g, topology, dir, open, /*wired_or=*/false);
+  PlaneWord* ladder = nullptr;
+  std::size_t ladder_rows = 0;
+  const std::size_t max_segment =
+      g.row_words == 1   ? sort_rows<1>(g, topology, dir, open, full, driven, s, ladder,
+                                        ladder_rows)
+      : g.row_words == 2 ? sort_rows<2>(g, topology, dir, open, full, driven, s, ladder,
+                                        ladder_rows)
+                         : sort_rows<0>(g, topology, dir, open, full, driven, s, ladder,
+                                        ladder_rows);
+  const auto& kernels = plane_kernels::active();
+  if (ladder_rows < g.n) kernels.row_fill(g, src, planes, open, driven, out, ladder);
+  if (ladder_rows > 0) {
+    kernels.segmented_fill(g, topology, dir, src, planes, open, full, out, driven,
+                           grown(s.per_k_a, 2 * g.plane_words()),
+                           ladder_rows < g.n ? ladder : nullptr);
+  }
+  s.ladder_rows += ladder_rows;
+  return max_segment;
 }
 
 std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction dir,
                          const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
                          PlaneBusScratch& s) {
   plane_kernels::active().segmented_or(g, topology, dir, src, open, full_plane(g, s), out);
-  return row_max_segment(g, topology, dir, open, /*wired_or=*/true);
+  const std::size_t ceiling = row_ceiling(g.n, topology, /*wired_or=*/true);
+  std::size_t max_segment = 0;
+  for (std::size_t r = 0; r < g.n && max_segment < ceiling; ++r) {
+    max_segment = row_line_segment(g.n, g.row_words, topology, dir, open + r * g.row_words,
+                                   /*wired_or=*/true, max_segment);
+  }
+  return max_segment;
 }
 
 // ---------------------------------------------------------------------------

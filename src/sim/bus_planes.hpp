@@ -7,19 +7,28 @@
 // and bit-plane backends (tests/sim_bus_planes_test.cpp fuzzes exactly
 // this equivalence, with bus.cpp as the oracle).
 //
-// Row buses (East/West) run every cycle through a dispatched plane kernel
-// (plane_kernels::PlaneKernels): broadcasts through segmented_fill, a
-// log-step segmented scan over each row's 64-lane words, one pass per bit
-// plane plus one for the driven plane, with each word's head carried in
-// from the nearest Open switch upstream (or, on a ring, wrapped from the
-// row's last one); wired-ORs through segmented_or, which ORs a flow-order
-// and a reverse-order segmented smear per word and carries segment ORs
-// across word boundaries and the ring wrap. Neither kernel keeps state
-// between cycles: the data-dependent route broadcasts of the paper's min()
-// cost what a repeated configuration costs, and a wired-OR whose rows open
-// only at their flow head (the solver's cluster anchor) skips the smears
-// and is one any() per row.
-// max_segment comes from the open plane alone (row_max_segment).
+// Row buses (East/West) run every cycle through dispatched plane kernels
+// (plane_kernels::PlaneKernels). A broadcast starts with a switch-only pass
+// over the open plane that sorts each row by its Open lanes. A row with
+// none floats; a row with one at lane p is driven over the whole row on a
+// ring and over the lanes strictly downstream of p on a linear bus, and
+// the same pass gives its max_segment (n on a ring, n-1-p East, p West).
+// Those rows' values come from row_fill: per plane an OR of src & open
+// across the row's words, replicated under the driven plane. Rows with two
+// or more Open lanes (row d of every min() route, pmin ties, all-infinity
+// rows, stuck-open switch faults) are marked in a row mask and take
+// segmented_fill over the marked rows only: a log-step segmented scan over
+// each row's 64-lane words, one pass per bit plane plus one for the driven
+// plane, with each word's head carried in from the nearest Open switch
+// upstream (or, on a ring, wrapped from the row's last one); their
+// max_segment comes from the open plane (row_line_segment). The switches
+// choose the kernel per row, with no state kept between cycles, so the
+// data-dependent route broadcasts of the paper's min() cost what a
+// repeated configuration costs. Wired-ORs run through segmented_or, which
+// ORs a flow-order and a reverse-order segmented smear per word and
+// carries segment ORs across word boundaries and the ring wrap; a wired-OR
+// whose rows open only at their flow head (the solver's cluster anchor)
+// skips the smears and is one any() per row.
 // Column buses (South/North) are resolved 64 lines at a time with vertical
 // scans whose inner loop runs across the row's words. A column broadcast
 // runs a switch-only pass first (the driven plane, the ring's wrap carries,
@@ -98,7 +107,7 @@ struct BroadcastPlanCache {
 /// + w], the per-line arrays by column.
 struct PlaneBusScratch {
   std::vector<PlaneWord> per_k_a;     // n * row_words (row broadcast: 2x)
-  std::vector<PlaneWord> per_k_b;     // n * row_words
+  std::vector<PlaneWord> per_k_b;     // n * row_words (row broadcast: the ladder rows)
   std::vector<PlaneWord> lane_a;      // row_words
   std::vector<PlaneWord> lane_b;      // row_words
   std::vector<PlaneWord> lane_c;      // row_words
@@ -108,6 +117,9 @@ struct PlaneBusScratch {
   std::vector<PlaneWord> full;        // plane_words: valid lanes of side full_n
   std::size_t full_n = 0;
   BroadcastPlanCache broadcast_plans; // see BroadcastPlanCache
+  // Rows that row broadcasts resolved with segmented_fill (two or more
+  // Open switches), summed over cycles.
+  std::uint64_t ladder_rows = 0;
 };
 
 /// One broadcast bus cycle over `planes` bit planes sharing a single

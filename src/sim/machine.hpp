@@ -270,6 +270,13 @@ class Machine {
     return {bus_scratch_.broadcast_plans.hits, bus_scratch_.broadcast_plans.misses};
   }
 
+  /// Rows this machine's plane row broadcasts resolved with the segmented
+  /// fill ladder — the rows with two or more Open switches; every other
+  /// row takes the row fill. Cumulative, bit-plane backend only.
+  [[nodiscard]] std::uint64_t row_ladder_rows() const noexcept {
+    return bus_scratch_.ladder_rows;
+  }
+
   /// Cumulative SIMD kernel-dispatch / plane-word throughput counters for
   /// the ppc-layer plane ALU bound to this machine (ppc::Context wires its
   /// PlaneAlu here). Billed once per sweep on the controller thread;

@@ -1,5 +1,6 @@
 // Runtime-dispatched SIMD kernel table for the bit-plane ALU, the row
-// buses (broadcast and wired-OR) and single-driver column broadcasts.
+// buses (broadcast and wired-OR) and single-driver row and column
+// broadcasts.
 //
 // A table of function pointers filled per SIMD variant (scalar / AVX2 /
 // AVX-512), selected once per process from what the build compiled in and
@@ -7,10 +8,10 @@
 // and runs it inline: one SIMD instruction is one kernel call on the
 // controller thread, never split over host threads (host parallelism
 // comes from whole destinations and batches, one level up).
-// tests/ppc_plane_kernels_test.cpp
-// fuzzes every arm against plain word loops, and the segmented fill,
-// segmented OR and column fill of every arm against the scalar arm (which
-// tests/sim_bus_planes_test.cpp holds to the word-engine bus, sim/bus.cpp).
+// tests/ppc_plane_kernels_test.cpp fuzzes every arm against plain word
+// loops, and the segmented fill, segmented OR, row fill and column fill of
+// every arm against the scalar arm (which tests/sim_bus_planes_test.cpp
+// holds to the word-engine bus, sim/bus.cpp).
 //
 // Dispatch order:
 //   1. A PPA_FORCE_SIMD=<arm> build (CMake option) pins the arm at
@@ -75,6 +76,10 @@ struct PlaneKernels {
                      const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) noexcept = nullptr;
   void (*compare_eq)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                      const PlaneWord* full, PlaneWord* eq) noexcept = nullptr;
+  /// out = mask & (a != b); word blocks the mask leaves empty skip the
+  /// planes and read 0.
+  void (*compare_ne_masked)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                            const PlaneWord* mask, PlaneWord* out) noexcept = nullptr;
 
   /// Packs per-PE words into `planes` bit planes (plane j at offset
   /// j * plane_words). Fully overwrites every word, pads read 0 — no
@@ -87,16 +92,33 @@ struct PlaneKernels {
                    std::size_t r, PlaneWord* out) noexcept = nullptr;
 
   /// One row-bus broadcast cycle (dir East or West) on `planes` src
-  /// planes, as a segmented fill: every lane reads the nearest Open switch
-  /// strictly upstream, a ring wraps the row's last Open switch around to
-  /// its head, undriven lanes read 0 — bus.cpp's rules exactly. Fully
-  /// overwrites `out` and `driven`. `full` is the valid-lane plane
-  /// (plane_fill_full); `scratch` holds two planes. max_segment is not
-  /// computed here (it depends on the switches alone).
+  /// planes, as a segmented fill over the rows `rows` marks (nullptr:
+  /// every row): every lane reads the nearest Open switch strictly
+  /// upstream, a ring wraps the row's last Open switch around to its head,
+  /// undriven lanes read 0 — bus.cpp's rules exactly, for any number of
+  /// Open switches per row. `rows` is a plane whose words are all-ones on
+  /// the marked rows and 0 elsewhere. Fully overwrites the marked rows'
+  /// words of `out` and `driven`, and no other word. `full` is the
+  /// valid-lane plane (plane_fill_full); `scratch` holds two planes.
+  /// max_segment is not computed here (it depends on the switches alone).
   void (*segmented_fill)(const sim::PlaneGeometry& g, sim::BusTopology topology,
                          sim::Direction dir, const PlaneWord* src, int planes,
                          const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
-                         PlaneWord* driven, PlaneWord* scratch) noexcept = nullptr;
+                         PlaneWord* driven, PlaneWord* scratch,
+                         const PlaneWord* rows) noexcept = nullptr;
+
+  /// One row-bus broadcast cycle (dir East or West) on `planes` src
+  /// planes over the rows `skip` leaves unmarked (a row mask like
+  /// segmented_fill's; nullptr: every row), each with at most one Open
+  /// switch: every driven lane reads its row's one driver, so per plane
+  /// each row is an OR of src & open across its words replicated under
+  /// `driven` (the lanes the caller's switch pass found driven, which
+  /// carries the direction and topology). Fully overwrites the unmarked
+  /// rows' words of `out`, and no other word; pads stay 0 when `driven`'s
+  /// are. A row with two or more Open switches would read garbage.
+  void (*row_fill)(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
+                   const PlaneWord* open, const PlaneWord* driven, PlaneWord* out,
+                   const PlaneWord* skip) noexcept = nullptr;
 
   /// One row-bus wired-OR cycle (dir East or West) on the single plane
   /// `src`: every lane reads the OR of its segment — an Open lane starts
@@ -240,6 +262,11 @@ class PlaneAlu {
                   const PlaneWord* full, PlaneWord* eq) const {
     bill(static_cast<std::size_t>(h) * pw);
     k_->compare_eq(a, b, h, pw, full, eq);
+  }
+  void compare_ne_masked(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                         const PlaneWord* mask, PlaneWord* out) const {
+    bill(static_cast<std::size_t>(h) * pw);
+    k_->compare_ne_masked(a, b, h, pw, mask, out);
   }
 
   void pack_words(const sim::PlaneGeometry& g, const sim::Word* src, int planes,

@@ -43,6 +43,9 @@ struct VecAvx2 {
     return _mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), index, 8);
   }
   static reg swap_pairs(reg a) noexcept { return _mm256_shuffle_epi32(a, 0x4E); }
+  static reg select_nonzero(reg x, reg a) noexcept {
+    return _mm256_andnot_si256(_mm256_cmpeq_epi64(x, _mm256_setzero_si256()), a);
+  }
   static bool is_zero(reg a) noexcept { return _mm256_testz_si256(a, a) != 0; }
 };
 
@@ -102,10 +105,12 @@ const PlaneKernels* avx2_table() noexcept {
     t.add_sat_masked = detail::t_add_sat_masked<VecAvx2>;
     t.compare_lt = detail::t_compare_lt<VecAvx2>;
     t.compare_eq = detail::t_compare_eq<VecAvx2>;
+    t.compare_ne_masked = detail::t_compare_ne_masked<VecAvx2>;
     t.pack_words = detail::pack_words_by_rows<pack_row_avx2>;
     t.pack_row = pack_row_avx2;
     t.segmented_fill = detail::t_segmented_fill<VecAvx2>;
     t.segmented_or = detail::t_segmented_or<VecAvx2>;
+    t.row_fill = detail::t_row_fill<VecAvx2>;
     t.column_fill = detail::t_column_fill<VecAvx2>;
     return t;
   }();

@@ -42,6 +42,9 @@ struct VecAvx512 {
     return _mm512_i64gather_epi64(index, base, 8);
   }
   static reg swap_pairs(reg a) noexcept { return _mm512_shuffle_epi32(a, _MM_PERM_BADC); }
+  static reg select_nonzero(reg x, reg a) noexcept {
+    return _mm512_maskz_mov_epi64(_mm512_test_epi64_mask(x, x), a);
+  }
   static bool is_zero(reg a) noexcept { return _mm512_test_epi64_mask(a, a) == 0; }
 };
 
@@ -98,10 +101,12 @@ const PlaneKernels* avx512_table() noexcept {
     t.add_sat_masked = detail::t_add_sat_masked<VecAvx512>;
     t.compare_lt = detail::t_compare_lt<VecAvx512>;
     t.compare_eq = detail::t_compare_eq<VecAvx512>;
+    t.compare_ne_masked = detail::t_compare_ne_masked<VecAvx512>;
     t.pack_words = detail::pack_words_by_rows<pack_row_avx512>;
     t.pack_row = pack_row_avx512;
     t.segmented_fill = detail::t_segmented_fill<VecAvx512>;
     t.segmented_or = detail::t_segmented_or<VecAvx512>;
+    t.row_fill = detail::t_row_fill<VecAvx512>;
     t.column_fill = detail::t_column_fill<VecAvx512>;
     return t;
   }();

@@ -10,6 +10,7 @@
 //   sub / set1 / gather           — per-word subtract, broadcast, and
 //                                   indexed load base[index]
 //   swap_pairs                    — swaps words 2k and 2k+1 (W > 1 only)
+//   select_nonzero(x, a)          — per word: a where x is nonzero, else 0
 //   is_zero                       — whole-register test
 // The bodies below keep all loop-carried state (ripple carry, the
 // MSB-first lt/eq pair, the saturation mask) in registers; the only
@@ -48,6 +49,7 @@ struct VecScalar {
   static reg sub(reg a, reg b) noexcept { return a - b; }
   static reg set1(PlaneWord v) noexcept { return v; }
   static reg gather(const PlaneWord* base, reg index) noexcept { return base[index]; }
+  static reg select_nonzero(reg x, reg a) noexcept { return x != 0 ? a : 0; }
   static bool is_zero(reg a) noexcept { return a == 0; }
 };
 
@@ -312,6 +314,35 @@ void t_compare_eq(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
   t_compare_eq_words<V>(a, b, h, pw, full, eq, 0, pw);
 }
 
+/// out = mask & (a != b) over h planes; a word block the mask leaves empty
+/// is stored 0 without reading a or b (a one-row mask compares one row).
+template <class V>
+void t_compare_ne_masked_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                               const PlaneWord* mask, PlaneWord* out, std::size_t begin,
+                               std::size_t end) noexcept {
+  std::size_t i = begin;
+  for (; i + V::W <= end; i += V::W) {
+    const auto m = V::load(mask + i);
+    auto differ = V::zero();
+    if (!V::is_zero(m)) {
+      for (int j = 0; j < h; ++j) {
+        const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+        differ = V::or_(differ, V::xor_(V::load(a + off), V::load(b + off)));
+      }
+    }
+    V::store(out + i, V::and_(differ, m));
+  }
+  if constexpr (V::W > 1) {
+    if (i < end) t_compare_ne_masked_words<VecScalar>(a, b, h, pw, mask, out, i, end);
+  }
+}
+
+template <class V>
+void t_compare_ne_masked(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
+                         const PlaneWord* mask, PlaneWord* out) noexcept {
+  t_compare_ne_masked_words<V>(a, b, h, pw, mask, out, 0, pw);
+}
+
 /// Scalar pack of one row: transpose one 64-lane group at a time through
 /// a register accumulator, then store each plane word once — instead of
 /// the oracle's per-bit read-modify-write into spread-out plane words.
@@ -373,14 +404,15 @@ typename V::reg flow_shift(typename V::reg a) noexcept {
   }
 }
 
-/// Head carries of every row: `carry_pos[i]` is the flat
-/// lane index (word * 64 + bit) of the Open switch that drives word i's
-/// flow-first lane, `carry_lane[i]` that lane as a mask. An undriven head
-/// gets mask 0 and a position inside its own word, so the gather that
-/// reads it stays in bounds.
+/// Head carries of every row, or of the rows `rows` marks (nullptr: all):
+/// `carry_pos[i]` is the flat lane index (word * 64 + bit) of the Open
+/// switch that drives word i's flow-first lane, `carry_lane[i]` that lane
+/// as a mask. An undriven head gets mask 0 and a position inside its own
+/// word, so the gather that reads it stays in bounds.
 template <bool kWest>
 void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* open,
-                      PlaneWord* carry_pos, PlaneWord* carry_lane) noexcept {
+                      const PlaneWord* rows, PlaneWord* carry_pos,
+                      PlaneWord* carry_lane) noexcept {
   const std::size_t rw = g.row_words;
   constexpr std::size_t kNone = ~std::size_t{0};
   // The Open switch of word w that is last in flow order, as a flat index.
@@ -390,6 +422,7 @@ void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* o
   };
   for (std::size_t r = 0; r < g.n; ++r) {
     const std::size_t base = r * rw;
+    if (rows != nullptr && rows[base] == 0) continue;
     std::size_t cur = kNone;
     if (ring) {
       for (std::size_t k = 0; k < rw && cur == kNone; ++k) {
@@ -409,83 +442,125 @@ void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* o
   }
 }
 
-/// The scan over words [begin, end) of every plane and the driven plane.
-/// A null `carry_lane` means no word has a head carry.
+/// The scan of the W words from word i of every plane and the driven
+/// plane. Every word is scanned on its own (the ladder never crosses a
+/// word; the head carry is what links words), so with kKeep the words
+/// outside `keep` are left as they were: their lanes count as invalid,
+/// their carries as absent, and their stores write back what they held.
+template <class V, bool kWest, bool kKeep>
+void fill_vector(const PlaneWord* src, int planes, std::size_t pw, const PlaneWord* open,
+                 const PlaneWord* full, const PlaneWord* carry_pos,
+                 const PlaneWord* carry_lane, PlaneWord* out, PlaneWord* driven, std::size_t i,
+                 typename V::reg keep) noexcept {
+  const auto kept = [&](PlaneWord* p, typename V::reg x) {
+    if constexpr (kKeep) {
+      const auto held = V::load(p);
+      x = V::xor_(held, V::and_(V::xor_(held, x), keep));
+    }
+    V::store(p, x);
+  };
+  auto valid = V::load(full + i);
+  if constexpr (kKeep) valid = V::and_(valid, keep);
+  const auto station = V::and_(flow_shift<V, kWest, 1>(V::load(open + i)), valid);
+  typename V::reg pass[6];
+  pass[0] = V::xor_(valid, station);  // the valid lanes that are no station
+  pass[1] = V::and_(pass[0], flow_shift<V, kWest, 1>(pass[0]));
+  pass[2] = V::and_(pass[1], flow_shift<V, kWest, 2>(pass[1]));
+  pass[3] = V::and_(pass[2], flow_shift<V, kWest, 4>(pass[2]));
+  pass[4] = V::and_(pass[3], flow_shift<V, kWest, 8>(pass[3]));
+  pass[5] = V::and_(pass[4], flow_shift<V, kWest, 16>(pass[4]));
+  const auto fill = [&](typename V::reg x) {
+    x = V::or_(x, V::and_(flow_shift<V, kWest, 1>(x), pass[0]));
+    x = V::or_(x, V::and_(flow_shift<V, kWest, 2>(x), pass[1]));
+    x = V::or_(x, V::and_(flow_shift<V, kWest, 4>(x), pass[2]));
+    x = V::or_(x, V::and_(flow_shift<V, kWest, 8>(x), pass[3]));
+    x = V::or_(x, V::and_(flow_shift<V, kWest, 16>(x), pass[4]));
+    return V::or_(x, V::and_(flow_shift<V, kWest, 32>(x), pass[5]));
+  };
+  auto lane = carry_lane != nullptr ? V::load(carry_lane + i) : V::zero();
+  if constexpr (kKeep) lane = V::and_(lane, keep);
+  // The driven plane is the fill of src = open: every station drives, and
+  // so does every carried head.
+  kept(driven + i, fill(V::or_(station, lane)));
+  if (V::is_zero(lane)) {
+    for (int j = 0; j < planes; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+      kept(out + off, fill(V::and_(flow_shift<V, kWest, 1>(V::load(src + off)), station)));
+    }
+    return;
+  }
+  // A kept-out word reads word 0, which is always in bounds.
+  auto pos = V::load(carry_pos + i);
+  if constexpr (kKeep) pos = V::and_(pos, keep);
+  const auto word = V::template shr<6>(pos);
+  const auto bit = V::and_(pos, V::set1(63));
+  for (int j = 0; j < planes; ++j) {
+    const std::size_t off = static_cast<std::size_t>(j) * pw;
+    const auto carried = V::and_(V::srlv(V::gather(src + off, word), bit), V::set1(1));
+    const auto head = V::and_(V::sub(V::zero(), carried), lane);
+    const auto seed = V::and_(flow_shift<V, kWest, 1>(V::load(src + off + i)), station);
+    kept(out + off + i, fill(V::or_(seed, head)));
+  }
+}
+
+/// The scan over the words `rows` marks (nullptr: every word), W words at
+/// a time in plane order: a vector of unmarked words is skipped, a vector
+/// of marked ones scanned, a mixed one scanned keeping its unmarked words.
+/// The ragged end is one more vector ending at pw, overlapping the last
+/// (scanning a word twice stores the same values); a plane narrower than
+/// W runs word by word. A null `carry_lane` means no word has a head
+/// carry.
 template <class V, bool kWest>
 void t_fill_words(const PlaneWord* src, int planes, std::size_t pw, const PlaneWord* open,
                   const PlaneWord* full, const PlaneWord* carry_pos,
                   const PlaneWord* carry_lane, PlaneWord* out, PlaneWord* driven,
-                  std::size_t begin, std::size_t end) noexcept {
-  std::size_t i = begin;
-  for (; i + V::W <= end; i += V::W) {
-    const auto valid = V::load(full + i);
-    const auto station = V::and_(flow_shift<V, kWest, 1>(V::load(open + i)), valid);
-    typename V::reg pass[6];
-    pass[0] = V::andnot(valid, station);
-    pass[1] = V::and_(pass[0], flow_shift<V, kWest, 1>(pass[0]));
-    pass[2] = V::and_(pass[1], flow_shift<V, kWest, 2>(pass[1]));
-    pass[3] = V::and_(pass[2], flow_shift<V, kWest, 4>(pass[2]));
-    pass[4] = V::and_(pass[3], flow_shift<V, kWest, 8>(pass[3]));
-    pass[5] = V::and_(pass[4], flow_shift<V, kWest, 16>(pass[4]));
-    const auto fill = [&](typename V::reg x) {
-      x = V::or_(x, V::and_(flow_shift<V, kWest, 1>(x), pass[0]));
-      x = V::or_(x, V::and_(flow_shift<V, kWest, 2>(x), pass[1]));
-      x = V::or_(x, V::and_(flow_shift<V, kWest, 4>(x), pass[2]));
-      x = V::or_(x, V::and_(flow_shift<V, kWest, 8>(x), pass[3]));
-      x = V::or_(x, V::and_(flow_shift<V, kWest, 16>(x), pass[4]));
-      return V::or_(x, V::and_(flow_shift<V, kWest, 32>(x), pass[5]));
-    };
-    const auto lane = carry_lane != nullptr ? V::load(carry_lane + i) : V::zero();
-    // The driven plane is the fill of src = open: every station drives, and
-    // so does every carried head.
-    V::store(driven + i, fill(V::or_(station, lane)));
-    if (V::is_zero(lane)) {
-      for (int j = 0; j < planes; ++j) {
-        const std::size_t off = static_cast<std::size_t>(j) * pw + i;
-        V::store(out + off, fill(V::and_(flow_shift<V, kWest, 1>(V::load(src + off)), station)));
-      }
-      continue;
-    }
-    const auto pos = V::load(carry_pos + i);
-    const auto word = V::template shr<6>(pos);
-    const auto bit = V::and_(pos, V::set1(63));
-    for (int j = 0; j < planes; ++j) {
-      const std::size_t off = static_cast<std::size_t>(j) * pw;
-      const auto carried = V::and_(V::srlv(V::gather(src + off, word), bit), V::set1(1));
-      const auto head = V::and_(V::sub(V::zero(), carried), lane);
-      const auto seed =
-          V::and_(flow_shift<V, kWest, 1>(V::load(src + off + i)), station);
-      V::store(out + off + i, fill(V::or_(seed, head)));
-    }
-  }
-  if constexpr (V::W > 1) {
-    if (i < end) {
+                  const PlaneWord* rows) noexcept {
+  if (pw < V::W) {
+    if constexpr (V::W > 1) {
       t_fill_words<VecScalar, kWest>(src, planes, pw, open, full, carry_pos, carry_lane, out,
-                                     driven, i, end);
+                                     driven, rows);
     }
+    return;
   }
+  const auto all = V::set1(~PlaneWord{0});
+  const auto scan = [&](std::size_t i) {
+    const auto keep = rows != nullptr ? V::load(rows + i) : all;
+    if (V::is_zero(keep)) return;
+    if (V::is_zero(V::xor_(keep, all))) {
+      fill_vector<V, kWest, false>(src, planes, pw, open, full, carry_pos, carry_lane, out,
+                                   driven, i, all);
+    } else {
+      fill_vector<V, kWest, true>(src, planes, pw, open, full, carry_pos, carry_lane, out,
+                                  driven, i, keep);
+    }
+  };
+  std::size_t i = 0;
+  for (; i + V::W <= pw; i += V::W) scan(i);
+  if (i < pw) scan(pw - V::W);
 }
 
-/// The kernel-table entry: head-carry set-up, then the scan. `dir` must
-/// be East or West; `scratch` holds two planes. A linear one-word row has
-/// no head carries, so that case skips the set-up.
+/// The kernel-table entry: head-carry set-up, then the scan, over the rows
+/// `rows` marks (nullptr: every row). `dir` must be East or West;
+/// `scratch` holds two planes. A linear one-word row has no head carries,
+/// so that case skips the set-up.
 template <class V>
 void t_segmented_fill(const sim::PlaneGeometry& g, sim::BusTopology topology,
                       sim::Direction dir, const PlaneWord* src, int planes,
                       const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
-                      PlaneWord* driven, PlaneWord* scratch) noexcept {
+                      PlaneWord* driven, PlaneWord* scratch, const PlaneWord* rows) noexcept {
   const std::size_t pw = g.plane_words();
   const bool ring = topology == sim::BusTopology::Ring;
   PlaneWord* carry_pos = scratch;
   PlaneWord* carry_lane = ring || g.row_words > 1 ? scratch + pw : nullptr;
   if (dir == sim::Direction::West) {
-    if (carry_lane != nullptr) fill_carry_setup<true>(g, ring, open, carry_pos, carry_lane);
-    t_fill_words<V, true>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven, 0,
-                          pw);
+    if (carry_lane != nullptr) fill_carry_setup<true>(g, ring, open, rows, carry_pos, carry_lane);
+    t_fill_words<V, true>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven, rows);
   } else {
-    if (carry_lane != nullptr) fill_carry_setup<false>(g, ring, open, carry_pos, carry_lane);
+    if (carry_lane != nullptr) {
+      fill_carry_setup<false>(g, ring, open, rows, carry_pos, carry_lane);
+    }
     t_fill_words<V, false>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven,
-                           0, pw);
+                           rows);
   }
 }
 
@@ -512,13 +587,6 @@ void t_segmented_fill(const sim::PlaneGeometry& g, sim::BusTopology topology,
 // head, so on one-word rows they never run them; on wider rows a row with
 // no Open lane past its flow head is one any() over its words.
 // ---------------------------------------------------------------------------
-
-/// Per-word all-ones where the word is nonzero, 0 elsewhere.
-template <class V>
-typename V::reg nonzero_mask(typename V::reg x) noexcept {
-  const auto sign = V::template shr<63>(V::or_(x, V::sub(V::zero(), x)));
-  return V::sub(V::zero(), sign);
-}
 
 /// OR-smear in flow order under the ladder rooted at `pass0` (the lanes
 /// that hear their flow predecessor); `pass0 = ~0` gives a plain prefix OR.
@@ -551,7 +619,7 @@ void t_or_words(const PlaneWord* src, const PlaneWord* open, const PlaneWord* fu
     const auto s = V::load(src + i);
     const auto first = V::andnot(valid, flow_shift<V, kWest, 1>(valid));
     if (V::is_zero(V::andnot(o, first))) {
-      V::store(out + i, V::and_(nonzero_mask<V>(s), valid));
+      V::store(out + i, V::select_nonzero(s, valid));
       continue;
     }
     const auto pass = V::andnot(valid, o);
@@ -565,9 +633,9 @@ void t_or_words(const PlaneWord* src, const PlaneWord* open, const PlaneWord* fu
       const auto all = V::set1(~PlaneWord{0});
       const auto head = V::andnot(valid, smear<V, kWest>(o, all));
       const auto tail = V::andnot(valid, smear<V, !kWest>(flow_shift<V, !kWest, 1>(o), all));
-      const auto head_or = nonzero_mask<V>(V::and_(s, head));
-      const auto tail_or = nonzero_mask<V>(V::and_(s, tail));
-      result = V::or_(result, V::or_(V::and_(head, tail_or), V::and_(tail, head_or)));
+      // The head stub reads the last segment's OR and the tail the stub's.
+      result = V::or_(result, V::or_(V::select_nonzero(V::and_(s, tail), head),
+                                     V::select_nonzero(V::and_(s, head), tail)));
     }
     V::store(out + i, V::and_(result, valid));
   }
@@ -661,8 +729,7 @@ void t_or_rows(const sim::PlaneGeometry& g, bool ring, const PlaneWord* src,
         const auto o = V::load(open + i);
         if (V::is_zero(V::andnot(o, heads))) {
           const auto s = V::load(src + i);
-          V::store(out + i, V::and_(nonzero_mask<V>(V::or_(s, V::swap_pairs(s))),
-                                    V::load(full + i)));
+          V::store(out + i, V::select_nonzero(V::or_(s, V::swap_pairs(s)), V::load(full + i)));
           continue;
         }
         t_or_words<V, kWest>(src, open, full, out, false, i, i + V::W);
@@ -804,6 +871,82 @@ void t_column_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes
   } else {
     t_column_fill_rows<V>(g.n, g.row_words, g.plane_words(), src, planes, open, driven, out);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Row fill: one row-bus broadcast cycle (East / West) for rows with at most
+// one Open switch. A driven lane of such a row reads the row's one driver
+// whatever the direction and topology (those only decide which lanes are
+// driven, and the caller's driven plane already says that), so per plane a
+// row reads all-ones under the driven plane iff its src & open is nonzero:
+// an OR across the row's words and a replicate, with no scan. One-word rows
+// are swept flat; two-word rows go W / 2 rows per vector, the pair swap
+// handing each word its row partner; any other width goes row by row.
+// ---------------------------------------------------------------------------
+
+/// Rows from `row_begin` on that `skip` leaves unmarked, one at a time.
+inline void row_fill_rows(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
+                          const PlaneWord* open, const PlaneWord* driven, PlaneWord* out,
+                          const PlaneWord* skip, std::size_t row_begin) noexcept {
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  for (std::size_t base = row_begin * rw; base < pw; base += rw) {
+    if (skip != nullptr && skip[base] != 0) continue;
+    for (int j = 0; j < planes; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j) * pw + base;
+      PlaneWord any = 0;
+      for (std::size_t w = 0; w < rw; ++w) any |= src[off + w] & open[base + w];
+      for (std::size_t w = 0; w < rw; ++w) out[off + w] = any != 0 ? driven[base + w] : 0;
+    }
+  }
+}
+
+/// The kernel-table entry. `out` must not alias `src`.
+template <class V>
+void t_row_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
+                const PlaneWord* open, const PlaneWord* driven, PlaneWord* out,
+                const PlaneWord* skip) noexcept {
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  std::size_t body = 0;  // words swept by the vector loop
+  if (rw == 1 || (V::W > 1 && rw == 2)) {
+    body = pw - pw % V::W;
+    const auto all = V::set1(~PlaneWord{0});
+    const auto fill = [&](std::size_t off, typename V::reg o, typename V::reg d) {
+      auto x = V::and_(V::load(src + off), o);
+      if constexpr (V::W > 1) {
+        if (rw == 2) x = V::or_(x, V::swap_pairs(x));
+      }
+      return V::select_nonzero(x, d);
+    };
+    if (skip == nullptr) {
+      for (int j = 0; j < planes; ++j) {
+        const std::size_t base = static_cast<std::size_t>(j) * pw;
+        for (std::size_t i = 0; i < body; i += V::W) {
+          V::store(out + base + i, fill(base + i, V::load(open + i), V::load(driven + i)));
+        }
+      }
+    } else {
+      for (std::size_t i = 0; i < body; i += V::W) {
+        const auto skipped = V::load(skip + i);
+        if (V::is_zero(V::xor_(skipped, all))) continue;
+        const auto o = V::load(open + i);
+        const auto d = V::load(driven + i);
+        const bool mixed = !V::is_zero(skipped);
+        for (int j = 0; j < planes; ++j) {
+          const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+          auto x = fill(off, o, d);
+          if (mixed) {
+            const auto held = V::load(out + off);
+            x = V::xor_(x, V::and_(V::xor_(x, held), skipped));
+          }
+          V::store(out + off, x);
+        }
+      }
+    }
+  }
+  // The vector widths are even, so the body ends on a row boundary.
+  row_fill_rows(g, src, planes, open, driven, out, skip, body / rw);
 }
 
 }  // namespace ppa::sim::plane_kernels::detail

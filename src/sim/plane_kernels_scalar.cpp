@@ -29,10 +29,12 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.add_sat_masked = detail::t_add_sat_masked<VecScalar>;
     t.compare_lt = detail::t_compare_lt<VecScalar>;
     t.compare_eq = detail::t_compare_eq<VecScalar>;
+    t.compare_ne_masked = detail::t_compare_ne_masked<VecScalar>;
     t.pack_words = detail::pack_words_by_rows<detail::pack_row_scalar>;
     t.pack_row = detail::pack_row_scalar;
     t.segmented_fill = detail::t_segmented_fill<VecScalar>;
     t.segmented_or = detail::t_segmented_or<VecScalar>;
+    t.row_fill = detail::t_row_fill<VecScalar>;
     t.column_fill = detail::t_column_fill<VecScalar>;
     return t;
   }();

@@ -576,6 +576,104 @@ TEST_P(MinMaxBackendDiff, CoreMatchesListing) {
   expect_core_matches_listing(GetParam(), kMinMax, {Direction::West, Direction::South});
 }
 
+// A stuck-open row switch at (x, p), 0 < p < n-1, gives row x a second
+// driver on both row broadcasts of min(): the spread (every row opens only
+// its anchor, column n-1) and the route. The values rise along every row
+// from a unique minimum at column 0, so every other row routes from one
+// lane; in row x the switch splits the elimination's wired-OR segments,
+// which keep a survivor each. So exactly row x takes the segmented fill on
+// each row broadcast cycle — each TMR trial and each ECC parity beat
+// included — and every other row the row fill. Values, driven flags,
+// steps, bus cycles, the trace and the fault log must match the word
+// backend's listing, unmasked, under TMR and under ECC.
+struct StuckOpenRun {
+  Observed seen;
+  std::uint64_t ladder_rows = 0;
+};
+
+StuckOpenRun observe_stuck_open(std::size_t n, sim::BusTopology topology, Primitive primitive,
+                                sim::BusMasking masking, sim::ExecBackend backend,
+                                bool faulty) {
+  sim::MachineConfig config = config_of(n, field_bits_of(n));
+  config.topology = topology;
+  config.backend = backend;
+  config.masking = masking;
+  sim::Machine m(config);
+  if (faulty) {
+    sim::FaultModel model;
+    model.add({sim::FaultKind::StuckOpen, sim::Axis::Row, n / 2, n / 3});
+    m.inject_faults(model);
+  }
+  sim::RecordingTrace trace;
+  m.set_trace(&trace);
+  Context ctx(m);
+  std::vector<Word> values(n * n);
+  std::vector<sim::Flag> chosen(n * n);
+  for (std::size_t pe = 0; pe < n * n; ++pe) {
+    const std::size_t r = pe / n;
+    const std::size_t c = pe % n;
+    values[pe] = static_cast<Word>(c + r % 3);
+    chosen[pe] = c == 0 || (r + c) % 3 != 1 ? sim::Flag{1} : sim::Flag{0};
+  }
+  const Pint src(ctx, values);
+  const Pbool anchor = col_of(ctx) == static_cast<Word>(n - 1);
+  const Pbool selected(ctx, chosen);
+  StuckOpenRun run;
+  Observed& seen = run.seen;
+  try {
+    const Pint result = apply(primitive, src, Direction::West, anchor, selected);
+    seen.values.resize(n * n);
+    for (std::size_t r = 0; r < n; ++r) {
+      result.read_row(r, std::span<Word>(seen.values).subspan(r * n, n));
+    }
+    seen.driven = driven_flags(result);
+    seen.fully_driven = result.fully_driven();
+  } catch (const util::ContractError& e) {
+    seen.error = e.what();
+  }
+  m.set_trace(nullptr);
+  seen.steps = m.steps();
+  seen.bus_cycles = m.bus_cycles();
+  seen.masking = m.masking_stats();
+  seen.fault_log = m.fault_events();
+  seen.fault_count = m.fault_count();
+  seen.events = trace.events();
+  seen.traced_faults = trace.faults();
+  run.ladder_rows = m.row_ladder_rows();
+  return run;
+}
+
+TEST_P(MinMaxBackendDiff, StuckOpenRowSwitchPutsOneRowOnTheLadder) {
+  const std::size_t n = GetParam();
+  if (n < 3) return;  // no column strictly between the route's driver and the anchor
+  for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+    for (const Primitive primitive : {Primitive::Pmin, Primitive::SelectedMin}) {
+      for (const auto masking :
+           {sim::BusMasking::None, sim::BusMasking::Tmr, sim::BusMasking::Ecc}) {
+        const bool ecc = masking == sim::BusMasking::Ecc;
+        SCOPED_TRACE("side=" + std::to_string(n) +
+                     (topology == sim::BusTopology::Ring ? " ring" : " linear") +
+                     " primitive=" + std::to_string(static_cast<int>(primitive)) +
+                     " masking=" + std::to_string(static_cast<int>(masking)));
+        const StuckOpenRun want =
+            observe_stuck_open(n, topology, primitive, ecc ? sim::BusMasking::None : masking,
+                               sim::ExecBackend::Words, true);
+        const StuckOpenRun got = observe_stuck_open(n, topology, primitive, masking,
+                                                    sim::ExecBackend::BitPlane, true);
+        expect_same(got.seen, want.seen, ecc);
+        // The route and the spread, each run once, three times under TMR,
+        // or followed by its parity beat under ECC.
+        const std::uint64_t cycles = masking == sim::BusMasking::Tmr ? 3 : ecc ? 2 : 1;
+        EXPECT_EQ(got.ladder_rows, 2 * cycles);
+        const StuckOpenRun clean = observe_stuck_open(n, topology, primitive, masking,
+                                                      sim::ExecBackend::BitPlane, false);
+        EXPECT_EQ(clean.ladder_rows, 0u);
+        EXPECT_EQ(clean.seen.error, "");
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sides, MinMaxBackendDiff, kSides, side_name);
 
 class FusedRowMinArgmin : public ::testing::TestWithParam<std::size_t> {};

@@ -2,7 +2,8 @@
 // loops written out below (and sim::pack_words for the pack kernel; the
 // segmented fill, segmented OR and column fill against the scalar arm, which
 // tests/sim_bus_planes_test.cpp holds to bus.cpp). Every kernel call
-// covers the whole array. Geometries deliberately include ragged tails (n
+// covers the whole array, except the row-mask tests of the row broadcast
+// kernels. Geometries deliberately include ragged tails (n
 // not a multiple of 64, plane_words not a multiple of the vector width),
 // so each wider arm's scalar tail loop runs too.
 #include <gtest/gtest.h>
@@ -249,6 +250,48 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
   }
 }
 
+// The masked not-equal compare of every arm against a plain loop: b is a
+// with a few lanes changed (so both outcomes occur), under a random mask,
+// a one-row mask (the pullback's shape: the other word blocks are skipped
+// and read 0) and an empty one, on widths with and without a ragged tail.
+TEST(PlaneKernels, CompareNeMaskedMatchesPlainLoop) {
+  util::Rng rng(0xE7'000B);
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : kSides) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      for (const int h : {1, 7, 16, 32}) {
+        const auto a = random_planes(rng, g, h);
+        auto b = a;
+        const auto flips = random_planes(rng, g, 1);
+        for (std::size_t i = 0; i < pw; ++i) {
+          const PlaneWord lanes = flips[i] & rng.next() & rng.next();
+          b[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(h))) * pw + i] ^= lanes;
+        }
+        for (int layout = 0; layout < 3; ++layout) {
+          std::vector<PlaneWord> mask(pw);
+          if (layout == 0) mask = random_planes(rng, g, 1);
+          const std::size_t row = n / 2;
+          for (std::size_t w = 0; layout == 1 && w < g.row_words; ++w) {
+            mask[row * g.row_words + w] = g.word_mask(w);
+          }
+          std::vector<PlaneWord> want(pw, 0);
+          for (std::size_t i = 0; i < pw; ++i) {
+            for (int j = 0; j < h; ++j) {
+              const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+              want[i] |= mask[i] & (a[off] ^ b[off]);
+            }
+          }
+          std::vector<PlaneWord> got(pw, ~PlaneWord{0});
+          arm->compare_ne_masked(a.data(), b.data(), h, pw, mask.data(), got.data());
+          EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
+                               << " n=" << n << " h=" << h << " layout=" << layout;
+        }
+      }
+    }
+  }
+}
+
 TEST(PlaneKernels, AddSatClampsToAllOnes) {
   // h=8: 250+10 carries out; 55+200 lands exactly on 2^8-1 (infinity);
   // 100+100 and 7+200 stay below the clamp.
@@ -412,12 +455,12 @@ TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
               std::vector<PlaneWord> want(total), want_driven(pw), scratch(2 * pw);
               scalar.segmented_fill(g, topology, dir, src.data(), planes, open.data(),
                                     full.data(), want.data(), want_driven.data(),
-                                    scratch.data());
+                                    scratch.data(), nullptr);
               std::vector<PlaneWord> got(total, ~PlaneWord{0});
               std::vector<PlaneWord> got_driven(pw, ~PlaneWord{0});
               arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
                                   full.data(), got.data(), got_driven.data(),
-                                  scratch.data());
+                                  scratch.data(), nullptr);
               const auto what = [&] {
                 return std::string(sim::plane_kernels::variant_name(arm->variant)) +
                        " n=" + std::to_string(n) + " density=" + std::to_string(density) +
@@ -427,6 +470,154 @@ TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
               };
               ASSERT_EQ(want_driven, got_driven) << what();
               ASSERT_EQ(want, got) << what();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A row mask (all-ones words on the marked rows, 0 elsewhere) marking
+/// the rows for which `marked(r)` holds.
+template <typename Marked>
+std::vector<PlaneWord> row_mask(const PlaneGeometry& g, Marked marked) {
+  std::vector<PlaneWord> mask(g.plane_words());
+  for (std::size_t r = 0; r < g.n; ++r) {
+    for (std::size_t w = 0; w < g.row_words; ++w) {
+      mask[r * g.row_words + w] = marked(r) ? ~PlaneWord{0} : PlaneWord{0};
+    }
+  }
+  return mask;
+}
+
+/// Row sets for the masked kernels: the first row, the last, a middle run,
+/// every third row, a random half, and every row.
+std::vector<std::vector<PlaneWord>> row_masks(const PlaneGeometry& g, util::Rng& rng) {
+  const std::size_t n = g.n;
+  std::vector<bool> half(n);
+  for (std::size_t r = 0; r < n; ++r) half[r] = rng.chance(0.5);
+  return {row_mask(g, [](std::size_t r) { return r == 0; }),
+          row_mask(g, [n](std::size_t r) { return r == n - 1; }),
+          row_mask(g, [n](std::size_t r) { return r >= n / 3 && r < n / 3 + (n + 2) / 3; }),
+          row_mask(g, [](std::size_t r) { return r % 3 == 1; }),
+          row_mask(g, [&half](std::size_t r) { return half[r]; }),
+          row_mask(g, [](std::size_t) { return true; })};
+}
+
+// The segmented fill over a row mask of every arm against the scalar arm
+// over every row: the marked rows' words of the values and the driven
+// plane must match, and every other word must keep what it held. The
+// buffers are sized exactly, so a store past the tail is a heap overflow
+// under a sanitizer.
+TEST(PlaneKernels, SegmentedFillWritesOnlyItsRows) {
+  util::Rng rng(0xE7'0009);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : kSides) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const auto full = full_plane(g);
+      const auto open = random_planes(rng, g, 1);
+      const auto masks = row_masks(g, rng);
+      for (const int planes : {1, 11, 32}) {
+        const auto src = random_planes(rng, g, planes);
+        const std::size_t total = pw * static_cast<std::size_t>(planes);
+        for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+          for (const auto dir : {sim::Direction::East, sim::Direction::West}) {
+            std::vector<PlaneWord> want(total), want_driven(pw), scratch(2 * pw);
+            scalar.segmented_fill(g, topology, dir, src.data(), planes, open.data(),
+                                  full.data(), want.data(), want_driven.data(),
+                                  scratch.data(), nullptr);
+            for (std::size_t m = 0; m < masks.size(); ++m) {
+              const std::vector<PlaneWord>& rows = masks[m];
+              constexpr PlaneWord kUntouched = 0x5A5A'5A5A'5A5A'5A5Aull;
+              std::vector<PlaneWord> got(total, kUntouched);
+              std::vector<PlaneWord> got_driven(pw, kUntouched);
+              arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
+                                  full.data(), got.data(), got_driven.data(),
+                                  scratch.data(), rows.data());
+              const auto what = [&] {
+                return std::string(sim::plane_kernels::variant_name(arm->variant)) +
+                       " n=" + std::to_string(n) + " mask=" + std::to_string(m) +
+                       " planes=" + std::to_string(planes) +
+                       (topology == sim::BusTopology::Ring ? " ring" : " linear") + " " +
+                       std::string(sim::name_of(dir));
+              };
+              for (std::size_t i = 0; i < total; ++i) {
+                const bool marked = rows[i % pw] != 0;
+                ASSERT_EQ(got[i], marked ? want[i] : kUntouched) << what() << " word " << i;
+                if (i < pw) {
+                  ASSERT_EQ(got_driven[i], marked ? want_driven[i] : kUntouched)
+                      << what() << " driven word " << i;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The row fill (the single-driver rows of a row broadcast) of every arm
+// against a plain loop (each row reads all-ones under `driven` iff its
+// src & open is nonzero), on 1-, 2- and 3-word rows with and without a
+// ragged tail past the vector blocks, over every row and then over the
+// rows each row mask leaves unmarked (the marked rows' words must keep
+// what they held). Open layouts: one random lane per row with about 1/8 of
+// the rows empty (the shape the kernel serves), then random switches at
+// density 0.3 (the arithmetic is defined for any open plane). Every pad
+// must read 0. The buffers are sized exactly, so a store past the tail is
+// a heap overflow under a sanitizer.
+TEST(PlaneKernels, RowFillMatchesPlainLoop) {
+  util::Rng rng(0xE7'000A);
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+                                std::size_t{63}, std::size_t{64}, std::size_t{65},
+                                std::size_t{66}, std::size_t{96}, std::size_t{127},
+                                std::size_t{128}, std::size_t{130}, std::size_t{131}}) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const std::size_t rw = g.row_words;
+      auto skips = row_masks(g, rng);
+      skips.emplace_back();  // nullptr: every row
+      for (const bool single : {true, false}) {
+        std::vector<PlaneWord> open(pw);
+        for (std::size_t r = 0; r < n; ++r) {
+          const std::size_t lane = rng.chance(0.125) ? n : static_cast<std::size_t>(rng.below(n));
+          for (std::size_t c = 0; c < n; ++c) {
+            if (single ? c == lane : rng.chance(0.3)) {
+              open[g.word_of(r, c)] |= PlaneWord{1} << g.bit_of(c);
+            }
+          }
+        }
+        const auto driven = random_planes(rng, g, 1);
+        for (const int planes : {1, 11, 16, 32}) {
+          const auto src = random_planes(rng, g, planes);
+          const std::size_t total = pw * static_cast<std::size_t>(planes);
+          std::vector<PlaneWord> want(total);
+          for (std::size_t i = 0; i < total; i += rw) {
+            PlaneWord any = 0;
+            for (std::size_t w = 0; w < rw; ++w) any |= src[i + w] & open[i % pw + w];
+            for (std::size_t w = 0; w < rw; ++w) want[i + w] = any != 0 ? driven[i % pw + w] : 0;
+          }
+          for (std::size_t m = 0; m < skips.size(); ++m) {
+            const PlaneWord* skip = skips[m].empty() ? nullptr : skips[m].data();
+            constexpr PlaneWord kUntouched = 0x5A5A'5A5A'5A5A'5A5Aull;
+            std::vector<PlaneWord> got(total, kUntouched);
+            arm->row_fill(g, src.data(), planes, open.data(), driven.data(), got.data(), skip);
+            const auto what = [&] {
+              return std::string(sim::plane_kernels::variant_name(arm->variant)) +
+                     " n=" + std::to_string(n) + (single ? " single" : " random") +
+                     " planes=" + std::to_string(planes) + " skip=" + std::to_string(m);
+            };
+            for (std::size_t i = 0; i < total; ++i) {
+              const bool skipped = skip != nullptr && skip[i % pw] != 0;
+              ASSERT_EQ(got[i], skipped ? kUntouched : want[i]) << what() << " word " << i;
+              if (!skipped) {
+                ASSERT_EQ(got[i] & ~g.word_mask(i % rw), 0u) << what() << " word " << i;
+              }
             }
           }
         }

@@ -431,6 +431,100 @@ TEST_P(BusPlaneFuzz, SingleDriverColumnBroadcastMatchesWordEngine) {
   }
 }
 
+/// Open lanes of row r in the mixed-rows shape: r % 6 picks none, one
+/// random lane, one lane at an edge (first, last, 63 or 64), two random
+/// lanes, a random 30%, or every lane; rows n/2 .. n/2+9 are a run of
+/// several-lane rows (most rows with several lanes sit alone between
+/// single-driver rows).
+std::vector<Flag> mixed_rows(std::size_t n, util::Rng& rng) {
+  std::vector<Flag> open(n * n, Flag{0});
+  for (std::size_t r = 0; r < n; ++r) {
+    Flag* row = open.data() + r * n;
+    const std::size_t kind = r >= n / 2 && r < n / 2 + 10 ? 3 + r % 3 : r % 6;
+    switch (kind) {
+      case 0: break;
+      case 1: row[rng.below(n)] = 1; break;
+      case 2: {
+        const std::size_t edges[] = {0, n - 1, 63, 64};
+        row[std::min(edges[r / 6 % 4], n - 1)] = 1;
+        break;
+      }
+      case 3:
+        row[rng.below(n)] = 1;
+        row[rng.below(n)] = 1;
+        break;
+      case 4:
+        for (std::size_t c = 0; c < n; ++c) row[c] = rng.chance(0.3) ? Flag{1} : Flag{0};
+        break;
+      default: std::fill(row, row + n, Flag{1}); break;
+    }
+  }
+  return open;
+}
+
+// Row broadcasts whose rows mix no Open lane, one and several — the
+// single-driver rows take the row fill, the others the segmented fill over
+// their runs — must match the word oracle bus.cpp in values, driven flags
+// and max_segment, with zero pads, on both topologies and both row
+// directions, for 1-, 11-, 16- and 32-plane registers. The scratch block's
+// ladder count must grow by exactly the rows with several Open lanes.
+TEST_P(BusPlaneFuzz, MixedRowBroadcastMatchesWordEngine) {
+  const auto [n, seed, density] = GetParam();
+  (void)density;
+  const PlaneGeometry g(n);
+  const std::size_t pw = g.plane_words();
+  util::Rng rng(seed ^ 0x5EED);
+  PlaneBusScratch scratch;
+  for (int config = 0; config < 3; ++config) {
+    const std::vector<Flag> open = mixed_rows(n, rng);
+    std::uint64_t several = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto row = open.begin() + static_cast<std::ptrdiff_t>(r * n);
+      if (std::count(row, row + static_cast<std::ptrdiff_t>(n), Flag{1}) > 1) ++several;
+    }
+    std::vector<PlaneWord> open_plane(pw);
+    pack_flags(g, open, open_plane.data());
+    for (Direction dir : {Direction::East, Direction::West}) {
+      for (BusTopology topology : {BusTopology::Ring, BusTopology::Linear}) {
+        for (const int planes : {1, 11, 16, 32}) {
+          std::vector<Word> src(n * n);
+          for (auto& v : src) v = static_cast<Word>(rng.next() >> (64 - planes));
+          std::vector<Word> want_values(n * n);
+          std::vector<Flag> want_driven(n * n);
+          const std::size_t want_segment =
+              bus_broadcast_into(n, topology, dir, src, open, want_values, want_driven);
+          std::vector<PlaneWord> src_planes(pw * static_cast<std::size_t>(planes));
+          pack_words(g, src, planes, src_planes.data());
+          std::vector<PlaneWord> out(pw * static_cast<std::size_t>(planes), ~PlaneWord{0});
+          std::vector<PlaneWord> driven(pw, ~PlaneWord{0});
+          const std::uint64_t ladder_before = scratch.ladder_rows;
+          const std::size_t got_segment =
+              plane_broadcast_into(g, topology, dir, src_planes.data(), planes,
+                                   open_plane.data(), out.data(), driven.data(), scratch);
+          const auto where = [&] {
+            return "n=" + std::to_string(n) + " dir=" + std::string(name_of(dir)) +
+                   (topology == BusTopology::Ring ? " ring" : " linear") +
+                   " planes=" + std::to_string(planes) + " config=" + std::to_string(config);
+          };
+          ASSERT_EQ(got_segment, want_segment) << where();
+          ASSERT_EQ(scratch.ladder_rows - ladder_before, several) << where();
+          std::vector<Word> got_values(n * n);
+          std::vector<Flag> got_driven(n * n);
+          unpack_words(g, out.data(), planes, got_values);
+          unpack_flags(g, driven.data(), got_driven);
+          ASSERT_EQ(got_driven, want_driven) << where();
+          ASSERT_EQ(got_values, want_values) << where();
+          for (int j = 0; j < planes; ++j) {
+            expect_pads_zero(g, out.data() + static_cast<std::size_t>(j) * pw,
+                             "mixed-rows broadcast");
+          }
+          expect_pads_zero(g, driven.data(), "mixed-rows broadcast driven");
+        }
+      }
+    }
+  }
+}
+
 // Pin of the second-chance policy: call 1 runs the plain resolver (first
 // sight), call 2 records a plan, calls 3..5 hit it.
 TEST(BroadcastPlanCache, CountsHitsAfterSecondSight) {
