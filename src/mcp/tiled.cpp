@@ -164,7 +164,8 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   // read in place on every later one (the ARRAY still pays the declaring
   // ALU step and PanelIo for every visit; the host just avoids re-packing
   // the same panel each sweep). A panel the active schedule never visits
-  // is never packed.
+  // is never packed. Resident panels hold storage of their own, so the
+  // context's free lists stay with the primitives' scratch.
   std::vector<std::optional<Pint>> panels(blocks * blocks);
   // Panel-local column-index planes, MSB-first: COL's low ceil(log2 p)
   // planes (none for p = 1). Shared by every member, panel visit and sweep
@@ -303,7 +304,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
         if (resident) {
           machine.charge_alu();  // the declaration a reload would issue
         } else {
-          resident.emplace(ctx, panel_weights(graph, p, base_r, base_c));
+          resident.emplace(Pint::resident(ctx, panel_weights(graph, p, base_r, base_c)));
         }
         const Pint& Wp = *resident;
         if (k == 1) inject(members.front(), base_c);

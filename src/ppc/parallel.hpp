@@ -45,6 +45,13 @@ class Pint {
   /// be representable in the field.
   Pint(Context& ctx, std::span<const Word> values);
 
+  /// Pint(ctx, values) in storage of its own instead of a buffer off the
+  /// context's register arena: for a register kept for a whole pass (the
+  /// sweep engine's resident W panels), which would otherwise hold a
+  /// scratch buffer out of circulation until the pass ends. Charged
+  /// exactly like Pint(ctx, values).
+  [[nodiscard]] static Pint resident(Context& ctx, std::span<const Word> values);
+
   /// Declaration loading ONE row from host data, the counterpart of
   /// read_row: row `row` holds `values` (exactly n of them) and every other
   /// PE holds 0. Unmasked, and charged exactly like Pint(ctx, span) — the
@@ -139,6 +146,9 @@ class Pint {
 
   /// Uncharged shell used by detail_access to wrap bus results.
   explicit Pint(Context* ctx) : ctx_(ctx) {}
+
+  /// Pint(ctx, values), in a fresh buffer when `own_storage`.
+  Pint(Context& ctx, std::span<const Word> values, bool own_storage);
 
   Context* ctx_;
   // Exactly one representation is populated, fixed by the machine's

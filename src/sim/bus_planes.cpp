@@ -269,13 +269,7 @@ std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction
                          const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
                          PlaneBusScratch& s) {
   plane_kernels::active().segmented_or(g, topology, dir, src, open, full_plane(g, s), out);
-  const std::size_t ceiling = row_ceiling(g.n, topology, /*wired_or=*/true);
-  std::size_t max_segment = 0;
-  for (std::size_t r = 0; r < g.n && max_segment < ceiling; ++r) {
-    max_segment = row_line_segment(g.n, g.row_words, topology, dir, open + r * g.row_words,
-                                   /*wired_or=*/true, max_segment);
-  }
-  return max_segment;
+  return row_wired_or_segment(g, topology, dir, open);
 }
 
 // ---------------------------------------------------------------------------
@@ -556,6 +550,34 @@ std::size_t column_wired_or(const PlaneGeometry& g, BusTopology topology, Direct
 }
 
 }  // namespace
+
+std::size_t row_wired_or_segment(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                                 const PlaneWord* open) noexcept {
+  const std::size_t ceiling = row_ceiling(g.n, topology, /*wired_or=*/true);
+  std::size_t max_segment = 0;
+  for (std::size_t r = 0; r < g.n && max_segment < ceiling; ++r) {
+    max_segment = row_line_segment(g.n, g.row_words, topology, dir, open + r * g.row_words,
+                                   /*wired_or=*/true, max_segment);
+  }
+  return max_segment;
+}
+
+bool row_or_single_segments(const PlaneGeometry& g, Direction dir,
+                            const PlaneWord* open) noexcept {
+  const bool west = dir == Direction::West;
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  const std::size_t head_w = west ? rw - 1 : 0;
+  const PlaneWord head = PlaneWord{1} << (west ? PlaneGeometry::bit_of(g.n - 1) : 0u);
+  // Word column w of every row, folded: only the head word may hold a
+  // switch, and only on the head lane.
+  for (std::size_t w = 0; w < rw; ++w) {
+    PlaneWord column = 0;
+    for (std::size_t i = w; i < pw; i += rw) column |= open[i];
+    if ((column & ~(w == head_w ? head : PlaneWord{0})) != 0) return false;
+  }
+  return true;
+}
 
 std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
                                  Direction dir, const PlaneWord* src, int planes,

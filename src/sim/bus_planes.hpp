@@ -140,6 +140,18 @@ std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,
                                 const PlaneWord* open, PlaneWord* out,
                                 PlaneBusScratch& scratch);
 
+/// max_segment of a row wired-OR cycle (dir East or West) on the switches
+/// `open`, from the switches alone: what plane_wired_or_into returns.
+std::size_t row_wired_or_segment(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                                 const PlaneWord* open) noexcept;
+
+/// True when every row is ONE wired-OR segment in `dir` (East or West), on
+/// either topology: it opens no switch but its flow-head lane (column 0
+/// East, column n-1 West). Every lane of such a row reads the OR of the
+/// whole row.
+bool row_or_single_segments(const PlaneGeometry& g, Direction dir,
+                            const PlaneWord* open) noexcept;
+
 /// Nearest-neighbour move of `planes` bit planes; lanes shifted in from
 /// the array edge read bit j of `fill_bits` in plane j. dst must not alias
 /// src.

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD kernel table for the bit-plane ALU, the row
-// buses (broadcast and wired-OR) and single-driver row and column
-// broadcasts.
+// buses (broadcast and wired-OR), single-driver row and column broadcasts
+// and the multi-round row elimination of min().
 //
 // A table of function pointers filled per SIMD variant (scalar / AVX2 /
 // AVX-512), selected once per process from what the build compiled in and
@@ -9,8 +9,8 @@
 // controller thread, never split over host threads (host parallelism
 // comes from whole destinations and batches, one level up).
 // tests/ppc_plane_kernels_test.cpp fuzzes every arm against plain word
-// loops, and the segmented fill, segmented OR, row fill and column fill of
-// every arm against the scalar arm (which tests/sim_bus_planes_test.cpp
+// loops, and the segmented fill, segmented OR, row fill, column fill and
+// row elimination of every arm against the scalar arm (which tests/sim_bus_planes_test.cpp
 // holds to the word-engine bus, sim/bus.cpp).
 //
 // Dispatch order:
@@ -140,6 +140,19 @@ struct PlaneKernels {
   void (*column_fill)(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
                       const PlaneWord* open, const PlaneWord* driven,
                       PlaneWord* out) noexcept = nullptr;
+
+  /// Every round of the bit-serial min/max elimination (the paper's min(),
+  /// statements 8–10) on rows that each form ONE wired-OR segment, so a
+  /// round's OR is the same on every lane of a row. `enable` starts as
+  /// `full` & `initial` (nullptr: every lane); round k forms probe =
+  /// enable & ~rounds[k] (enable & rounds[k] with `keep_max`), sets bit k
+  /// of `row_or[r]` when row r's probe is nonzero, and there stores probe
+  /// into enable on the `ambient` lanes (nullptr: every lane). At most 64
+  /// rounds. Fully overwrites `enable` (pads stay 0) and row_or[0, n).
+  void (*row_eliminate)(const sim::PlaneGeometry& g, const PlaneWord* const* rounds,
+                        int count, bool keep_max, const PlaneWord* initial,
+                        const PlaneWord* ambient, const PlaneWord* full, PlaneWord* enable,
+                        PlaneWord* row_or) noexcept = nullptr;
 };
 
 /// The scalar arm (always compiled; the dispatch fallback).
@@ -278,6 +291,12 @@ class PlaneAlu {
                 PlaneWord* out) const {
     bill(g.row_words * static_cast<std::size_t>(planes));
     k_->pack_row(g, row, planes, r, out);
+  }
+  void row_eliminate(const sim::PlaneGeometry& g, const PlaneWord* const* rounds, int count,
+                     bool keep_max, const PlaneWord* initial, const PlaneWord* ambient,
+                     const PlaneWord* full, PlaneWord* enable, PlaneWord* row_or) const {
+    bill(g.plane_words() * static_cast<std::size_t>(count));
+    k_->row_eliminate(g, rounds, count, keep_max, initial, ambient, full, enable, row_or);
   }
 
  private:

@@ -949,4 +949,153 @@ void t_row_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
   row_fill_rows(g, src, planes, open, driven, out, skip, body / rw);
 }
 
+// ---------------------------------------------------------------------------
+// Row elimination: every round of the bit-serial min/max elimination (the
+// paper's min(), statements 8–10) on rows that each form one wired-OR
+// segment. Round k's OR is then one any() of the row's probe, the same on
+// every lane, so the rounds of different rows are independent and a row's
+// enable words stay in registers from the first round to the last:
+//
+//   probe = enable & ~plane_k            (enable & plane_k for the maximum)
+//   or_k  = any(probe over the row)      bit k of the row's result word
+//   enable = or_k ? (ambient ? probe : enable) : enable
+//
+// One-word rows go W rows per vector and two-word rows W / 2 (the pair
+// swap handing each word its row partner), four vectors per round loop so
+// their dependency chains overlap; the scalar arm's two-word rows and any
+// other width go row by row.
+// ---------------------------------------------------------------------------
+
+template <class V, bool kMax>
+typename V::reg eliminate_probe(typename V::reg enable, typename V::reg bit) noexcept {
+  if constexpr (kMax) {
+    return V::and_(enable, bit);
+  } else {
+    return V::andnot(enable, bit);
+  }
+}
+
+/// The rounds over the U * W words from word i, U independent vectors per
+/// round so their dependency chains overlap; `kPairs` ORs each word with
+/// its row partner first. The U * W per-word round words go to `bits`.
+template <class V, bool kMax, bool kPairs, std::size_t U>
+void eliminate_vectors(const PlaneWord* const* rounds, int count, const PlaneWord* initial,
+                       const PlaneWord* ambient, const PlaneWord* full, PlaneWord* enable,
+                       PlaneWord* bits, std::size_t i) noexcept {
+  typename V::reg e[U], lanes[U], acc[U];
+  for (std::size_t u = 0; u < U; ++u) {
+    const std::size_t at = i + u * V::W;
+    e[u] = V::load(full + at);
+    if (initial != nullptr) e[u] = V::and_(e[u], V::load(initial + at));
+    lanes[u] = ambient != nullptr ? V::load(ambient + at) : V::set1(~PlaneWord{0});
+    acc[u] = V::zero();
+  }
+  for (int k = 0; k < count; ++k) {
+    const PlaneWord* plane = rounds[k] + i;
+    const auto round_bit = V::set1(PlaneWord{1} << k);
+    for (std::size_t u = 0; u < U; ++u) {
+      const auto probe = eliminate_probe<V, kMax>(e[u], V::load(plane + u * V::W));
+      auto any = probe;
+      if constexpr (kPairs) any = V::or_(any, V::swap_pairs(any));
+      acc[u] = V::or_(acc[u], V::select_nonzero(any, round_bit));
+      // enable = probe on the ambient lanes of a row whose OR is set.
+      e[u] = V::xor_(e[u], V::and_(V::xor_(e[u], probe), V::select_nonzero(any, lanes[u])));
+    }
+  }
+  for (std::size_t u = 0; u < U; ++u) {
+    V::store(enable + i + u * V::W, e[u]);
+    V::store(bits + u * V::W, acc[u]);
+  }
+}
+
+/// Rows [row_begin, n) one at a time. Rows of kRowWords words (0: any
+/// width, g.row_words) keep their enable words in locals across the
+/// rounds; other widths work in `enable` itself.
+template <bool kMax, std::size_t kRowWords>
+void eliminate_rows(const sim::PlaneGeometry& g, const PlaneWord* const* rounds, int count,
+                    const PlaneWord* initial, const PlaneWord* ambient, const PlaneWord* full,
+                    PlaneWord* enable, PlaneWord* row_or, std::size_t row_begin) noexcept {
+  const std::size_t rw = kRowWords != 0 ? kRowWords : g.row_words;
+  for (std::size_t r = row_begin; r < g.n; ++r) {
+    const std::size_t base = r * rw;
+    PlaneWord local[kRowWords != 0 ? kRowWords : 1] = {};
+    PlaneWord* e = kRowWords != 0 ? local : enable + base;
+    for (std::size_t w = 0; w < rw; ++w) {
+      e[w] = full[base + w] & (initial != nullptr ? initial[base + w] : ~PlaneWord{0});
+    }
+    PlaneWord acc = 0;
+    for (int k = 0; k < count; ++k) {
+      const PlaneWord* b = rounds[k] + base;
+      PlaneWord any = 0;
+      for (std::size_t w = 0; w < rw; ++w) any |= eliminate_probe<VecScalar, kMax>(e[w], b[w]);
+      const PlaneWord row = any != 0 ? ~PlaneWord{0} : PlaneWord{0};
+      acc |= row & (PlaneWord{1} << k);
+      for (std::size_t w = 0; w < rw; ++w) {
+        const PlaneWord stores = ambient != nullptr ? row & ambient[base + w] : row;
+        const PlaneWord probe = eliminate_probe<VecScalar, kMax>(e[w], b[w]);
+        e[w] ^= (e[w] ^ probe) & stores;
+      }
+    }
+    if constexpr (kRowWords != 0) {
+      for (std::size_t w = 0; w < rw; ++w) enable[base + w] = e[w];
+    }
+    row_or[r] = acc;
+  }
+}
+
+/// Vectors of U * W words, then single vectors, then the rows left over.
+template <class V, bool kMax>
+void t_row_eliminate_impl(const sim::PlaneGeometry& g, const PlaneWord* const* rounds,
+                          int count, const PlaneWord* initial, const PlaneWord* ambient,
+                          const PlaneWord* full, PlaneWord* enable, PlaneWord* row_or) noexcept {
+  constexpr std::size_t kBlock = 4;
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  std::size_t i = 0;
+  if (rw == 1) {
+    for (; i + kBlock * V::W <= pw; i += kBlock * V::W) {
+      eliminate_vectors<V, kMax, false, kBlock>(rounds, count, initial, ambient, full, enable,
+                                                row_or + i, i);
+    }
+    for (; i + V::W <= pw; i += V::W) {
+      eliminate_vectors<V, kMax, false, 1>(rounds, count, initial, ambient, full, enable,
+                                           row_or + i, i);
+    }
+  } else if constexpr (V::W > 1) {
+    if (rw == 2) {
+      PlaneWord bits[kBlock * V::W] = {};
+      for (; i + kBlock * V::W <= pw; i += kBlock * V::W) {
+        eliminate_vectors<V, kMax, true, kBlock>(rounds, count, initial, ambient, full, enable,
+                                                 bits, i);
+        for (std::size_t q = 0; q < kBlock * V::W; q += 2) row_or[(i + q) / 2] = bits[q];
+      }
+      for (; i + V::W <= pw; i += V::W) {
+        eliminate_vectors<V, kMax, true, 1>(rounds, count, initial, ambient, full, enable, bits,
+                                            i);
+        for (std::size_t q = 0; q < V::W; q += 2) row_or[(i + q) / 2] = bits[q];
+      }
+    }
+  }
+  // The vector widths are even, so `i` ends on a row boundary.
+  const auto rows = rw == 1   ? eliminate_rows<kMax, 1>
+                    : rw == 2 ? eliminate_rows<kMax, 2>
+                              : eliminate_rows<kMax, 0>;
+  rows(g, rounds, count, initial, ambient, full, enable, row_or, i / rw);
+}
+
+/// The kernel-table entry: `count` <= 64 rounds over the planes `rounds`
+/// (one pointer per round), enable starting from `initial` (nullptr: every
+/// lane). Writes every word of `enable` (pads 0) and `row_or[0, n)`: bit k
+/// of a row's word is its OR in round k.
+template <class V>
+void t_row_eliminate(const sim::PlaneGeometry& g, const PlaneWord* const* rounds, int count,
+                     bool keep_max, const PlaneWord* initial, const PlaneWord* ambient,
+                     const PlaneWord* full, PlaneWord* enable, PlaneWord* row_or) noexcept {
+  if (keep_max) {
+    t_row_eliminate_impl<V, true>(g, rounds, count, initial, ambient, full, enable, row_or);
+  } else {
+    t_row_eliminate_impl<V, false>(g, rounds, count, initial, ambient, full, enable, row_or);
+  }
+}
+
 }  // namespace ppa::sim::plane_kernels::detail

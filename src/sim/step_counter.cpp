@@ -24,12 +24,13 @@ void StepCounter::charge(StepCategory category, std::uint64_t count) noexcept {
   counts_[static_cast<std::size_t>(category)] += count;
 }
 
-void StepCounter::charge_bus(StepCategory category, std::size_t max_segment) noexcept {
+void StepCounter::charge_bus(StepCategory category, std::size_t max_segment,
+                             std::uint64_t cycles) noexcept {
   const auto idx = static_cast<std::size_t>(category);
-  counts_[idx] += 1;
+  counts_[idx] += cycles;
   const std::uint64_t len = max_segment == 0 ? 1 : max_segment;
-  log_extra_[idx] += static_cast<std::uint64_t>(util::ceil_log2(len));  // (1+log) - 1
-  linear_extra_[idx] += len - 1;                                        // len - 1
+  log_extra_[idx] += cycles * static_cast<std::uint64_t>(util::ceil_log2(len));  // (1+log) - 1
+  linear_extra_[idx] += cycles * (len - 1);                                      // len - 1
 }
 
 std::uint64_t StepCounter::count(StepCategory category) const noexcept {

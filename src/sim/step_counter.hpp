@@ -51,9 +51,10 @@ class StepCounter {
   /// Charges `count` instructions of a non-bus category.
   void charge(StepCategory category, std::uint64_t count = 1) noexcept;
 
-  /// Charges one bus cycle whose longest driven segment spans `max_segment`
-  /// switch hops (used by the Log / Linear re-costing).
-  void charge_bus(StepCategory category, std::size_t max_segment) noexcept;
+  /// Charges `cycles` bus cycles whose longest driven segment spans
+  /// `max_segment` switch hops each (used by the Log / Linear re-costing).
+  void charge_bus(StepCategory category, std::size_t max_segment,
+                  std::uint64_t cycles = 1) noexcept;
 
   [[nodiscard]] std::uint64_t count(StepCategory category) const noexcept;
 

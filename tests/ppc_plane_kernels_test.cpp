@@ -1,9 +1,10 @@
 // Differential fuzz of every compiled SIMD kernel arm against plain word
 // loops written out below (and sim::pack_words for the pack kernel; the
 // segmented fill, segmented OR and column fill against the scalar arm, which
-// tests/sim_bus_planes_test.cpp holds to bus.cpp). Every kernel call
-// covers the whole array, except the row-mask tests of the row broadcast
-// kernels. Geometries deliberately include ragged tails (n
+// tests/sim_bus_planes_test.cpp holds to bus.cpp; the row elimination
+// against the scalar arm, which is held to plain per-row rounds). Every
+// kernel call covers the whole array, except the row-mask tests of the row
+// broadcast kernels. Geometries deliberately include ragged tails (n
 // not a multiple of 64, plane_words not a multiple of the vector width),
 // so each wider arm's scalar tail loop runs too.
 #include <gtest/gtest.h>
@@ -761,6 +762,97 @@ TEST(PlaneKernels, MaskedAssignPlanesMatchesScalarArm) {
           for (std::size_t i = 0; i < total; ++i) {
             const PlaneWord pads = ~g.word_mask(i % g.row_words);
             ASSERT_EQ(got[i] & pads, dst[i] & pads) << what << " word " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The row elimination of every arm against the scalar arm, and the scalar
+// arm against the rounds written out as plain per-row loops. Round planes
+// mix four row kinds by r % 4: random lanes, all zero (a row of zeros in
+// every round), all ones (a row at infinity) and each round's row all
+// zero or all ones at random (every lane ties). Both polarities, with and
+// without a partial initial plane and a partial ambient plane, over 1 to
+// 64 rounds. The outputs start as garbage: every enable word and every
+// row word must be overwritten, and enable's pads must read 0.
+TEST(PlaneKernels, RowEliminateMatchesScalarArm) {
+  util::Rng rng(0xE7'000B);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const std::size_t n : kSides) {
+    const PlaneGeometry g{n};
+    const std::size_t pw = g.plane_words();
+    const std::size_t rw = g.row_words;
+    const auto full = full_plane(g);
+    constexpr int kRounds = 64;
+    auto planes = random_planes(rng, g, kRounds);
+    for (int k = 0; k < kRounds; ++k) {
+      const bool tie_ones = rng.chance(0.5);
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t kind = r % 4;
+        if (kind == 0) continue;
+        const bool ones = kind == 2 || (kind == 3 && tie_ones);
+        for (std::size_t w = 0; w < rw; ++w) {
+          planes[static_cast<std::size_t>(k) * pw + r * rw + w] = ones ? full[r * rw + w] : 0;
+        }
+      }
+    }
+    const auto initial = random_planes(rng, g, 1);
+    const auto ambient = random_planes(rng, g, 1);
+    std::vector<const PlaneWord*> rounds(kRounds);
+    for (std::size_t k = 0; k < kRounds; ++k) rounds[k] = &planes[k * pw];
+    for (const bool keep_max : {false, true}) {
+      for (const PlaneWord* init : {static_cast<const PlaneWord*>(nullptr), initial.data()}) {
+        for (const PlaneWord* amb : {static_cast<const PlaneWord*>(nullptr), ambient.data()}) {
+          for (const int count : {1, 2, 7, 16, 22, 33, 64}) {
+            const auto what = [&] {
+              return "n=" + std::to_string(n) + (keep_max ? " max" : " min") +
+                     (init != nullptr ? " initial" : "") + (amb != nullptr ? " ambient" : "") +
+                     " rounds=" + std::to_string(count);
+            };
+            // The plain loops: each row on its own, round by round.
+            std::vector<PlaneWord> ref_enable(pw), ref_or(n);
+            for (std::size_t r = 0; r < n; ++r) {
+              PlaneWord* e = &ref_enable[r * rw];
+              for (std::size_t w = 0; w < rw; ++w) {
+                e[w] = full[r * rw + w] & (init != nullptr ? init[r * rw + w] : ~PlaneWord{0});
+              }
+              for (int k = 0; k < count; ++k) {
+                std::vector<PlaneWord> probe(rw);
+                bool any = false;
+                for (std::size_t w = 0; w < rw; ++w) {
+                  const PlaneWord b = rounds[static_cast<std::size_t>(k)][r * rw + w];
+                  probe[w] = keep_max ? e[w] & b : e[w] & ~b;
+                  any = any || probe[w] != 0;
+                }
+                if (!any) continue;
+                ref_or[r] |= PlaneWord{1} << k;
+                for (std::size_t w = 0; w < rw; ++w) {
+                  if (amb == nullptr) {
+                    e[w] = probe[w];
+                  } else {
+                    e[w] = (probe[w] & amb[r * rw + w]) | (e[w] & ~amb[r * rw + w]);
+                  }
+                }
+              }
+            }
+            std::vector<PlaneWord> want(pw, ~PlaneWord{0}), want_or(n, ~PlaneWord{0});
+            scalar.row_eliminate(g, rounds.data(), count, keep_max, init, amb, full.data(),
+                                 want.data(), want_or.data());
+            ASSERT_EQ(want, ref_enable) << what();
+            ASSERT_EQ(want_or, ref_or) << what();
+            for (const PlaneKernels* arm : all_arms()) {
+              std::vector<PlaneWord> got(pw, ~PlaneWord{0}), got_or(n, ~PlaneWord{0});
+              arm->row_eliminate(g, rounds.data(), count, keep_max, init, amb, full.data(),
+                                 got.data(), got_or.data());
+              const std::string arm_name = sim::plane_kernels::variant_name(arm->variant);
+              ASSERT_EQ(want, got) << arm_name << " " << what();
+              ASSERT_EQ(want_or, got_or) << arm_name << " " << what();
+              for (std::size_t i = 0; i < pw; ++i) {
+                ASSERT_EQ(got[i] & ~g.word_mask(i % rw), 0u) << arm_name << " " << what();
+              }
+            }
           }
         }
       }
