@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/check.hpp"
@@ -307,10 +308,13 @@ void listing_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits
 // round runs in one PlaneKernels::row_eliminate call, which keeps each
 // row's enable in registers and returns each row's OR per round as one
 // word, and the Machine charges the listing's steps and cycles after it.
-// Otherwise (faults, TMR/ECC, a column axis, a row with a second Open
-// switch) each round is an op_andnot, one Machine::wired_or_plane_into
-// cycle on the same planes, so faults, masking, bus_cycles() and traces
-// see the listing's cycles, and a masked store into enable.
+// A min() then writes its result from those words too when every route is
+// known (known_route_and_spread), and the Machine charges the route and
+// the spread without resolving them. Otherwise (faults, TMR/ECC, a column
+// axis, a row with a second Open switch) each round is an op_andnot, one
+// Machine::wired_or_plane_into cycle on the same planes, so faults,
+// masking, bus_cycles() and traces see the listing's cycles, and a masked
+// store into enable.
 // ---------------------------------------------------------------------------
 
 void charge(sim::Machine& machine, int instructions) {
@@ -456,6 +460,86 @@ Pint plane_route_and_spread(const Pint& src, sim::Direction orientation, const P
   return detail::make_bus_pint_planes(ctx, std::move(out), std::move(driven));
 }
 
+/// Statements 11–13 from the row words, when the elimination ran in the
+/// kernel (so every row opens L at its anchor lane, the flow head, or
+/// nowhere) and each route's outcome is known without resolving it. A row
+/// whose anchor stores (is in L & ambient) routes its survivors' common
+/// value, the row's extreme: it needs a survivor, an ambient mask over the
+/// whole row (else an unmasked survivor may hold another value), and on a
+/// linear bus a survivor upstream of the anchor. A row whose anchor is in
+/// L only keeps src there. The spread then drives that value over the
+/// row, the anchor included on a ring only; a row without an anchor
+/// floats. Returns nothing, and charges nothing, when some storing row's
+/// route must be resolved.
+std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
+                                           sim::Direction orientation, const Pbool& L,
+                                           const PlaneElimination& core) {
+  Context& ctx = src.context();
+  const sim::PlaneGeometry& g = ctx.geometry();
+  const std::size_t n = g.n;
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  const int h = ctx.field().bits();
+  const bool west = orientation == sim::Direction::West;
+  const std::size_t head_w = west ? rw - 1 : 0;
+  const PlaneWord head = PlaneWord{1} << (west ? sim::PlaneGeometry::bit_of(n - 1) : 0u);
+  // The head word's lanes a route may drive the anchor from, and the
+  // spread drives: a linear bus leaves the anchor itself out.
+  const bool ring = ctx.machine().config().topology == sim::BusTopology::Ring;
+  const PlaneWord reach = ring ? ~PlaneWord{0} : ~head;
+  const PlaneWord* open = L.plane_view().data();
+  const PlaneWord* enable = core.enable();
+  const PlaneWord* ambient = core.ambient();
+  const PlaneWord* full = ctx.full_plane();
+  const PlaneWord* values = src.planes_view().data();
+  // Each row's extreme as its round words, or src at an anchor that does
+  // not store, written the same way.
+  std::vector<PlaneWord> words = ctx.acquire_flag_plane();
+  std::copy_n(core.row_or(), n, words.begin());
+  std::size_t anchored = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t base = r * rw;
+    const std::size_t at = base + head_w;
+    if ((open[at] & head) == 0) continue;
+    ++anchored;
+    if (ambient != nullptr && (ambient[at] & head) == 0) {
+      PlaneWord word = 0;
+      for (int j = 0; j < h; ++j) {
+        const PlaneWord bit = values[static_cast<std::size_t>(j) * pw + at] & head;
+        word |= static_cast<PlaneWord>(bit != 0) << (h - 1 - j);
+      }
+      words[r] = keep_max ? word : ~word;
+      continue;
+    }
+    PlaneWord upstream = 0;
+    PlaneWord unmasked = 0;
+    for (std::size_t w = 0; w < rw; ++w) {
+      upstream |= enable[base + w] & (w == head_w ? reach : ~PlaneWord{0});
+      if (ambient != nullptr) unmasked |= full[base + w] & ~ambient[base + w];
+    }
+    if (upstream == 0 || unmasked != 0) {
+      ctx.release_flag_plane(std::move(words));
+      return std::nullopt;
+    }
+  }
+  std::vector<PlaneWord> driven;
+  if (!ring || anchored < n) {
+    driven = ctx.acquire_flag_plane();
+    for (std::size_t base = 0; base < pw; base += rw) {
+      const bool anchor = (open[base + head_w] & head) != 0;
+      for (std::size_t w = 0; w < rw; ++w) {
+        driven[base + w] = anchor ? full[base + w] & (w == head_w ? reach : ~PlaneWord{0}) : 0;
+      }
+    }
+  }
+  std::vector<PlaneWord> out = ctx.acquire_value_planes();
+  ctx.alu().row_word_fill(g, words.data(), keep_max ? 0 : ~PlaneWord{0}, h,
+                          driven.empty() ? full : driven.data(), out.data());
+  ctx.release_flag_plane(std::move(words));
+  ctx.machine().charge_row_route_and_spread(orientation, enable, open, h);
+  return detail::make_bus_pint_planes(ctx, std::move(out), std::move(driven));
+}
+
 /// The bit-plane arm of every min/max primitive, charged as
 /// listing_extreme issues it.
 Pint plane_extreme(const Pint& src, bool keep_max, sim::Direction orientation, const Pbool& L,
@@ -482,7 +566,11 @@ Pint plane_extreme(const Pint& src, bool keep_max, sim::Direction orientation, c
   const int h = ctx.field().bits();
   const PlaneWord* planes = src.planes_view().data();
   if (!or_probe) {
-    core.run(planes, h, before, {}, 0, after, [](int, const PlaneWord*) {});
+    if (core.run(planes, h, before, {}, 0, after, [](int, const PlaneWord*) {})) {
+      if (auto known = known_route_and_spread(src, keep_max, orientation, L, core)) {
+        return std::move(*known);
+      }
+    }
     return plane_route_and_spread(src, orientation, L, core.enable());
   }
   // Bit j of the extreme is "no enabled 0" (minimum) or "some enabled 1"
@@ -504,15 +592,8 @@ Pint plane_extreme(const Pint& src, bool keep_max, sim::Direction orientation, c
   if (in_kernel) {
     // A row's OR is the same on all its lanes: its words of plane j are
     // `stored` or 0 by bit h-1-j of the row's OR word.
-    const std::size_t rw = ctx.geometry().row_words;
-    const PlaneWord* row_or = core.row_or();
-    for (int k = 0; k < h; ++k) {
-      PlaneWord* o = bit_out(k);
-      for (std::size_t r = 0; r < ctx.n(); ++r) {
-        const bool pass = ((row_or[r] >> k) & 1u) == (keep_max ? 1u : 0u);
-        for (std::size_t w = r * rw; w < (r + 1) * rw; ++w) o[w] = pass ? stored[w] : 0;
-      }
-    }
+    ctx.alu().row_word_fill(ctx.geometry(), core.row_or(), keep_max ? 0 : ~PlaneWord{0}, h,
+                            stored, out.data());
   }
   return detail::make_bus_pint_planes(ctx, std::move(out), {});
 }

@@ -153,6 +153,24 @@ template <typename T>
   return std::max(max_segment, dir == Direction::East ? n - 1 - hi : lo);
 }
 
+/// The lanes a broadcast drives on one row line `o` (bus.cpp's rules): none
+/// without an Open switch; otherwise all n on a ring, and on a linear bus
+/// those downstream of the first Open switch in flow order (the lowest
+/// lane East, the highest West).
+[[nodiscard]] std::size_t row_driven_lanes(std::size_t n, std::size_t rw, BusTopology topology,
+                                           Direction dir, const PlaneWord* o) noexcept {
+  const bool east = dir == Direction::East;
+  for (std::size_t k = 0; k < rw; ++k) {
+    const std::size_t w = east ? k : rw - 1 - k;
+    if (o[w] == 0) continue;
+    if (topology == BusTopology::Ring) return n;
+    const std::size_t base = w * kLanesPerWord;
+    return east ? n - 1 - (base + static_cast<unsigned>(__builtin_ctzll(o[w])))
+                : base + static_cast<unsigned>(63 - __builtin_clzll(o[w]));
+  }
+  return 0;
+}
+
 /// The longest run a row line can have: the walk stops once it reaches it.
 [[nodiscard]] std::size_t row_ceiling(std::size_t n, BusTopology topology,
                                       bool wired_or) noexcept {
@@ -269,7 +287,8 @@ std::size_t row_wired_or(const PlaneGeometry& g, BusTopology topology, Direction
                          const PlaneWord* src, const PlaneWord* open, PlaneWord* out,
                          PlaneBusScratch& s) {
   plane_kernels::active().segmented_or(g, topology, dir, src, open, full_plane(g, s), out);
-  return row_wired_or_segment(g, topology, dir, open);
+  return row_lines(g, topology, dir, open, /*wired_or=*/true, /*count_driven=*/false)
+      .max_segment;
 }
 
 // ---------------------------------------------------------------------------
@@ -551,15 +570,21 @@ std::size_t column_wired_or(const PlaneGeometry& g, BusTopology topology, Direct
 
 }  // namespace
 
-std::size_t row_wired_or_segment(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                                 const PlaneWord* open) noexcept {
-  const std::size_t ceiling = row_ceiling(g.n, topology, /*wired_or=*/true);
-  std::size_t max_segment = 0;
-  for (std::size_t r = 0; r < g.n && max_segment < ceiling; ++r) {
-    max_segment = row_line_segment(g.n, g.row_words, topology, dir, open + r * g.row_words,
-                                   /*wired_or=*/true, max_segment);
+RowLines row_lines(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                   const PlaneWord* open, bool wired_or, bool count_driven) noexcept {
+  const std::size_t ceiling = row_ceiling(g.n, topology, wired_or);
+  const std::size_t rw = g.row_words;
+  RowLines lines;
+  for (std::size_t r = 0; r < g.n; ++r) {
+    if (!count_driven && lines.max_segment >= ceiling) break;
+    const PlaneWord* o = open + r * rw;
+    if (lines.max_segment < ceiling) {
+      lines.max_segment =
+          row_line_segment(g.n, rw, topology, dir, o, wired_or, lines.max_segment);
+    }
+    if (count_driven) lines.driven += row_driven_lanes(g.n, rw, topology, dir, o);
   }
-  return max_segment;
+  return lines;
 }
 
 bool row_or_single_segments(const PlaneGeometry& g, Direction dir,

@@ -15,12 +15,12 @@
 // the same pass gives its max_segment (n on a ring, n-1-p East, p West).
 // Those rows' values come from row_fill: per plane an OR of src & open
 // across the row's words, replicated under the driven plane. Rows with two
-// or more Open lanes (row d of every min() route, pmin ties, all-infinity
-// rows, stuck-open switch faults) are marked in a row mask and take
-// segmented_fill over the marked rows only: a log-step segmented scan over
-// each row's 64-lane words, one pass per bit plane plus one for the driven
-// plane, with each word's head carried in from the nearest Open switch
-// upstream (or, on a ring, wrapped from the row's last one); their
+// or more Open lanes (ties and all-infinity rows of a min() route its
+// caller must resolve, stuck-open switch faults) are marked in a row mask
+// and take segmented_fill over the marked rows only: a log-step segmented
+// scan over each row's 64-lane words, one pass per bit plane plus one for
+// the driven plane, with each word's head carried in from the nearest Open
+// switch upstream (or, on a ring, wrapped from the row's last one); their
 // max_segment comes from the open plane (row_line_segment). The switches
 // choose the kernel per row, with no state kept between cycles, so the
 // data-dependent route broadcasts of the paper's min() cost what a
@@ -140,10 +140,22 @@ std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,
                                 const PlaneWord* open, PlaneWord* out,
                                 PlaneBusScratch& scratch);
 
-/// max_segment of a row wired-OR cycle (dir East or West) on the switches
-/// `open`, from the switches alone: what plane_wired_or_into returns.
-std::size_t row_wired_or_segment(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                                 const PlaneWord* open) noexcept;
+/// What a row bus cycle (dir East or West) on the switches `open` shows of
+/// itself, from the switches alone.
+struct RowLines {
+  /// What plane_broadcast_into / plane_wired_or_into return.
+  std::size_t max_segment = 0;
+  /// The lanes a broadcast drives (counted on request only): all n of a
+  /// ring row with an Open switch, and on a linear bus the lanes
+  /// downstream of the row's first Open switch in flow order.
+  std::size_t driven = 0;
+};
+
+/// The row lines of a broadcast or (`wired_or`) a wired-OR cycle. Without
+/// `count_driven` the walk stops once a row reaches the longest possible
+/// segment, and `driven` reads 0.
+RowLines row_lines(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                   const PlaneWord* open, bool wired_or, bool count_driven) noexcept;
 
 /// True when every row is ONE wired-OR segment in `dir` (East or West), on
 /// either topology: it opens no switch but its flow-head lane (column 0

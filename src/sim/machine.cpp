@@ -637,10 +637,26 @@ bool Machine::row_or_resolvable(Direction dir, const PlaneWord* open) const noex
          row_or_single_segments(geometry_, dir, open);
 }
 
+TraceEvent Machine::row_cycle_plan(StepCategory category, Direction dir, const PlaneWord* open,
+                                   int planes) const {
+  const bool wired_or = category == StepCategory::BusOr;
+  const bool traced = trace_ != nullptr;
+  const RowLines lines =
+      row_lines(geometry_, config_.topology, dir, open, wired_or, traced && !wired_or);
+  return TraceEvent{category,
+                    dir,
+                    traced ? plane_popcount(geometry_, open) : 0,
+                    lines.max_segment,
+                    1,
+                    static_cast<std::size_t>(planes),
+                    wired_or ? pe_count() : lines.driven,
+                    pe_count()};
+}
+
 void Machine::charge_row_or_elimination(Direction dir, const PlaneWord* open, int value_rounds,
                                         int before_value, int index_rounds, int before_index,
                                         int alu_after) {
-  const std::size_t max_segment = row_wired_or_segment(geometry_, config_.topology, dir, open);
+  const TraceEvent bus = row_cycle_plan(StepCategory::BusOr, dir, open, 1);
   const int rounds = value_rounds + index_rounds;
   // The counts the listing's single charges add up to, in two charges:
   // charging them one by one cost a 64x64 fused call about 0.9k cycles
@@ -650,17 +666,32 @@ void Machine::charge_row_or_elimination(Direction dir, const PlaneWord* open, in
   steps_.charge(StepCategory::Alu,
                 static_cast<std::uint64_t>(value_rounds * (before_value + alu_after) +
                                            index_rounds * (before_index + alu_after)));
-  steps_.charge_bus(StepCategory::BusOr, max_segment, static_cast<std::uint64_t>(rounds));
+  steps_.charge_bus(StepCategory::BusOr, bus.max_segment, static_cast<std::uint64_t>(rounds));
   if (trace_ == nullptr) return;
   // The listing's events, in its order.
   const TraceEvent alu{StepCategory::Alu, Direction::North, 0, 0, 1};
-  const TraceEvent bus{StepCategory::BusOr, dir, plane_popcount(geometry_, open), max_segment,
-                       1, 1, pe_count(), pe_count()};
   for (int k = 0; k < rounds; ++k) {
     const int alu_before = k < value_rounds ? before_value : before_index;
     for (int i = 0; i < alu_before; ++i) trace_->on_event(alu);
     trace_->on_event(bus);
     for (int i = 0; i < alu_after; ++i) trace_->on_event(alu);
+  }
+}
+
+void Machine::charge_row_route_and_spread(Direction dir, const PlaneWord* enable,
+                                          const PlaneWord* open, int planes) {
+  const TraceEvent route =
+      row_cycle_plan(StepCategory::BusBroadcast, opposite(dir), enable, planes);
+  const TraceEvent spread = row_cycle_plan(StepCategory::BusBroadcast, dir, open, planes);
+  bus_cycles_ += 2;
+  steps_.charge(StepCategory::Alu, 2);
+  steps_.charge_bus(StepCategory::BusBroadcast, route.max_segment);
+  steps_.charge_bus(StepCategory::BusBroadcast, spread.max_segment);
+  if (trace_ == nullptr) return;
+  const TraceEvent alu{StepCategory::Alu, Direction::North, 0, 0, 1};
+  for (const TraceEvent& bus : {route, spread}) {
+    trace_->on_event(alu);
+    trace_->on_event(bus);
   }
 }
 

@@ -264,6 +264,17 @@ class Machine {
                                  int before_value, int index_rounds, int before_index,
                                  int alu_after);
 
+  /// Charges and traces statements 11–13 of one min() on `planes` value
+  /// planes, resolved by the caller: an ALU step (the where(L) push), the
+  /// route broadcast in opposite(dir) from the survivors `enable`, an ALU
+  /// step (the masked store), then the spread broadcast in `dir` from the
+  /// anchors `open`. The charges and events are exactly those of that
+  /// sequence of charge_alu() and broadcast_planes_into calls, but neither
+  /// cycle is resolved. Only for a row wired-OR that row_or_resolvable
+  /// accepts on `open`.
+  void charge_row_route_and_spread(Direction dir, const PlaneWord* enable,
+                                   const PlaneWord* open, int planes);
+
   /// Plane twin of shadow_broadcast_into (one flag plane): same fault
   /// transform, no charge, no trace, no contention report.
   std::size_t shadow_broadcast_planes_into(const PlaneWord* src, Direction dir,
@@ -343,6 +354,11 @@ class Machine {
   std::size_t wired_or_plane_cycle(const PlaneWord* src, Direction dir,
                                    const PlaneWord* open, PlaneWord* out,
                                    StepCategory category);
+  // The trace event of a clean row bus cycle its caller resolves, as the
+  // resolving cycle would emit it: max_segment by the row_line_segment
+  // rules, the open and driven counts only under a trace sink (0 without).
+  [[nodiscard]] TraceEvent row_cycle_plan(StepCategory category, Direction dir,
+                                          const PlaneWord* open, int planes) const;
 
   // TMR wrappers: trial 1 into the caller's buffers (normal category),
   // trials 2-3 into machine scratch (Masking), then a per-wire majority

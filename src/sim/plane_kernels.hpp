@@ -120,6 +120,15 @@ struct PlaneKernels {
                    const PlaneWord* open, const PlaneWord* driven, PlaneWord* out,
                    const PlaneWord* skip) noexcept = nullptr;
 
+  /// One word per row as `planes` planes, bit 0 on the last plane: plane j
+  /// of row r is `mask`'s row-r words where bit planes-1-j of
+  /// words[r] ^ flip is set, and 0 where it is not. So row_eliminate's
+  /// round words (round k: bit h-1-k) are the extremes' value planes, with
+  /// flip ~0 for a minimum. Reads words[0, n); fully overwrites `out`;
+  /// pads stay 0 when `mask`'s are.
+  void (*row_word_fill)(const sim::PlaneGeometry& g, const PlaneWord* words, PlaneWord flip,
+                        int planes, const PlaneWord* mask, PlaneWord* out) noexcept = nullptr;
+
   /// One row-bus wired-OR cycle (dir East or West) on the single plane
   /// `src`: every lane reads the OR of its segment — an Open lane starts
   /// one, a ring's head stub joins the row's last segment, a linear head
@@ -297,6 +306,11 @@ class PlaneAlu {
                      const PlaneWord* full, PlaneWord* enable, PlaneWord* row_or) const {
     bill(g.plane_words() * static_cast<std::size_t>(count));
     k_->row_eliminate(g, rounds, count, keep_max, initial, ambient, full, enable, row_or);
+  }
+  void row_word_fill(const sim::PlaneGeometry& g, const PlaneWord* words, PlaneWord flip,
+                     int planes, const PlaneWord* mask, PlaneWord* out) const {
+    bill(g.plane_words() * static_cast<std::size_t>(planes));
+    k_->row_word_fill(g, words, flip, planes, mask, out);
   }
 
  private:

@@ -111,6 +111,7 @@ const PlaneKernels* avx2_table() noexcept {
     t.segmented_fill = detail::t_segmented_fill<VecAvx2>;
     t.segmented_or = detail::t_segmented_or<VecAvx2>;
     t.row_fill = detail::t_row_fill<VecAvx2>;
+    t.row_word_fill = detail::t_row_word_fill<VecAvx2>;
     t.column_fill = detail::t_column_fill<VecAvx2>;
     t.row_eliminate = detail::t_row_eliminate<VecAvx2>;
     return t;

@@ -107,6 +107,7 @@ const PlaneKernels* avx512_table() noexcept {
     t.segmented_fill = detail::t_segmented_fill<VecAvx512>;
     t.segmented_or = detail::t_segmented_or<VecAvx512>;
     t.row_fill = detail::t_row_fill<VecAvx512>;
+    t.row_word_fill = detail::t_row_word_fill<VecAvx512>;
     t.column_fill = detail::t_column_fill<VecAvx512>;
     t.row_eliminate = detail::t_row_eliminate<VecAvx512>;
     return t;

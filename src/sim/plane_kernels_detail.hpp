@@ -950,6 +950,59 @@ void t_row_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
 }
 
 // ---------------------------------------------------------------------------
+// Row word fill: one word per row written as planes, plane j of row r being
+// the mask's row-r words where bit planes-1-j of the row's word (flipped by
+// `flip`) is set — the row elimination's round words, whose round k is bit
+// h-1-k of the extreme, turned into value planes. Word index outermost:
+// each vector's row words are gathered once (a direct load for one-word
+// rows) and then tested against every plane's bit.
+// ---------------------------------------------------------------------------
+
+/// Words [begin, end) of every plane; `begin` is a multiple of V::W.
+template <class V>
+void row_word_fill_words(std::size_t rw, std::size_t pw, const PlaneWord* words, PlaneWord flip,
+                         int planes, const PlaneWord* mask, PlaneWord* out, std::size_t begin,
+                         std::size_t end) noexcept {
+  std::size_t r = begin / rw;  // the row of word i, and i's word within it
+  std::size_t w = begin % rw;
+  PlaneWord spread[V::W] = {};
+  for (std::size_t i = begin; i + V::W <= end; i += V::W) {
+    typename V::reg v;
+    if (rw == 1) {
+      v = V::load(words + i);
+    } else {
+      for (std::size_t u = 0; u < V::W; ++u) {
+        spread[u] = words[r];
+        if (++w == rw) {
+          w = 0;
+          ++r;
+        }
+      }
+      v = V::load(spread);
+    }
+    v = V::xor_(v, V::set1(flip));
+    const auto m = V::load(mask + i);
+    for (int j = 0; j < planes; ++j) {
+      const auto bit = V::set1(PlaneWord{1} << (planes - 1 - j));
+      V::store(out + static_cast<std::size_t>(j) * pw + i, V::select_nonzero(V::and_(v, bit), m));
+    }
+  }
+}
+
+/// The kernel-table entry.
+template <class V>
+void t_row_word_fill(const sim::PlaneGeometry& g, const PlaneWord* words, PlaneWord flip,
+                     int planes, const PlaneWord* mask, PlaneWord* out) noexcept {
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  const std::size_t body = pw - pw % V::W;
+  row_word_fill_words<V>(rw, pw, words, flip, planes, mask, out, 0, body);
+  if constexpr (V::W > 1) {
+    row_word_fill_words<VecScalar>(rw, pw, words, flip, planes, mask, out, body, pw);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Row elimination: every round of the bit-serial min/max elimination (the
 // paper's min(), statements 8–10) on rows that each form one wired-OR
 // segment. Round k's OR is then one any() of the row's probe, the same on
@@ -962,8 +1015,8 @@ void t_row_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
 //
 // One-word rows go W rows per vector and two-word rows W / 2 (the pair
 // swap handing each word its row partner), four vectors per round loop so
-// their dependency chains overlap; the scalar arm's two-word rows and any
-// other width go row by row.
+// their dependency chains overlap; the scalar arm's two-word rows go four
+// rows per round loop in locals, and any other width row by row.
 // ---------------------------------------------------------------------------
 
 template <class V, bool kMax>
@@ -1008,18 +1061,66 @@ void eliminate_vectors(const PlaneWord* const* rounds, int count, const PlaneWor
   }
 }
 
-/// Rows [row_begin, n) one at a time. Rows of kRowWords words (0: any
-/// width, g.row_words) keep their enable words in locals across the
-/// rounds; other widths work in `enable` itself.
+/// Rows [row_begin, row_begin + kRows) of kRowWords words each, their
+/// enable words in locals across the rounds, so the rows' dependency
+/// chains overlap.
+template <bool kMax, std::size_t kRowWords, std::size_t kRows>
+void eliminate_row_block(const PlaneWord* const* rounds, int count, const PlaneWord* initial,
+                         const PlaneWord* ambient, const PlaneWord* full, PlaneWord* enable,
+                         PlaneWord* row_or, std::size_t row_begin) noexcept {
+  constexpr std::size_t kWords = kRows * kRowWords;
+  const std::size_t at = row_begin * kRowWords;
+  PlaneWord e[kWords] = {};
+  PlaneWord acc[kRows] = {};
+  for (std::size_t i = 0; i < kWords; ++i) {
+    e[i] = full[at + i] & (initial != nullptr ? initial[at + i] : ~PlaneWord{0});
+  }
+  for (int k = 0; k < count; ++k) {
+    const PlaneWord* b = rounds[k] + at;
+    for (std::size_t u = 0; u < kRows; ++u) {
+      PlaneWord probe[kRowWords] = {};
+      PlaneWord any = 0;
+      for (std::size_t w = 0; w < kRowWords; ++w) {
+        probe[w] = eliminate_probe<VecScalar, kMax>(e[u * kRowWords + w], b[u * kRowWords + w]);
+        any |= probe[w];
+      }
+      const PlaneWord row = any != 0 ? ~PlaneWord{0} : PlaneWord{0};
+      acc[u] |= row & (PlaneWord{1} << k);
+      for (std::size_t w = 0; w < kRowWords; ++w) {
+        const std::size_t i = u * kRowWords + w;
+        const PlaneWord stores = ambient != nullptr ? row & ambient[at + i] : row;
+        e[i] ^= (e[i] ^ probe[w]) & stores;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < kWords; ++i) enable[at + i] = e[i];
+  for (std::size_t u = 0; u < kRows; ++u) row_or[row_begin + u] = acc[u];
+}
+
+/// Rows [row_begin, n): rows of kRowWords words in blocks of four, then
+/// one at a time; with kRowWords 0 (any other width), one at a time in
+/// `enable` itself.
 template <bool kMax, std::size_t kRowWords>
 void eliminate_rows(const sim::PlaneGeometry& g, const PlaneWord* const* rounds, int count,
                     const PlaneWord* initial, const PlaneWord* ambient, const PlaneWord* full,
                     PlaneWord* enable, PlaneWord* row_or, std::size_t row_begin) noexcept {
-  const std::size_t rw = kRowWords != 0 ? kRowWords : g.row_words;
-  for (std::size_t r = row_begin; r < g.n; ++r) {
+  std::size_t r = row_begin;
+  if constexpr (kRowWords != 0) {
+    constexpr std::size_t kBlock = 4;
+    for (; r + kBlock <= g.n; r += kBlock) {
+      eliminate_row_block<kMax, kRowWords, kBlock>(rounds, count, initial, ambient, full, enable,
+                                                   row_or, r);
+    }
+    for (; r < g.n; ++r) {
+      eliminate_row_block<kMax, kRowWords, 1>(rounds, count, initial, ambient, full, enable,
+                                              row_or, r);
+    }
+    return;
+  }
+  const std::size_t rw = g.row_words;
+  for (; r < g.n; ++r) {
     const std::size_t base = r * rw;
-    PlaneWord local[kRowWords != 0 ? kRowWords : 1] = {};
-    PlaneWord* e = kRowWords != 0 ? local : enable + base;
+    PlaneWord* e = enable + base;
     for (std::size_t w = 0; w < rw; ++w) {
       e[w] = full[base + w] & (initial != nullptr ? initial[base + w] : ~PlaneWord{0});
     }
@@ -1035,9 +1136,6 @@ void eliminate_rows(const sim::PlaneGeometry& g, const PlaneWord* const* rounds,
         const PlaneWord probe = eliminate_probe<VecScalar, kMax>(e[w], b[w]);
         e[w] ^= (e[w] ^ probe) & stores;
       }
-    }
-    if constexpr (kRowWords != 0) {
-      for (std::size_t w = 0; w < rw; ++w) enable[base + w] = e[w];
     }
     row_or[r] = acc;
   }

@@ -35,6 +35,7 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.segmented_fill = detail::t_segmented_fill<VecScalar>;
     t.segmented_or = detail::t_segmented_or<VecScalar>;
     t.row_fill = detail::t_row_fill<VecScalar>;
+    t.row_word_fill = detail::t_row_word_fill<VecScalar>;
     t.column_fill = detail::t_column_fill<VecScalar>;
     t.row_eliminate = detail::t_row_eliminate<VecScalar>;
     return t;

@@ -15,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "mcp/batch.hpp"
 #include "mcp/mcp.hpp"
+#include "sim/machine.hpp"
 #include "util/rng.hpp"
 
 namespace ppa {
@@ -69,6 +70,23 @@ INSTANTIATE_TEST_SUITE_P(
         Pinned{64, 8, 2069, "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8"},
         Pinned{128, 8, 2069, "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8"}),
     pinned_name);
+
+// A clean full-array solve charges every min() route and spread without
+// resolving them (ppc::pmin / selected_min on the bit-plane backend), so
+// the n = 128 bench solve puts no row on the row broadcasts' segmented-fill
+// ladder, at its pinned steps.
+TEST(McpRowRoutes, CleanFullSolveNeverReachesTheLadder) {
+  const auto g = bench_graph(128);
+  sim::MachineConfig config;
+  config.n = 128;
+  config.bits = 16;
+  config.backend = sim::ExecBackend::BitPlane;
+  sim::Machine machine(config);
+  const mcp::Result r = mcp::minimum_cost_path(machine, g, 0, mcp::Options{});
+  EXPECT_EQ(r.iterations, 8u);
+  EXPECT_EQ(r.total_steps.summary(), "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8");
+  EXPECT_EQ(machine.row_ladder_rows(), 0u);
+}
 
 // The virtualized sweep's full step profile, not only its PanelIo formula:
 // a fragment beat moved into or out of the double buffer, or a reduction

@@ -231,17 +231,31 @@ enum class Scenario {
   Tainted,        // no faults, some SOW elements undriven: an unchecked store throws
   TaintedChecked, // the same, checked: the store records the undriven reads
   SplitAnchor,    // no faults, the anchor plane opens a second lane in one line
+  LineAmbient,    // no faults, a where-mask of whole lines; the selection
+                  // empties only lines the mask leaves out
+  PartialLine,    // LineAmbient, and one line inside the mask loses a lane
+                  // other than its anchor
+  EmptyLines,     // no faults, checked: every fifth line selects nothing
+  AnchorOnly,     // no faults, checked: every fifth line selects its anchor only
 };
 
-constexpr Scenario kScenarios[] = {Scenario::Clean,         Scenario::AmbientMask,
-                                   Scenario::FaultsChecked, Scenario::FaultsAmbient,
-                                   Scenario::FaultsTmr,     Scenario::FaultsEcc,
-                                   Scenario::SplitAnchor};
+constexpr Scenario kScenarios[] = {
+    Scenario::Clean,         Scenario::AmbientMask, Scenario::FaultsChecked,
+    Scenario::FaultsAmbient, Scenario::FaultsTmr,   Scenario::FaultsEcc,
+    Scenario::SplitAnchor,   Scenario::LineAmbient, Scenario::PartialLine,
+    Scenario::EmptyLines,    Scenario::AnchorOnly};
 
 /// Fault-free and unmasked: the bit-plane core may run a row call's rounds
 /// in the row elimination kernel.
 bool clean(Scenario sc) {
-  return sc == Scenario::Clean || sc == Scenario::AmbientMask || sc == Scenario::SplitAnchor;
+  return sc == Scenario::Clean || sc == Scenario::AmbientMask || sc == Scenario::SplitAnchor ||
+         sc == Scenario::LineAmbient || sc == Scenario::PartialLine ||
+         sc == Scenario::EmptyLines || sc == Scenario::AnchorOnly;
+}
+
+bool checked(Scenario sc) {
+  return sc == Scenario::FaultsChecked || sc == Scenario::EmptyLines ||
+         sc == Scenario::AnchorOnly;
 }
 
 struct Setup {
@@ -268,7 +282,8 @@ struct Observed {
   std::size_t fault_count = 0;
   std::vector<sim::TraceEvent> events;
   std::vector<sim::FaultEvent> traced_faults;
-  std::uint64_t dispatches = 0;  // plane kernel dispatches of the call alone
+  std::uint64_t dispatches = 0;   // plane kernel dispatches of the call alone
+  std::uint64_t ladder_rows = 0;  // rows its row broadcasts put on the ladder
 };
 
 /// 6, 11 or 16 bits, widened until the array side fits the field.
@@ -282,6 +297,16 @@ bool along_rows(Direction o) { return o == Direction::West || o == Direction::Ea
 /// The cluster line of PE (r, c) along `o`.
 std::size_t line_of(std::size_t r, std::size_t c, Direction o) {
   return along_rows(o) ? r : c;
+}
+
+/// The position of PE (r, c) within its line along `o`.
+std::size_t lane_of(std::size_t r, std::size_t c, Direction o) {
+  return along_rows(o) ? c : r;
+}
+
+/// The lane that anchors every line: the flow head of `o`.
+std::size_t anchor_lane(std::size_t side, Direction o) {
+  return o == Direction::West ? side - 1 : 0;
 }
 
 /// Line l mixes four patterns by l % 4: uniformly random values, a
@@ -305,18 +330,24 @@ std::vector<Word> line_values(std::size_t side, int bits, Direction o, std::uint
   return data;
 }
 
-/// About 60% of the PEs, with at least one per line — unless
-/// `empty_lines`, where every fifth line selects nothing.
+/// What every fifth line selects.
+enum class Special { None, Nothing, AnchorOnly };
+
+/// About 60% of the PEs, with at least one per line — except that every
+/// fifth line selects nothing, or its anchor only, as `special` says.
 std::vector<sim::Flag> selection(std::size_t side, Direction o, std::uint64_t seed,
-                                 bool empty_lines) {
+                                 Special special) {
   util::Rng rng(seed);
   std::vector<sim::Flag> sel(side * side);
   for (std::size_t r = 0; r < side; ++r) {
     for (std::size_t c = 0; c < side; ++c) {
       const std::size_t line = line_of(r, c, o);
-      const bool first = (along_rows(o) ? c : r) == line % side;
-      const bool empty = empty_lines && line % 5 == 4;
-      sel[r * side + c] = !empty && (first || rng.chance(0.6)) ? sim::Flag{1} : sim::Flag{0};
+      const std::size_t lane = lane_of(r, c, o);
+      const bool special_line = line % 5 == 4 && special != Special::None;
+      const bool chosen = special_line ? special == Special::AnchorOnly &&
+                                             lane == anchor_lane(side, o)
+                                       : lane == line % side || rng.chance(0.6);
+      sel[r * side + c] = chosen ? sim::Flag{1} : sim::Flag{0};
     }
   }
   return sel;
@@ -324,9 +355,50 @@ std::vector<sim::Flag> selection(std::size_t side, Direction o, std::uint64_t se
 
 /// Empty selections leave the route's anchor undriven, which an unchecked
 /// machine rejects at the store; they ride the runs where that is not the
-/// whole story — checked execution records it, the OR probe answers.
-bool empty_lines(const Setup& s) {
-  return or_probe(s.primitive) || s.scenario == Scenario::FaultsChecked;
+/// whole story — checked execution records it, the OR probe answers, the
+/// where-mask leaves the line out. A lone anchor leaves it undriven on a
+/// linear bus only: the route has no survivor upstream of it.
+Special special_lines(const Setup& s) {
+  if (s.scenario == Scenario::AnchorOnly) return Special::AnchorOnly;
+  const bool empty = or_probe(s.primitive) || s.scenario == Scenario::FaultsChecked ||
+                     s.scenario == Scenario::EmptyLines ||
+                     s.scenario == Scenario::LineAmbient || s.scenario == Scenario::PartialLine;
+  return empty ? Special::Nothing : Special::None;
+}
+
+/// Lines the LineAmbient mask leaves out: every fifth (the lines a
+/// selection may empty) and every third from line 1.
+bool line_masked_out(std::size_t line) { return line % 5 == 4 || line % 3 == 1; }
+
+/// The where-mask a scenario runs its call in; empty: none.
+std::vector<sim::Flag> ambient_of(const Setup& s) {
+  const std::size_t n = s.side;
+  std::vector<sim::Flag> active(n * n);
+  if (s.scenario == Scenario::AmbientMask || s.scenario == Scenario::FaultsAmbient) {
+    util::Rng rng(n);
+    for (auto& f : active) f = rng.chance(0.7) ? sim::Flag{1} : sim::Flag{0};
+    return active;
+  }
+  if (s.scenario != Scenario::LineAmbient && s.scenario != Scenario::PartialLine) return {};
+  // PartialLine: the first line inside the mask from n/2 on also drops
+  // lane (anchor + 1) mod n, which is not its anchor once n > 1.
+  std::size_t partial = n;
+  for (std::size_t l = n / 2; l < n && s.scenario == Scenario::PartialLine; ++l) {
+    if (!line_masked_out(l)) {
+      partial = l;
+      break;
+    }
+  }
+  const std::size_t dropped = (anchor_lane(n, s.orientation) + 1) % n;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t line = line_of(r, c, s.orientation);
+      const bool out = line_masked_out(line) ||
+                       (line == partial && lane_of(r, c, s.orientation) == dropped);
+      active[r * n + c] = out ? sim::Flag{0} : sim::Flag{1};
+    }
+  }
+  return active;
 }
 
 /// MSB-first column-index planes, as the sweep engine builds them.
@@ -398,7 +470,7 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
   config.bits = s.bits != 0 ? s.bits : field_bits_of(n);
   config.topology = s.topology;
   config.backend = backend;
-  config.checked = sc == Scenario::FaultsChecked;
+  config.checked = checked(sc);
   const bool ecc = sc == Scenario::FaultsEcc && backend == sim::ExecBackend::BitPlane;
   config.masking = sc == Scenario::FaultsTmr ? sim::BusMasking::Tmr
                    : ecc                     ? sim::BusMasking::Ecc
@@ -423,7 +495,7 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
                                              : (n / 3) * n + line] = 1;
     anchor = anchor | Pbool(ctx, extra);
   }
-  const Pbool selected(ctx, selection(n, s.orientation, n * 17 + 5, empty_lines(s)));
+  const Pbool selected(ctx, selection(n, s.orientation, n * 17 + 5, special_lines(s)));
   const std::vector<Pbool> index_bits =
       s.primitive == Primitive::Fused ? column_index_planes(ctx) : std::vector<Pbool>{};
 
@@ -450,10 +522,7 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
       seen.error = e.what();
     }
   };
-  if (sc == Scenario::AmbientMask || sc == Scenario::FaultsAmbient) {
-    util::Rng rng(n);
-    std::vector<sim::Flag> active(n * n);
-    for (auto& f : active) f = rng.chance(0.7) ? sim::Flag{1} : sim::Flag{0};
+  if (const std::vector<sim::Flag> active = ambient_of(s); !active.empty()) {
     const Pbool cond(ctx, active);
     where(ctx, cond, call);
   } else {
@@ -468,6 +537,7 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
   seen.fault_count = m.fault_count();
   seen.events = trace.events();
   seen.traced_faults = trace.faults();
+  seen.ladder_rows = m.row_ladder_rows();
   return seen;
 }
 
@@ -513,6 +583,10 @@ void expect_same(const Observed& got, const Observed& want, bool ecc) {
     return;
   }
   EXPECT_TRUE(got.steps == want.steps) << got.steps.summary() << " vs " << want.steps.summary();
+  EXPECT_EQ(got.steps.total_under(sim::BusDelayModel::Log),
+            want.steps.total_under(sim::BusDelayModel::Log));
+  EXPECT_EQ(got.steps.total_under(sim::BusDelayModel::Linear),
+            want.steps.total_under(sim::BusDelayModel::Linear));
   EXPECT_TRUE(got.masking == want.masking);
   EXPECT_TRUE(got.events == want.events)
       << got.events.size() << " vs " << want.events.size() << " events";
@@ -539,7 +613,7 @@ void expect_host_answer(const Setup& s, const Observed& got) {
     }
     return;
   }
-  const std::vector<sim::Flag> sel = selection(n, s.orientation, n * 17 + 5, empty_lines(s));
+  const std::vector<sim::Flag> sel = selection(n, s.orientation, n * 17 + 5, special_lines(s));
   const bool max = keeps_max(s.primitive);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = 0; c < n; ++c) {
@@ -563,6 +637,50 @@ std::string describe(const Setup& s) {
                                              : " columns") +
          " scenario=" + std::to_string(static_cast<int>(s.scenario)) +
          " primitive=" + std::to_string(static_cast<int>(s.primitive));
+}
+
+/// Which way a row call's route and spread went. Where every storing row
+/// routes its extreme to a reachable anchor (a survivor upstream of it, an
+/// ambient mask over the whole row), the two broadcasts are charged and
+/// not resolved, so no row reaches the ladder. A line that drops one lane
+/// from the mask puts the call on the resolved route, where line 2 (all
+/// infinity: every lane survives) takes the ladder; a storing line with no
+/// survivor, or with its anchor alone on a linear bus, is an undriven
+/// store there. A line the mask leaves out may select nothing.
+void expect_route_path(const Setup& s, const Observed& got) {
+  const bool ring = s.topology == sim::BusTopology::Ring;
+  const bool routes = !or_probe(s.primitive) && s.primitive != Primitive::Fused;
+  const bool fifth_line = s.side >= 5 && selects(s.primitive) && routes;
+  switch (s.scenario) {
+    case Scenario::Clean:
+    case Scenario::LineAmbient:
+      if (ring) {
+        EXPECT_EQ(got.error, "");
+      }
+      if (got.error.empty()) {
+        EXPECT_EQ(got.ladder_rows, 0u);
+      }
+      break;
+    case Scenario::PartialLine:
+      if (s.side >= 3 && routes && !selects(s.primitive)) {
+        EXPECT_GT(got.ladder_rows, 0u);
+      }
+      break;
+    case Scenario::EmptyLines:
+      if (fifth_line) {
+        EXPECT_GT(got.fault_count, 0u);
+      }
+      break;
+    case Scenario::AnchorOnly:
+      if (ring) {
+        EXPECT_EQ(got.ladder_rows, 0u);
+        EXPECT_EQ(got.fault_count, 0u);
+      } else if (fifth_line) {
+        EXPECT_GT(got.fault_count, 0u);
+      }
+      break;
+    default: break;
+  }
 }
 
 /// Runs `primitives` along `orientations` in every topology and scenario.
@@ -590,8 +708,10 @@ void expect_core_matches_listing(std::size_t side, std::span<const Primitive> pr
             EXPECT_TRUE(bare.driven == got.driven);
             EXPECT_TRUE(bare.steps == got.steps);
             EXPECT_EQ(bare.bus_cycles, got.bus_cycles);
+            EXPECT_EQ(bare.ladder_rows, got.ladder_rows);
             EXPECT_TRUE(bare.events.empty());
           }
+          if (along_rows(orientation)) expect_route_path(setup, got);
           if (scenario != Scenario::Clean) continue;
           // A Ring route always reaches the anchor: only the Linear one may throw.
           if (topology == sim::BusTopology::Ring) {
@@ -739,7 +859,8 @@ void expect_kernel_only_on_clean_rows(std::size_t side) {
   for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
     for (const Direction orientation : {Direction::West, Direction::East, Direction::South}) {
       for (const Scenario scenario : {Scenario::Clean, Scenario::AmbientMask,
-                                      Scenario::SplitAnchor, Scenario::FaultsTmr}) {
+                                      Scenario::LineAmbient, Scenario::SplitAnchor,
+                                      Scenario::FaultsTmr}) {
         for (const Primitive primitive : primitives) {
           if (primitive == Primitive::Fused && orientation != Direction::West) continue;
           Setup setup{side, topology, orientation, scenario, primitive, 8};
@@ -749,9 +870,15 @@ void expect_kernel_only_on_clean_rows(std::size_t side) {
           const Observed wide = observe(setup, sim::ExecBackend::BitPlane, false);
           if (!narrow.error.empty() || !wide.error.empty()) continue;
           const bool kernel = along_rows(orientation) &&
-                              (scenario == Scenario::Clean || scenario == Scenario::AmbientMask);
+                              (scenario == Scenario::Clean || scenario == Scenario::AmbientMask ||
+                               scenario == Scenario::LineAmbient);
           if (kernel) {
             EXPECT_EQ(wide.dispatches, narrow.dispatches);
+            // A mask over whole rows leaves every route known.
+            if (scenario != Scenario::AmbientMask) {
+              EXPECT_EQ(narrow.ladder_rows, 0u);
+              EXPECT_EQ(wide.ladder_rows, 0u);
+            }
           } else {
             EXPECT_GE(wide.dispatches, narrow.dispatches + 2 * 8);
           }
@@ -765,6 +892,46 @@ class MinMaxKernelPath : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MinMaxKernelPath, DispatchesScaleWithRoundsOnlyOffTheKernel) {
   expect_kernel_only_on_clean_rows(GetParam());
+}
+
+// The solver's min() pair (mcp.cpp, statements 11–12): each row's minimum,
+// then the smallest column holding it. On a clean ring machine both calls'
+// routes and spreads are charged and not resolved, traced or not, so no
+// row reaches the ladder; every PE holds its row's minimum and argmin.
+TEST_P(MinMaxKernelPath, CleanPminThenSelectedMinStayOffTheLadder) {
+  const std::size_t n = GetParam();
+  for (const Direction o : {Direction::West, Direction::East}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(std::string(o == Direction::West ? "west" : "east") +
+                   (traced ? " traced" : ""));
+      sim::MachineConfig config = config_of(n, field_bits_of(n));
+      config.backend = sim::ExecBackend::BitPlane;
+      sim::Machine m(config);
+      sim::RecordingTrace trace;
+      if (traced) m.set_trace(&trace);
+      Context ctx(m);
+      const std::vector<Word> data = line_values(n, config.bits, o, n * 31 + 7);
+      const Pint src(ctx, data);
+      const Pint index = col_of(ctx);
+      const Pbool anchor = index == static_cast<Word>(anchor_lane(n, o));
+      const Pint min = pmin(src, o, anchor);
+      const Pint arg = selected_min(index, o, anchor, min == src);
+      EXPECT_EQ(m.row_ladder_rows(), 0u);
+      ASSERT_TRUE(min.fully_driven());
+      ASSERT_TRUE(arg.fully_driven());
+      std::vector<Word> got_min(n), got_arg(n);
+      for (std::size_t r = 0; r < n; ++r) {
+        min.read_row(r, got_min);
+        arg.read_row(r, got_arg);
+        const auto first = data.begin() + static_cast<std::ptrdiff_t>(r * n);
+        const auto best = std::min_element(first, first + static_cast<std::ptrdiff_t>(n));
+        for (std::size_t c = 0; c < n; ++c) {
+          ASSERT_EQ(got_min[c], *best) << "PE (" << r << ", " << c << ")";
+          ASSERT_EQ(got_arg[c], static_cast<Word>(best - first)) << "PE (" << r << ", " << c << ")";
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sides, MinMaxKernelPath, ::testing::Values(5, 64, 65, 128, 130),

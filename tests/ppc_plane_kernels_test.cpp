@@ -627,6 +627,43 @@ TEST(PlaneKernels, RowFillMatchesPlainLoop) {
   }
 }
 
+// One word per row as planes: the plain loop writes each row's words of
+// plane j from the mask or as 0 by bit planes-1-j of the row's word, flipped
+// or not. The words use every bit, and the masks keep their pads 0.
+TEST(PlaneKernels, RowWordFillMatchesPlainLoop) {
+  util::Rng rng(0xE7'000C);
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+                                std::size_t{63}, std::size_t{64}, std::size_t{65},
+                                std::size_t{66}, std::size_t{96}, std::size_t{128},
+                                std::size_t{130}, std::size_t{131}, std::size_t{200}}) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const std::size_t rw = g.row_words;
+      for (const int planes : {1, 11, 16, 32, 64}) {
+        std::vector<PlaneWord> words(n);
+        for (auto& v : words) v = rng.next();
+        for (const PlaneWord flip : {PlaneWord{0}, ~PlaneWord{0}}) {
+          for (const auto& mask : {random_planes(rng, g, 1), full_plane(g)}) {
+            const std::size_t total = pw * static_cast<std::size_t>(planes);
+            std::vector<PlaneWord> want(total);
+            for (int j = 0; j < planes; ++j) {
+              for (std::size_t i = 0; i < pw; ++i) {
+                const bool set = ((words[i / rw] ^ flip) >> (planes - 1 - j)) & 1u;
+                want[static_cast<std::size_t>(j) * pw + i] = set ? mask[i] : 0;
+              }
+            }
+            std::vector<PlaneWord> got(total, 0x5A5A'5A5A'5A5A'5A5Aull);
+            arm->row_word_fill(g, words.data(), flip, planes, mask.data(), got.data());
+            ASSERT_EQ(got, want) << sim::plane_kernels::variant_name(arm->variant)
+                                 << " n=" << n << " planes=" << planes << " flip=" << (flip != 0);
+          }
+        }
+      }
+    }
+  }
+}
+
 // Open layouts for the segmented OR: random switches at each density,
 // then every row opening exactly at its flow head (the solver shape, which
 // takes the kernel's any() path), that shape with a few extra switches

@@ -38,6 +38,19 @@ void expect_pads_zero(const PlaneGeometry& g, const PlaneWord* plane, const char
   }
 }
 
+/// row_lines, the switch walk behind the row broadcasts a caller charges
+/// without resolving them, must give a row broadcast's max_segment and
+/// its driven lane count, with and without counting.
+void expect_row_lines(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                      const PlaneWord* open, std::size_t want_segment,
+                      const std::vector<Flag>& want_driven) {
+  const RowLines counted = row_lines(g, topology, dir, open, false, true);
+  EXPECT_EQ(counted.max_segment, want_segment);
+  EXPECT_EQ(counted.driven,
+            static_cast<std::size_t>(std::count(want_driven.begin(), want_driven.end(), 1)));
+  EXPECT_EQ(row_lines(g, topology, dir, open, false, false).max_segment, want_segment);
+}
+
 TEST_P(BusPlaneFuzz, BroadcastMatchesWordEngine) {
   const auto [n, seed, density] = GetParam();
   const PlaneGeometry g(n);
@@ -77,6 +90,9 @@ TEST_P(BusPlaneFuzz, BroadcastMatchesWordEngine) {
 
     ASSERT_EQ(got_segment, want_segment)
         << "n=" << n << " dir=" << name_of(dir) << " round=" << round;
+    if (dir == Direction::East || dir == Direction::West) {
+      expect_row_lines(g, topology, dir, open_plane.data(), want_segment, want_driven);
+    }
     std::vector<Word> got_values(n * n);
     std::vector<Flag> got_driven(n * n);
     unpack_words(g, out_planes.data(), planes, got_values);
@@ -507,6 +523,7 @@ TEST_P(BusPlaneFuzz, MixedRowBroadcastMatchesWordEngine) {
                    " planes=" + std::to_string(planes) + " config=" + std::to_string(config);
           };
           ASSERT_EQ(got_segment, want_segment) << where();
+          expect_row_lines(g, topology, dir, open_plane.data(), want_segment, want_driven);
           ASSERT_EQ(scratch.ladder_rows - ladder_before, several) << where();
           std::vector<Word> got_values(n * n);
           std::vector<Flag> got_driven(n * n);
