@@ -501,8 +501,7 @@ Pint operator+(const Pint& a, const Pint& b) {
   if (ctx.bitplane()) {
     const std::size_t pw = ctx.geometry().plane_words();
     std::vector<PlaneWord> out = ctx.acquire_value_planes();
-    ctx.alu().add_sat(a.planes_.data(), b.planes_.data(), ctx.field().bits(), pw,
-                      ctx.full_plane(), out.data());
+    ctx.alu().add_sat(a.planes_.data(), b.planes_.data(), ctx.field().bits(), pw, out.data());
     ctx.machine().charge_alu();
     return detail_access::raw_pint_planes(
         ctx, std::move(out), combine_driven_planes(ctx, a.driven_plane_, b.driven_plane_));
@@ -527,8 +526,7 @@ Pint operator+(const Pint& a, Word b) {
     std::vector<PlaneWord> scalar = ctx.acquire_value_planes();
     ctx.alu().fill_scalar(b, h, pw, ctx.full_plane(), scalar.data());
     std::vector<PlaneWord> out = ctx.acquire_value_planes();
-    ctx.alu().add_sat(a.planes_.data(), scalar.data(), h, pw, ctx.full_plane(),
-                      out.data());
+    ctx.alu().add_sat(a.planes_.data(), scalar.data(), h, pw, out.data());
     ctx.release_value_planes(std::move(scalar));
     ctx.machine().charge_alu();
     return detail_access::raw_pint_planes(ctx, std::move(out),
@@ -1272,6 +1270,18 @@ void store_planes(Pint& dst, const PlaneWord* mask, const PlaneWord* values,
   } else {
     ctx.alu().masked_assign_planes(mask, values, out, h, pw);
   }
+  std::vector<PlaneWord>& dst_driven = detail_access::driven_plane(dst);
+  if (!dst_driven.empty()) ctx.alu().op_or(dst_driven.data(), mask, dst_driven.data(), pw);
+}
+
+void store_line_sum(Pint& dst, const PlaneWord* mask, const PlaneWord* line,
+                    const PlaneWord* driven, const PlaneWord* addend) {
+  Context& ctx = dst.context();
+  const std::size_t pw = ctx.geometry().plane_words();
+  check_store_driven_plane(ctx, mask, {driven, pw});
+  ctx.machine().charge_alu();
+  ctx.alu().line_add_sat_masked(ctx.geometry(), line, ctx.field().bits(), driven, addend, mask,
+                                detail_access::planes(dst).data());
   std::vector<PlaneWord>& dst_driven = detail_access::driven_plane(dst);
   if (!dst_driven.empty()) ctx.alu().op_or(dst_driven.data(), mask, dst_driven.data(), pw);
 }

@@ -271,6 +271,12 @@ void check_store_driven_plane(Context& ctx, const sim::PlaneWord* mask,
 void store_planes(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* values,
                   std::span<const sim::PlaneWord> driven,
                   const sim::PlaneWord* addend = nullptr);
+/// store_planes of the saturating sum of a one-driver column broadcast and
+/// `addend`: the broadcast is the driver row `line` (row_words words per
+/// plane) under its driven plane `driven`, read in the same sweep
+/// (PlaneKernels::line_add_sat_masked) instead of from p stored rows.
+void store_line_sum(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* line,
+                    const sim::PlaneWord* driven, const sim::PlaneWord* addend);
 }  // namespace detail
 
 }  // namespace ppa::ppc

@@ -778,21 +778,72 @@ std::span<const PlaneWord> sum_driven(Context& ctx, const Pint& a, const Pint& b
   return scratch;
 }
 
+/// Statement 10 from the carrier's driver row, when the machine left the
+/// column broadcast to its caller (`driven` is the cycle's driven plane and
+/// `line` its driver row): the listing's charges after the broadcast around
+/// one line_add_sat_masked pass. With `receivers` the carrier's local add
+/// joins that pass: each carrier lane is its column's one driver, so it
+/// reads its own SOW off the line, and the receivers' stores (`stores`)
+/// miss every carrier lane, so no PE adds twice and the merged store finds
+/// the same undriven PEs as the receivers' store alone.
+void line_broadcast_add(Pint& sow, const Pint& addend, const PlaneWord* carrier,
+                        const Pbool* receivers, PlaneWord* stores, const PlaneWord* line,
+                        const PlaneWord* driven, PlaneWord* scratch) {
+  Context& ctx = sow.context();
+  const auto& alu = ctx.alu();
+  const std::size_t pw = ctx.geometry().plane_words();
+  const PlaneWord* ambient = ctx.mask_plane();
+  if (receivers != nullptr) {
+    alu.op_or(receivers->plane_view().data(), carrier, stores, pw);
+    alu.op_and(stores, ambient, stores, pw);
+    alu.op_or(driven, carrier, scratch, pw);
+    driven = scratch;
+  }
+  ctx.machine().charge_alu();  // + addend
+  detail::store_line_sum(sow, receivers != nullptr ? stores : ambient, line, driven,
+                         addend.planes_view().data());
+  // where(carrier), sow + addend and its store.
+  if (receivers != nullptr) charge(ctx.machine(), 3);
+}
+
 void plane_broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two_sided,
                          const Pbool* receivers) {
   Context& ctx = sow.context();
   const auto& alu = ctx.alu();
   const std::size_t pw = ctx.geometry().plane_words();
   const PlaneWord* ambient = ctx.mask_plane();
+  const PlaneWord* open = carrier.plane_view().data();
   std::vector<PlaneWord> pushed;
   if (receivers != nullptr) {
     pushed = ctx.acquire_flag_plane();
     plane_push(ctx, ambient, *receivers, pushed.data());
   }
   const PlaneWord* stores = receivers != nullptr ? pushed.data() : ambient;
-  // Each `+` is fused into the store that follows it.
   PlaneRead read(ctx);
-  plane_scheme_broadcast(sow, carrier.plane_view().data(), two_sided, read);
+  // A one-sided broadcast of driven values may leave the machine to read
+  // the driver row alone; with receivers that needs stores that miss the
+  // carrier (read.driven serves as scratch until the cycle writes it).
+  bool line = !two_sided && sow.fully_driven() && addend.fully_driven();
+  if (line && receivers != nullptr) {
+    alu.op_and(stores, open, read.driven.data(), pw);
+    line = alu.all_zero(read.driven.data(), pw);
+  }
+  if (line) {
+    PlaneWord* row = read.values.data();
+    const PlaneWord* driven =
+        ctx.machine().column_line_broadcast(sow.planes_view().data(), ctx.field().bits(),
+                                            sim::Direction::South, open, row, row,
+                                            read.driven.data());
+    if (driven != nullptr) {
+      line_broadcast_add(sow, addend, open, receivers, pushed.data(), row, driven,
+                         read.driven.data());
+      ctx.release_flag_plane(std::move(pushed));
+      return;
+    }
+  } else {
+    plane_scheme_broadcast(sow, open, two_sided, read);
+  }
+  // Each `+` is fused into the store that follows it.
   ctx.machine().charge_alu();  // + addend
   if (!addend.fully_driven()) {
     alu.op_and(read.driven.data(), addend.driven_plane_view().data(), read.driven.data(), pw);

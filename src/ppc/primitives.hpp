@@ -161,7 +161,9 @@ void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
 /// The adds saturate. The word backend runs these eDSL statements; the
 /// bit-plane backend writes sow in place with no Pint result, charging
 /// every where-push, operator and store as the statements do, on the same
-/// bus cycles.
+/// bus cycles. On a clean machine a one-sided call with driven operands
+/// reads only the carrier's row and forms every sum in one pass
+/// (Machine::column_line_broadcast).
 void broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two_sided,
                    const Pbool* receivers = nullptr);
 

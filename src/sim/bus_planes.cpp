@@ -42,10 +42,11 @@ template <typename T>
                                                    BusTopology topology, Direction dir,
                                                    const PlaneWord* open, bool& hit) {
   const std::size_t pw = g.plane_words();
+  const auto& kernels = plane_kernels::active();
   for (BroadcastPlan& slot : cache.slots) {
     if (slot.n == g.n && slot.topology == static_cast<std::uint8_t>(topology) &&
         slot.dir == static_cast<std::uint8_t>(dir) && slot.open.size() == pw &&
-        std::equal(slot.open.begin(), slot.open.end(), open)) {
+        kernels.equal(slot.open.data(), open, pw)) {
       slot.stamp = ++cache.clock;
       ++cache.hits;
       hit = true;
@@ -351,6 +352,8 @@ std::size_t column_max_segment(const PlaneGeometry& g, BusTopology topology, Dir
 struct ColumnPass1 {
   std::size_t k_stop = 0;      // flow rows the ring wrap reaches (0 on a linear bus)
   bool single_driver = false;  // no column line has two Open switches
+  std::size_t open_begin = 0;  // rows [open_begin, open_end) hold every Open switch
+  std::size_t open_end = 0;
 };
 
 /// Column-broadcast pass 1, from the switches alone: have_k[k * rw + w] is
@@ -365,17 +368,26 @@ ColumnPass1 column_pass1(const PlaneGeometry& g, BusTopology topology, Direction
   const std::size_t rw = g.row_words;
   std::fill(state, state + rw, PlaneWord{0});
   PlaneWord second_open = 0;
+  ColumnPass1 pass1;
+  pass1.open_begin = n;
   for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t base = flow_row(n, dir, k) * rw;
+    const std::size_t r = flow_row(n, dir, k);
+    const std::size_t base = r * rw;
+    PlaneWord row_open = 0;
     for (std::size_t w = 0; w < rw; ++w) {
       const PlaneWord ow = open[base + w];
       have_k[k * rw + w] = state[w];
       driven[base + w] = state[w];
       second_open |= state[w] & ow;
       state[w] |= ow;
+      row_open |= ow;
+    }
+    if (row_open != 0) {
+      pass1.open_begin = std::min(pass1.open_begin, r);
+      pass1.open_end = std::max(pass1.open_end, r + 1);
     }
   }
-  ColumnPass1 pass1;
+  pass1.open_begin = std::min(pass1.open_begin, pass1.open_end);
   pass1.single_driver = second_open == 0;
   if (topology == BusTopology::Ring) {
     // Wrap: every lane's prefix through its FIRST Open row reads the
@@ -426,76 +438,77 @@ void column_pass2(const PlaneGeometry& g, Direction dir, const PlaneWord* src, i
   }
 }
 
-/// The values of one column broadcast, from `driven` and the pass-1
-/// products: the dispatched column fill when every line has at most one
-/// driver, pass 2 otherwise. Both give the same values.
-void column_values(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,
-                   const PlaneWord* open, PlaneWord* out, const PlaneWord* driven,
-                   const PlaneWord* have_k, const PlaneWord* pend_k, ColumnPass1 pass1) {
-  if (pass1.single_driver) {
-    plane_kernels::active().column_fill(g, src, planes, open, driven, out);
-  } else {
-    column_pass2(g, dir, src, planes, open, out, have_k, pend_k, pass1.k_stop);
-  }
-}
+/// Everything one column broadcast derives from its switches, wherever it
+/// lives: a cached plan, or the scratch block and the caller's driven plane.
+struct ColumnSwitches {
+  const PlaneWord* driven = nullptr;
+  const PlaneWord* have_k = nullptr;
+  const PlaneWord* pend_k = nullptr;
+  ColumnPass1 pass1;
+  std::size_t max_segment = 0;
+};
 
-/// Recording miss path: pass 1 writing its per-row products straight into
-/// `plan`, then the values — a miss costs what the plain resolver costs.
-void column_broadcast_record(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                             const PlaneWord* src, int planes, const PlaneWord* open,
-                             PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s,
-                             BroadcastPlan& plan) {
+/// The switch products of a column broadcast on `open`, after one plan
+/// cache lookup: a hit reads the cached plan, a miss the cache keeps
+/// (second sight) records pass 1 into the plan's slot first, and a
+/// first-sight miss runs pass 1 into the scratch block and `driven`.
+ColumnSwitches column_switches(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                               const PlaneWord* open, PlaneWord* driven, PlaneBusScratch& s) {
   const std::size_t n = g.n;
   const std::size_t rw = g.row_words;
-  plan.open.assign(open, open + g.plane_words());
-  plan.n = n;
-  plan.topology = static_cast<std::uint8_t>(topology);
-  plan.dir = static_cast<std::uint8_t>(dir);
-  plan.col_have.resize(n * rw);
-  plan.col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
-  PlaneWord* have_k = plan.col_have.data();
-  PlaneWord* pend_k = plan.col_pend.data();
-  const ColumnPass1 pass1 =
-      column_pass1(g, topology, dir, open, driven, have_k, pend_k, grown(s.lane_a, rw));
-  plan.k_stop = pass1.k_stop;
-  plan.single_driver = pass1.single_driver;
-  column_values(g, dir, src, planes, open, out, driven, have_k, pend_k, pass1);
-  plan.driven.assign(driven, driven + g.plane_words());
-  plan.max_segment = column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
+  bool hit = false;
+  BroadcastPlan* plan = lookup_broadcast_plan(s.broadcast_plans, g, topology, dir, open, hit);
+  if (plan == nullptr) {
+    PlaneWord* have_k = grown(s.per_k_a, n * rw);
+    PlaneWord* pend_k = grown(s.per_k_b, n * rw);
+    const ColumnPass1 pass1 =
+        column_pass1(g, topology, dir, open, driven, have_k, pend_k, grown(s.lane_a, rw));
+    return {driven, have_k, pend_k, pass1,
+            column_max_segment(g, topology, dir, open, /*wired_or=*/false, s)};
+  }
+  if (!hit) {
+    plan->open.assign(open, open + g.plane_words());
+    plan->n = n;
+    plan->topology = static_cast<std::uint8_t>(topology);
+    plan->dir = static_cast<std::uint8_t>(dir);
+    plan->col_have.resize(n * rw);
+    plan->col_pend.resize(topology == BusTopology::Ring ? n * rw : 0);
+    plan->driven.resize(g.plane_words());
+    const ColumnPass1 pass1 =
+        column_pass1(g, topology, dir, open, plan->driven.data(), plan->col_have.data(),
+                     plan->col_pend.data(), grown(s.lane_a, rw));
+    plan->k_stop = pass1.k_stop;
+    plan->single_driver = pass1.single_driver;
+    plan->open_begin = pass1.open_begin;
+    plan->open_end = pass1.open_end;
+    plan->max_segment = column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
+  }
+  return {plan->driven.data(), plan->col_have.data(), plan->col_pend.data(),
+          {plan->k_stop, plan->single_driver, plan->open_begin, plan->open_end},
+          plan->max_segment};
 }
 
-/// Executes one column broadcast from a resolved plan: the values only.
-void column_broadcast_exec(const PlaneGeometry& g, const BroadcastPlan& plan,
-                           Direction dir, const PlaneWord* src, int planes,
-                           PlaneWord* out, PlaneWord* driven) {
-  std::copy(plan.driven.begin(), plan.driven.end(), driven);
-  column_values(g, dir, src, planes, plan.open.data(), out, driven, plan.col_have.data(),
-                plan.col_pend.data(), {plan.k_stop, plan.single_driver});
+/// The values of one column broadcast into `out` and `driven`: the
+/// dispatched column fill when every line has at most one driver, pass 2
+/// otherwise. Both give the same values.
+void column_values(const PlaneGeometry& g, Direction dir, const PlaneWord* src, int planes,
+                   const PlaneWord* open, const ColumnSwitches& sw, PlaneWord* out,
+                   PlaneWord* driven) {
+  if (sw.driven != driven) std::copy_n(sw.driven, g.plane_words(), driven);
+  if (sw.pass1.single_driver) {
+    plane_kernels::active().column_fill(g, src, planes, open, driven, out);
+  } else {
+    column_pass2(g, dir, src, planes, open, out, sw.have_k, sw.pend_k, sw.pass1.k_stop);
+  }
 }
 
 std::size_t column_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                              const PlaneWord* src, int planes, const PlaneWord* open,
                              PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
-  const std::size_t n = g.n;
-  const std::size_t rw = g.row_words;
   PPA_ASSERT(planes <= 32, "a register has at most 32 planes");
-  bool hit = false;
-  BroadcastPlan* plan = lookup_broadcast_plan(s.broadcast_plans, g, topology, dir, open, hit);
-  if (plan != nullptr) {
-    if (hit) {
-      column_broadcast_exec(g, *plan, dir, src, planes, out, driven);
-    } else {
-      column_broadcast_record(g, topology, dir, src, planes, open, out, driven, s, *plan);
-    }
-    return plan->max_segment;
-  }
-
-  PlaneWord* have_k = grown(s.per_k_a, n * rw);
-  PlaneWord* pend_k = grown(s.per_k_b, n * rw);
-  const ColumnPass1 pass1 =
-      column_pass1(g, topology, dir, open, driven, have_k, pend_k, grown(s.lane_a, rw));
-  column_values(g, dir, src, planes, open, out, driven, have_k, pend_k, pass1);
-  return column_max_segment(g, topology, dir, open, /*wired_or=*/false, s);
+  const ColumnSwitches sw = column_switches(g, topology, dir, open, driven, s);
+  column_values(g, dir, src, planes, open, sw, out, driven);
+  return sw.max_segment;
 }
 
 std::size_t column_wired_or(const PlaneGeometry& g, BusTopology topology, Direction dir,
@@ -613,6 +626,32 @@ std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
   return is_row_axis(dir)
              ? row_broadcast(g, topology, dir, src, planes, open, out, driven, scratch)
              : column_broadcast(g, topology, dir, src, planes, open, out, driven, scratch);
+}
+
+ColumnLine plane_column_line_into(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                                  const PlaneWord* src, int planes, const PlaneWord* open,
+                                  PlaneWord* line, PlaneWord* out, PlaneWord* driven,
+                                  PlaneBusScratch& scratch) {
+  PPA_REQUIRE(!is_row_axis(dir), "a driver line is a column broadcast's");
+  PPA_REQUIRE(planes >= 1 && planes <= 32, "a register has 1 to 32 planes");
+  const ColumnSwitches sw = column_switches(g, topology, dir, open, driven, scratch);
+  if (!sw.pass1.single_driver) {
+    column_values(g, dir, src, planes, open, sw, out, driven);
+    return {nullptr, sw.max_segment};
+  }
+  // Each word column's one driver, from the rows that hold Open switches.
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  for (int j = 0; j < planes; ++j) {
+    const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
+    PlaneWord* lp = line + static_cast<std::size_t>(j) * rw;
+    std::fill_n(lp, rw, PlaneWord{0});
+    for (std::size_t base = sw.pass1.open_begin * rw; base < sw.pass1.open_end * rw;
+         base += rw) {
+      for (std::size_t w = 0; w < rw; ++w) lp[w] |= sp[base + w] & open[base + w];
+    }
+  }
+  return {sw.driven, sw.max_segment};
 }
 
 std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,

@@ -41,7 +41,11 @@
 // single-driver; only stuck-switch faults give a line two drivers. An
 // 8-deep LRU plan cache (BroadcastPlanCache) memoizes the switch-only
 // pass, so a repeat configuration runs only the values — results and
-// max_segment are identical on every path.
+// max_segment are identical on every path. A caller that needs only the
+// driver row of a single-driver column broadcast (statement 10, which adds
+// it to W in the same pass) takes plane_column_line_into: the same plan
+// lookup, then a gather of the rows that hold Open switches instead of the
+// column fill.
 //
 // Every entry point runs its cycle inline on the caller's thread, one
 // cycle per call, and takes the PlaneBusScratch that keeps the resolvers
@@ -77,6 +81,9 @@ struct BroadcastPlan {
   std::size_t k_stop = 0;
   // No column line has two Open switches: the cycle runs the column fill.
   bool single_driver = false;
+  // Rows [open_begin, open_end) hold every Open switch (empty: none).
+  std::size_t open_begin = 0;
+  std::size_t open_end = 0;
 };
 
 /// 8-deep LRU cache of column broadcast decompositions. The
@@ -131,6 +138,28 @@ std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
                                  Direction dir, const PlaneWord* src, int planes,
                                  const PlaneWord* open, PlaneWord* out,
                                  PlaneWord* driven, PlaneBusScratch& scratch);
+
+/// What plane_column_line_into resolved of its cycle.
+struct ColumnLine {
+  /// The cycle's driven plane when only its driver row was resolved (the
+  /// cached plan's, or the caller's `driven`; valid until the next cycle on
+  /// the same scratch), nullptr when the whole cycle went into `out`.
+  const PlaneWord* driven = nullptr;
+  std::size_t max_segment = 0;
+};
+
+/// One column broadcast cycle (dir South or North) that, when every column
+/// line has at most one Open switch, resolves only its driver row: plane j
+/// of `line` (row_words words at line + j * row_words) gets each word
+/// column's src & open, ORed over the rows holding Open switches, and every
+/// driven lane of the cycle reads its column's word of it. Otherwise it
+/// resolves the whole cycle into `out` and `driven` as plane_broadcast_into
+/// does. Either way the switches are looked up in the plan cache exactly
+/// once, as plane_broadcast_into looks them up. `line` may alias `out`.
+ColumnLine plane_column_line_into(const PlaneGeometry& g, BusTopology topology, Direction dir,
+                                  const PlaneWord* src, int planes, const PlaneWord* open,
+                                  PlaneWord* line, PlaneWord* out, PlaneWord* driven,
+                                  PlaneBusScratch& scratch);
 
 /// One wired-OR bus cycle on a single plane. Never floats (a segment
 /// nobody pulls reads 0), so there is no driven output. Returns

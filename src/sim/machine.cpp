@@ -469,15 +469,21 @@ std::size_t Machine::broadcast_planes_cycle(const PlaneWord* src, int planes,
       }
     }
   }
+  charge_plane_broadcast(category, dir, open_eff, max_segment, planes, driven);
+  return max_segment;
+}
+
+void Machine::charge_plane_broadcast(StepCategory category, Direction dir, const PlaneWord* open,
+                                     std::size_t max_segment, int planes,
+                                     const PlaneWord* driven) {
   steps_.charge_bus(category, max_segment);
   if (trace_ != nullptr) {
     // Pads are canonically zero, so the plane popcount equals the word
     // engine's driven-flag count exactly (the parity the tests pin).
-    trace_->on_event(TraceEvent{category, dir, plane_popcount(geometry_, open_eff),
-                                max_segment, 1, static_cast<std::size_t>(planes),
+    trace_->on_event(TraceEvent{category, dir, plane_popcount(geometry_, open), max_segment, 1,
+                                static_cast<std::size_t>(planes),
                                 plane_popcount(geometry_, driven), pe_count()});
   }
-  return max_segment;
 }
 
 std::size_t Machine::tmr_broadcast_planes_into(const PlaneWord* src, int planes,
@@ -632,31 +638,63 @@ std::size_t Machine::wired_or_plane_into(const PlaneWord* src, Direction dir,
   return wired_or_plane_cycle(src, dir, open, out, StepCategory::BusOr);
 }
 
-bool Machine::row_or_resolvable(Direction dir, const PlaneWord* open) const noexcept {
-  return !faults_.any && config_.masking == BusMasking::None && axis_of(dir) == Axis::Row &&
-         row_or_single_segments(geometry_, dir, open);
+const PlaneWord* Machine::column_line_broadcast(const PlaneWord* src, int planes, Direction dir,
+                                                const PlaneWord* open, PlaneWord* line,
+                                                PlaneWord* out, PlaneWord* driven) {
+  if (faults_.any || config_.masking != BusMasking::None) {
+    (void)broadcast_planes_into(src, planes, dir, open, out, driven);
+    return nullptr;
+  }
+  ++bus_cycles_;
+  const ColumnLine cycle = plane_column_line_into(geometry_, config_.topology, dir, src, planes,
+                                                  open, line, out, driven, bus_scratch_);
+  charge_plane_broadcast(StepCategory::BusBroadcast, dir, open, cycle.max_segment, planes,
+                         cycle.driven != nullptr ? cycle.driven : driven);
+  if (cycle.driven != nullptr) ++column_line_broadcasts_;
+  return cycle.driven;
 }
 
-TraceEvent Machine::row_cycle_plan(StepCategory category, Direction dir, const PlaneWord* open,
-                                   int planes) const {
-  const bool wired_or = category == StepCategory::BusOr;
+const Machine::RowOrSwitches& Machine::row_or_switches(Direction dir, const PlaneWord* open) {
+  RowOrSwitches& seen = row_or_switches_;
+  const std::size_t pw = geometry_.plane_words();
+  if (seen.open.size() == pw && seen.dir == dir &&
+      plane_kernels::active().equal(open, seen.open.data(), pw)) {
+    return seen;
+  }
+  seen.open.assign(open, open + pw);
+  seen.dir = dir;
+  seen.single_segments = row_or_single_segments(geometry_, dir, open);
+  seen.max_segment =
+      row_lines(geometry_, config_.topology, dir, open, /*wired_or=*/true, false).max_segment;
+  seen.open_count = plane_popcount(geometry_, open);
+  return seen;
+}
+
+bool Machine::row_or_resolvable(Direction dir, const PlaneWord* open) {
+  return !faults_.any && config_.masking == BusMasking::None && axis_of(dir) == Axis::Row &&
+         row_or_switches(dir, open).single_segments;
+}
+
+TraceEvent Machine::row_broadcast_plan(Direction dir, const PlaneWord* open, int planes) const {
   const bool traced = trace_ != nullptr;
   const RowLines lines =
-      row_lines(geometry_, config_.topology, dir, open, wired_or, traced && !wired_or);
-  return TraceEvent{category,
+      row_lines(geometry_, config_.topology, dir, open, /*wired_or=*/false, traced);
+  return TraceEvent{StepCategory::BusBroadcast,
                     dir,
                     traced ? plane_popcount(geometry_, open) : 0,
                     lines.max_segment,
                     1,
                     static_cast<std::size_t>(planes),
-                    wired_or ? pe_count() : lines.driven,
+                    lines.driven,
                     pe_count()};
 }
 
 void Machine::charge_row_or_elimination(Direction dir, const PlaneWord* open, int value_rounds,
                                         int before_value, int index_rounds, int before_index,
                                         int alu_after) {
-  const TraceEvent bus = row_cycle_plan(StepCategory::BusOr, dir, open, 1);
+  const RowOrSwitches& seen = row_or_switches(dir, open);
+  const TraceEvent bus{StepCategory::BusOr, dir, seen.open_count, seen.max_segment, 1, 1,
+                       pe_count(), pe_count()};
   const int rounds = value_rounds + index_rounds;
   // The counts the listing's single charges add up to, in two charges:
   // charging them one by one cost a 64x64 fused call about 0.9k cycles
@@ -680,9 +718,8 @@ void Machine::charge_row_or_elimination(Direction dir, const PlaneWord* open, in
 
 void Machine::charge_row_route_and_spread(Direction dir, const PlaneWord* enable,
                                           const PlaneWord* open, int planes) {
-  const TraceEvent route =
-      row_cycle_plan(StepCategory::BusBroadcast, opposite(dir), enable, planes);
-  const TraceEvent spread = row_cycle_plan(StepCategory::BusBroadcast, dir, open, planes);
+  const TraceEvent route = row_broadcast_plan(opposite(dir), enable, planes);
+  const TraceEvent spread = row_broadcast_plan(dir, open, planes);
   bus_cycles_ += 2;
   steps_.charge(StepCategory::Alu, 2);
   steps_.charge_bus(StepCategory::BusBroadcast, route.max_segment);

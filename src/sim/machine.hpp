@@ -244,12 +244,25 @@ class Machine {
   std::size_t wired_or_plane_into(const PlaneWord* src, Direction dir,
                                   const PlaneWord* open, PlaneWord* out);
 
+  /// One column broadcast cycle (dir South or North), charged and traced
+  /// exactly as broadcast_planes_into charges and traces it. On a machine
+  /// with no faults and no masking whose switches give every column line
+  /// at most one driver, the cycle is left to its caller: only the driver
+  /// row goes into `line` (plane_column_line_into), and the return value is
+  /// the cycle's driven plane, valid until the next bus cycle. Otherwise the
+  /// whole cycle goes into `out` and `driven`, and the return value is
+  /// nullptr. `line` may alias `out`.
+  const PlaneWord* column_line_broadcast(const PlaneWord* src, int planes, Direction dir,
+                                         const PlaneWord* open, PlaneWord* line, PlaneWord* out,
+                                         PlaneWord* driven);
+
   /// True when a row wired-OR cycle in `dir` on the switches `open` may be
   /// resolved by its caller and charged with charge_row_or_elimination: the
   /// machine has no faults and no masking, `dir` is East or West, and every
   /// row is one segment (row_or_single_segments), so each lane reads the
-  /// OR of its whole row.
-  [[nodiscard]] bool row_or_resolvable(Direction dir, const PlaneWord* open) const noexcept;
+  /// OR of its whole row. The verdict for the last open plane judged is
+  /// kept, keyed on its contents.
+  [[nodiscard]] bool row_or_resolvable(Direction dir, const PlaneWord* open);
 
   /// Charges and traces the row wired-OR cycles of one bit-serial
   /// elimination on the switches `open`: `value_rounds` cycles, each after
@@ -308,6 +321,12 @@ class Machine {
     return bus_scratch_.ladder_rows;
   }
 
+  /// Column broadcasts column_line_broadcast left to its caller, resolving
+  /// only their driver rows. Cumulative, bit-plane backend only.
+  [[nodiscard]] std::uint64_t column_line_broadcasts() const noexcept {
+    return column_line_broadcasts_;
+  }
+
   /// Cumulative SIMD kernel-dispatch / plane-word throughput counters for
   /// the ppc-layer plane ALU bound to this machine (ppc::Context wires its
   /// PlaneAlu here). Billed once per sweep on the controller thread;
@@ -354,11 +373,26 @@ class Machine {
   std::size_t wired_or_plane_cycle(const PlaneWord* src, Direction dir,
                                    const PlaneWord* open, PlaneWord* out,
                                    StepCategory category);
-  // The trace event of a clean row bus cycle its caller resolves, as the
+  // Charges one plane broadcast cycle of `max_segment` and, under a trace
+  // sink, emits its event: the Open count of `open`, the driven count.
+  void charge_plane_broadcast(StepCategory category, Direction dir, const PlaneWord* open,
+                              std::size_t max_segment, int planes, const PlaneWord* driven);
+  // The trace event of a clean row broadcast its caller resolves, as the
   // resolving cycle would emit it: max_segment by the row_line_segment
   // rules, the open and driven counts only under a trace sink (0 without).
-  [[nodiscard]] TraceEvent row_cycle_plan(StepCategory category, Direction dir,
-                                          const PlaneWord* open, int planes) const;
+  [[nodiscard]] TraceEvent row_broadcast_plan(Direction dir, const PlaneWord* open,
+                                              int planes) const;
+  // What row_or_resolvable and charge_row_or_elimination read off a row
+  // wired-OR's switches, for the last open plane they saw: the sweep
+  // engine's row end is the same plane on every call of a pass.
+  struct RowOrSwitches {
+    std::vector<PlaneWord> open;  // the key, compared by contents
+    Direction dir = Direction::East;
+    bool single_segments = false;
+    std::size_t max_segment = 0;  // the BusOr cycle's
+    std::size_t open_count = 0;
+  };
+  const RowOrSwitches& row_or_switches(Direction dir, const PlaneWord* open);
 
   // TMR wrappers: trial 1 into the caller's buffers (normal category),
   // trials 2-3 into machine scratch (Masking), then a per-wire majority
@@ -425,6 +459,8 @@ class Machine {
   std::vector<PlaneWord> scratch_alive_out_;
   std::vector<PlaneWord> scratch_alive_driven_plane_;
   PlaneBusScratch bus_scratch_;  // reused by every plane bus cycle
+  RowOrSwitches row_or_switches_;
+  std::uint64_t column_line_broadcasts_ = 0;
   plane_kernels::SweepStats sweep_stats_;  // ppc PlaneAlu throughput billing
 };
 

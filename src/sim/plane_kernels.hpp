@@ -1,6 +1,7 @@
 // Runtime-dispatched SIMD kernel table for the bit-plane ALU, the row
-// buses (broadcast and wired-OR), single-driver row and column broadcasts
-// and the multi-round row elimination of min().
+// buses (broadcast and wired-OR), single-driver row and column broadcasts,
+// the fused broadcast-add of statement 10 and the multi-round row
+// elimination of min().
 //
 // A table of function pointers filled per SIMD variant (scalar / AVX2 /
 // AVX-512), selected once per process from what the build compiled in and
@@ -64,10 +65,10 @@ struct PlaneKernels {
   bool (*equal)(const PlaneWord* a, const PlaneWord* b, std::size_t words) noexcept = nullptr;
 
   // Multi-plane kernels over all pw words of every plane: saturating add
-  // (util::HField::add's clamp rule) and MSB-first compares; carry/ones/
-  // lt/eq live in registers per word block.
+  // (util::HField::add's clamp rule) and MSB-first compares; carry/lt/eq
+  // live in registers per word block.
   void (*add_sat)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-                  const PlaneWord* full, PlaneWord* out) noexcept = nullptr;
+                  PlaneWord* out) noexcept = nullptr;
   /// add_sat fused into a masked store: dst = mask ? a + b : dst, dst
   /// free to alias a or b; word blocks the mask leaves empty are skipped.
   void (*add_sat_masked)(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
@@ -149,6 +150,17 @@ struct PlaneKernels {
   void (*column_fill)(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
                       const PlaneWord* open, const PlaneWord* driven,
                       PlaneWord* out) noexcept = nullptr;
+
+  /// The paper's statement 10 for a column broadcast with one driver per
+  /// line, stored in place: dst = mask ? sat((line & driven) + addend) :
+  /// dst over h planes, where `line` holds each plane's driver row (plane
+  /// j's row_words words at line + j * row_words), repeated down the
+  /// columns, and `driven` is the broadcast's driven plane. Word blocks the
+  /// mask leaves empty are skipped. dst may alias addend, not line; pads
+  /// stay 0 when dst's, driven's and addend's are.
+  void (*line_add_sat_masked)(const sim::PlaneGeometry& g, const PlaneWord* line, int h,
+                              const PlaneWord* driven, const PlaneWord* addend,
+                              const PlaneWord* mask, PlaneWord* dst) noexcept = nullptr;
 
   /// Every round of the bit-serial min/max elimination (the paper's min(),
   /// statements 8–10) on rows that each form ONE wired-OR segment, so a
@@ -266,14 +278,20 @@ class PlaneAlu {
   }
 
   void add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-               const PlaneWord* full, PlaneWord* out) const {
+               PlaneWord* out) const {
     bill(static_cast<std::size_t>(h) * pw);
-    k_->add_sat(a, b, h, pw, full, out);
+    k_->add_sat(a, b, h, pw, out);
   }
   void add_sat_masked(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                       const PlaneWord* mask, PlaneWord* dst) const {
     bill(static_cast<std::size_t>(h) * pw);
     k_->add_sat_masked(a, b, h, pw, mask, dst);
+  }
+  void line_add_sat_masked(const sim::PlaneGeometry& g, const PlaneWord* line, int h,
+                           const PlaneWord* driven, const PlaneWord* addend,
+                           const PlaneWord* mask, PlaneWord* dst) const {
+    bill(static_cast<std::size_t>(h) * g.plane_words());
+    k_->line_add_sat_masked(g, line, h, driven, addend, mask, dst);
   }
   void compare_lt(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                   const PlaneWord* full, PlaneWord* lt, PlaneWord* eq) const {

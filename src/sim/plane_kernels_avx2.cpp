@@ -113,6 +113,7 @@ const PlaneKernels* avx2_table() noexcept {
     t.row_fill = detail::t_row_fill<VecAvx2>;
     t.row_word_fill = detail::t_row_word_fill<VecAvx2>;
     t.column_fill = detail::t_column_fill<VecAvx2>;
+    t.line_add_sat_masked = detail::t_line_add_sat_masked<VecAvx2>;
     t.row_eliminate = detail::t_row_eliminate<VecAvx2>;
     return t;
   }();

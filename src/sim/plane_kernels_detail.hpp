@@ -12,8 +12,9 @@
 //   swap_pairs                    — swaps words 2k and 2k+1 (W > 1 only)
 //   select_nonzero(x, a)          — per word: a where x is nonzero, else 0
 //   is_zero                       — whole-register test
-// The bodies below keep all loop-carried state (ripple carry, the
-// MSB-first lt/eq pair, the saturation mask) in registers; the only
+// The bodies below keep all loop-carried state (the ripple carry, which
+// is also the saturation clamp, and the MSB-first lt/eq pair) in
+// registers; the only
 // memory traffic is the operand planes themselves. Every multi-plane
 // ALU kernel iterates the WORD index outermost and the plane index inside,
 // so its body runs on any [begin, end) word sub-range: the table entry
@@ -183,72 +184,83 @@ bool t_equal(const PlaneWord* a, const PlaneWord* b, std::size_t words) noexcept
   return true;
 }
 
+/// HField::add's clamp: a sum that carries out of the top plane reads
+/// infinity. A sum that does not is below 2^h, so it reaches the clamp
+/// (2^h - 1) only as all ones, which it already reads.
 template <class V>
 void t_add_sat_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-                     const PlaneWord* full, PlaneWord* out, std::size_t begin,
-                     std::size_t end) noexcept {
+                     PlaneWord* out, std::size_t begin, std::size_t end) noexcept {
   std::size_t i = begin;
   for (; i + V::W <= end; i += V::W) {
     auto carry = V::zero();
-    auto ones = V::load(full + i);
     for (int j = 0; j < h; ++j) {
       const std::size_t off = static_cast<std::size_t>(j) * pw + i;
       const auto va = V::load(a + off);
       const auto vb = V::load(b + off);
       const auto axb = V::xor_(va, vb);
-      const auto s = V::xor_(axb, carry);
+      V::store(out + off, V::xor_(axb, carry));
       carry = V::or_(V::and_(va, vb), V::and_(carry, axb));
-      V::store(out + off, s);
-      ones = V::and_(ones, s);
     }
-    // carry|ones = lanes whose sum reached the clamp; force them all-ones.
-    ones = V::or_(ones, carry);
     for (int j = 0; j < h; ++j) {
       const std::size_t off = static_cast<std::size_t>(j) * pw + i;
-      V::store(out + off, V::or_(V::load(out + off), ones));
+      V::store(out + off, V::or_(V::load(out + off), carry));
     }
   }
   if constexpr (V::W > 1) {
-    if (i < end) t_add_sat_words<VecScalar>(a, b, h, pw, full, out, i, end);
+    if (i < end) t_add_sat_words<VecScalar>(a, b, h, pw, out, i, end);
   }
 }
 
 template <class V>
 void t_add_sat(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
-               const PlaneWord* full, PlaneWord* out) noexcept {
-  t_add_sat_words<V>(a, b, h, pw, full, out, 0, pw);
+               PlaneWord* out) noexcept {
+  t_add_sat_words<V>(a, b, h, pw, out, 0, pw);
 }
 
-/// The saturating add fused into a masked store: dst = mask ? a + b : dst
-/// per plane, the sums held in registers until the block's clamp is known,
+/// One word block of a saturating add fused into a masked store: dst =
+/// mask ? a + b : dst on the W words from word i, where `a(j)` gives plane
+/// j's block of the first operand and b's plane j sits at b + j * pw + i.
+/// The sums stay in registers until the clamp (t_add_sat_words) is known,
 /// so dst may alias a or b. A block whose mask is all zero is skipped.
+/// Always inlined: as a call, the sums and the operand loader go through
+/// memory, which doubled the kernels' time at 64x64.
+template <class V, class A>
+[[gnu::always_inline]] inline void add_sat_store_block(A&& a, const PlaneWord* b, int h, std::size_t pw,
+                         const PlaneWord* mask, PlaneWord* dst, std::size_t i) noexcept {
+  const auto m = V::load(mask + i);
+  if (V::is_zero(m)) return;
+  typename V::reg sum[32];
+  auto carry = V::zero();
+  for (int j = 0; j < h; ++j) {
+    const auto va = a(j);
+    const auto vb = V::load(b + static_cast<std::size_t>(j) * pw + i);
+    const auto axb = V::xor_(va, vb);
+    sum[j] = V::xor_(axb, carry);
+    carry = V::or_(V::and_(va, vb), V::and_(carry, axb));
+  }
+  if (V::is_zero(V::xor_(m, V::set1(~PlaneWord{0})))) {
+    // A block the mask covers whole is stored without reading dst.
+    for (int j = 0; j < h; ++j) {
+      V::store(dst + static_cast<std::size_t>(j) * pw + i, V::or_(sum[j], carry));
+    }
+    return;
+  }
+  for (int j = 0; j < h; ++j) {
+    const std::size_t off = static_cast<std::size_t>(j) * pw + i;
+    const auto d = V::load(dst + off);
+    V::store(dst + off, V::xor_(d, V::and_(V::xor_(d, V::or_(sum[j], carry)), m)));
+  }
+}
+
 template <class V>
 void t_add_sat_masked_words(const PlaneWord* a, const PlaneWord* b, int h, std::size_t pw,
                             const PlaneWord* mask, PlaneWord* dst, std::size_t begin,
                             std::size_t end) noexcept {
   std::size_t i = begin;
   for (; i + V::W <= end; i += V::W) {
-    const auto m = V::load(mask + i);
-    if (V::is_zero(m)) continue;
-    typename V::reg sum[32];
-    auto carry = V::zero();
-    auto ones = m;
-    for (int j = 0; j < h; ++j) {
-      const std::size_t off = static_cast<std::size_t>(j) * pw + i;
-      const auto va = V::load(a + off);
-      const auto vb = V::load(b + off);
-      const auto axb = V::xor_(va, vb);
-      sum[j] = V::xor_(axb, carry);
-      carry = V::or_(V::and_(va, vb), V::and_(carry, axb));
-      ones = V::and_(ones, sum[j]);
-    }
-    const auto clamp = V::or_(ones, carry);
-    for (int j = 0; j < h; ++j) {
-      const std::size_t off = static_cast<std::size_t>(j) * pw + i;
-      const auto d = V::load(dst + off);
-      const auto s = V::or_(sum[j], clamp);
-      V::store(dst + off, V::xor_(d, V::and_(V::xor_(d, s), m)));
-    }
+    add_sat_store_block<V>(
+        [&](int j) { return V::load(a + static_cast<std::size_t>(j) * pw + i); }, b, h, pw,
+        mask, dst, i);
   }
   if constexpr (V::W > 1) {
     if (i < end) t_add_sat_masked_words<VecScalar>(a, b, h, pw, mask, dst, i, end);
@@ -871,6 +883,84 @@ void t_column_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes
   } else {
     t_column_fill_rows<V>(g.n, g.row_words, g.plane_words(), src, planes, open, driven, out);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Line add: statement 10 of the paper, SOW = broadcast(SOW, SOUTH, carrier)
+// + W, stored in place under a mask, for a column broadcast with one driver
+// per line. Every driven lane of word column w then reads the driver row's
+// word w, so the broadcast is the line word ANDed with the driven plane and
+// the sum is formed in the same word block: one pass over W and dst and no
+// p-row temporary. Rows of 1, 2, 4 or 8 words go flat over the plane, the
+// line repeated across an 8-word block as in the column fill; any other
+// width goes row by row.
+// ---------------------------------------------------------------------------
+
+/// The W words from word i: plane j of the line block at line + j * stride.
+template <class V>
+[[gnu::always_inline]] inline void line_add_block(const PlaneWord* line, std::size_t stride, int h, std::size_t pw,
+                    const PlaneWord* driven, const PlaneWord* addend, const PlaneWord* mask,
+                    PlaneWord* dst, std::size_t i) noexcept {
+  const auto d = V::load(driven + i);
+  add_sat_store_block<V>(
+      [&](int j) { return V::and_(V::load(line + static_cast<std::size_t>(j) * stride), d); },
+      addend, h, pw, mask, dst, i);
+}
+
+/// Words [begin, end) of every plane on the flat path; `begin` is a multiple
+/// of V::W, and `line` holds each plane's driver row repeated over
+/// kFillBlock words.
+template <class V>
+void line_add_flat_words(const PlaneWord* line, int h, std::size_t pw, const PlaneWord* driven,
+                         const PlaneWord* addend, const PlaneWord* mask, PlaneWord* dst,
+                         std::size_t begin, std::size_t end) noexcept {
+  std::size_t i = begin;
+  for (; i + V::W <= end; i += V::W) {
+    line_add_block<V>(line + i % kFillBlock, kFillBlock, h, pw, driven, addend, mask, dst, i);
+  }
+  if constexpr (V::W > 1) {
+    if (i < end) line_add_flat_words<VecScalar>(line, h, pw, driven, addend, mask, dst, i, end);
+  }
+}
+
+/// Any row width: the W words from word w of a row read the line's own
+/// words w.., and a row's ragged end goes word by word.
+template <class V>
+void line_add_rows(std::size_t n, std::size_t rw, const PlaneWord* line, int h, std::size_t pw,
+                   const PlaneWord* driven, const PlaneWord* addend, const PlaneWord* mask,
+                   PlaneWord* dst) noexcept {
+  for (std::size_t base = 0; base < n * rw; base += rw) {
+    std::size_t w = 0;
+    for (; w + V::W <= rw; w += V::W) {
+      line_add_block<V>(line + w, rw, h, pw, driven, addend, mask, dst, base + w);
+    }
+    for (; w < rw; ++w) {
+      line_add_block<VecScalar>(line + w, rw, h, pw, driven, addend, mask, dst, base + w);
+    }
+  }
+}
+
+/// The kernel-table entry: dst = mask ? sat((line & driven) + addend) : dst
+/// over h planes, plane j's driver row at line + j * row_words. dst must not
+/// alias `line`; pads stay 0 when dst's, driven's and addend's are.
+template <class V>
+void t_line_add_sat_masked(const sim::PlaneGeometry& g, const PlaneWord* line, int h,
+                           const PlaneWord* driven, const PlaneWord* addend, const PlaneWord* mask,
+                           PlaneWord* dst) noexcept {
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  if (kFillBlock % rw != 0) {
+    line_add_rows<V>(g.n, rw, line, h, pw, driven, addend, mask, dst);
+    return;
+  }
+  PlaneWord repeated[32 * kFillBlock];
+  for (int j = 0; j < h; ++j) {
+    for (std::size_t k = 0; k < kFillBlock; ++k) {
+      repeated[static_cast<std::size_t>(j) * kFillBlock + k] =
+          line[static_cast<std::size_t>(j) * rw + k % rw];
+    }
+  }
+  line_add_flat_words<V>(repeated, h, pw, driven, addend, mask, dst, 0, pw);
 }
 
 // ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ const PlaneKernels& scalar_kernels() noexcept {
     t.row_fill = detail::t_row_fill<VecScalar>;
     t.row_word_fill = detail::t_row_word_fill<VecScalar>;
     t.column_fill = detail::t_column_fill<VecScalar>;
+    t.line_add_sat_masked = detail::t_line_add_sat_masked<VecScalar>;
     t.row_eliminate = detail::t_row_eliminate<VecScalar>;
     return t;
   }();

@@ -10,9 +10,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ppc/primitives.hpp"
 #include "util/check.hpp"
@@ -237,6 +240,10 @@ enum class Scenario {
                   // other than its anchor
   EmptyLines,     // no faults, checked: every fifth line selects nothing
   AnchorOnly,     // no faults, checked: every fifth line selects its anchor only
+  CarrierAmbient, // relaxations only, no faults: the carrier opens the middle of
+                  // its row, and a where-mask keeps the PEs of those columns on
+                  // and (a Linear bus) below the carrier row, so every store is
+                  // driven
 };
 
 constexpr Scenario kScenarios[] = {
@@ -284,6 +291,7 @@ struct Observed {
   std::vector<sim::FaultEvent> traced_faults;
   std::uint64_t dispatches = 0;   // plane kernel dispatches of the call alone
   std::uint64_t ladder_rows = 0;  // rows its row broadcasts put on the ladder
+  std::uint64_t column_lines = 0;  // column broadcasts it left to the caller
 };
 
 /// 6, 11 or 16 bits, widened until the array side fits the field.
@@ -949,13 +957,14 @@ INSTANTIATE_TEST_SUITE_P(Sides, MinMaxKernelPath, ::testing::Values(5, 64, 65, 1
 enum class Relax {
   Candidates,       // where(!carrier) broadcast_add(...): the full array's form
   SweepCandidates,  // broadcast_add(..., &not_carrier): the sweep engine's form
+  OverlapCandidates,  // the sweep form with every PE a receiver, the carrier too
   Pullback,
 };
 
 constexpr Scenario kRelaxScenarios[] = {
     Scenario::Clean,     Scenario::AmbientMask, Scenario::FaultsChecked,
     Scenario::FaultsAmbient, Scenario::FaultsTmr, Scenario::FaultsEcc,
-    Scenario::Tainted,   Scenario::TaintedChecked};
+    Scenario::Tainted,   Scenario::TaintedChecked, Scenario::CarrierAmbient};
 
 struct RelaxSetup {
   std::size_t side;
@@ -1023,6 +1032,37 @@ void append(Observed& seen, const Pint& v) {
   seen.fully_driven = seen.fully_driven && v.fully_driven();
 }
 
+/// The carrier's columns [lo, hi): its whole row, or under CarrierAmbient
+/// the middle of it.
+std::pair<std::size_t, std::size_t> carrier_columns(const RelaxSetup& s) {
+  const std::size_t lo = s.scenario == Scenario::CarrierAmbient ? s.side / 4 : 0;
+  return {lo, s.side - lo};
+}
+
+/// The where-mask a scenario runs the call under, row-major (empty: none):
+/// about 70% of the PEs, and under CarrierAmbient only of those the
+/// broadcast drives or that carry.
+std::vector<sim::Flag> relax_where_mask(const RelaxSetup& s) {
+  const Scenario sc = s.scenario;
+  if (sc != Scenario::AmbientMask && sc != Scenario::FaultsAmbient &&
+      sc != Scenario::CarrierAmbient) {
+    return {};
+  }
+  const std::size_t n = s.side;
+  const auto [lo, hi] = carrier_columns(s);
+  util::Rng rng(n);
+  std::vector<sim::Flag> active(n * n);
+  for (std::size_t pe = 0; pe < n * n; ++pe) {
+    const std::size_t r = pe / n;
+    const std::size_t c = pe % n;
+    const bool driven = sc != Scenario::CarrierAmbient ||
+                        (c >= lo && c < hi &&
+                         (s.topology == sim::BusTopology::Ring || r >= s.carrier));
+    active[pe] = driven && rng.chance(0.7) ? sim::Flag{1} : sim::Flag{0};
+  }
+  return active;
+}
+
 Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
   const Scenario sc = s.scenario;
   const std::size_t n = s.side;
@@ -1054,8 +1094,15 @@ Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
       maybe_tainted(ctx, ops.min_sow, tainted, n * 5 + 2, tainted_col * n + tainted_col);
   Pint ptn(ctx, ops.ptn);
   Pint old_sow(ctx, 0);
-  const Pbool carrier = (row_of(ctx) == static_cast<Word>(s.carrier));
+  Pbool carrier = (row_of(ctx) == static_cast<Word>(s.carrier));
+  if (sc == Scenario::CarrierAmbient) {
+    const auto [lo, hi] = carrier_columns(s);
+    carrier = carrier & !(col_of(ctx) < static_cast<Word>(lo)) &
+              (col_of(ctx) < static_cast<Word>(hi));
+  }
   const Pbool not_carrier = !carrier;
+  std::optional<Pbool> everyone;
+  if (s.primitive == Relax::OverlapCandidates) everyone.emplace(ctx, true);
   const Pbool diagonal = (row_of(ctx) == col_of(ctx));
 
   Observed seen;
@@ -1069,6 +1116,9 @@ Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
         case Relax::SweepCandidates:
           broadcast_add(sow, W, carrier, s.two_sided, &not_carrier);
           break;
+        case Relax::OverlapCandidates:
+          broadcast_add(sow, W, carrier, s.two_sided, &*everyone);
+          break;
         case Relax::Pullback: {
           const Pbool flags = pullback(sow, old_sow, ptn, min_sow, carrier, diagonal, s.two_sided);
           EXPECT_TRUE(flags.fully_driven());
@@ -1080,16 +1130,15 @@ Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
       seen.error = e.what();
     }
   };
-  if (sc == Scenario::AmbientMask || sc == Scenario::FaultsAmbient) {
-    util::Rng rng(n);
-    std::vector<sim::Flag> active(n * n);
-    for (auto& f : active) f = rng.chance(0.7) ? sim::Flag{1} : sim::Flag{0};
+  const std::vector<sim::Flag> active = relax_where_mask(s);
+  if (!active.empty()) {
     const Pbool cond(ctx, active);
     where(ctx, cond, call);
   } else {
     call();
   }
   m.set_trace(nullptr);
+  seen.column_lines = m.column_line_broadcasts();
   append(seen, sow);
   if (s.primitive == Relax::Pullback) {
     append(seen, old_sow);
@@ -1108,7 +1157,8 @@ Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
 
 /// Fault-free on a Ring, with a full ambient mask: statement 10 leaves PE
 /// (r, c) off the carrier row with min(SOW[carrier][c] + w_rc, infinity)
-/// (the sweep form gives the carrier row its own SOW + w), and the pullback
+/// (the sweep form gives the carrier row its own SOW + w, and twice that
+/// when the carrier is a receiver too), and the pullback
 /// moves MIN_SOW's diagonal and, where that changed row d, PTN's into row
 /// d, diagonal element excepted.
 void expect_relax_host_answer(const RelaxSetup& s, const Observed& got) {
@@ -1122,9 +1172,12 @@ void expect_relax_host_answer(const RelaxSetup& s, const Observed& got) {
     for (std::size_t c = 0; c < n; ++c) {
       const std::size_t pe = r * n + c;
       if (s.primitive != Relax::Pullback) {
-        const Word want = r != d                                   ? sat(ops.sow[d * n + c], ops.w[pe])
+        const Word want = r != d ? sat(ops.sow[d * n + c], ops.w[pe])
                           : s.primitive == Relax::SweepCandidates ? sat(ops.sow[pe], ops.w[pe])
-                                                                  : ops.sow[pe];
+                          // The carrier hears itself around the ring, then adds again.
+                          : s.primitive == Relax::OverlapCandidates
+                              ? sat(sat(ops.sow[pe], ops.w[pe]), ops.w[pe])
+                              : ops.sow[pe];
         ASSERT_EQ(got.values[pe], want) << "PE (" << r << ", " << c << ")";
         continue;
       }
@@ -1188,10 +1241,54 @@ void expect_relax_matches_listing(std::size_t side, std::initializer_list<Relax>
 class BroadcastAddBackendDiff : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BroadcastAddBackendDiff, InPlaceMatchesListing) {
-  expect_relax_matches_listing(GetParam(), {Relax::Candidates, Relax::SweepCandidates});
+  expect_relax_matches_listing(GetParam(), {Relax::Candidates, Relax::SweepCandidates,
+                                            Relax::OverlapCandidates});
 }
 
 INSTANTIATE_TEST_SUITE_P(Sides, BroadcastAddBackendDiff, kSides, side_name);
+
+// Which path statement 10 took, read off Machine::column_line_broadcasts():
+// a one-sided call on a clean machine whose SOW and W are fully driven
+// reads the carrier's row alone and adds it in one pass, on either
+// topology and in either form; a two-sided, faulty, TMR, ECC or tainted
+// call, or a sweep-form call whose receivers' stores (under the where-mask)
+// meet the carrier's, resolves the whole broadcast. The values, steps and
+// traces of every case are BroadcastAddBackendDiff's.
+class BroadcastAddKernelPath : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BroadcastAddKernelPath, CleanOneSidedCallsReadTheCarrierRowAlone) {
+  const std::size_t side = GetParam();
+  for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+    for (const bool two_sided : {false, true}) {
+      for (const std::size_t carrier : {std::size_t{0}, side / 2, side - 1}) {
+        for (const Scenario scenario : kRelaxScenarios) {
+          for (const Relax primitive :
+               {Relax::Candidates, Relax::SweepCandidates, Relax::OverlapCandidates}) {
+            const RelaxSetup setup{side, topology, two_sided, carrier, scenario, primitive};
+            SCOPED_TRACE(describe(setup));
+            const bool clean = scenario == Scenario::Clean || scenario == Scenario::AmbientMask ||
+                               scenario == Scenario::CarrierAmbient;
+            // Every PE is an OverlapCandidates receiver: do the stores meet
+            // a carrier lane?
+            const std::vector<sim::Flag> active = relax_where_mask(setup);
+            const auto [lo, hi] = carrier_columns(setup);
+            bool overlap = false;
+            for (std::size_t c = lo; c < hi; ++c) {
+              overlap = overlap || active.empty() || active[carrier * side + c] != 0;
+            }
+            overlap = overlap && primitive == Relax::OverlapCandidates;
+            const bool line = clean && !two_sided && !overlap;
+            EXPECT_EQ(observe_relax(setup, sim::ExecBackend::BitPlane).column_lines,
+                      line ? 1u : 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sides, BroadcastAddKernelPath, ::testing::Values(1, 5, 64, 65, 130),
+                         side_name);
 
 class PullbackBackendDiff : public ::testing::TestWithParam<std::size_t> {};
 

@@ -9,7 +9,9 @@
 // so each wider arm's scalar tail loop runs too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -228,7 +230,7 @@ TEST(PlaneKernels, MultiPlaneMatchScalarReference) {
         std::vector<PlaneWord> want(total), got(total), carry(pw), ones(pw);
         ref::add_sat(a.data(), b.data(), h, pw, full.data(), carry.data(),
                                 ones.data(), want.data());
-        arm->add_sat(a.data(), b.data(), h, pw, full.data(), got.data());
+        arm->add_sat(a.data(), b.data(), h, pw, got.data());
         EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
                              << " add_sat n=" << n << " h=" << h;
 
@@ -314,7 +316,7 @@ TEST(PlaneKernels, AddSatClampsToAllOnes) {
   sim::pack_words(g, bv, h, b.data());
   for (const PlaneKernels* arm : all_arms()) {
     std::vector<PlaneWord> out(pw * h);
-    arm->add_sat(a.data(), b.data(), h, pw, full.data(), out.data());
+    arm->add_sat(a.data(), b.data(), h, pw, out.data());
     std::vector<sim::Word> res(g.n * g.n);
     sim::unpack_words(g, out.data(), h, res);
     EXPECT_EQ(res[0], 207u);
@@ -381,7 +383,8 @@ TEST(PlaneKernels, PackRowMatchesPackWords) {
 
 // The fused saturating add and masked store of every arm against the
 // scalar arm's add_sat and masked_assign: under a random mask, under a
-// one-row mask (the other word blocks are skipped), and in place (dst is
+// one-row mask (the other word blocks are skipped), under the full plane
+// (whole blocks are stored without reading dst), and in place (dst is
 // a). Masked-off lanes and pads keep dst.
 TEST(PlaneKernels, AddSatMaskedMatchesAddThenStore) {
   util::Rng rng(0xE7'000A);
@@ -398,9 +401,10 @@ TEST(PlaneKernels, AddSatMaskedMatchesAddThenStore) {
         const auto a = random_planes(rng, g, h);
         const auto b = random_planes(rng, g, h);
         std::vector<PlaneWord> sum(total);
-        scalar.add_sat(a.data(), b.data(), h, pw, full.data(), sum.data());
-        for (const bool random_mask : {true, false}) {
-          const auto mask = random_mask ? random_planes(rng, g, 1) : one_row;
+        scalar.add_sat(a.data(), b.data(), h, pw, sum.data());
+        for (const int shape : {0, 1, 2}) {  // a random mask, one row, every lane
+          const bool random_mask = shape == 0;
+          const auto mask = random_mask ? random_planes(rng, g, 1) : shape == 1 ? one_row : full;
           for (const bool in_place : {false, true}) {
             std::vector<PlaneWord> dst(total);
             if (in_place) {
@@ -417,8 +421,83 @@ TEST(PlaneKernels, AddSatMaskedMatchesAddThenStore) {
             arm->add_sat_masked(in_place ? got.data() : a.data(), b.data(), h, pw, mask.data(),
                                 got.data());
             EXPECT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
-                                 << " n=" << n << " h=" << h << " random=" << random_mask
+                                 << " n=" << n << " h=" << h << " mask=" << shape
                                  << " in_place=" << in_place;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Statement 10's fused kernel of every arm against a plain loop per lane:
+// a lane reads its word column's line word under the driven plane, adds
+// the addend with the field's clamp, and stores under the mask. Rows of 1
+// and 2 words (the flat path) and of 3 and 5 (row by row), a partial mask
+// (random, or one row) and the full plane, a partial driven plane, and
+// about half the sums
+// saturating; in place, dst is the addend. Masked-off lanes keep dst, and
+// pads stay 0.
+TEST(PlaneKernels, LineAddSatMaskedMatchesPlainLoop) {
+  util::Rng rng(0xE7'000D);
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64}, std::size_t{65},
+                                std::size_t{128}, std::size_t{150}, std::size_t{320}}) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const std::size_t rw = g.row_words;
+      const auto full = full_plane(g);
+      std::vector<PlaneWord> one_row(pw);
+      std::copy_n(full.begin(), rw, one_row.begin() + static_cast<std::ptrdiff_t>(n / 2 * rw));
+      for (const int h : {1, 8, 16, 32}) {
+        const std::size_t total = pw * static_cast<std::size_t>(h);
+        const std::uint64_t inf = (std::uint64_t{1} << h) - 1;
+        std::vector<PlaneWord> line(rw * static_cast<std::size_t>(h));
+        for (std::size_t k = 0; k < line.size(); ++k) line[k] = rng.next() & g.word_mask(k % rw);
+        const auto addend = random_planes(rng, g, h);
+        const auto driven = random_planes(rng, g, 1);
+        for (const int shape : {0, 1, 2}) {  // a random mask, one row, every lane
+          const bool random_mask = shape == 0;
+          const auto mask = random_mask ? random_planes(rng, g, 1) : shape == 1 ? one_row : full;
+          for (const bool in_place : {false, true}) {
+            const std::vector<PlaneWord> dst = in_place ? addend : random_planes(rng, g, h);
+            std::vector<PlaneWord> want = dst;
+            std::size_t saturated = 0;
+            for (std::size_t r = 0; r < n; ++r) {
+              for (std::size_t c = 0; c < n; ++c) {
+                const std::size_t i = g.word_of(r, c);
+                const unsigned bit = g.bit_of(c);
+                if (((mask[i] >> bit) & 1u) == 0) continue;
+                std::uint64_t a = 0;
+                std::uint64_t b = 0;
+                for (int j = 0; j < h; ++j) {
+                  const auto jj = static_cast<std::size_t>(j);
+                  a |= ((line[jj * rw + c / 64] & driven[i]) >> bit & 1u) << j;
+                  b |= (addend[jj * pw + i] >> bit & 1u) << j;
+                }
+                const std::uint64_t sum = std::min(a + b, inf);
+                saturated += sum == inf ? 1 : 0;
+                for (int j = 0; j < h; ++j) {
+                  PlaneWord& w = want[static_cast<std::size_t>(j) * pw + i];
+                  w = (w & ~(PlaneWord{1} << bit)) | ((sum >> j & 1u) << bit);
+                }
+              }
+            }
+            std::vector<PlaneWord> got = dst;
+            arm->line_add_sat_masked(g, line.data(), h, driven.data(),
+                                     in_place ? got.data() : addend.data(), mask.data(),
+                                     got.data());
+            const std::string what = std::string(sim::plane_kernels::variant_name(arm->variant)) +
+                                     " n=" + std::to_string(n) + " h=" + std::to_string(h) +
+                                     " mask=" + std::to_string(shape) +
+                                     " in_place=" + std::to_string(in_place);
+            EXPECT_EQ(want, got) << what;
+            for (std::size_t k = 0; k < total; ++k) {
+              ASSERT_EQ(got[k] & ~g.word_mask(k % rw), 0u) << what << " word " << k;
+            }
+            if (random_mask && n >= 64) {
+              EXPECT_GT(saturated, 0u) << what;
+            }
           }
         }
       }
@@ -913,14 +992,14 @@ TEST(PlaneKernelsAlu, EachOpIsOneBilledKernelCall) {
 
   const PlaneKernels& k = sim::plane_kernels::active();
   std::vector<PlaneWord> want_add(pw * h), want_lt(pw), want_eq(pw), want_pack(pw * h);
-  k.add_sat(a.data(), b.data(), h, pw, full.data(), want_add.data());
+  k.add_sat(a.data(), b.data(), h, pw, want_add.data());
   k.compare_lt(a.data(), b.data(), h, pw, full.data(), want_lt.data(), want_eq.data());
   k.pack_words(g, src.data(), h, want_pack.data());
 
   sim::plane_kernels::SweepStats stats;
   const sim::plane_kernels::PlaneAlu alu(k, &stats);
   std::vector<PlaneWord> add(pw * h, 1), lt(pw, 1), eq(pw, 1), pack(pw * h, 1), both(pw, 1);
-  alu.add_sat(a.data(), b.data(), h, pw, full.data(), add.data());
+  alu.add_sat(a.data(), b.data(), h, pw, add.data());
   alu.compare_lt(a.data(), b.data(), h, pw, full.data(), lt.data(), eq.data());
   alu.pack_words(g, src.data(), h, pack.data());
   alu.op_and(a.data(), b.data(), both.data(), pw);
