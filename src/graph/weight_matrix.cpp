@@ -1,11 +1,24 @@
 #include "graph/weight_matrix.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace ppa::graph {
 
+namespace {
+
+std::uint64_t next_stamp() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
 WeightMatrix::WeightMatrix(std::size_t vertex_count, int bits)
-    : n_(vertex_count), field_(bits), cells_(vertex_count * vertex_count, field_.infinity()) {
+    : n_(vertex_count),
+      field_(bits),
+      cells_(vertex_count * vertex_count, field_.infinity()),
+      stamp_(next_stamp()) {
   PPA_REQUIRE(vertex_count >= 1, "a graph needs at least one vertex");
 }
 
@@ -14,6 +27,7 @@ void WeightMatrix::set(Vertex from, Vertex to, Weight weight) {
   check_vertex(to);
   PPA_REQUIRE(field_.representable(weight), "weight does not fit in the h-bit field");
   cells_[from * n_ + to] = weight;
+  stamp_ = next_stamp();
 }
 
 void WeightMatrix::set_min(Vertex from, Vertex to, Weight weight) {
@@ -22,6 +36,7 @@ void WeightMatrix::set_min(Vertex from, Vertex to, Weight weight) {
   PPA_REQUIRE(field_.representable(weight), "weight does not fit in the h-bit field");
   Weight& cell = cells_[from * n_ + to];
   cell = std::min(cell, weight);
+  stamp_ = next_stamp();
 }
 
 std::size_t WeightMatrix::edge_count() const noexcept {

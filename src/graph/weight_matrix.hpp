@@ -90,7 +90,17 @@ class WeightMatrix {
   /// The reverse graph (every edge flipped): transpose of the matrix.
   [[nodiscard]] WeightMatrix transposed() const;
 
-  friend bool operator==(const WeightMatrix&, const WeightMatrix&) = default;
+  /// Content stamp: every constructor and every set / set_min draws a
+  /// fresh one from a single process-wide counter, and copies keep it
+  /// (their cells are identical). Two matrices with the same stamp hold
+  /// the same cells in the same field, so a cache of data derived from
+  /// the cells (mcp's packed W panels) can key on it. Never 0.
+  [[nodiscard]] std::uint64_t stamp() const noexcept { return stamp_; }
+
+  /// Equal size, field and cells; the stamp is ignored.
+  friend bool operator==(const WeightMatrix& a, const WeightMatrix& b) {
+    return a.n_ == b.n_ && a.field_ == b.field_ && a.cells_ == b.cells_;
+  }
 
  private:
   void check_vertex(Vertex v) const {
@@ -100,6 +110,7 @@ class WeightMatrix {
   std::size_t n_;
   util::HField field_;
   std::vector<Weight> cells_;
+  std::uint64_t stamp_;
 };
 
 }  // namespace ppa::graph

@@ -32,7 +32,7 @@ std::vector<Flag> adjacency_flags(const graph::WeightMatrix& g) {
 }
 
 /// Host view of adjacency panel (base_r, base_c) on a p x p machine: the
-/// boolean twin of detail::panel_weights — diagonal reflexive, padding
+/// boolean twin of a detail::WeightPanels panel — diagonal reflexive, padding
 /// rows/columns false (they contribute nothing to a wired-OR).
 std::vector<Flag> panel_adjacency(const graph::WeightMatrix& g, std::size_t p,
                                   std::size_t base_r, std::size_t base_c) {

@@ -71,15 +71,6 @@ void panel_row_reduce(const Pint& index, const Pbool& row_end, MinVariant varian
   }
 }
 
-/// The weight matrix as loaded into the PEs: w_ij row-major with the
-/// diagonal forced to 0 (see header).
-std::vector<Word> machine_weights(const graph::WeightMatrix& g) {
-  const std::size_t n = g.size();
-  std::vector<Word> cells(g.cells().begin(), g.cells().end());
-  for (std::size_t i = 0; i < n; ++i) cells[i * n + i] = 0;
-  return cells;
-}
-
 }  // namespace
 
 Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph,
@@ -110,10 +101,11 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
 
   // ------------------------------------------------------------------
   // Data layout (paper Section 3): W, SOW, PTN are n x n parallel ints;
-  // only row d of SOW / PTN is meaningful at the end.
+  // only row d of SOW / PTN is meaningful at the end. W, with its
+  // diagonal at 0 (see header), is the one panel of a p = n WeightPanels.
   // ------------------------------------------------------------------
-  const std::vector<Word> w_cells = machine_weights(graph);
-  const Pint W(ctx, w_cells);
+  detail::WeightPanels panels(ctx, graph);
+  const Pint& W = panels.visit(0, 0);
   const Pint ROW = ppc::row_of(ctx);
   const Pint COL = ppc::col_of(ctx);
   const Word d = static_cast<Word>(destination);
@@ -223,6 +215,7 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
     if (!ppc::any(changed)) break;
   }
   relax_span.reset();
+  panels.keep();
 
   result.total_steps = machine.steps().since(at_entry);
 
@@ -240,6 +233,7 @@ Result minimum_cost_path(sim::Machine& machine, const graph::WeightMatrix& graph
   // Fault harvest, outcome policy, solver counters (shared with the tiled
   // driver — relax_core.hpp).
   result.masking = machine.masking_stats().since(masking_at_entry);
+  detail::record_panel_store(panels, observer);
   detail::record_plan_cache_delta(machine, plans_at_entry, observer);
   detail::record_throughput_delta(machine, sweeps_at_entry, observer);
   detail::finalize_result(machine, graph, options, faults_at_entry, {&result, 1});

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,6 +41,51 @@ namespace ppa::mcp::detail {
 void panel_candidates(const ppc::Pint& W, const ppc::Pbool& carrier_row,
                       BroadcastScheme scheme, ppc::Pint& sow,
                       const ppc::Pbool* receivers = nullptr);
+
+/// The W panels one pass reads (docs/tiling.md "Host data packed once").
+/// Panel (bi, bj) of a p x p machine holds w(bi*p + r, bj*p + c) at local
+/// (r, c), with the diagonal at 0 (the j == i term of the row minimum then
+/// keeps SOW_id) and padding rows / columns at infinity (they never win a
+/// minimum whose candidates include the diagonal term). On the full array
+/// the one panel (0, 0) is W itself.
+///
+/// Packed panels live in a per-thread store keyed by (graph.stamp(), p,
+/// backend), which holds one key at a time: binding a new key drops the
+/// old panels before anything is packed. A panel an earlier pass on this
+/// thread packed under the same key is adopted as it is; any other is
+/// packed straight from the matrix rows. Every visit charges the ALU step
+/// of declaring the panel, whichever way it was obtained, so steps and
+/// traces do not depend on what the thread ran before. keep() hands the
+/// pass's panels back to the store; a pass that throws never calls it and
+/// loses only the panels it held, which are packed again on their next
+/// visit. Must be destroyed before the context.
+class WeightPanels {
+ public:
+  WeightPanels(ppc::Context& ctx, const graph::WeightMatrix& graph);
+
+  /// Panel (bi, bj) as a resident register, charging one ALU step.
+  [[nodiscard]] const ppc::Pint& visit(std::size_t bi, std::size_t bj);
+
+  /// Returns every panel this pass holds to the store, if the store still
+  /// holds this pass's key.
+  void keep();
+
+  /// Panels this pass packed / adopted from the store.
+  [[nodiscard]] std::uint64_t packs() const noexcept { return packs_; }
+  [[nodiscard]] std::uint64_t reuses() const noexcept { return reuses_; }
+
+ private:
+  ppc::Context& ctx_;
+  const graph::WeightMatrix& graph_;
+  std::size_t blocks_;
+  std::vector<std::optional<ppc::Pint>> panels_;
+  std::uint64_t packs_ = 0;
+  std::uint64_t reuses_ = 0;
+};
+
+/// Records a pass's solver.panel_packs / solver.panel_reuses (no-op
+/// without an observer).
+void record_panel_store(const WeightPanels& panels, obs::Collector* observer);
 
 /// Per-column-block activity flags for the active-panel schedule
 /// (docs/tiling.md "Active panels"). A block is dirty when its slice of
@@ -179,7 +225,8 @@ void record_throughput_delta(const sim::Machine& machine,
 /// DP for k >= 1 destinations on a p x p machine, p <= n, sweeping the
 /// weight matrix in ceil(n/p)^2 panels per iteration with every member's
 /// row-d state held by the host. The W panel is loaded once per visit for
-/// all members (packed once per pass, resident afterwards). Every row
+/// all members (a WeightPanels register: packed once per thread and
+/// graph, resident for the pass). Every row
 /// reduction is one fused bit-serial min/argmin elimination: h value
 /// rounds, then ceil(log2 p) rounds over the panel-local column index,
 /// with the host adding the panel base to the argmin (so

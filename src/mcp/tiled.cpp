@@ -40,27 +40,6 @@ struct Member {
   std::vector<Word> cache_arg;
 };
 
-/// Host-side view of weight panel (base_r, base_c) on a p x p machine:
-/// local cell (r, c) holds the global w(base_r + r, base_c + c) with the
-/// diagonal forced to 0 (the j == i term of the row minimum then preserves
-/// SOW_id, exactly like the full-array load) and padding rows/columns at
-/// infinity (they can never win a minimum whose candidates include the
-/// diagonal term).
-std::vector<Word> panel_weights(const graph::WeightMatrix& g, std::size_t p,
-                                std::size_t base_r, std::size_t base_c) {
-  const std::size_t n = g.size();
-  std::vector<Word> cells(p * p, g.infinity());
-  const std::size_t bh = std::min(p, n - base_r);
-  const std::size_t bw = std::min(p, n - base_c);
-  for (std::size_t r = 0; r < bh; ++r) {
-    const std::size_t gi = base_r + r;
-    const auto row = g.row(static_cast<graph::Vertex>(gi)).subspan(base_c, bw);
-    std::copy(row.begin(), row.end(), cells.begin() + static_cast<std::ptrdiff_t>(r * p));
-    if (gi >= base_c && gi < base_c + bw) cells[r * p + (gi - base_c)] = 0;
-  }
-  return cells;
-}
-
 }  // namespace
 
 std::size_t effective_array_side(const Options& options, std::size_t n) {
@@ -160,13 +139,13 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
   const Pbool not_carrier = !carrier;
   const Pbool row_end = (COL == static_cast<Word>(p - 1));  // min() cluster anchor
 
-  // The W panels, packed into a resident register on first visit and
-  // read in place on every later one (the ARRAY still pays the declaring
-  // ALU step and PanelIo for every visit; the host just avoids re-packing
-  // the same panel each sweep). A panel the active schedule never visits
-  // is never packed. Resident panels hold storage of their own, so the
-  // context's free lists stay with the primitives' scratch.
-  std::vector<std::optional<Pint>> panels(blocks * blocks);
+  // The W panels, adopted (or packed) into a resident register on first
+  // visit and read in place on every later one (the ARRAY still pays the
+  // declaring ALU step and PanelIo for every visit; the host avoids
+  // re-packing a panel within the pass, and across passes on this thread
+  // over the same graph). A panel the active schedule never visits is
+  // never packed.
+  WeightPanels panels(ctx, graph);
   // Panel-local column-index planes, MSB-first: COL's low ceil(log2 p)
   // planes (none for p = 1). Shared by every member, panel visit and sweep
   // — base_c is constant within a panel, so the host adds it to the argmin
@@ -300,13 +279,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
         //      charged at injection instead.
         auto load_span =
             std::make_optional(obs::open_span(observer, "panel_load", &machine, panel_id));
-        std::optional<Pint>& resident = panels[bi * blocks + bj];
-        if (resident) {
-          machine.charge_alu();  // the declaration a reload would issue
-        } else {
-          resident.emplace(Pint::resident(ctx, panel_weights(graph, p, base_r, base_c)));
-        }
-        const Pint& Wp = *resident;
+        const Pint& Wp = panels.visit(bi, bj);
         if (k == 1) inject(members.front(), base_c);
         ledger.load(static_cast<std::uint64_t>(p) + (k == 1 ? 1 : 0));
         load_span.reset();
@@ -392,6 +365,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
     ++sweeps;
   }
   relax_span.reset();
+  panels.keep();
 
   // ------------------------------------------------------------------
   // Finalization. Steps and masking counters are shared by construction:
@@ -428,6 +402,7 @@ std::vector<Result> sweep(sim::Machine& machine, const graph::WeightMatrix& grap
       metrics.counter(obs::metric::kSolverPanelIoSaved).add(ledger.saved());
     }
   }
+  record_panel_store(panels, observer);
   record_plan_cache_delta(machine, plans_at_entry, observer);
   record_throughput_delta(machine, sweeps_at_entry, observer);
   finalize_result(machine, graph, options, faults_at_entry, results);

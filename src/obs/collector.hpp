@@ -261,6 +261,13 @@ inline constexpr const char* kSolverPanels = "solver.panels";
 inline constexpr const char* kSolverPanelsSkipped = "solver.panels_skipped";
 inline constexpr const char* kSolverActiveBlocks = "solver.active_blocks";
 inline constexpr const char* kSolverPanelIoSaved = "solver.panel_io_saved";
+// Host W packing (docs/tiling.md "Host data packed once"), per pass of
+// either engine (the full array is one p = n panel): W panels the pass
+// packed from the matrix, and panels it adopted as packed by an earlier
+// pass on the same thread. Their sum is the pass's distinct panels; the
+// split depends on what the thread ran before, like the plan cache's.
+inline constexpr const char* kSolverPanelPacks = "solver.panel_packs";
+inline constexpr const char* kSolverPanelReuses = "solver.panel_reuses";
 // Multi-destination batching (mcp/batch.hpp): batches launched and the sum
 // of their widths (width per launch = kSolverBatchWidth / kSolverBatches).
 inline constexpr const char* kSolverBatches = "solver.batches";

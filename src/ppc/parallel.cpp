@@ -209,28 +209,41 @@ Pint::Pint(Context& ctx, Word init) : ctx_(&ctx) {
   ctx.machine().charge_alu();
 }
 
-Pint::Pint(Context& ctx, std::span<const Word> values) : Pint(ctx, values, false) {}
-
-Pint Pint::resident(Context& ctx, std::span<const Word> values) {
-  return Pint(ctx, values, true);
-}
-
-Pint::Pint(Context& ctx, std::span<const Word> values, bool own_storage) : ctx_(&ctx) {
+Pint::Pint(Context& ctx, std::span<const Word> values) : ctx_(&ctx) {
   PPA_REQUIRE(values.size() == ctx.pe_count(), "initializer must cover the whole array");
   for (const Word v : values) {
     PPA_REQUIRE(ctx.field().representable(v), "initializer value does not fit in the field");
   }
   if (ctx.bitplane()) {
-    const int h = ctx.field().bits();
-    planes_ = own_storage ? std::vector<sim::PlaneWord>(ctx.geometry().plane_words() *
-                                                        static_cast<std::size_t>(h))
-                          : ctx.acquire_value_planes();
-    ctx.alu().pack_words(ctx.geometry(), values.data(), h, planes_.data());
+    planes_ = ctx.acquire_value_planes();
+    ctx.alu().pack_words(ctx.geometry(), values.data(), ctx.field().bits(), planes_.data());
   } else {
-    data_ = own_storage ? std::vector<Word>(ctx.pe_count()) : ctx.acquire_words();
+    data_ = ctx.acquire_words();
     std::copy(values.begin(), values.end(), data_.begin());
   }
   ctx.machine().charge_alu();
+}
+
+Pint Pint::adopt(Context& ctx, Storage storage) {
+  if (ctx.bitplane()) {
+    PPA_REQUIRE(storage.words.empty() &&
+                    storage.planes.size() == ctx.geometry().plane_words() *
+                                                 static_cast<std::size_t>(ctx.field().bits()),
+                "adopted storage must hold the context's h bit planes");
+  } else {
+    PPA_REQUIRE(storage.planes.empty() && storage.words.size() == ctx.pe_count(),
+                "adopted storage must hold one word per PE");
+  }
+  Pint p(&ctx);
+  p.data_ = std::move(storage.words);
+  p.planes_ = std::move(storage.planes);
+  ctx.machine().charge_alu();
+  return p;
+}
+
+Pint::Storage Pint::surrender() && {
+  PPA_REQUIRE(fully_driven(), "only a fully driven register can be surrendered");
+  return Storage{std::move(data_), std::move(planes_)};
 }
 
 Pint Pint::load_row(Context& ctx, std::size_t row, std::span<const Word> values) {

@@ -45,12 +45,24 @@ class Pint {
   /// be representable in the field.
   Pint(Context& ctx, std::span<const Word> values);
 
-  /// Pint(ctx, values) in storage of its own instead of a buffer off the
-  /// context's register arena: for a register kept for a whole pass (the
-  /// sweep engine's resident W panels), which would otherwise hold a
-  /// scratch buffer out of circulation until the pass ends. Charged
-  /// exactly like Pint(ctx, values).
-  [[nodiscard]] static Pint resident(Context& ctx, std::span<const Word> values);
+  /// A register's contents detached from any Pint: the per-PE words
+  /// (Word backend) or the h bit planes, pads 0 (BitPlane backend); the
+  /// other vector stays empty. Lets the host keep a packed register
+  /// beyond the context that declared it (mcp's per-thread W panels).
+  struct Storage {
+    std::vector<Word> words;
+    std::vector<sim::PlaneWord> planes;
+  };
+
+  /// Declaration of a register whose contents the host already holds in
+  /// `storage`, laid out for this context's backend and geometry: the
+  /// register takes the storage over instead of copying it. Unmasked,
+  /// fully driven, and charged exactly like Pint(ctx, values).
+  [[nodiscard]] static Pint adopt(Context& ctx, Storage storage);
+
+  /// Gives the storage back to the host and leaves an empty shell, which
+  /// releases nothing to the arena. The register must be fully driven.
+  [[nodiscard]] Storage surrender() &&;
 
   /// Declaration loading ONE row from host data, the counterpart of
   /// read_row: row `row` holds `values` (exactly n of them) and every other
@@ -146,9 +158,6 @@ class Pint {
 
   /// Uncharged shell used by detail_access to wrap bus results.
   explicit Pint(Context* ctx) : ctx_(ctx) {}
-
-  /// Pint(ctx, values), in a fresh buffer when `own_storage`.
-  Pint(Context& ctx, std::span<const Word> values, bool own_storage);
 
   Context* ctx_;
   // Exactly one representation is populated, fixed by the machine's

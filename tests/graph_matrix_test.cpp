@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace ppa::graph {
@@ -119,6 +122,62 @@ TEST(WeightMatrix, EqualityIsStructural) {
   EXPECT_NE(a, b);
   b.set(0, 1, 1);
   EXPECT_EQ(a, b);
+}
+
+TEST(WeightMatrix, EveryConstructionDrawsAFreshStamp) {
+  const WeightMatrix a(3, 8);
+  const WeightMatrix b(3, 8);
+  EXPECT_NE(a.stamp(), 0u);
+  EXPECT_NE(a.stamp(), b.stamp());
+  EXPECT_EQ(a, b);  // equal cells, different stamps
+  // Derived matrices are new constructions.
+  EXPECT_NE(a.with_bits(8).stamp(), a.stamp());
+  EXPECT_NE(a.transposed().stamp(), a.stamp());
+  EXPECT_NE(a.with_bits(8).stamp(), a.with_bits(8).stamp());
+}
+
+TEST(WeightMatrix, CopiesKeepTheStampUntilChanged) {
+  WeightMatrix a(3, 8);
+  a.set(0, 1, 4);
+  WeightMatrix copy = a;
+  EXPECT_EQ(copy.stamp(), a.stamp());
+  WeightMatrix assigned(5, 16);
+  assigned = a;
+  EXPECT_EQ(assigned.stamp(), a.stamp());
+  const std::uint64_t moved_stamp = a.stamp();
+  const WeightMatrix moved = std::move(assigned);
+  EXPECT_EQ(moved.stamp(), moved_stamp);
+
+  copy.set(1, 2, 3);
+  EXPECT_NE(copy.stamp(), a.stamp());
+  EXPECT_EQ(a.at(1, 2), a.infinity());  // the original is untouched
+}
+
+TEST(WeightMatrix, EveryWriteDrawsAFreshStamp) {
+  WeightMatrix g(3, 8);
+  std::uint64_t last = g.stamp();
+  const auto fresh = [&] {
+    const bool changed = g.stamp() != last && g.stamp() != 0;
+    last = g.stamp();
+    return changed;
+  };
+  g.set(0, 1, 7);
+  EXPECT_TRUE(fresh());
+  g.set(0, 1, 7);  // same value: still a write
+  EXPECT_TRUE(fresh());
+  g.set_min(0, 1, 9);  // no improvement: still a write
+  EXPECT_TRUE(fresh());
+  g.set_min(0, 1, 2);
+  EXPECT_TRUE(fresh());
+  g.erase(0, 1);
+  EXPECT_TRUE(fresh());
+  // A rejected write leaves the matrix, and so its stamp, as it was.
+  EXPECT_THROW(g.set(0, 1, 300), util::ContractError);
+  EXPECT_FALSE(fresh());
+  // Reads never move it.
+  (void)g.at(0, 1);
+  (void)g.edges();
+  EXPECT_FALSE(fresh());
 }
 
 }  // namespace

@@ -65,6 +65,30 @@ TEST(AllPairsParallel, BatchedGroupsBitIdenticalForEveryWorkerCount) {
   }
 }
 
+TEST(AllPairsParallel, TiledWorkersEachPackTheirOwnPanels) {
+  // Every worker thread keeps its own packed W panels (src/mcp
+  // relax_core.hpp, WeightPanels) while all of them read the one shared
+  // graph. Under the tsan preset this covers the per-thread stores; the
+  // answers and steps must still match the one-lane run, on both
+  // backends, per destination and batched.
+  util::Rng rng(81);
+  const auto g = graph::random_digraph(14, 16, 0.3, {1, 20}, rng);
+  for (const sim::ExecBackend backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    for (const std::size_t width : {std::size_t{1}, std::size_t{3}}) {
+      AllPairsOptions tiled;
+      tiled.mcp.backend = backend;
+      tiled.mcp.array_side = 5;
+      tiled.mcp.batch_width = width;
+      const auto sequential = all_pairs(g, tiled);  // workers = 1
+      for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+        AllPairsOptions options = tiled;
+        options.workers = workers;
+        expect_identical(all_pairs(g, options), sequential, workers);
+      }
+    }
+  }
+}
+
 TEST(AllPairsParallel, ThreadedMatchesFloydWarshall) {
   util::Rng rng(79);
   const auto g = graph::random_digraph(10, 16, 0.25, {1, 15}, rng);

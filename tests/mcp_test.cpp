@@ -7,6 +7,7 @@
 #include "baseline/sequential.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "panel_store_cases.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -197,6 +198,23 @@ TEST(Mcp, MachineReuseAccumulatesButReportsPerCall) {
   const Result second = minimum_cost_path(machine, g, 3);
   EXPECT_EQ(first.total_steps, second.total_steps);
   EXPECT_EQ(machine.steps().total(), 2 * after_first);
+}
+
+TEST(Mcp, PackedWeightsNeverServeStaleContent) {
+  // The full array reads W from the same per-thread store of packed
+  // panels as the sweep engine (one p = n panel); side 5 is a tiled run on
+  // the same graph.
+  for (const sim::ExecBackend backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    SCOPED_TRACE(backend == sim::ExecBackend::Words ? "words" : "bitplane");
+    test::expect_no_stale_panels(backend, 0, 5);
+  }
+}
+
+TEST(Mcp, AdoptedWeightsRunExactlyLikePackedOnes) {
+  for (const sim::ExecBackend backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    SCOPED_TRACE(backend == sim::ExecBackend::Words ? "words" : "bitplane");
+    test::expect_hit_matches_miss(backend, 12);
+  }
 }
 
 TEST(Mcp, ContractViolations) {

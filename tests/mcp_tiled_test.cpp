@@ -19,6 +19,7 @@
 #include "mcp/tiled.hpp"
 #include "obs/collector.hpp"
 #include "obs/export.hpp"
+#include "panel_store_cases.hpp"
 #include "sim/step_counter.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -397,6 +398,22 @@ TEST(McpTiled, PanelsCounterAndSpansSurfaceInMetrics) {
   const auto unobserved = mcp::solve(g, 0, plain);
   EXPECT_EQ(unobserved.solution.cost, r.solution.cost);
   EXPECT_TRUE(unobserved.total_steps == r.total_steps);
+}
+
+TEST(McpTiled, PackedPanelsNeverServeStaleContent) {
+  // Sides 5 and 4 clip the last panel row and column differently (12 =
+  // 2*5 + 2 = 3*4), so the two keys' panels differ in shape as well.
+  for (const sim::ExecBackend backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    SCOPED_TRACE(backend == sim::ExecBackend::Words ? "words" : "bitplane");
+    test::expect_no_stale_panels(backend, 5, 4);
+  }
+}
+
+TEST(McpTiled, AdoptedPanelsRunExactlyLikePackedOnes) {
+  for (const sim::ExecBackend backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    SCOPED_TRACE(backend == sim::ExecBackend::Words ? "words" : "bitplane");
+    test::expect_hit_matches_miss(backend, 5);
+  }
 }
 
 TEST(McpTiled, NonConvergenceReportedLikeFullArray) {

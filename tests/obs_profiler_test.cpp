@@ -70,8 +70,11 @@ TEST(Profiler, CountersAreWorkerCountIndependentInEveryMode) {
       for (const auto& [name, counter] : one->metrics().counters()) {
         // The plan cache is per worker machine and starts cold, so the
         // hit/miss SPLIT shifts with the destination partitioning; only
-        // their sum (lookups) is invariant, checked below.
+        // their sum (lookups) is invariant, checked below. The packed W
+        // panels are kept per thread, so their pack/reuse split shifts
+        // the same way, around an invariant sum.
         if (name == metric::kPlanCacheHits || name == metric::kPlanCacheMisses) continue;
+        if (name == metric::kSolverPanelPacks || name == metric::kSolverPanelReuses) continue;
         EXPECT_EQ(counter.value(), many->metrics().counters().at(name).value())
             << mode.label << " " << name << " workers=" << workers;
       }
@@ -80,6 +83,11 @@ TEST(Profiler, CountersAreWorkerCountIndependentInEveryMode) {
                c.metrics().counters().at(metric::kPlanCacheMisses).value();
       };
       EXPECT_EQ(lookups(*one), lookups(*many)) << mode.label << " workers=" << workers;
+      const auto panels = [](const Collector& c) {
+        return c.metrics().counters().at(metric::kSolverPanelPacks).value() +
+               c.metrics().counters().at(metric::kSolverPanelReuses).value();
+      };
+      EXPECT_EQ(panels(*one), panels(*many)) << mode.label << " workers=" << workers;
       for (const auto& [name, hist] : one->metrics().histograms()) {
         EXPECT_EQ(hist.counts(), many->metrics().histograms().at(name).counts())
             << mode.label << " " << name << " workers=" << workers;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "ppc/primitives.hpp"
 #include "ppc/where.hpp"
 #include "util/check.hpp"
@@ -289,6 +292,72 @@ TEST(Parallel, UndrivenReadZeroPolicyStoresZero) {
   EXPECT_EQ(sink.at(0, 0), 0u);  // floating read becomes 0
   EXPECT_EQ(sink.at(0, 2), 9u);
   EXPECT_EQ(sink.at(3, 3), 0u);
+}
+
+TEST(Parallel, AdoptAndSurrenderMoveStorageOnBothBackends) {
+  for (const sim::ExecBackend backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    SCOPED_TRACE(backend == sim::ExecBackend::Words ? "words" : "bitplane");
+    // 70 x 70: two words per plane row, the second one partial.
+    sim::MachineConfig cfg = config_of(70, 12);
+    cfg.backend = backend;
+    std::vector<Word> values(70 * 70);
+    for (std::size_t pe = 0; pe < values.size(); ++pe) values[pe] = (pe * 37) % 4096;
+
+    Pint::Storage storage;
+    {
+      sim::Machine first(cfg);
+      Context ctx(first);
+      storage = Pint(ctx, values).surrender();
+    }  // the machine and context that packed it are gone
+    EXPECT_EQ(storage.words.empty(), backend == sim::ExecBackend::BitPlane);
+    EXPECT_EQ(storage.planes.empty(), backend == sim::ExecBackend::Words);
+
+    sim::Machine m(cfg);
+    Context ctx(m);
+    const std::uint64_t before = m.steps().total();
+    Pint adopted = Pint::adopt(ctx, std::move(storage));
+    EXPECT_EQ(m.steps().total() - before, 1u);  // declared like Pint(ctx, values)
+    EXPECT_TRUE(adopted.fully_driven());
+    for (std::size_t pe = 0; pe < values.size(); ++pe) {
+      ASSERT_EQ(adopted.at(pe), values[pe]) << "pe " << pe;
+    }
+    // The adopted register computes like any other, pads included.
+    const Pint sum = adopted + Word{1};
+    EXPECT_EQ(sum.at(69, 69), values[69 * 70 + 69] + 1);
+
+    // Round trip: surrender hands the same contents back, and the shell
+    // it leaves releases nothing.
+    Pint::Storage back = std::move(adopted).surrender();
+    Pint again = Pint::adopt(ctx, std::move(back));
+    EXPECT_EQ(again.at(1, 2), values[70 + 2]);
+
+    // Storage for the other backend or another geometry is rejected.
+    Pint::Storage wrong;
+    wrong.words.resize(69 * 69);
+    EXPECT_THROW((void)Pint::adopt(ctx, std::move(wrong)), util::ContractError);
+    Pint::Storage other_backend;
+    if (backend == sim::ExecBackend::Words) {
+      other_backend.planes.resize(ctx.geometry().plane_words() * 12);
+    } else {
+      other_backend.words.resize(70 * 70);
+    }
+    EXPECT_THROW((void)Pint::adopt(ctx, std::move(other_backend)), util::ContractError);
+  }
+}
+
+TEST(Parallel, SurrenderRequiresAFullyDrivenRegister) {
+  for (const sim::ExecBackend backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
+    sim::MachineConfig cfg = config_of(4);
+    cfg.backend = backend;
+    cfg.undriven = sim::UndrivenPolicy::ReadZero;
+    sim::Machine m(cfg);
+    Context ctx(m);
+    const Pint src(ctx, 9);
+    const Pbool open = (row_of(ctx) == Word{0}) & (col_of(ctx) == Word{1});
+    Pint received = broadcast(src, sim::Direction::East, open);
+    ASSERT_FALSE(received.fully_driven());
+    EXPECT_THROW((void)std::move(received).surrender(), util::ContractError);
+  }
 }
 
 }  // namespace
