@@ -82,9 +82,10 @@ void write_metrics_json(std::ostream& out, const Collector& collector, const Run
   for (const auto& [name, counter] : metrics.counters()) w.kv(name, counter.value());
   w.end_object();
 
+  // No instrument writes a gauge; the empty object keeps ppa.metrics.v1's
+  // shape (docs/observability.md).
   w.key("gauges");
   w.begin_object();
-  for (const auto& [name, gauge] : metrics.gauges()) w.kv(name, gauge.value());
   w.end_object();
 
   w.key("histograms");
@@ -168,13 +169,6 @@ void write_prometheus(std::ostream& out, const Collector& collector, const RunIn
     const std::string prom = prom_name(name);
     out << "# TYPE " << prom << " counter\n";
     out << prom << labels << ' ' << counter.value() << '\n';
-  }
-  for (const auto& [name, gauge] : metrics.gauges()) {
-    const std::string prom = prom_name(name);
-    out << "# TYPE " << prom << " gauge\n";
-    out << prom << labels << ' ';
-    prom_double(out, gauge.value());
-    out << '\n';
   }
   // Wall-time attribution rides along as a gauge family labelled by
   // category (seconds are a natural gauge: a per-run reading, not a

@@ -2,9 +2,9 @@
 //
 // write_metrics_json emits the stable "ppa.metrics.v1" document: a run
 // context object (same field names as the BENCH_e6.json perf records —
-// obs/json.hpp), the registry's counters/gauges/histograms, and the span
-// tree. write_stats_summary renders the same data as a short human
-// summary for `ppa_mcp --stats`.
+// obs/json.hpp), the registry's counters and histograms (and an empty
+// gauges object), and the span tree. write_stats_summary renders the same
+// data as a short human summary for `ppa_mcp --stats`.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ struct RunInfo {
 void write_metrics_json(std::ostream& out, const Collector& collector, const RunInfo& run);
 
 /// Prometheus text exposition (version 0.0.4) of the same registry:
-/// counters/gauges as single samples, histograms in the cumulative
+/// counters as single samples, histograms in the cumulative
 /// `_bucket{le=...}` / `_sum` / `_count` convention. Metric names get a
 /// `ppa_` prefix with dots mapped to underscores; every sample carries
 /// workload/backend/n labels from the run context. Shaped for the

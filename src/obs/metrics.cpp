@@ -59,7 +59,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, counter] : other.counters_) counters_[name].merge(counter);
-  for (const auto& [name, gauge] : other.gauges_) gauges_[name].merge(gauge);
   for (const auto& [name, histogram] : other.histograms_) {
     histograms_[name].merge(histogram);
   }

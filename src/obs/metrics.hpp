@@ -1,5 +1,5 @@
-// Lock-cheap metrics primitives: counters, gauges and fixed-bucket
-// histograms, grouped in a registry.
+// Lock-cheap metrics primitives: counters and fixed-bucket histograms,
+// grouped in a registry.
 //
 // The paper's claims are *distributional* as much as aggregate — O(1) bus
 // cycles only hold if every broadcast's segment shape stays bounded, and
@@ -32,21 +32,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-/// Last-written value (e.g. a configuration knob or a final ratio).
-class Gauge {
- public:
-  void set(double value) noexcept { value_ = value; }
-  [[nodiscard]] double value() const noexcept { return value_; }
-  /// Merging gauges keeps the maximum — the only order-independent choice
-  /// that is still useful for "worst seen across workers" readings.
-  void merge(const Gauge& other) noexcept {
-    if (other.value_ > value_) value_ = other.value_;
-  }
-
- private:
-  double value_ = 0;
 };
 
 /// Fixed-bucket histogram over non-negative integer samples. Bucket i
@@ -96,7 +81,6 @@ class Histogram {
 class MetricsRegistry {
  public:
   [[nodiscard]] Counter& counter(const std::string& name) { return counters_[name]; }
-  [[nodiscard]] Gauge& gauge(const std::string& name) { return gauges_[name]; }
   /// Creates the histogram with `bounds` on first use; later calls (and
   /// merges) ignore `bounds` and return the existing instrument.
   [[nodiscard]] Histogram& histogram(const std::string& name,
@@ -104,9 +88,6 @@ class MetricsRegistry {
 
   [[nodiscard]] const std::map<std::string, Counter>& counters() const noexcept {
     return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const noexcept {
-    return gauges_;
   }
   [[nodiscard]] const std::map<std::string, Histogram>& histograms() const noexcept {
     return histograms_;
@@ -119,7 +100,6 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
 

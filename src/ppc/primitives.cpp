@@ -303,11 +303,11 @@ void listing_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits
 // listing issues them, so the step counters and the trace agree event for
 // event.
 //
-// When the machine may leave the cycles to its caller (a clean row bus
-// whose rows are one segment each: Machine::row_or_resolvable), every
-// round runs in one PlaneKernels::row_eliminate call, which keeps each
-// row's enable in registers and returns each row's OR per round as one
-// word, and the Machine charges the listing's steps and cycles after it.
+// When the machine plans the cycles for its caller (Machine::plan_cycle: a
+// clean row bus whose rows are one segment each), every round runs in one
+// PlaneKernels::row_eliminate call, which keeps each row's enable in
+// registers and returns each row's OR per round as one word, and the
+// Machine charges the listing's steps and cycles from the plan after it.
 // A min() then writes its result from those words too when every route is
 // known (known_route_and_spread), and the Machine charges the route and
 // the spread without resolving them. Otherwise (faults, TMR/ECC, a column
@@ -371,13 +371,16 @@ class PlaneElimination {
                  : index[static_cast<std::size_t>(k - value_rounds)].plane_view().data();
     };
     const int count = value_rounds + index_rounds;
-    if (count <= kMaxKernelRounds && machine.row_or_resolvable(orientation_, open_)) {
+    const auto plan = count <= kMaxKernelRounds
+                          ? machine.plan_cycle(sim::StepCategory::BusOr, orientation_, open_, 1)
+                          : std::nullopt;
+    if (plan) {
       std::array<const PlaneWord*, kMaxKernelRounds> planes;
       for (int k = 0; k < count; ++k) planes[static_cast<std::size_t>(k)] = plane(k);
       ctx_.alu().row_eliminate(ctx_.geometry(), planes.data(), count, keep_max_, initial_,
                                ambient_, ctx_.full_plane(), enable_.data(), some_.data());
-      machine.charge_row_or_elimination(orientation_, open_, value_rounds, before_value,
-                                        index_rounds, before_index, after);
+      machine.charge_cycles(*plan, static_cast<std::uint64_t>(value_rounds), before_value, after);
+      machine.charge_cycles(*plan, static_cast<std::uint64_t>(index_rounds), before_index, after);
       return true;
     }
     // Pads stay 0, as `!bit & enable` leaves them in the listing.
@@ -470,7 +473,8 @@ Pint plane_route_and_spread(const Pint& src, sim::Direction orientation, const P
 /// L only keeps src there. The spread then drives that value over the
 /// row, the anchor included on a ring only; a row without an anchor
 /// floats. Returns nothing, and charges nothing, when some storing row's
-/// route must be resolved.
+/// route must be resolved. The route and the spread are charged from their
+/// plans, which a machine that planned the elimination always gives.
 std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
                                            sim::Direction orientation, const Pbool& L,
                                            const PlaneElimination& core) {
@@ -536,7 +540,14 @@ std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
   ctx.alu().row_word_fill(g, words.data(), keep_max ? 0 : ~PlaneWord{0}, h,
                           driven.empty() ? full : driven.data(), out.data());
   ctx.release_flag_plane(std::move(words));
-  ctx.machine().charge_row_route_and_spread(orientation, enable, open, h);
+  sim::Machine& machine = ctx.machine();
+  const auto route =
+      machine.plan_cycle(sim::StepCategory::BusBroadcast, sim::opposite(orientation), enable, h);
+  const auto spread = machine.plan_cycle(sim::StepCategory::BusBroadcast, orientation, open, h);
+  PPA_ASSERT(route && spread, "a clean machine plans every row broadcast");
+  // Each after its ALU step: the where(L) push, then the masked store.
+  machine.charge_cycles(*route, 1, 1);
+  machine.charge_cycles(*spread, 1, 1);
   return detail::make_bus_pint_planes(ctx, std::move(out), std::move(driven));
 }
 
@@ -778,8 +789,8 @@ std::span<const PlaneWord> sum_driven(Context& ctx, const Pint& a, const Pint& b
   return scratch;
 }
 
-/// Statement 10 from the carrier's driver row, when the machine left the
-/// column broadcast to its caller (`driven` is the cycle's driven plane and
+/// Statement 10 from the carrier's driver row, when the machine planned the
+/// column broadcast for its caller (`driven` is the cycle's driven plane and
 /// `line` its driver row): the listing's charges after the broadcast around
 /// one line_add_sat_masked pass. With `receivers` the carrier's local add
 /// joins that pass: each carrier lane is its column's one driver, so it
@@ -828,21 +839,20 @@ void plane_broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bo
     alu.op_and(stores, open, read.driven.data(), pw);
     line = alu.all_zero(read.driven.data(), pw);
   }
-  if (line) {
+  const int h = ctx.field().bits();
+  const auto plan = line ? ctx.machine().plan_cycle(sim::StepCategory::BusBroadcast,
+                                                     sim::Direction::South, open, h)
+                         : std::nullopt;
+  if (plan) {
     PlaneWord* row = read.values.data();
-    const PlaneWord* driven =
-        ctx.machine().column_line_broadcast(sow.planes_view().data(), ctx.field().bits(),
-                                            sim::Direction::South, open, row, row,
-                                            read.driven.data());
-    if (driven != nullptr) {
-      line_broadcast_add(sow, addend, open, receivers, pushed.data(), row, driven,
-                         read.driven.data());
-      ctx.release_flag_plane(std::move(pushed));
-      return;
-    }
-  } else {
-    plane_scheme_broadcast(sow, open, two_sided, read);
+    sim::column_driver_row(ctx.geometry(), sow.planes_view().data(), h, open, plan->column, row);
+    ctx.machine().charge_cycles(*plan);
+    line_broadcast_add(sow, addend, open, receivers, pushed.data(), row, plan->column.driven,
+                       read.driven.data());
+    ctx.release_flag_plane(std::move(pushed));
+    return;
   }
+  plane_scheme_broadcast(sow, open, two_sided, read);
   // Each `+` is fused into the store that follows it.
   ctx.machine().charge_alu();  // + addend
   if (!addend.fully_driven()) {

@@ -163,7 +163,7 @@ void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
 /// every where-push, operator and store as the statements do, on the same
 /// bus cycles. On a clean machine a one-sided call with driven operands
 /// reads only the carrier's row and forms every sum in one pass
-/// (Machine::column_line_broadcast).
+/// (Machine::plan_cycle).
 void broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two_sided,
                    const Pbool* receivers = nullptr);
 

@@ -193,14 +193,12 @@ template <typename T>
 /// lanes: none (the row floats: driven 0, no segment), one at lane p
 /// (driven: on a ring the whole row, on a linear bus the lanes strictly
 /// downstream of p; segment: n on a ring, n-1-p East, p West), or two and
-/// more, which it marks in a row mask for the ladder (their driven words
-/// are the ladder's to write). The mask is built from the first marked row
-/// on, in `s`; `ladder` stays null when no row is marked. Returns the
-/// max_segment.
+/// more, which it counts in `ladder_rows` (their driven words are the
+/// ladder's to write). Returns the max_segment.
 template <std::size_t kRowWords>
 std::size_t sort_rows(const PlaneGeometry& g, BusTopology topology, Direction dir,
                       const PlaneWord* open, const PlaneWord* full, PlaneWord* driven,
-                      PlaneBusScratch& s, PlaneWord*& ladder, std::size_t& ladder_rows) {
+                      std::size_t& ladder_rows) {
   const std::size_t n = g.n;
   const std::size_t rw = kRowWords != 0 ? kRowWords : g.row_words;
   const bool ring = topology == BusTopology::Ring;
@@ -219,15 +217,7 @@ std::size_t sort_rows(const PlaneGeometry& g, BusTopology topology, Direction di
       driver_word = o[w] != 0 ? w : driver_word;
       crowded |= o[w] & (o[w] - 1);
     }
-    const bool several = open_words > 1 || crowded != 0;
-    if (several && ladder == nullptr) {
-      ladder = grown(s.per_k_b, g.plane_words());
-      std::fill(ladder, ladder + r * rw, PlaneWord{0});
-    }
-    if (ladder != nullptr) {
-      for (std::size_t w = 0; w < rw; ++w) ladder[r * rw + w] = several ? ~PlaneWord{0} : 0;
-    }
-    if (several) {
+    if (open_words > 1 || crowded != 0) {
       ++ladder_rows;
       if (max_segment < ceiling) {
         max_segment = row_line_segment(n, rw, topology, dir, o, false, max_segment);
@@ -258,27 +248,23 @@ std::size_t sort_rows(const PlaneGeometry& g, BusTopology topology, Direction di
 }
 
 /// Row broadcast: the switch-only pass, then the values — the row fill
-/// over the rows the pass left unmarked, the segmented fill (which writes
-/// their driven words too) over the marked ones.
+/// when every row has at most one Open lane, else the segmented fill over
+/// the whole array (which writes the driven plane too).
 std::size_t row_broadcast(const PlaneGeometry& g, BusTopology topology, Direction dir,
                           const PlaneWord* src, int planes, const PlaneWord* open,
                           PlaneWord* out, PlaneWord* driven, PlaneBusScratch& s) {
   const PlaneWord* full = full_plane(g, s);
-  PlaneWord* ladder = nullptr;
   std::size_t ladder_rows = 0;
   const std::size_t max_segment =
-      g.row_words == 1   ? sort_rows<1>(g, topology, dir, open, full, driven, s, ladder,
-                                        ladder_rows)
-      : g.row_words == 2 ? sort_rows<2>(g, topology, dir, open, full, driven, s, ladder,
-                                        ladder_rows)
-                         : sort_rows<0>(g, topology, dir, open, full, driven, s, ladder,
-                                        ladder_rows);
+      g.row_words == 1   ? sort_rows<1>(g, topology, dir, open, full, driven, ladder_rows)
+      : g.row_words == 2 ? sort_rows<2>(g, topology, dir, open, full, driven, ladder_rows)
+                         : sort_rows<0>(g, topology, dir, open, full, driven, ladder_rows);
   const auto& kernels = plane_kernels::active();
-  if (ladder_rows < g.n) kernels.row_fill(g, src, planes, open, driven, out, ladder);
-  if (ladder_rows > 0) {
+  if (ladder_rows == 0) {
+    kernels.row_fill(g, src, planes, open, driven, out);
+  } else {
     kernels.segmented_fill(g, topology, dir, src, planes, open, full, out, driven,
-                           grown(s.per_k_a, 2 * g.plane_words()),
-                           ladder_rows < g.n ? ladder : nullptr);
+                           grown(s.per_k_a, 2 * g.plane_words()));
   }
   s.ladder_rows += ladder_rows;
   return max_segment;
@@ -628,30 +614,41 @@ std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
              : column_broadcast(g, topology, dir, src, planes, open, out, driven, scratch);
 }
 
-ColumnLine plane_column_line_into(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                                  const PlaneWord* src, int planes, const PlaneWord* open,
-                                  PlaneWord* line, PlaneWord* out, PlaneWord* driven,
-                                  PlaneBusScratch& scratch) {
-  PPA_REQUIRE(!is_row_axis(dir), "a driver line is a column broadcast's");
-  PPA_REQUIRE(planes >= 1 && planes <= 32, "a register has 1 to 32 planes");
-  const ColumnSwitches sw = column_switches(g, topology, dir, open, driven, scratch);
-  if (!sw.pass1.single_driver) {
-    column_values(g, dir, src, planes, open, sw, out, driven);
-    return {nullptr, sw.max_segment};
-  }
-  // Each word column's one driver, from the rows that hold Open switches.
+std::optional<ColumnDrivers> column_drivers(const PlaneGeometry& g, BusTopology topology,
+                                            Direction dir, const PlaneWord* open,
+                                            PlaneBusScratch& scratch) {
+  PPA_REQUIRE(!is_row_axis(dir), "driver rows are a column broadcast's");
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
+  // A lane Open in two rows is a line with two drivers.
+  for (std::size_t w = 0; w < rw; ++w) {
+    PlaneWord above = 0;
+    for (std::size_t i = w; i < pw; i += rw) {
+      if ((above & open[i]) != 0) return std::nullopt;
+      above |= open[i];
+    }
+  }
+  const ColumnSwitches sw = column_switches(g, topology, dir, open,
+                                            grown(scratch.column_driven, pw), scratch);
+  return ColumnDrivers{sw.driven, sw.max_segment, sw.pass1.open_begin, sw.pass1.open_end};
+}
+
+void column_driver_row(const PlaneGeometry& g, const PlaneWord* src, int planes,
+                       const PlaneWord* open, const ColumnDrivers& drivers, PlaneWord* line) {
+  PPA_REQUIRE(planes >= 1 && planes <= 32, "a register has 1 to 32 planes");
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  const std::size_t begin = drivers.rows_begin * rw;
+  const std::size_t end = drivers.rows_end * rw;
   for (int j = 0; j < planes; ++j) {
     const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
     PlaneWord* lp = line + static_cast<std::size_t>(j) * rw;
-    std::fill_n(lp, rw, PlaneWord{0});
-    for (std::size_t base = sw.pass1.open_begin * rw; base < sw.pass1.open_end * rw;
-         base += rw) {
-      for (std::size_t w = 0; w < rw; ++w) lp[w] |= sp[base + w] & open[base + w];
+    for (std::size_t w = 0; w < rw; ++w) {
+      PlaneWord word = 0;
+      for (std::size_t i = begin + w; i < end; i += rw) word |= sp[i] & open[i];
+      lp[w] = word;
     }
   }
-  return {sw.driven, sw.max_segment};
 }
 
 std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,

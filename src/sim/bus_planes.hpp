@@ -14,17 +14,16 @@
 // ring and over the lanes strictly downstream of p on a linear bus, and
 // the same pass gives its max_segment (n on a ring, n-1-p East, p West).
 // Those rows' values come from row_fill: per plane an OR of src & open
-// across the row's words, replicated under the driven plane. Rows with two
+// across the row's words, replicated under the driven plane. A row with two
 // or more Open lanes (ties and all-infinity rows of a min() route its
-// caller must resolve, stuck-open switch faults) are marked in a row mask
-// and take segmented_fill over the marked rows only: a log-step segmented
-// scan over each row's 64-lane words, one pass per bit plane plus one for
-// the driven plane, with each word's head carried in from the nearest Open
-// switch upstream (or, on a ring, wrapped from the row's last one); their
-// max_segment comes from the open plane (row_line_segment). The switches
-// choose the kernel per row, with no state kept between cycles, so the
-// data-dependent route broadcasts of the paper's min() cost what a
-// repeated configuration costs. Wired-ORs run through segmented_or, which
+// caller must resolve, stuck-open switch faults) sends the whole cycle to
+// segmented_fill: a log-step segmented scan over each row's 64-lane words,
+// one pass per bit plane plus one for the driven plane, with each word's
+// head carried in from the nearest Open switch upstream (or, on a ring,
+// wrapped from the row's last one); its max_segment comes from the open
+// plane (row_line_segment). The switches choose the kernel per cycle, with
+// no state kept between cycles, so the data-dependent route broadcasts of
+// the paper's min() cost what a repeated configuration costs. Wired-ORs run through segmented_or, which
 // ORs a flow-order and a reverse-order segmented smear per word and
 // carries segment ORs across word boundaries and the ring wrap; a wired-OR
 // whose rows open only at their flow head (the solver's cluster anchor)
@@ -43,9 +42,9 @@
 // pass, so a repeat configuration runs only the values — results and
 // max_segment are identical on every path. A caller that needs only the
 // driver row of a single-driver column broadcast (statement 10, which adds
-// it to W in the same pass) takes plane_column_line_into: the same plan
-// lookup, then a gather of the rows that hold Open switches instead of the
-// column fill.
+// it to W in the same pass) takes column_drivers, the same plan lookup
+// without the values, then column_driver_row, a gather of the rows that
+// hold Open switches instead of the column fill.
 //
 // Every entry point runs its cycle inline on the caller's thread, one
 // cycle per call, and takes the PlaneBusScratch that keeps the resolvers
@@ -54,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/bit_planes.hpp"
@@ -114,7 +114,7 @@ struct BroadcastPlanCache {
 /// + w], the per-line arrays by column.
 struct PlaneBusScratch {
   std::vector<PlaneWord> per_k_a;     // n * row_words (row broadcast: 2x)
-  std::vector<PlaneWord> per_k_b;     // n * row_words (row broadcast: the ladder rows)
+  std::vector<PlaneWord> per_k_b;     // n * row_words
   std::vector<PlaneWord> lane_a;      // row_words
   std::vector<PlaneWord> lane_b;      // row_words
   std::vector<PlaneWord> lane_c;      // row_words
@@ -124,8 +124,9 @@ struct PlaneBusScratch {
   std::vector<PlaneWord> full;        // plane_words: valid lanes of side full_n
   std::size_t full_n = 0;
   BroadcastPlanCache broadcast_plans; // see BroadcastPlanCache
-  // Rows that row broadcasts resolved with segmented_fill (two or more
-  // Open switches), summed over cycles.
+  std::vector<PlaneWord> column_driven;  // plane_words: column_drivers' first-sight driven plane
+  // Rows with two or more Open switches that sent their row broadcast to
+  // segmented_fill, summed over cycles.
   std::uint64_t ladder_rows = 0;
 };
 
@@ -139,27 +140,32 @@ std::size_t plane_broadcast_into(const PlaneGeometry& g, BusTopology topology,
                                  const PlaneWord* open, PlaneWord* out,
                                  PlaneWord* driven, PlaneBusScratch& scratch);
 
-/// What plane_column_line_into resolved of its cycle.
-struct ColumnLine {
-  /// The cycle's driven plane when only its driver row was resolved (the
-  /// cached plan's, or the caller's `driven`; valid until the next cycle on
-  /// the same scratch), nullptr when the whole cycle went into `out`.
+/// What a single-driver column broadcast derives from its switches, for a
+/// caller that reads only its driver rows.
+struct ColumnDrivers {
+  /// The cycle's driven plane: the cached plan's, or on first sight the
+  /// scratch block's. Valid until the next cycle on the same scratch.
   const PlaneWord* driven = nullptr;
   std::size_t max_segment = 0;
+  /// Rows [rows_begin, rows_end) hold every Open switch (empty: none).
+  std::size_t rows_begin = 0;
+  std::size_t rows_end = 0;
 };
 
-/// One column broadcast cycle (dir South or North) that, when every column
-/// line has at most one Open switch, resolves only its driver row: plane j
-/// of `line` (row_words words at line + j * row_words) gets each word
-/// column's src & open, ORed over the rows holding Open switches, and every
-/// driven lane of the cycle reads its column's word of it. Otherwise it
-/// resolves the whole cycle into `out` and `driven` as plane_broadcast_into
-/// does. Either way the switches are looked up in the plan cache exactly
-/// once, as plane_broadcast_into looks them up. `line` may alias `out`.
-ColumnLine plane_column_line_into(const PlaneGeometry& g, BusTopology topology, Direction dir,
-                                  const PlaneWord* src, int planes, const PlaneWord* open,
-                                  PlaneWord* line, PlaneWord* out, PlaneWord* driven,
-                                  PlaneBusScratch& scratch);
+/// The driver rows of a column broadcast (dir South or North) on `open`,
+/// or nothing when some column line has two Open switches. A line with two
+/// drivers is found from the switches before the plan cache is consulted,
+/// so a refused cycle leaves the cache to the caller's resolving cycle, and
+/// every cycle looks its switches up exactly once.
+std::optional<ColumnDrivers> column_drivers(const PlaneGeometry& g, BusTopology topology,
+                                            Direction dir, const PlaneWord* open,
+                                            PlaneBusScratch& scratch);
+
+/// Plane j of `line` (row_words words at line + j * row_words) gets each
+/// word column's src & open, ORed over `drivers`' rows: what every driven
+/// lane of that column broadcast reads.
+void column_driver_row(const PlaneGeometry& g, const PlaneWord* src, int planes,
+                       const PlaneWord* open, const ColumnDrivers& drivers, PlaneWord* line);
 
 /// One wired-OR bus cycle on a single plane. Never floats (a segment
 /// nobody pulls reads 0), so there is no driven output. Returns

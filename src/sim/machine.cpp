@@ -261,7 +261,7 @@ std::size_t Machine::broadcast_cycle(std::span<const T> src, Direction dir,
                                      std::span<const Flag> open, std::span<T> values,
                                      std::span<Flag> driven, int value_bits,
                                      StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_++;
+  const std::uint64_t cycle = bus_cycles_;
   const Axis axis = axis_of(dir);
   std::span<const Flag> open_eff = open;
   std::span<const T> src_eff = src;
@@ -295,17 +295,16 @@ std::size_t Machine::broadcast_cycle(std::span<const T> src, Direction dir,
       }
     }
   }
-  steps_.charge_bus(category, max_segment);
+  TraceEvent event{category, dir, 0, max_segment, 1, static_cast<std::size_t>(value_bits), 0,
+                   driven.size()};
   if (trace_ != nullptr) {
     // Bus occupancy rides the event only while a sink is attached: the
     // driven-flag scan is host bookkeeping, never charged, and the flags
     // themselves are pinned bit-identical across backends.
-    std::size_t driven_wires = 0;
-    for (const Flag f : driven) driven_wires += static_cast<std::size_t>(f != 0);
-    trace_->on_event(TraceEvent{category, dir, count_open(open_eff), max_segment, 1,
-                                static_cast<std::size_t>(value_bits), driven_wires,
-                                driven.size()});
+    event.open_count = count_open(open_eff);
+    for (const Flag f : driven) event.driven_wires += static_cast<std::size_t>(f != 0);
   }
+  charge_cycles({event, {}, true});
   return max_segment;
 }
 
@@ -376,7 +375,7 @@ std::size_t Machine::broadcast_into(std::span<const Flag> src, Direction dir,
 std::size_t Machine::wired_or_cycle(std::span<const Flag> src, Direction dir,
                                     std::span<const Flag> open, std::span<Flag> values,
                                     StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_++;
+  const std::uint64_t cycle = bus_cycles_;
   const Axis axis = axis_of(dir);
   std::span<const Flag> open_eff = open;
   std::span<const Flag> src_eff = src;
@@ -402,12 +401,10 @@ std::size_t Machine::wired_or_cycle(std::span<const Flag> src, Direction dir,
       }
     }
   }
-  steps_.charge_bus(category, max_segment);
-  if (trace_ != nullptr) {
-    // An open-collector read never floats: every PE port sees the OR.
-    trace_->on_event(TraceEvent{category, dir, count_open(open_eff), max_segment, 1, 1,
-                                values.size(), values.size()});
-  }
+  // An open-collector read never floats: every PE port sees the OR.
+  TraceEvent event{category, dir, 0, max_segment, 1, 1, values.size(), values.size()};
+  if (trace_ != nullptr) event.open_count = count_open(open_eff);
+  charge_cycles({event, {}, true});
   return max_segment;
 }
 
@@ -435,7 +432,7 @@ std::size_t Machine::broadcast_planes_cycle(const PlaneWord* src, int planes,
                                             Direction dir, const PlaneWord* open,
                                             PlaneWord* out, PlaneWord* driven,
                                             StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_++;
+  const std::uint64_t cycle = bus_cycles_;
   const Axis axis = axis_of(dir);
   const PlaneWord* open_eff = open;
   const PlaneWord* src_eff = src;
@@ -469,21 +466,16 @@ std::size_t Machine::broadcast_planes_cycle(const PlaneWord* src, int planes,
       }
     }
   }
-  charge_plane_broadcast(category, dir, open_eff, max_segment, planes, driven);
-  return max_segment;
-}
-
-void Machine::charge_plane_broadcast(StepCategory category, Direction dir, const PlaneWord* open,
-                                     std::size_t max_segment, int planes,
-                                     const PlaneWord* driven) {
-  steps_.charge_bus(category, max_segment);
+  TraceEvent event{category, dir, 0, max_segment, 1, static_cast<std::size_t>(planes), 0,
+                   pe_count()};
   if (trace_ != nullptr) {
     // Pads are canonically zero, so the plane popcount equals the word
     // engine's driven-flag count exactly (the parity the tests pin).
-    trace_->on_event(TraceEvent{category, dir, plane_popcount(geometry_, open), max_segment, 1,
-                                static_cast<std::size_t>(planes),
-                                plane_popcount(geometry_, driven), pe_count()});
+    event.open_count = plane_popcount(geometry_, open_eff);
+    event.driven_wires = plane_popcount(geometry_, driven);
   }
+  charge_cycles({event, {}, true});
+  return max_segment;
 }
 
 std::size_t Machine::tmr_broadcast_planes_into(const PlaneWord* src, int planes,
@@ -582,7 +574,7 @@ std::size_t Machine::shadow_broadcast_planes_into(const PlaneWord* src, Directio
 std::size_t Machine::wired_or_plane_cycle(const PlaneWord* src, Direction dir,
                                           const PlaneWord* open, PlaneWord* out,
                                           StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_++;
+  const std::uint64_t cycle = bus_cycles_;
   const Axis axis = axis_of(dir);
   const PlaneWord* open_eff = open;
   const PlaneWord* src_eff = src;
@@ -606,11 +598,9 @@ std::size_t Machine::wired_or_plane_cycle(const PlaneWord* src, Direction dir,
       for (std::size_t i = 0; i < pw; ++i) out[i] &= alive[i];
     }
   }
-  steps_.charge_bus(category, max_segment);
-  if (trace_ != nullptr) {
-    trace_->on_event(TraceEvent{category, dir, plane_popcount(geometry_, open_eff),
-                                max_segment, 1, 1, pe_count(), pe_count()});
-  }
+  TraceEvent event{category, dir, 0, max_segment, 1, 1, pe_count(), pe_count()};
+  if (trace_ != nullptr) event.open_count = plane_popcount(geometry_, open_eff);
+  charge_cycles({event, {}, true});
   return max_segment;
 }
 
@@ -638,22 +628,6 @@ std::size_t Machine::wired_or_plane_into(const PlaneWord* src, Direction dir,
   return wired_or_plane_cycle(src, dir, open, out, StepCategory::BusOr);
 }
 
-const PlaneWord* Machine::column_line_broadcast(const PlaneWord* src, int planes, Direction dir,
-                                                const PlaneWord* open, PlaneWord* line,
-                                                PlaneWord* out, PlaneWord* driven) {
-  if (faults_.any || config_.masking != BusMasking::None) {
-    (void)broadcast_planes_into(src, planes, dir, open, out, driven);
-    return nullptr;
-  }
-  ++bus_cycles_;
-  const ColumnLine cycle = plane_column_line_into(geometry_, config_.topology, dir, src, planes,
-                                                  open, line, out, driven, bus_scratch_);
-  charge_plane_broadcast(StepCategory::BusBroadcast, dir, open, cycle.max_segment, planes,
-                         cycle.driven != nullptr ? cycle.driven : driven);
-  if (cycle.driven != nullptr) ++column_line_broadcasts_;
-  return cycle.driven;
-}
-
 const Machine::RowOrSwitches& Machine::row_or_switches(Direction dir, const PlaneWord* open) {
   RowOrSwitches& seen = row_or_switches_;
   const std::size_t pw = geometry_.plane_words();
@@ -670,65 +644,56 @@ const Machine::RowOrSwitches& Machine::row_or_switches(Direction dir, const Plan
   return seen;
 }
 
-bool Machine::row_or_resolvable(Direction dir, const PlaneWord* open) {
-  return !faults_.any && config_.masking == BusMasking::None && axis_of(dir) == Axis::Row &&
-         row_or_switches(dir, open).single_segments;
-}
-
-TraceEvent Machine::row_broadcast_plan(Direction dir, const PlaneWord* open, int planes) const {
+std::optional<Machine::CyclePlan> Machine::plan_cycle(StepCategory category, Direction dir,
+                                                      const PlaneWord* open, int planes) {
+  PPA_REQUIRE(category == StepCategory::BusOr || category == StepCategory::BusBroadcast,
+              "a cycle plan is a BusOr or a BusBroadcast cycle's");
+  if (faults_.any || config_.masking != BusMasking::None) return std::nullopt;
   const bool traced = trace_ != nullptr;
-  const RowLines lines =
-      row_lines(geometry_, config_.topology, dir, open, /*wired_or=*/false, traced);
-  return TraceEvent{StepCategory::BusBroadcast,
-                    dir,
-                    traced ? plane_popcount(geometry_, open) : 0,
-                    lines.max_segment,
-                    1,
-                    static_cast<std::size_t>(planes),
-                    lines.driven,
-                    pe_count()};
-}
-
-void Machine::charge_row_or_elimination(Direction dir, const PlaneWord* open, int value_rounds,
-                                        int before_value, int index_rounds, int before_index,
-                                        int alu_after) {
-  const RowOrSwitches& seen = row_or_switches(dir, open);
-  const TraceEvent bus{StepCategory::BusOr, dir, seen.open_count, seen.max_segment, 1, 1,
-                       pe_count(), pe_count()};
-  const int rounds = value_rounds + index_rounds;
-  // The counts the listing's single charges add up to, in two charges:
-  // charging them one by one cost a 64x64 fused call about 0.9k cycles
-  // and allpairs_batched 10% of its rows/s (docs/performance.md,
-  // "Multi-round row elimination").
-  bus_cycles_ += static_cast<std::uint64_t>(rounds);
-  steps_.charge(StepCategory::Alu,
-                static_cast<std::uint64_t>(value_rounds * (before_value + alu_after) +
-                                           index_rounds * (before_index + alu_after)));
-  steps_.charge_bus(StepCategory::BusOr, bus.max_segment, static_cast<std::uint64_t>(rounds));
-  if (trace_ == nullptr) return;
-  // The listing's events, in its order.
-  const TraceEvent alu{StepCategory::Alu, Direction::North, 0, 0, 1};
-  for (int k = 0; k < rounds; ++k) {
-    const int alu_before = k < value_rounds ? before_value : before_index;
-    for (int i = 0; i < alu_before; ++i) trace_->on_event(alu);
-    trace_->on_event(bus);
-    for (int i = 0; i < alu_after; ++i) trace_->on_event(alu);
+  const bool row = axis_of(dir) == Axis::Row;
+  CyclePlan plan;
+  plan.event = {category, dir, 0, 0, 1, static_cast<std::size_t>(planes), 0, pe_count()};
+  if (category == StepCategory::BusOr) {
+    if (!row) return std::nullopt;
+    const RowOrSwitches& seen = row_or_switches(dir, open);
+    if (!seen.single_segments) return std::nullopt;
+    plan.event.open_count = seen.open_count;
+    plan.event.max_segment = seen.max_segment;
+    plan.event.driven_wires = pe_count();  // a wired-OR never floats
+    return plan;
   }
+  if (row) {
+    const RowLines lines =
+        row_lines(geometry_, config_.topology, dir, open, /*wired_or=*/false, traced);
+    plan.event.max_segment = lines.max_segment;
+    plan.event.driven_wires = lines.driven;
+  } else {
+    const std::optional<ColumnDrivers> drivers =
+        column_drivers(geometry_, config_.topology, dir, open, bus_scratch_);
+    if (!drivers) return std::nullopt;
+    plan.column = *drivers;
+    plan.event.max_segment = drivers->max_segment;
+    if (traced) plan.event.driven_wires = plane_popcount(geometry_, drivers->driven);
+  }
+  if (traced) plan.event.open_count = plane_popcount(geometry_, open);
+  return plan;
 }
 
-void Machine::charge_row_route_and_spread(Direction dir, const PlaneWord* enable,
-                                          const PlaneWord* open, int planes) {
-  const TraceEvent route = row_broadcast_plan(opposite(dir), enable, planes);
-  const TraceEvent spread = row_broadcast_plan(dir, open, planes);
-  bus_cycles_ += 2;
-  steps_.charge(StepCategory::Alu, 2);
-  steps_.charge_bus(StepCategory::BusBroadcast, route.max_segment);
-  steps_.charge_bus(StepCategory::BusBroadcast, spread.max_segment);
+void Machine::charge_cycles(const CyclePlan& plan, std::uint64_t cycles, int alu_before,
+                            int alu_after) {
+  // One bulk charge per category, however many cycles: charging a
+  // 16-round elimination round by round cost allpairs_batched 10% of its
+  // rows/s (docs/performance.md, "Charge-only cycles").
+  bus_cycles_ += cycles;
+  if (!plan.resolved) charge_only_cycles_ += cycles;
+  steps_.charge(StepCategory::Alu, cycles * static_cast<std::uint64_t>(alu_before + alu_after));
+  steps_.charge_bus(plan.event.category, plan.event.max_segment, cycles);
   if (trace_ == nullptr) return;
   const TraceEvent alu{StepCategory::Alu, Direction::North, 0, 0, 1};
-  for (const TraceEvent& bus : {route, spread}) {
-    trace_->on_event(alu);
-    trace_->on_event(bus);
+  for (std::uint64_t k = 0; k < cycles; ++k) {
+    for (int i = 0; i < alu_before; ++i) trace_->on_event(alu);
+    trace_->on_event(plan.event);
+    for (int i = 0; i < alu_after; ++i) trace_->on_event(alu);
   }
 }
 

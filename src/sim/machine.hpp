@@ -19,6 +19,7 @@
 // workers) and batched destination groups (mcp::Options::batch_width).
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -244,49 +245,42 @@ class Machine {
   std::size_t wired_or_plane_into(const PlaneWord* src, Direction dir,
                                   const PlaneWord* open, PlaneWord* out);
 
-  /// One column broadcast cycle (dir South or North), charged and traced
-  /// exactly as broadcast_planes_into charges and traces it. On a machine
-  /// with no faults and no masking whose switches give every column line
-  /// at most one driver, the cycle is left to its caller: only the driver
-  /// row goes into `line` (plane_column_line_into), and the return value is
-  /// the cycle's driven plane, valid until the next bus cycle. Otherwise the
-  /// whole cycle goes into `out` and `driven`, and the return value is
-  /// nullptr. `line` may alias `out`.
-  const PlaneWord* column_line_broadcast(const PlaneWord* src, int planes, Direction dir,
-                                         const PlaneWord* open, PlaneWord* line, PlaneWord* out,
-                                         PlaneWord* driven);
+  /// What one bus cycle costs and shows a trace sink, from its switches:
+  /// the charge a caller makes for a cycle it resolves itself (plan_cycle),
+  /// and the one every resolving plane cycle makes after resolving.
+  struct CyclePlan {
+    /// The cycle's trace event: category, direction, max_segment and
+    /// planes always; the Open count and the driven lanes only under a
+    /// trace sink (a row wired-OR's Open count is memoized with its
+    /// switches), 0 without one.
+    TraceEvent event;
+    /// A planned column broadcast's driven plane and driver rows, fed to
+    /// column_driver_row; valid until the next bus cycle.
+    ColumnDrivers column;
+    /// Set by the resolving cycles: their charges are not charge-only.
+    bool resolved = false;
+  };
 
-  /// True when a row wired-OR cycle in `dir` on the switches `open` may be
-  /// resolved by its caller and charged with charge_row_or_elimination: the
-  /// machine has no faults and no masking, `dir` is East or West, and every
-  /// row is one segment (row_or_single_segments), so each lane reads the
-  /// OR of its whole row. The verdict for the last open plane judged is
-  /// kept, keyed on its contents.
-  [[nodiscard]] bool row_or_resolvable(Direction dir, const PlaneWord* open);
+  /// The plan of a bus cycle of `category` (BusOr or BusBroadcast) in
+  /// `dir` on the switches `open`, carrying `planes` planes, when its
+  /// caller may resolve the cycle itself and charge it with
+  /// charge_cycles; nothing when the caller must resolve it through the
+  /// cycle calls above. It refuses on a machine with faults or masking, on
+  /// a column wired-OR, on a row wired-OR whose rows are not one segment
+  /// each (row_or_single_segments), and on a column broadcast with a line
+  /// of two drivers (column_drivers). So every lane of a planned wired-OR
+  /// reads the OR of its whole row. A column broadcast's switches meet the
+  /// plan cache exactly once, planned or not; a row wired-OR's verdict is
+  /// kept for the last open plane judged, keyed on its contents.
+  [[nodiscard]] std::optional<CyclePlan> plan_cycle(StepCategory category, Direction dir,
+                                                    const PlaneWord* open, int planes);
 
-  /// Charges and traces the row wired-OR cycles of one bit-serial
-  /// elimination on the switches `open`: `value_rounds` cycles, each after
-  /// `before_value` single ALU steps, then `index_rounds` cycles, each
-  /// after `before_index`; `alu_after` steps follow every cycle. The
-  /// charges and events are exactly those of that sequence of charge_alu()
-  /// and wired_or_plane_into calls, but the cycles are not resolved: the
-  /// caller computed their results itself (PlaneKernels::row_eliminate).
-  /// max_segment and the traced Open count are taken once per call. Only
-  /// for cycles row_or_resolvable accepts.
-  void charge_row_or_elimination(Direction dir, const PlaneWord* open, int value_rounds,
-                                 int before_value, int index_rounds, int before_index,
-                                 int alu_after);
-
-  /// Charges and traces statements 11–13 of one min() on `planes` value
-  /// planes, resolved by the caller: an ALU step (the where(L) push), the
-  /// route broadcast in opposite(dir) from the survivors `enable`, an ALU
-  /// step (the masked store), then the spread broadcast in `dir` from the
-  /// anchors `open`. The charges and events are exactly those of that
-  /// sequence of charge_alu() and broadcast_planes_into calls, but neither
-  /// cycle is resolved. Only for a row wired-OR that row_or_resolvable
-  /// accepts on `open`.
-  void charge_row_route_and_spread(Direction dir, const PlaneWord* enable,
-                                   const PlaneWord* open, int planes);
+  /// Charges and traces `cycles` cycles of `plan`, each after
+  /// `alu_before` single ALU steps and followed by `alu_after`: it
+  /// advances bus_cycles(), charges the steps in two bulk charges, and
+  /// under a trace sink emits the listing's events in its order.
+  void charge_cycles(const CyclePlan& plan, std::uint64_t cycles = 1, int alu_before = 0,
+                     int alu_after = 0);
 
   /// Plane twin of shadow_broadcast_into (one flag plane): same fault
   /// transform, no charge, no trace, no contention report.
@@ -314,17 +308,18 @@ class Machine {
     return {bus_scratch_.broadcast_plans.hits, bus_scratch_.broadcast_plans.misses};
   }
 
-  /// Rows this machine's plane row broadcasts resolved with the segmented
-  /// fill ladder — the rows with two or more Open switches; every other
-  /// row takes the row fill. Cumulative, bit-plane backend only.
+  /// Rows with two or more Open switches in this machine's plane row
+  /// broadcasts: each puts its cycle on the segmented fill ladder, and a
+  /// cycle without one takes the row fill. Cumulative, bit-plane backend
+  /// only.
   [[nodiscard]] std::uint64_t row_ladder_rows() const noexcept {
     return bus_scratch_.ladder_rows;
   }
 
-  /// Column broadcasts column_line_broadcast left to its caller, resolving
-  /// only their driver rows. Cumulative, bit-plane backend only.
-  [[nodiscard]] std::uint64_t column_line_broadcasts() const noexcept {
-    return column_line_broadcasts_;
+  /// Bus cycles charged from a plan_cycle plan, not resolved by the
+  /// machine. Cumulative, bit-plane backend only.
+  [[nodiscard]] std::uint64_t charge_only_cycles() const noexcept {
+    return charge_only_cycles_;
   }
 
   /// Cumulative SIMD kernel-dispatch / plane-word throughput counters for
@@ -373,18 +368,9 @@ class Machine {
   std::size_t wired_or_plane_cycle(const PlaneWord* src, Direction dir,
                                    const PlaneWord* open, PlaneWord* out,
                                    StepCategory category);
-  // Charges one plane broadcast cycle of `max_segment` and, under a trace
-  // sink, emits its event: the Open count of `open`, the driven count.
-  void charge_plane_broadcast(StepCategory category, Direction dir, const PlaneWord* open,
-                              std::size_t max_segment, int planes, const PlaneWord* driven);
-  // The trace event of a clean row broadcast its caller resolves, as the
-  // resolving cycle would emit it: max_segment by the row_line_segment
-  // rules, the open and driven counts only under a trace sink (0 without).
-  [[nodiscard]] TraceEvent row_broadcast_plan(Direction dir, const PlaneWord* open,
-                                              int planes) const;
-  // What row_or_resolvable and charge_row_or_elimination read off a row
-  // wired-OR's switches, for the last open plane they saw: the sweep
-  // engine's row end is the same plane on every call of a pass.
+  // What plan_cycle reads off a row wired-OR's switches, for the last open
+  // plane it saw: the sweep engine's row end is the same plane on every
+  // call of a pass.
   struct RowOrSwitches {
     std::vector<PlaneWord> open;  // the key, compared by contents
     Direction dir = Direction::East;
@@ -460,7 +446,7 @@ class Machine {
   std::vector<PlaneWord> scratch_alive_driven_plane_;
   PlaneBusScratch bus_scratch_;  // reused by every plane bus cycle
   RowOrSwitches row_or_switches_;
-  std::uint64_t column_line_broadcasts_ = 0;
+  std::uint64_t charge_only_cycles_ = 0;
   plane_kernels::SweepStats sweep_stats_;  // ppc PlaneAlu throughput billing
 };
 

@@ -93,33 +93,28 @@ struct PlaneKernels {
                    std::size_t r, PlaneWord* out) noexcept = nullptr;
 
   /// One row-bus broadcast cycle (dir East or West) on `planes` src
-  /// planes, as a segmented fill over the rows `rows` marks (nullptr:
-  /// every row): every lane reads the nearest Open switch strictly
-  /// upstream, a ring wraps the row's last Open switch around to its head,
-  /// undriven lanes read 0 — bus.cpp's rules exactly, for any number of
-  /// Open switches per row. `rows` is a plane whose words are all-ones on
-  /// the marked rows and 0 elsewhere. Fully overwrites the marked rows'
-  /// words of `out` and `driven`, and no other word. `full` is the
-  /// valid-lane plane (plane_fill_full); `scratch` holds two planes.
-  /// max_segment is not computed here (it depends on the switches alone).
+  /// planes, as a segmented fill: every lane reads the nearest Open switch
+  /// strictly upstream, a ring wraps the row's last Open switch around to
+  /// its head, undriven lanes read 0 — bus.cpp's rules exactly, for any
+  /// number of Open switches per row. Fully overwrites `out` and `driven`.
+  /// `full` is the valid-lane plane (plane_fill_full); `scratch` holds two
+  /// planes. max_segment is not computed here (it depends on the switches
+  /// alone).
   void (*segmented_fill)(const sim::PlaneGeometry& g, sim::BusTopology topology,
                          sim::Direction dir, const PlaneWord* src, int planes,
                          const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
-                         PlaneWord* driven, PlaneWord* scratch,
-                         const PlaneWord* rows) noexcept = nullptr;
+                         PlaneWord* driven, PlaneWord* scratch) noexcept = nullptr;
 
   /// One row-bus broadcast cycle (dir East or West) on `planes` src
-  /// planes over the rows `skip` leaves unmarked (a row mask like
-  /// segmented_fill's; nullptr: every row), each with at most one Open
-  /// switch: every driven lane reads its row's one driver, so per plane
-  /// each row is an OR of src & open across its words replicated under
-  /// `driven` (the lanes the caller's switch pass found driven, which
-  /// carries the direction and topology). Fully overwrites the unmarked
-  /// rows' words of `out`, and no other word; pads stay 0 when `driven`'s
-  /// are. A row with two or more Open switches would read garbage.
+  /// planes whose rows each hold at most one Open switch: every driven
+  /// lane reads its row's one driver, so per plane each row is an OR of
+  /// src & open across its words replicated under `driven` (the lanes the
+  /// caller's switch pass found driven, which carries the direction and
+  /// topology). Fully overwrites `out`; pads stay 0 when `driven`'s are. A
+  /// row with two or more Open switches would read garbage.
   void (*row_fill)(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
-                   const PlaneWord* open, const PlaneWord* driven, PlaneWord* out,
-                   const PlaneWord* skip) noexcept = nullptr;
+                   const PlaneWord* open, const PlaneWord* driven,
+                   PlaneWord* out) noexcept = nullptr;
 
   /// One word per row as `planes` planes, bit 0 on the last plane: plane j
   /// of row r is `mask`'s row-r words where bit planes-1-j of

@@ -416,15 +416,13 @@ typename V::reg flow_shift(typename V::reg a) noexcept {
   }
 }
 
-/// Head carries of every row, or of the rows `rows` marks (nullptr: all):
-/// `carry_pos[i]` is the flat lane index (word * 64 + bit) of the Open
+/// Head carries of every row: `carry_pos[i]` is the flat lane index (word * 64 + bit) of the Open
 /// switch that drives word i's flow-first lane, `carry_lane[i]` that lane
 /// as a mask. An undriven head gets mask 0 and a position inside its own
 /// word, so the gather that reads it stays in bounds.
 template <bool kWest>
 void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* open,
-                      const PlaneWord* rows, PlaneWord* carry_pos,
-                      PlaneWord* carry_lane) noexcept {
+                      PlaneWord* carry_pos, PlaneWord* carry_lane) noexcept {
   const std::size_t rw = g.row_words;
   constexpr std::size_t kNone = ~std::size_t{0};
   // The Open switch of word w that is last in flow order, as a flat index.
@@ -434,7 +432,6 @@ void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* o
   };
   for (std::size_t r = 0; r < g.n; ++r) {
     const std::size_t base = r * rw;
-    if (rows != nullptr && rows[base] == 0) continue;
     std::size_t cur = kNone;
     if (ring) {
       for (std::size_t k = 0; k < rw && cur == kNone; ++k) {
@@ -455,24 +452,14 @@ void fill_carry_setup(const sim::PlaneGeometry& g, bool ring, const PlaneWord* o
 }
 
 /// The scan of the W words from word i of every plane and the driven
-/// plane. Every word is scanned on its own (the ladder never crosses a
-/// word; the head carry is what links words), so with kKeep the words
-/// outside `keep` are left as they were: their lanes count as invalid,
-/// their carries as absent, and their stores write back what they held.
-template <class V, bool kWest, bool kKeep>
+/// plane. Every word is scanned on its own: the ladder never crosses a
+/// word, and the head carry is what links words.
+template <class V, bool kWest>
 void fill_vector(const PlaneWord* src, int planes, std::size_t pw, const PlaneWord* open,
                  const PlaneWord* full, const PlaneWord* carry_pos,
-                 const PlaneWord* carry_lane, PlaneWord* out, PlaneWord* driven, std::size_t i,
-                 typename V::reg keep) noexcept {
-  const auto kept = [&](PlaneWord* p, typename V::reg x) {
-    if constexpr (kKeep) {
-      const auto held = V::load(p);
-      x = V::xor_(held, V::and_(V::xor_(held, x), keep));
-    }
-    V::store(p, x);
-  };
-  auto valid = V::load(full + i);
-  if constexpr (kKeep) valid = V::and_(valid, keep);
+                 const PlaneWord* carry_lane, PlaneWord* out, PlaneWord* driven,
+                 std::size_t i) noexcept {
+  const auto valid = V::load(full + i);
   const auto station = V::and_(flow_shift<V, kWest, 1>(V::load(open + i)), valid);
   typename V::reg pass[6];
   pass[0] = V::xor_(valid, station);  // the valid lanes that are no station
@@ -489,21 +476,18 @@ void fill_vector(const PlaneWord* src, int planes, std::size_t pw, const PlaneWo
     x = V::or_(x, V::and_(flow_shift<V, kWest, 16>(x), pass[4]));
     return V::or_(x, V::and_(flow_shift<V, kWest, 32>(x), pass[5]));
   };
-  auto lane = carry_lane != nullptr ? V::load(carry_lane + i) : V::zero();
-  if constexpr (kKeep) lane = V::and_(lane, keep);
+  const auto lane = carry_lane != nullptr ? V::load(carry_lane + i) : V::zero();
   // The driven plane is the fill of src = open: every station drives, and
   // so does every carried head.
-  kept(driven + i, fill(V::or_(station, lane)));
+  V::store(driven + i, fill(V::or_(station, lane)));
   if (V::is_zero(lane)) {
     for (int j = 0; j < planes; ++j) {
       const std::size_t off = static_cast<std::size_t>(j) * pw + i;
-      kept(out + off, fill(V::and_(flow_shift<V, kWest, 1>(V::load(src + off)), station)));
+      V::store(out + off, fill(V::and_(flow_shift<V, kWest, 1>(V::load(src + off)), station)));
     }
     return;
   }
-  // A kept-out word reads word 0, which is always in bounds.
-  auto pos = V::load(carry_pos + i);
-  if constexpr (kKeep) pos = V::and_(pos, keep);
+  const auto pos = V::load(carry_pos + i);
   const auto word = V::template shr<6>(pos);
   const auto bit = V::and_(pos, V::set1(63));
   for (int j = 0; j < planes; ++j) {
@@ -511,68 +495,51 @@ void fill_vector(const PlaneWord* src, int planes, std::size_t pw, const PlaneWo
     const auto carried = V::and_(V::srlv(V::gather(src + off, word), bit), V::set1(1));
     const auto head = V::and_(V::sub(V::zero(), carried), lane);
     const auto seed = V::and_(flow_shift<V, kWest, 1>(V::load(src + off + i)), station);
-    kept(out + off + i, fill(V::or_(seed, head)));
+    V::store(out + off + i, fill(V::or_(seed, head)));
   }
 }
 
-/// The scan over the words `rows` marks (nullptr: every word), W words at
-/// a time in plane order: a vector of unmarked words is skipped, a vector
-/// of marked ones scanned, a mixed one scanned keeping its unmarked words.
-/// The ragged end is one more vector ending at pw, overlapping the last
-/// (scanning a word twice stores the same values); a plane narrower than
-/// W runs word by word. A null `carry_lane` means no word has a head
-/// carry.
+/// The scan over every word, W words at a time in plane order. The ragged
+/// end is one more vector ending at pw, overlapping the last (scanning a
+/// word twice stores the same values); a plane narrower than W runs word
+/// by word. A null `carry_lane` means no word has a head carry.
 template <class V, bool kWest>
 void t_fill_words(const PlaneWord* src, int planes, std::size_t pw, const PlaneWord* open,
                   const PlaneWord* full, const PlaneWord* carry_pos,
-                  const PlaneWord* carry_lane, PlaneWord* out, PlaneWord* driven,
-                  const PlaneWord* rows) noexcept {
+                  const PlaneWord* carry_lane, PlaneWord* out, PlaneWord* driven) noexcept {
   if (pw < V::W) {
     if constexpr (V::W > 1) {
       t_fill_words<VecScalar, kWest>(src, planes, pw, open, full, carry_pos, carry_lane, out,
-                                     driven, rows);
+                                     driven);
     }
     return;
   }
-  const auto all = V::set1(~PlaneWord{0});
   const auto scan = [&](std::size_t i) {
-    const auto keep = rows != nullptr ? V::load(rows + i) : all;
-    if (V::is_zero(keep)) return;
-    if (V::is_zero(V::xor_(keep, all))) {
-      fill_vector<V, kWest, false>(src, planes, pw, open, full, carry_pos, carry_lane, out,
-                                   driven, i, all);
-    } else {
-      fill_vector<V, kWest, true>(src, planes, pw, open, full, carry_pos, carry_lane, out,
-                                  driven, i, keep);
-    }
+    fill_vector<V, kWest>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven, i);
   };
   std::size_t i = 0;
   for (; i + V::W <= pw; i += V::W) scan(i);
   if (i < pw) scan(pw - V::W);
 }
 
-/// The kernel-table entry: head-carry set-up, then the scan, over the rows
-/// `rows` marks (nullptr: every row). `dir` must be East or West;
-/// `scratch` holds two planes. A linear one-word row has no head carries,
-/// so that case skips the set-up.
+/// The kernel-table entry: head-carry set-up, then the scan. `dir` must be
+/// East or West; `scratch` holds two planes. A linear one-word row has no
+/// head carries, so that case skips the set-up.
 template <class V>
 void t_segmented_fill(const sim::PlaneGeometry& g, sim::BusTopology topology,
                       sim::Direction dir, const PlaneWord* src, int planes,
                       const PlaneWord* open, const PlaneWord* full, PlaneWord* out,
-                      PlaneWord* driven, PlaneWord* scratch, const PlaneWord* rows) noexcept {
+                      PlaneWord* driven, PlaneWord* scratch) noexcept {
   const std::size_t pw = g.plane_words();
   const bool ring = topology == sim::BusTopology::Ring;
   PlaneWord* carry_pos = scratch;
   PlaneWord* carry_lane = ring || g.row_words > 1 ? scratch + pw : nullptr;
   if (dir == sim::Direction::West) {
-    if (carry_lane != nullptr) fill_carry_setup<true>(g, ring, open, rows, carry_pos, carry_lane);
-    t_fill_words<V, true>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven, rows);
+    if (carry_lane != nullptr) fill_carry_setup<true>(g, ring, open, carry_pos, carry_lane);
+    t_fill_words<V, true>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven);
   } else {
-    if (carry_lane != nullptr) {
-      fill_carry_setup<false>(g, ring, open, rows, carry_pos, carry_lane);
-    }
-    t_fill_words<V, false>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven,
-                           rows);
+    if (carry_lane != nullptr) fill_carry_setup<false>(g, ring, open, carry_pos, carry_lane);
+    t_fill_words<V, false>(src, planes, pw, open, full, carry_pos, carry_lane, out, driven);
   }
 }
 
@@ -974,14 +941,13 @@ void t_line_add_sat_masked(const sim::PlaneGeometry& g, const PlaneWord* line, i
 // handing each word its row partner; any other width goes row by row.
 // ---------------------------------------------------------------------------
 
-/// Rows from `row_begin` on that `skip` leaves unmarked, one at a time.
+/// Rows from `row_begin` on, one at a time.
 inline void row_fill_rows(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
                           const PlaneWord* open, const PlaneWord* driven, PlaneWord* out,
-                          const PlaneWord* skip, std::size_t row_begin) noexcept {
+                          std::size_t row_begin) noexcept {
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
   for (std::size_t base = row_begin * rw; base < pw; base += rw) {
-    if (skip != nullptr && skip[base] != 0) continue;
     for (int j = 0; j < planes; ++j) {
       const std::size_t off = static_cast<std::size_t>(j) * pw + base;
       PlaneWord any = 0;
@@ -994,14 +960,12 @@ inline void row_fill_rows(const sim::PlaneGeometry& g, const PlaneWord* src, int
 /// The kernel-table entry. `out` must not alias `src`.
 template <class V>
 void t_row_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
-                const PlaneWord* open, const PlaneWord* driven, PlaneWord* out,
-                const PlaneWord* skip) noexcept {
+                const PlaneWord* open, const PlaneWord* driven, PlaneWord* out) noexcept {
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
   std::size_t body = 0;  // words swept by the vector loop
   if (rw == 1 || (V::W > 1 && rw == 2)) {
     body = pw - pw % V::W;
-    const auto all = V::set1(~PlaneWord{0});
     const auto fill = [&](std::size_t off, typename V::reg o, typename V::reg d) {
       auto x = V::and_(V::load(src + off), o);
       if constexpr (V::W > 1) {
@@ -1009,34 +973,15 @@ void t_row_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
       }
       return V::select_nonzero(x, d);
     };
-    if (skip == nullptr) {
-      for (int j = 0; j < planes; ++j) {
-        const std::size_t base = static_cast<std::size_t>(j) * pw;
-        for (std::size_t i = 0; i < body; i += V::W) {
-          V::store(out + base + i, fill(base + i, V::load(open + i), V::load(driven + i)));
-        }
-      }
-    } else {
+    for (int j = 0; j < planes; ++j) {
+      const std::size_t base = static_cast<std::size_t>(j) * pw;
       for (std::size_t i = 0; i < body; i += V::W) {
-        const auto skipped = V::load(skip + i);
-        if (V::is_zero(V::xor_(skipped, all))) continue;
-        const auto o = V::load(open + i);
-        const auto d = V::load(driven + i);
-        const bool mixed = !V::is_zero(skipped);
-        for (int j = 0; j < planes; ++j) {
-          const std::size_t off = static_cast<std::size_t>(j) * pw + i;
-          auto x = fill(off, o, d);
-          if (mixed) {
-            const auto held = V::load(out + off);
-            x = V::xor_(x, V::and_(V::xor_(x, held), skipped));
-          }
-          V::store(out + off, x);
-        }
+        V::store(out + base + i, fill(base + i, V::load(open + i), V::load(driven + i)));
       }
     }
   }
   // The vector widths are even, so the body ends on a row boundary.
-  row_fill_rows(g, src, planes, open, driven, out, skip, body / rw);
+  row_fill_rows(g, src, planes, open, driven, out, body / rw);
 }
 
 // ---------------------------------------------------------------------------

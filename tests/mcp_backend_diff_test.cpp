@@ -13,6 +13,7 @@
 #include "graph/generators.hpp"
 #include "mcp/mcp.hpp"
 #include "mcp/tiled.hpp"
+#include "sim/machine.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -131,6 +132,55 @@ TEST(McpBackendDiff, ReadZeroPolicyOnLinearBuses) {
       << "ReadZero linear: step counters diverged (word " << word.total_steps.summary()
       << " vs bitplane " << plane.total_steps.summary() << ")";
   test::expect_solves(g, word.solution, "ReadZero linear (word oracle)");
+}
+
+// A clean machine charges some bus cycles from plans without resolving
+// them (the row eliminations' wired-ORs, min()'s routes and spreads,
+// statement 10's driver row); a machine with one fault that never bites (a
+// transient stuck wire whose only afflicted cycle is 2^40 - 1) plans none
+// and resolves every cycle. The n = 128 bench solve must not tell the two
+// apart: the same rows, steps, bus cycles and trace, at the pinned steps.
+TEST(McpBackendDiff, InertFaultResolvesEveryChargedCycleAlike) {
+  util::Rng rng(128);
+  const auto g = graph::random_reachable_digraph(128, 16, 2.0 / 128.0, {1, 30}, 0, rng);
+  struct Run {
+    mcp::Result result;
+    std::uint64_t bus_cycles = 0;
+    std::uint64_t charge_only = 0;
+    std::vector<sim::TraceEvent> events;
+  };
+  const auto run = [&](bool inert) {
+    sim::MachineConfig config;
+    config.n = 128;
+    config.bits = 16;
+    config.backend = sim::ExecBackend::BitPlane;
+    sim::Machine machine(config);
+    if (inert) machine.inject_faults(test::inert_fault());
+    sim::RecordingTrace trace;
+    machine.set_trace(&trace);
+    Run out;
+    out.result = mcp::minimum_cost_path(machine, g, 0, mcp::Options{});
+    out.bus_cycles = machine.bus_cycles();
+    out.charge_only = machine.charge_only_cycles();
+    out.events = trace.events();
+    return out;
+  };
+  const Run charged = run(false);
+  const Run resolved = run(true);
+  EXPECT_GT(charged.charge_only, 0u);
+  EXPECT_EQ(resolved.charge_only, 0u);
+  for (const Run* r : {&charged, &resolved}) {
+    EXPECT_EQ(r->result.total_steps.summary(),
+              "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8");
+  }
+  EXPECT_EQ(resolved.result.solution.cost, charged.result.solution.cost);
+  EXPECT_EQ(resolved.result.solution.next, charged.result.solution.next);
+  EXPECT_EQ(resolved.result.iterations, charged.result.iterations);
+  EXPECT_TRUE(resolved.result.total_steps == charged.result.total_steps);
+  EXPECT_EQ(resolved.bus_cycles, charged.bus_cycles);
+  EXPECT_TRUE(resolved.events == charged.events)
+      << resolved.events.size() << " vs " << charged.events.size() << " events";
+  test::expect_solves(g, charged.result.solution, "bench n=128");
 }
 
 TEST(McpBackendDiff, AlgorithmVariants) {

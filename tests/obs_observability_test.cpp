@@ -38,17 +38,6 @@ TEST(Metrics, CounterAccumulatesAndMerges) {
   EXPECT_EQ(a.value(), 12u);
 }
 
-TEST(Metrics, GaugeMergeKeepsMaximum) {
-  Gauge a;
-  a.set(2.5);
-  Gauge b;
-  b.set(1.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value(), 2.5);
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.value(), 2.5);
-}
-
 TEST(Metrics, HistogramBucketsWeightsAndStats) {
   Histogram h({2, 4, 8});
   EXPECT_EQ(h.min(), 0u);  // empty
@@ -300,7 +289,6 @@ TEST(Collector, MergeAppendsConvergenceAndAddsProfiles) {
 
 Collector& demo_collector(Collector& collector) {
   collector.metrics().counter(metric::kSolverRuns).add(1);
-  collector.metrics().gauge("demo.ratio").set(0.5);
   collector.metrics().histogram(metric::kBusMaxSegment, pow2_bounds(8)).observe(3);
   auto root = collector.span("solve", nullptr, 0);
   PPA_SPAN(&collector, "relax");
@@ -327,6 +315,8 @@ TEST(Export, MetricsJsonIsSchemaValid) {
   EXPECT_NE(text.find("\"workload\":\"mcp\""), std::string::npos);
   EXPECT_NE(text.find("\"bus.max_segment\""), std::string::npos);
   EXPECT_NE(text.find("\"relax\""), std::string::npos);
+  // No instrument writes a gauge; the object stays for the schema's shape.
+  EXPECT_NE(text.find("\"gauges\":{}"), std::string::npos);
 }
 
 TEST(Export, StatsSummaryMentionsRunAndSpans) {
@@ -392,12 +382,9 @@ TEST(Export, PrometheusExpositionShape) {
   write_prometheus(out, collector, run);
   const std::string text = out.str();
 
-  // Counters and gauges: one `# TYPE` line, one labelled sample each.
+  // Counters: one `# TYPE` line, one labelled sample each.
   EXPECT_NE(text.find("# TYPE ppa_solver_runs counter\n"), std::string::npos);
   EXPECT_NE(text.find("ppa_solver_runs{workload=\"mcp\",backend=\"word\",n=\"8\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE ppa_demo_ratio gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("ppa_demo_ratio{workload=\"mcp\",backend=\"word\",n=\"8\"} 0.5\n"),
             std::string::npos);
 
   // Wall attribution: a gauge family labelled by StepCategory.

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ppc/primitives.hpp"
+#include "test_util.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -244,13 +245,15 @@ enum class Scenario {
                   // its row, and a where-mask keeps the PEs of those columns on
                   // and (a Linear bus) below the carrier row, so every store is
                   // driven
+  InertFault,     // Clean on a machine with one fault that never bites: the
+                  // machine plans no cycle, so every cycle is resolved
 };
 
 constexpr Scenario kScenarios[] = {
     Scenario::Clean,         Scenario::AmbientMask, Scenario::FaultsChecked,
     Scenario::FaultsAmbient, Scenario::FaultsTmr,   Scenario::FaultsEcc,
     Scenario::SplitAnchor,   Scenario::LineAmbient, Scenario::PartialLine,
-    Scenario::EmptyLines,    Scenario::AnchorOnly};
+    Scenario::EmptyLines,    Scenario::AnchorOnly,  Scenario::InertFault};
 
 /// Fault-free and unmasked: the bit-plane core may run a row call's rounds
 /// in the row elimination kernel.
@@ -291,7 +294,7 @@ struct Observed {
   std::vector<sim::FaultEvent> traced_faults;
   std::uint64_t dispatches = 0;   // plane kernel dispatches of the call alone
   std::uint64_t ladder_rows = 0;  // rows its row broadcasts put on the ladder
-  std::uint64_t column_lines = 0;  // column broadcasts it left to the caller
+  std::uint64_t charge_only = 0;  // bus cycles the machine planned and did not resolve
 };
 
 /// 6, 11 or 16 bits, widened until the array side fits the field.
@@ -484,7 +487,11 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
                    : ecc                     ? sim::BusMasking::Ecc
                                              : sim::BusMasking::None;
   sim::Machine m(config);
-  if (!clean(sc)) m.inject_faults(faults_of(n, sc != Scenario::FaultsEcc || ecc));
+  if (sc == Scenario::InertFault) {
+    m.inject_faults(test::inert_fault());
+  } else if (!clean(sc)) {
+    m.inject_faults(faults_of(n, sc != Scenario::FaultsEcc || ecc));
+  }
   sim::RecordingTrace trace;
   if (traced) m.set_trace(&trace);
   Context ctx(m);
@@ -546,6 +553,7 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
   seen.events = trace.events();
   seen.traced_faults = trace.faults();
   seen.ladder_rows = m.row_ladder_rows();
+  seen.charge_only = m.charge_only_cycles();
   return seen;
 }
 
@@ -750,9 +758,9 @@ TEST_P(MinMaxBackendDiff, CoreMatchesListing) {
 // its anchor, column n-1) and the route. The values rise along every row
 // from a unique minimum at column 0, so every other row routes from one
 // lane; in row x the switch splits the elimination's wired-OR segments,
-// which keep a survivor each. So exactly row x takes the segmented fill on
-// each row broadcast cycle — each TMR trial and each ECC parity beat
-// included — and every other row the row fill. Values, driven flags,
+// which keep a survivor each. So exactly row x has two Open lanes on each
+// row broadcast cycle — each TMR trial and each ECC parity beat included —
+// and sends that cycle to the segmented fill. Values, driven flags,
 // steps, bus cycles, the trace and the fault log must match the word
 // backend's listing, unmasked, under TMR and under ECC.
 struct StuckOpenRun {
@@ -855,12 +863,14 @@ TEST_P(FusedRowMinArgmin, MatchesEdslReferenceEverywhere) {
 INSTANTIATE_TEST_SUITE_P(Sides, FusedRowMinArgmin, kSides, side_name);
 
 // Which path ran, read off the plane kernel dispatches of one call at two
-// field widths (8 and 16 value rounds). On a clean row bus whose rows
-// open only their anchor, every round runs in one row elimination kernel
-// call, so the count does not move with the rounds; a second Open lane in
-// one row, a column axis or a fault puts the call on the per-round path,
-// which dispatches at least two sweeps per round (the probe and the store
-// into enable). Either way the call matches the listing (above).
+// field widths (8 and 16 value rounds) and off Machine::charge_only_cycles().
+// On a clean row bus whose rows open only their anchor, every round runs in
+// one row elimination kernel call, so the count does not move with the
+// rounds, and the machine charges every round from its plan; a second Open
+// lane in one row, a column axis or a fault (even one that never bites)
+// puts the call on the per-round path, which dispatches at least two sweeps
+// per round (the probe and the store into enable) and resolves every
+// cycle. Either way the call matches the listing (above).
 void expect_kernel_only_on_clean_rows(std::size_t side) {
   std::vector<Primitive> primitives(std::begin(kMinMax), std::end(kMinMax));
   primitives.push_back(Primitive::Fused);
@@ -868,7 +878,7 @@ void expect_kernel_only_on_clean_rows(std::size_t side) {
     for (const Direction orientation : {Direction::West, Direction::East, Direction::South}) {
       for (const Scenario scenario : {Scenario::Clean, Scenario::AmbientMask,
                                       Scenario::LineAmbient, Scenario::SplitAnchor,
-                                      Scenario::FaultsTmr}) {
+                                      Scenario::FaultsTmr, Scenario::InertFault}) {
         for (const Primitive primitive : primitives) {
           if (primitive == Primitive::Fused && orientation != Direction::West) continue;
           Setup setup{side, topology, orientation, scenario, primitive, 8};
@@ -882,6 +892,8 @@ void expect_kernel_only_on_clean_rows(std::size_t side) {
                                scenario == Scenario::LineAmbient);
           if (kernel) {
             EXPECT_EQ(wide.dispatches, narrow.dispatches);
+            EXPECT_GE(narrow.charge_only, 8u);
+            EXPECT_GE(wide.charge_only, 16u);
             // A mask over whole rows leaves every route known.
             if (scenario != Scenario::AmbientMask) {
               EXPECT_EQ(narrow.ladder_rows, 0u);
@@ -889,6 +901,8 @@ void expect_kernel_only_on_clean_rows(std::size_t side) {
             }
           } else {
             EXPECT_GE(wide.dispatches, narrow.dispatches + 2 * 8);
+            EXPECT_EQ(narrow.charge_only, 0u);
+            EXPECT_EQ(wide.charge_only, 0u);
           }
         }
       }
@@ -964,7 +978,8 @@ enum class Relax {
 constexpr Scenario kRelaxScenarios[] = {
     Scenario::Clean,     Scenario::AmbientMask, Scenario::FaultsChecked,
     Scenario::FaultsAmbient, Scenario::FaultsTmr, Scenario::FaultsEcc,
-    Scenario::Tainted,   Scenario::TaintedChecked, Scenario::CarrierAmbient};
+    Scenario::Tainted,   Scenario::TaintedChecked, Scenario::CarrierAmbient,
+    Scenario::InertFault};
 
 struct RelaxSetup {
   std::size_t side;
@@ -1080,6 +1095,7 @@ Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
   const bool faults = sc == Scenario::FaultsChecked || sc == Scenario::FaultsAmbient ||
                       sc == Scenario::FaultsTmr || sc == Scenario::FaultsEcc;
   if (faults) m.inject_faults(faults_of(n, sc != Scenario::FaultsEcc || ecc));
+  if (sc == Scenario::InertFault) m.inject_faults(test::inert_fault());
   sim::RecordingTrace trace;
   m.set_trace(&trace);
   Context ctx(m);
@@ -1138,7 +1154,7 @@ Observed observe_relax(const RelaxSetup& s, sim::ExecBackend backend) {
     call();
   }
   m.set_trace(nullptr);
-  seen.column_lines = m.column_line_broadcasts();
+  seen.charge_only = m.charge_only_cycles();
   append(seen, sow);
   if (s.primitive == Relax::Pullback) {
     append(seen, old_sow);
@@ -1247,11 +1263,11 @@ TEST_P(BroadcastAddBackendDiff, InPlaceMatchesListing) {
 
 INSTANTIATE_TEST_SUITE_P(Sides, BroadcastAddBackendDiff, kSides, side_name);
 
-// Which path statement 10 took, read off Machine::column_line_broadcasts():
+// Which path statement 10 took, read off Machine::charge_only_cycles():
 // a one-sided call on a clean machine whose SOW and W are fully driven
 // reads the carrier's row alone and adds it in one pass, on either
-// topology and in either form; a two-sided, faulty, TMR, ECC or tainted
-// call, or a sweep-form call whose receivers' stores (under the where-mask)
+// topology and in either form; a two-sided, faulty (even inertly), TMR, ECC
+// or tainted call, or a sweep-form call whose receivers' stores (under the where-mask)
 // meet the carrier's, resolves the whole broadcast. The values, steps and
 // traces of every case are BroadcastAddBackendDiff's.
 class BroadcastAddKernelPath : public ::testing::TestWithParam<std::size_t> {};
@@ -1278,7 +1294,7 @@ TEST_P(BroadcastAddKernelPath, CleanOneSidedCallsReadTheCarrierRowAlone) {
             }
             overlap = overlap && primitive == Relax::OverlapCandidates;
             const bool line = clean && !two_sided && !overlap;
-            EXPECT_EQ(observe_relax(setup, sim::ExecBackend::BitPlane).column_lines,
+            EXPECT_EQ(observe_relax(setup, sim::ExecBackend::BitPlane).charge_only,
                       line ? 1u : 0u);
           }
         }
@@ -1297,6 +1313,70 @@ TEST_P(PullbackBackendDiff, InPlaceMatchesListing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sides, PullbackBackendDiff, kSides, side_name);
+
+// ---------------------------------------------------------------------------
+// Charge-only cycles against their resolved run. A machine with a fault
+// that never bites (InertFault) plans no cycle, so it resolves every bus
+// cycle the clean machine charges from a plan without resolving: the
+// kernel elimination's wired-ORs, min()'s known route and spread, and
+// statement 10's driver row. Both runs are bit-plane runs of one setup, so
+// values, driven flags, steps, bus_cycles(), masking counters, the fault
+// log and the trace must agree exactly.
+// ---------------------------------------------------------------------------
+
+class ChargeOnlyParity : public ::testing::TestWithParam<std::size_t> {};
+
+void expect_minmax_charge_only_parity(std::size_t side) {
+  std::vector<Primitive> primitives(std::begin(kMinMax), std::end(kMinMax));
+  primitives.push_back(Primitive::Fused);
+  std::uint64_t planned = 0;
+  for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+    for (const Direction orientation : {Direction::West, Direction::East, Direction::South}) {
+      for (const Primitive primitive : primitives) {
+        if (primitive == Primitive::Fused && orientation != Direction::West) continue;
+        Setup setup{side, topology, orientation, Scenario::Clean, primitive};
+        const Observed charged = observe(setup, sim::ExecBackend::BitPlane);
+        setup.scenario = Scenario::InertFault;
+        SCOPED_TRACE(describe(setup));
+        const Observed resolved = observe(setup, sim::ExecBackend::BitPlane);
+        expect_same(resolved, charged, false);
+        EXPECT_EQ(resolved.charge_only, 0u);
+        planned += charged.charge_only;
+      }
+    }
+  }
+  EXPECT_GT(planned, 0u);  // the clean runs took the charge-only paths
+}
+
+TEST_P(ChargeOnlyParity, MinMaxCallsMatchTheirResolvedRun) {
+  expect_minmax_charge_only_parity(GetParam());
+}
+
+TEST_P(ChargeOnlyParity, RelaxCallsMatchTheirResolvedRun) {
+  const std::size_t side = GetParam();
+  std::uint64_t planned = 0;
+  for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+    for (const bool two_sided : {false, true}) {
+      for (const std::size_t carrier : {std::size_t{0}, side / 2, side - 1}) {
+        for (const Relax primitive : {Relax::Candidates, Relax::SweepCandidates,
+                                      Relax::OverlapCandidates, Relax::Pullback}) {
+          RelaxSetup setup{side, topology, two_sided, carrier, Scenario::Clean, primitive};
+          const Observed charged = observe_relax(setup, sim::ExecBackend::BitPlane);
+          setup.scenario = Scenario::InertFault;
+          SCOPED_TRACE(describe(setup));
+          const Observed resolved = observe_relax(setup, sim::ExecBackend::BitPlane);
+          expect_same(resolved, charged, false);
+          EXPECT_EQ(resolved.charge_only, 0u);
+          planned += charged.charge_only;
+        }
+      }
+    }
+  }
+  EXPECT_GT(planned, 0u);  // the clean one-sided statement 10 read its driver row
+}
+
+INSTANTIATE_TEST_SUITE_P(Sides, ChargeOnlyParity, ::testing::Values(1, 2, 5, 63, 64, 65, 128, 130),
+                         side_name);
 
 TEST(MinMaxBackendDiffContract, UndrivenSelectionThrowsAfterTheListingsCharges) {
   for (const Primitive p : kMinMax) {

@@ -535,12 +535,11 @@ TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
               std::vector<PlaneWord> want(total), want_driven(pw), scratch(2 * pw);
               scalar.segmented_fill(g, topology, dir, src.data(), planes, open.data(),
                                     full.data(), want.data(), want_driven.data(),
-                                    scratch.data(), nullptr);
+                                    scratch.data());
               std::vector<PlaneWord> got(total, ~PlaneWord{0});
               std::vector<PlaneWord> got_driven(pw, ~PlaneWord{0});
               arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
-                                  full.data(), got.data(), got_driven.data(),
-                                  scratch.data(), nullptr);
+                                  full.data(), got.data(), got_driven.data(), scratch.data());
               const auto what = [&] {
                 return std::string(sim::plane_kernels::variant_name(arm->variant)) +
                        " n=" + std::to_string(n) + " density=" + std::to_string(density) +
@@ -558,94 +557,10 @@ TEST(PlaneKernels, SegmentedFillMatchesScalarArm) {
   }
 }
 
-/// A row mask (all-ones words on the marked rows, 0 elsewhere) marking
-/// the rows for which `marked(r)` holds.
-template <typename Marked>
-std::vector<PlaneWord> row_mask(const PlaneGeometry& g, Marked marked) {
-  std::vector<PlaneWord> mask(g.plane_words());
-  for (std::size_t r = 0; r < g.n; ++r) {
-    for (std::size_t w = 0; w < g.row_words; ++w) {
-      mask[r * g.row_words + w] = marked(r) ? ~PlaneWord{0} : PlaneWord{0};
-    }
-  }
-  return mask;
-}
-
-/// Row sets for the masked kernels: the first row, the last, a middle run,
-/// every third row, a random half, and every row.
-std::vector<std::vector<PlaneWord>> row_masks(const PlaneGeometry& g, util::Rng& rng) {
-  const std::size_t n = g.n;
-  std::vector<bool> half(n);
-  for (std::size_t r = 0; r < n; ++r) half[r] = rng.chance(0.5);
-  return {row_mask(g, [](std::size_t r) { return r == 0; }),
-          row_mask(g, [n](std::size_t r) { return r == n - 1; }),
-          row_mask(g, [n](std::size_t r) { return r >= n / 3 && r < n / 3 + (n + 2) / 3; }),
-          row_mask(g, [](std::size_t r) { return r % 3 == 1; }),
-          row_mask(g, [&half](std::size_t r) { return half[r]; }),
-          row_mask(g, [](std::size_t) { return true; })};
-}
-
-// The segmented fill over a row mask of every arm against the scalar arm
-// over every row: the marked rows' words of the values and the driven
-// plane must match, and every other word must keep what it held. The
-// buffers are sized exactly, so a store past the tail is a heap overflow
-// under a sanitizer.
-TEST(PlaneKernels, SegmentedFillWritesOnlyItsRows) {
-  util::Rng rng(0xE7'0009);
-  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
-  for (const PlaneKernels* arm : all_arms()) {
-    for (const std::size_t n : kSides) {
-      const PlaneGeometry g{n};
-      const std::size_t pw = g.plane_words();
-      const auto full = full_plane(g);
-      const auto open = random_planes(rng, g, 1);
-      const auto masks = row_masks(g, rng);
-      for (const int planes : {1, 11, 32}) {
-        const auto src = random_planes(rng, g, planes);
-        const std::size_t total = pw * static_cast<std::size_t>(planes);
-        for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
-          for (const auto dir : {sim::Direction::East, sim::Direction::West}) {
-            std::vector<PlaneWord> want(total), want_driven(pw), scratch(2 * pw);
-            scalar.segmented_fill(g, topology, dir, src.data(), planes, open.data(),
-                                  full.data(), want.data(), want_driven.data(),
-                                  scratch.data(), nullptr);
-            for (std::size_t m = 0; m < masks.size(); ++m) {
-              const std::vector<PlaneWord>& rows = masks[m];
-              constexpr PlaneWord kUntouched = 0x5A5A'5A5A'5A5A'5A5Aull;
-              std::vector<PlaneWord> got(total, kUntouched);
-              std::vector<PlaneWord> got_driven(pw, kUntouched);
-              arm->segmented_fill(g, topology, dir, src.data(), planes, open.data(),
-                                  full.data(), got.data(), got_driven.data(),
-                                  scratch.data(), rows.data());
-              const auto what = [&] {
-                return std::string(sim::plane_kernels::variant_name(arm->variant)) +
-                       " n=" + std::to_string(n) + " mask=" + std::to_string(m) +
-                       " planes=" + std::to_string(planes) +
-                       (topology == sim::BusTopology::Ring ? " ring" : " linear") + " " +
-                       std::string(sim::name_of(dir));
-              };
-              for (std::size_t i = 0; i < total; ++i) {
-                const bool marked = rows[i % pw] != 0;
-                ASSERT_EQ(got[i], marked ? want[i] : kUntouched) << what() << " word " << i;
-                if (i < pw) {
-                  ASSERT_EQ(got_driven[i], marked ? want_driven[i] : kUntouched)
-                      << what() << " driven word " << i;
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 // The row fill (the single-driver rows of a row broadcast) of every arm
 // against a plain loop (each row reads all-ones under `driven` iff its
 // src & open is nonzero), on 1-, 2- and 3-word rows with and without a
-// ragged tail past the vector blocks, over every row and then over the
-// rows each row mask leaves unmarked (the marked rows' words must keep
-// what they held). Open layouts: one random lane per row with about 1/8 of
+// ragged tail past the vector blocks. Open layouts: one random lane per row with about 1/8 of
 // the rows empty (the shape the kernel serves), then random switches at
 // density 0.3 (the arithmetic is defined for any open plane). Every pad
 // must read 0. The buffers are sized exactly, so a store past the tail is
@@ -660,8 +575,6 @@ TEST(PlaneKernels, RowFillMatchesPlainLoop) {
       const PlaneGeometry g{n};
       const std::size_t pw = g.plane_words();
       const std::size_t rw = g.row_words;
-      auto skips = row_masks(g, rng);
-      skips.emplace_back();  // nullptr: every row
       for (const bool single : {true, false}) {
         std::vector<PlaneWord> open(pw);
         for (std::size_t r = 0; r < n; ++r) {
@@ -682,23 +595,16 @@ TEST(PlaneKernels, RowFillMatchesPlainLoop) {
             for (std::size_t w = 0; w < rw; ++w) any |= src[i + w] & open[i % pw + w];
             for (std::size_t w = 0; w < rw; ++w) want[i + w] = any != 0 ? driven[i % pw + w] : 0;
           }
-          for (std::size_t m = 0; m < skips.size(); ++m) {
-            const PlaneWord* skip = skips[m].empty() ? nullptr : skips[m].data();
-            constexpr PlaneWord kUntouched = 0x5A5A'5A5A'5A5A'5A5Aull;
-            std::vector<PlaneWord> got(total, kUntouched);
-            arm->row_fill(g, src.data(), planes, open.data(), driven.data(), got.data(), skip);
-            const auto what = [&] {
-              return std::string(sim::plane_kernels::variant_name(arm->variant)) +
-                     " n=" + std::to_string(n) + (single ? " single" : " random") +
-                     " planes=" + std::to_string(planes) + " skip=" + std::to_string(m);
-            };
-            for (std::size_t i = 0; i < total; ++i) {
-              const bool skipped = skip != nullptr && skip[i % pw] != 0;
-              ASSERT_EQ(got[i], skipped ? kUntouched : want[i]) << what() << " word " << i;
-              if (!skipped) {
-                ASSERT_EQ(got[i] & ~g.word_mask(i % rw), 0u) << what() << " word " << i;
-              }
-            }
+          std::vector<PlaneWord> got(total, 0x5A5A'5A5A'5A5A'5A5Aull);
+          arm->row_fill(g, src.data(), planes, open.data(), driven.data(), got.data());
+          const auto what = [&] {
+            return std::string(sim::plane_kernels::variant_name(arm->variant)) +
+                   " n=" + std::to_string(n) + (single ? " single" : " random") +
+                   " planes=" + std::to_string(planes);
+          };
+          for (std::size_t i = 0; i < total; ++i) {
+            ASSERT_EQ(got[i], want[i]) << what() << " word " << i;
+            ASSERT_EQ(got[i] & ~g.word_mask(i % rw), 0u) << what() << " word " << i;
           }
         }
       }

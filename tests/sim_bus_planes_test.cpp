@@ -478,9 +478,9 @@ std::vector<Flag> mixed_rows(std::size_t n, util::Rng& rng) {
   return open;
 }
 
-// Row broadcasts whose rows mix no Open lane, one and several — the
-// single-driver rows take the row fill, the others the segmented fill over
-// their runs — must match the word oracle bus.cpp in values, driven flags
+// Row broadcasts whose rows mix no Open lane, one and several — a cycle
+// with a row of several takes the segmented fill over every row, one
+// without it the row fill — must match the word oracle bus.cpp in values, driven flags
 // and max_segment, with zero pads, on both topologies and both row
 // directions, for 1-, 11-, 16- and 32-plane registers. The scratch block's
 // ladder count must grow by exactly the rows with several Open lanes.

@@ -8,6 +8,7 @@
 #include "baseline/sequential.hpp"
 #include "graph/path.hpp"
 #include "graph/weight_matrix.hpp"
+#include "sim/fault_model.hpp"
 
 namespace ppa::test {
 
@@ -32,6 +33,17 @@ inline graph::WeightMatrix tiny_graph(int bits = 8) {
   g.set(2, 3, 1);
   g.set(2, 0, 1);
   return g;
+}
+
+/// One transient stuck wire whose only afflicted bus cycle is 2^40 - 1: a
+/// machine with this fault plans no charge-only cycle (has_faults() holds),
+/// yet no run ever meets the fault, so it resolves every cycle a clean
+/// machine charges from a plan, with the same results.
+inline sim::FaultModel inert_fault() {
+  constexpr std::size_t kPeriod = std::size_t{1} << 40;
+  sim::FaultModel model;
+  model.add({sim::FaultKind::StuckBit, sim::Axis::Row, 0, 0, 0, true, kPeriod, kPeriod - 1});
+  return model;
 }
 
 }  // namespace ppa::test
