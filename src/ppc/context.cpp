@@ -1,22 +1,101 @@
 #include "ppc/context.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "ppc/flag_sweep.hpp"
 #include "util/check.hpp"
 
 namespace ppa::ppc {
 
+namespace {
+
+template <typename T>
+using FreeList = std::vector<std::vector<T>>;
+
+/// The register arena a thread keeps between Contexts: the free-lists of
+/// the last Context it destroyed, for one (backend, side, bits) key.
+struct ArenaStore {
+  sim::ExecBackend backend = sim::ExecBackend::Words;
+  std::size_t side = 0;
+  int bits = 0;
+  std::size_t bytes = 0;
+  FreeList<Word> words;
+  FreeList<Flag> flags;
+  FreeList<sim::PlaneWord> value_planes;
+  FreeList<sim::PlaneWord> flag_planes;
+
+  [[nodiscard]] bool holds(const Context& ctx) const noexcept {
+    return backend == ctx.machine().config().backend && side == ctx.n() &&
+           bits == ctx.field().bits();
+  }
+
+  /// Drops every buffer and takes `ctx`'s key.
+  void rekey(const Context& ctx) noexcept {
+    *this = ArenaStore{};
+    backend = ctx.machine().config().backend;
+    side = ctx.n();
+    bits = ctx.field().bits();
+  }
+
+  /// Moves `list`'s buffers into the store while it stays within
+  /// kArenaKeepBytes; the rest die with `list`.
+  template <typename T>
+  void keep(FreeList<T>& list, FreeList<T>& into) noexcept {
+    for (std::vector<T>& buffer : list) {
+      const std::size_t size = buffer.capacity() * sizeof(T);
+      if (bytes + size > Context::kArenaKeepBytes) continue;
+      try {
+        into.push_back(std::move(buffer));
+        bytes += size;
+      } catch (...) {
+        // Out of memory growing the store: just let the buffer die.
+      }
+    }
+  }
+};
+
+ArenaStore& thread_arena() {
+  thread_local ArenaStore store;
+  return store;
+}
+
+}  // namespace
+
 Context::Context(sim::Machine& machine)
     : machine_(machine),
       alu_(sim::plane_kernels::active(), machine.mutable_sweep_stats()) {
-  if (bitplane()) {
-    full_.resize(geometry().plane_words());
-    sim::plane_fill_full(geometry(), full_.data());
-    plane_stack_.push_back(full_);
+  ArenaStore& store = thread_arena();
+  if (store.holds(*this)) {
+    free_words_ = std::exchange(store.words, {});
+    free_flags_ = std::exchange(store.flags, {});
+    free_value_planes_ = std::exchange(store.value_planes, {});
+    free_flag_planes_ = std::exchange(store.flag_planes, {});
+    store.bytes = 0;
   } else {
-    stack_.emplace_back(machine.pe_count(), Flag{1});
+    store.rekey(*this);
   }
+  if (bitplane()) {
+    full_ = acquire_flag_plane();
+    sim::plane_fill_full(geometry(), full_.data());
+    plane_stack_.push_back(acquire_flag_plane());
+    std::copy(full_.begin(), full_.end(), plane_stack_.back().begin());
+  } else {
+    stack_.push_back(acquire_flags());
+    std::fill(stack_.back().begin(), stack_.back().end(), Flag{1});
+  }
+}
+
+Context::~Context() {
+  for (std::vector<Flag>& level : stack_) release_flags(std::move(level));
+  for (std::vector<sim::PlaneWord>& level : plane_stack_) release_flag_plane(std::move(level));
+  release_flag_plane(std::move(full_));
+  ArenaStore& store = thread_arena();
+  if (!store.holds(*this)) store.rekey(*this);
+  store.keep(free_value_planes_, store.value_planes);
+  store.keep(free_flag_planes_, store.flag_planes);
+  store.keep(free_words_, store.words);
+  store.keep(free_flags_, store.flags);
 }
 
 std::span<const Flag> Context::mask() const {

@@ -1167,26 +1167,44 @@ PlaneWord lanes_if(std::size_t index, int j) {
   return ((index >> j) & 1u) != 0 ? ~PlaneWord{0} : PlaneWord{0};
 }
 
-/// ROW (`rows`) or COL as h bit planes written straight from the indices:
-/// plane j of ROW holds the whole of every row r with bit j of r set, and
-/// plane j of COL the columns c with bit j set, in every row. Every word
-/// is written; pads stay 0.
+/// Extends the period held in the first `have` words of `p` to its first
+/// `total` words, doubling the copied span each step.
+void repeat_forward(PlaneWord* p, std::size_t have, std::size_t total) {
+  while (have < total) {
+    const std::size_t count = std::min(have, total - have);
+    std::copy_n(p, count, p + have);
+    have += count;
+  }
+}
+
+/// ROW (`rows`) or COL as h bit planes, written a span at a time. Plane j
+/// of ROW repeats a period of 2^(j+1) rows: 2^j empty rows, then 2^j
+/// whole rows. Plane j of COL repeats its row 0, the columns c with bit j
+/// set. Every word is written; pads stay 0.
 Pint index_planes(Context& ctx, bool rows) {
   const sim::PlaneGeometry& g = ctx.geometry();
   const std::size_t pw = g.plane_words();
   const std::size_t rw = g.row_words;
-  const PlaneWord* full = ctx.full_plane();
+  const PlaneWord* full_row = ctx.full_plane();  // every row of full is the same
   std::vector<PlaneWord> planes = ctx.acquire_value_planes();
   for (int j = 0; j < ctx.field().bits(); ++j) {
     PlaneWord* plane = planes.data() + static_cast<std::size_t>(j) * pw;
-    for (std::size_t r = 0; r < g.n; ++r) {
+    if (!rows) {
       for (std::size_t w = 0; w < rw; ++w) {
-        const PlaneWord lanes = rows     ? lanes_if(r, j)
-                                : j < 6 ? kLaneBits[j]
-                                        : lanes_if(w * sim::kLanesPerWord, j);
-        plane[r * rw + w] = full[r * rw + w] & lanes;
+        plane[w] = full_row[w] & (j < 6 ? kLaneBits[j] : lanes_if(w * sim::kLanesPerWord, j));
       }
+      repeat_forward(plane, rw, pw);
+      continue;
     }
+    const std::size_t half = std::size_t{1} << j;  // rows per run; j < 32
+    if (half >= g.n) {
+      std::fill_n(plane, pw, PlaneWord{0});
+      continue;
+    }
+    std::fill_n(plane, half * rw, PlaneWord{0});
+    std::copy_n(full_row, rw, plane + half * rw);
+    repeat_forward(plane + half * rw, rw, std::min(half, g.n - half) * rw);
+    repeat_forward(plane, 2 * half * rw, pw);
   }
   ctx.machine().charge_alu();
   return detail_access::raw_pint_planes(ctx, std::move(planes), {});

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "baseline/sequential.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -85,6 +87,33 @@ TEST(AllPairsParallel, TiledWorkersEachPackTheirOwnPanels) {
         options.workers = workers;
         expect_identical(all_pairs(g, options), sequential, workers);
       }
+    }
+  }
+}
+
+TEST(AllPairsParallel, WorkersKeepTheirOwnArenas) {
+  // Every thread keeps its register arena between solves (src/ppc
+  // context.hpp), keyed by backend, array side and word width. Back-to-back
+  // runs on two geometries make each worker adopt, rekey and hand back its
+  // own arena; under the tsan preset this covers the per-thread stores. The
+  // answers and steps must still match the one-lane run.
+  util::Rng rng(82);
+  const auto g = graph::random_digraph(14, 16, 0.3, {1, 20}, rng);
+  std::vector<AllPairsResult> sequential;
+  const std::size_t sides[] = {0, 5};
+  for (const std::size_t side : sides) {
+    AllPairsOptions options;
+    options.mcp.backend = sim::ExecBackend::BitPlane;
+    options.mcp.array_side = side;
+    sequential.push_back(all_pairs(g, options));  // workers = 1
+  }
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    for (std::size_t i = 0; i < sequential.size(); ++i) {
+      AllPairsOptions options;
+      options.mcp.backend = sim::ExecBackend::BitPlane;
+      options.mcp.array_side = sides[i];
+      options.workers = workers;
+      expect_identical(all_pairs(g, options), sequential[i], workers);
     }
   }
 }

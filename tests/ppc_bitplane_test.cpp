@@ -5,6 +5,7 @@
 // max_segment log, so even the charging order must agree).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "ppc/parallel.hpp"
@@ -59,6 +60,29 @@ sim::MachineConfig config(std::size_t n, int bits) {
   cfg.n = n;
   cfg.bits = bits;
   return cfg;
+}
+
+/// Leaves this thread's register arena for `cfg` holding `count` all-ones
+/// buffers of each kind, so the next Context of that key starts dirty.
+void fill_arena_with_ones(const sim::MachineConfig& cfg, int count) {
+  sim::Machine machine(cfg);
+  Context ctx(machine);
+  const auto dirty = [count](auto acquire, auto release) {
+    for (int i = 0; i < count; ++i) {
+      auto buffer = acquire();
+      using T = typename decltype(buffer)::value_type;
+      std::fill(buffer.begin(), buffer.end(), static_cast<T>(~T{0}));
+      release(std::move(buffer));
+    }
+  };
+  dirty([&] { return ctx.acquire_words(); },
+        [&](std::vector<Word>&& b) { ctx.release_words(std::move(b)); });
+  dirty([&] { return ctx.acquire_flags(); },
+        [&](std::vector<sim::Flag>&& b) { ctx.release_flags(std::move(b)); });
+  dirty([&] { return ctx.acquire_value_planes(); },
+        [&](std::vector<sim::PlaneWord>&& b) { ctx.release_value_planes(std::move(b)); });
+  dirty([&] { return ctx.acquire_flag_plane(); },
+        [&](std::vector<sim::PlaneWord>&& b) { ctx.release_flag_plane(std::move(b)); });
 }
 
 TEST(PpcBitPlane, ArithmeticComparisonsAndSelect) {
@@ -239,7 +263,7 @@ TEST(PpcBitPlane, WordWidthSweep) {
 TEST(IndexPlanes, RowAndColMatchTheWordBackend) {
   // A bit-plane machine writes ROW and COL as planes; each is one ALU
   // step, like a host-loaded declaration, and the pads of every plane
-  // stay 0.
+  // stay 0, even when the Context's arena starts with all-ones buffers.
   for (const std::size_t side : {1u, 63u, 64u, 65u, 96u, 128u, 130u}) {
     SCOPED_TRACE(side);
     std::vector<Word> want_rows(side * side);
@@ -251,6 +275,7 @@ TEST(IndexPlanes, RowAndColMatchTheWordBackend) {
     for (const auto backend : {sim::ExecBackend::Words, sim::ExecBackend::BitPlane}) {
       sim::MachineConfig cfg = config(side, 16);
       cfg.backend = backend;
+      fill_arena_with_ones(cfg, 4);
       sim::Machine m(cfg);
       Context ctx(m);
       const Pint row = row_of(ctx);

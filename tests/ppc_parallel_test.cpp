@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <future>
 #include <utility>
 #include <vector>
 
@@ -357,6 +360,216 @@ TEST(Parallel, SurrenderRequiresAFullyDrivenRegister) {
     Pint received = broadcast(src, sim::Direction::East, open);
     ASSERT_FALSE(received.fully_driven());
     EXPECT_THROW((void)std::move(received).surrender(), util::ContractError);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The register arena a thread keeps between Contexts (context.hpp). A
+// buffer is recognised by its address and by a mark written into it before
+// it is released: a fresh allocation is value-initialised, so it cannot
+// carry the mark even where the allocator reuses the address.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kMark = 0xA5A5A5A5A5A5A5A5u;
+
+template <typename T>
+bool carries_mark(const std::vector<T>& buffer) {
+  return std::all_of(buffer.begin(), buffer.end(),
+                     [](T v) { return v == static_cast<T>(kMark); });
+}
+
+/// One released buffer of each arena kind.
+struct Marked {
+  const Word* words = nullptr;
+  const Flag* flags = nullptr;
+  const sim::PlaneWord* value_planes = nullptr;
+  const sim::PlaneWord* flag_plane = nullptr;
+};
+
+template <typename T, typename Release>
+const T* release_marked(std::vector<T> buffer, Release release) {
+  std::fill(buffer.begin(), buffer.end(), static_cast<T>(kMark));
+  const T* address = buffer.data();
+  release(std::move(buffer));
+  return address;
+}
+
+/// Marks and releases one buffer of each kind into `ctx`'s arena.
+Marked release_marked(Context& ctx) {
+  Marked m;
+  m.words = release_marked(ctx.acquire_words(),
+                           [&](std::vector<Word>&& b) { ctx.release_words(std::move(b)); });
+  m.flags = release_marked(ctx.acquire_flags(),
+                           [&](std::vector<Flag>&& b) { ctx.release_flags(std::move(b)); });
+  m.value_planes = release_marked(ctx.acquire_value_planes(), [&](std::vector<sim::PlaneWord>&& b) {
+    ctx.release_value_planes(std::move(b));
+  });
+  m.flag_plane = release_marked(ctx.acquire_flag_plane(), [&](std::vector<sim::PlaneWord>&& b) {
+    ctx.release_flag_plane(std::move(b));
+  });
+  return m;
+}
+
+/// Acquires buffers of one kind until `old` comes back still marked or
+/// `limit` have been taken, then releases them all in reverse, which
+/// leaves the free-list as it was plus any buffers allocated on the way.
+/// Returns 1 if `old` came back.
+template <typename T, typename Acquire, typename Release>
+int count_adopted(const T* old, std::size_t limit, Acquire acquire, Release release) {
+  std::vector<std::vector<T>> taken;
+  int found = 0;
+  while (found == 0 && taken.size() < limit) {
+    taken.push_back(acquire());
+    if (taken.back().data() == old && carries_mark(taken.back())) found = 1;
+  }
+  for (auto it = taken.rbegin(); it != taken.rend(); ++it) release(std::move(*it));
+  return found;
+}
+
+/// Search depths: a buffer expected back may sit under every buffer the
+/// test has released since (kSearch), while a probe for a buffer that must
+/// not come back takes few, since each one it takes from an empty list
+/// is a fresh buffer that the list keeps (kProbe). Every list a probe
+/// reads in these tests holds fewer than kProbe buffers.
+constexpr std::size_t kSearch = 64;
+constexpr std::size_t kProbe = 8;
+
+/// How many of `old`'s four buffers `ctx` hands out.
+int adopted(Context& ctx, const Marked& old, std::size_t limit) {
+  return count_adopted(
+             old.words, limit, [&] { return ctx.acquire_words(); },
+             [&](std::vector<Word>&& b) { ctx.release_words(std::move(b)); }) +
+         count_adopted(
+             old.flags, limit, [&] { return ctx.acquire_flags(); },
+             [&](std::vector<Flag>&& b) { ctx.release_flags(std::move(b)); }) +
+         count_adopted(
+             old.value_planes, limit, [&] { return ctx.acquire_value_planes(); },
+             [&](std::vector<sim::PlaneWord>&& b) { ctx.release_value_planes(std::move(b)); }) +
+         count_adopted(
+             old.flag_plane, limit, [&] { return ctx.acquire_flag_plane(); },
+             [&](std::vector<sim::PlaneWord>&& b) { ctx.release_flag_plane(std::move(b)); });
+}
+
+/// Runs `body` on a new thread, whose arena is empty.
+template <typename Body>
+void on_new_thread(Body body) {
+  std::async(std::launch::async, std::move(body)).get();
+}
+
+sim::MachineConfig arena_config(sim::ExecBackend backend, std::size_t n = 20, int bits = 12) {
+  sim::MachineConfig cfg = config_of(n, bits);
+  cfg.backend = backend;
+  return cfg;
+}
+
+constexpr sim::ExecBackend kBackends[] = {sim::ExecBackend::Words, sim::ExecBackend::BitPlane};
+
+TEST(RegisterArena, ReleasedBuffersComeBackInTheNextContext) {
+  for (const sim::ExecBackend backend : kBackends) {
+    on_new_thread([backend] {
+      sim::Machine m(arena_config(backend));
+      Marked old;
+      {
+        Context ctx(m);
+        old = release_marked(ctx);
+      }
+      Context next(m);
+      EXPECT_EQ(adopted(next, old, kSearch), 4);
+    });
+  }
+}
+
+TEST(RegisterArena, ANewKeyGetsNoneOfTheOldBuffers) {
+  for (const sim::ExecBackend backend : kBackends) {
+    const sim::ExecBackend other_backend = backend == sim::ExecBackend::Words
+                                               ? sim::ExecBackend::BitPlane
+                                               : sim::ExecBackend::Words;
+    for (const sim::MachineConfig& other :
+         {arena_config(backend, 19), arena_config(backend, 20, 13),
+          arena_config(other_backend)}) {
+      on_new_thread([backend, other] {
+        sim::Machine m(arena_config(backend));
+        Marked old;
+        {
+          Context ctx(m);
+          old = release_marked(ctx);
+        }
+        {
+          sim::Machine changed(other);
+          Context ctx(changed);
+          EXPECT_EQ(adopted(ctx, old, kProbe), 0);
+        }
+        // The new key dropped them: the old key does not get them back.
+        Context again(m);
+        EXPECT_EQ(adopted(again, old, kProbe), 0);
+      });
+    }
+  }
+}
+
+TEST(RegisterArena, NestedContextsKeepTheirOwnBuffers) {
+  for (const sim::ExecBackend backend : kBackends) {
+    on_new_thread([backend] {
+      sim::Machine m(arena_config(backend));
+      Marked outer_buffers;
+      Marked inner_buffers;
+      {
+        Context outer(m);
+        const Pint y = Pint(outer, 2) + Word{4};
+        outer_buffers = release_marked(outer);
+        {
+          Context inner(m);
+          const Pint x = Pint(inner, 5) + Word{1};
+          EXPECT_EQ(x.at(3, 4), 6u);
+          EXPECT_EQ(adopted(inner, outer_buffers, kProbe), 0);
+          inner_buffers = release_marked(inner);
+        }
+        // The inner Context handed its buffers to the thread, not to the
+        // outer one, which still has its own.
+        EXPECT_EQ(adopted(outer, inner_buffers, kProbe), 0);
+        EXPECT_EQ(adopted(outer, outer_buffers, kSearch), 4);
+        EXPECT_EQ(y.at(19, 19), 6u);
+      }
+      Context next(m);
+      EXPECT_EQ(adopted(next, inner_buffers, kSearch), 4);
+      EXPECT_EQ(adopted(next, outer_buffers, kSearch), 4);
+
+      // An inner Context with another key leaves the outer one's buffers
+      // alone; the outer Context, ending last, decides what the thread keeps.
+      Marked kept;
+      {
+        Context outer(m);
+        kept = release_marked(outer);
+        {
+          sim::Machine narrow(arena_config(backend, 9));
+          Context inner(narrow);
+          (void)release_marked(inner);
+        }
+        EXPECT_EQ(adopted(outer, kept, kSearch), 4);
+      }
+      Context last(m);
+      EXPECT_EQ(adopted(last, kept, kSearch), 4);
+    });
+  }
+}
+
+TEST(RegisterArena, AnotherThreadSeesNoneOfThisThreadsBuffers) {
+  for (const sim::ExecBackend backend : kBackends) {
+    on_new_thread([backend] {
+      sim::Machine m(arena_config(backend));
+      Marked old;
+      {
+        Context ctx(m);
+        old = release_marked(ctx);
+      }
+      on_new_thread([backend, old] {
+        sim::Machine elsewhere(arena_config(backend));
+        Context ctx(elsewhere);
+        EXPECT_EQ(adopted(ctx, old, kProbe), 0);
+      });
+      Context here(m);
+      EXPECT_EQ(adopted(here, old, kSearch), 4);
+    });
   }
 }
 
