@@ -26,6 +26,14 @@
 
 namespace ppa::sim {
 
+/// How parallel values are stored and swept on the HOST. Pure host
+/// artifact: programs, results, driven flags and step counts are
+/// bit-identical under both backends (tests/mcp_backend_diff_test.cpp).
+enum class ExecBackend {
+  Words,     // one Word per PE; elementwise loops sweep one PE per op
+  BitPlane,  // h bit planes, 64 PE lanes per uint64_t
+};
+
 /// One 64-lane chunk of a bit plane.
 using PlaneWord = std::uint64_t;
 

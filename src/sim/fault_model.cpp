@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <sstream>
+#include <type_traits>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -182,70 +183,90 @@ FaultModel FaultModel::parse(std::string_view spec, std::size_t n, int bits) {
   return model;
 }
 
-CompiledFaults compile_faults(const FaultModel& model, const PlaneGeometry& geometry,
-                              int bits) {
-  CompiledFaults compiled;
-  if (model.empty()) return compiled;
-  const std::size_t n = geometry.n;
-  const std::size_t count = n * n;
-  compiled.any = true;
-  for (int axis = 0; axis < 2; ++axis) {
-    compiled.stuck_open[axis].assign(count, 0);
-    compiled.stuck_closed[axis].assign(count, 0);
-  }
-  compiled.dead.assign(count, 0);
+namespace {
 
+/// Builds `masks` from the switch and dead-PE faults of `model`, setting
+/// each faulty PE's lane straight from the fault list: a Flag mask holds
+/// one byte per PE, a plane mask one bit.
+template <typename Mask>
+void compile_masks(const FaultModel& model, const PlaneGeometry& geometry,
+                   FaultMasks<Mask>& masks) {
+  constexpr bool kFlags = std::is_same_v<Mask, Flag>;
+  const std::size_t size = kFlags ? geometry.n * geometry.n : geometry.plane_words();
+  const auto set = [&](std::vector<Mask>& mask, const Fault& fault, bool value) {
+    if constexpr (kFlags) {
+      mask[fault.row * geometry.n + fault.col] = value ? Flag{1} : Flag{0};
+    } else {
+      plane_set(geometry, mask.data(), fault.row, fault.col, value);
+    }
+  };
   for (const Fault& fault : model.faults()) {
     const int axis = static_cast<int>(fault.axis);
     switch (fault.kind) {
       case FaultKind::StuckOpen:
-      case FaultKind::StuckClosed: {
+      case FaultKind::StuckClosed:
+        if (masks.stuck_open[axis].empty()) {
+          masks.stuck_open[axis].assign(size, 0);
+          masks.stuck_closed[axis].assign(size, 0);
+        }
+        set(fault.kind == FaultKind::StuckOpen ? masks.stuck_open[axis]
+                                               : masks.stuck_closed[axis],
+            fault, true);
+        break;
+      case FaultKind::DeadPe:
+        if (masks.alive.empty()) {
+          // Every PE alive: a 1 per Flag, or a full plane with zero pads.
+          masks.alive.assign(size, 1);
+          if constexpr (!kFlags) plane_fill_full(geometry, masks.alive.data());
+        }
+        set(masks.alive, fault, false);
+        break;
+      case FaultKind::StuckBit:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
+CompiledFaults compile_faults(const FaultModel& model, const PlaneGeometry& geometry,
+                              int bits, ExecBackend backend) {
+  CompiledFaults compiled;
+  if (model.empty()) return compiled;
+  const std::size_t n = geometry.n;
+  compiled.any = true;
+  for (const Fault& fault : model.faults()) {
+    const int axis = static_cast<int>(fault.axis);
+    switch (fault.kind) {
+      case FaultKind::StuckOpen:
+      case FaultKind::StuckClosed:
         PPA_REQUIRE(fault.row < n && fault.col < n,
                     "switch fault coordinates out of range: " + to_string(fault));
-        auto& mask = fault.kind == FaultKind::StuckOpen ? compiled.stuck_open[axis]
-                                                        : compiled.stuck_closed[axis];
-        mask[fault.row * n + fault.col] = 1;
         compiled.any_switch[axis] = true;
         break;
-      }
       case FaultKind::StuckBit:
         PPA_REQUIRE(fault.row < n, "stuck-bit line out of range: " + to_string(fault));
         PPA_REQUIRE(fault.bit >= 0 && fault.bit < bits,
                     "stuck-bit wire out of range: " + to_string(fault));
         PPA_REQUIRE(fault.period == 0 || fault.phase < fault.period,
                     "transient phase out of range: " + to_string(fault));
-        compiled.stuck_bits[axis].push_back(StuckBitFault{
-            fault.row, fault.bit, fault.stuck_value, fault.period, fault.phase});
+        compiled.stuck_bits[axis].push_back(fault);
         break;
       case FaultKind::DeadPe:
         PPA_REQUIRE(fault.row < n && fault.col < n,
                     "dead PE coordinates out of range: " + to_string(fault));
-        compiled.dead[fault.row * n + fault.col] = 1;
         compiled.any_dead = true;
         break;
     }
   }
-
   // A stuck-closed switch wins over stuck-open at the same box (the short
-  // dominates electrically); the per-cycle transform applies & ~stuck_closed
+  // dominates electrically); the pre-kernel step applies & ~stuck_closed
   // last, so no cleanup is needed here.
-  compiled.alive.resize(count);
-  for (std::size_t pe = 0; pe < count; ++pe) {
-    compiled.alive[pe] = compiled.dead[pe] ? Flag{0} : Flag{1};
+  if (backend == ExecBackend::Words) {
+    compile_masks(model, geometry, compiled.words);
+  } else {
+    compile_masks(model, geometry, compiled.planes);
   }
-
-  const std::size_t pw = geometry.plane_words();
-  for (int axis = 0; axis < 2; ++axis) {
-    compiled.stuck_open_plane[axis].resize(pw);
-    compiled.stuck_closed_plane[axis].resize(pw);
-    pack_flags(geometry, compiled.stuck_open[axis], compiled.stuck_open_plane[axis].data());
-    pack_flags(geometry, compiled.stuck_closed[axis],
-               compiled.stuck_closed_plane[axis].data());
-  }
-  compiled.dead_plane.resize(pw);
-  compiled.alive_plane.resize(pw);
-  pack_flags(geometry, compiled.dead, compiled.dead_plane.data());
-  pack_flags(geometry, compiled.alive, compiled.alive_plane.data());
   return compiled;
 }
 

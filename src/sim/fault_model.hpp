@@ -6,10 +6,10 @@
 // program meant to keep apart), individual bus wires short to power or
 // ground (stuck-at bits), and whole PEs die. A FaultModel is a seedable,
 // reproducible description of such defects; Machine::inject_faults compiles
-// it into per-axis masks applied identically by BOTH execution backends
-// (word and bit-plane), so the backend-differential oracle extends to
-// faulty runs: under the same FaultModel the two backends still agree bit
-// for bit.
+// it into per-axis masks in the representation of the machine's backend
+// (word or bit-plane). Both backends apply the same fault steps in the same
+// order, so the backend-differential oracle extends to faulty runs: under
+// the same FaultModel the two backends still agree bit for bit.
 //
 // Semantics (applied around the fault-free bus kernels, per cycle):
 //   * effective switch setting = (program Open | stuck-open) & ~stuck-closed;
@@ -106,17 +106,22 @@ class FaultModel {
 };
 
 // ---------------------------------------------------------------------------
-// Compiled per-machine form. Both backends read the same compiled masks: the
-// word kernels use the Flag vectors, the plane kernels the bit planes packed
-// from those same vectors, so the fault transform is structurally identical.
+// Compiled per-machine form. compile_faults builds only the masks of the
+// machine's backend: Flag vectors (one per PE, row-major) for the word
+// engine, bit planes (sim/bit_planes.hpp) for the bit-plane engine. The
+// other representation's vectors stay empty. Each engine applies them in
+// one pre-kernel and one post-kernel fault step (sim/machine.cpp), in the
+// order docs/robustness.md gives.
 // ---------------------------------------------------------------------------
 
-struct StuckBitFault {
-  std::size_t line = 0;
-  int bit = 0;
-  bool value = false;
-  std::size_t period = 0;  // 0 = persistent; else active iff cycle % period == phase
-  std::size_t phase = 0;
+/// One backend's masks. A switch axis's two masks are sized only when that
+/// axis has a switch fault, `alive` only when some PE is dead; a plane
+/// mask's pads are zero.
+template <typename Mask>
+struct FaultMasks {
+  std::vector<Mask> stuck_open[2];    // indexed by Axis: 1 where jammed Open
+  std::vector<Mask> stuck_closed[2];  // 1 where jammed Short
+  std::vector<Mask> alive;            // 1 where the PE lives
 };
 
 struct CompiledFaults {
@@ -124,24 +129,17 @@ struct CompiledFaults {
   bool any_dead = false;
   bool any_switch[2] = {false, false};  // indexed by Axis
 
-  // 1 where the switch box on that axis is jammed (per PE, row-major).
-  std::vector<Flag> stuck_open[2];
-  std::vector<Flag> stuck_closed[2];
-  std::vector<PlaneWord> stuck_open_plane[2];
-  std::vector<PlaneWord> stuck_closed_plane[2];
+  FaultMasks<Flag> words;        // ExecBackend::Words only
+  FaultMasks<PlaneWord> planes;  // ExecBackend::BitPlane only
 
-  std::vector<Flag> dead;        // 1 where the PE is dead
-  std::vector<Flag> alive;       // complement, used as the driver-liveness src
-  std::vector<PlaneWord> dead_plane;
-  std::vector<PlaneWord> alive_plane;  // full-array mask & ~dead (pads zero)
-
-  std::vector<StuckBitFault> stuck_bits[2];  // indexed by Axis
+  std::vector<Fault> stuck_bits[2];  // the StuckBit faults, indexed by Axis
 };
 
 /// Validates coordinates against the array geometry and word width, then
-/// expands the model into the mask form above. Throws util::ContractError
-/// on out-of-range faults.
+/// expands the model into `backend`'s masks above. Throws
+/// util::ContractError on out-of-range faults.
 [[nodiscard]] CompiledFaults compile_faults(const FaultModel& model,
-                                            const PlaneGeometry& geometry, int bits);
+                                            const PlaneGeometry& geometry, int bits,
+                                            ExecBackend backend);
 
 }  // namespace ppa::sim

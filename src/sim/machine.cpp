@@ -60,7 +60,7 @@ std::size_t count_open(std::span<const Flag> open) {
 }
 
 /// True when a transient (or persistent) stuck bit afflicts this cycle.
-bool stuck_bit_active(const StuckBitFault& sb, std::uint64_t cycle) {
+bool stuck_bit_active(const Fault& sb, std::uint64_t cycle) {
   return sb.period == 0 || cycle % sb.period == sb.phase;
 }
 
@@ -80,17 +80,6 @@ bool majority_vote(std::span<T> a, std::span<const T> b, std::span<const T> c) {
   return changed;
 }
 
-bool majority_vote_words(PlaneWord* a, const PlaneWord* b, const PlaneWord* c,
-                         std::size_t words) {
-  bool changed = false;
-  for (std::size_t i = 0; i < words; ++i) {
-    const PlaneWord m = (a[i] & b[i]) | (a[i] & c[i]) | (b[i] & c[i]);
-    changed = changed || m != a[i] || m != b[i] || m != c[i];
-    a[i] = m;
-  }
-  return changed;
-}
-
 /// Parity planes protecting `planes` data planes: Hamming with data plane j
 /// assigned the nonzero signature j + 1, so r = bit_width(planes) parity
 /// planes distinguish every single-plane error (h = 16 -> r = 5).
@@ -101,7 +90,7 @@ int ecc_parity_count(int planes) {
 }  // namespace
 
 void Machine::inject_faults(const FaultModel& model) {
-  faults_ = compile_faults(model, geometry_, field_.bits());
+  faults_ = compile_faults(model, geometry_, field_.bits(), config_.backend);
 }
 
 void Machine::report_fault(const FaultEvent& event) {
@@ -111,189 +100,244 @@ void Machine::report_fault(const FaultEvent& event) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault transform. Every faulty bus cycle runs the fault-free kernel on
-// transformed inputs (effective switches, dead drivers silenced), then
-// post-processes the received values (driver liveness, stuck line bits,
-// dead reads). Word and plane paths compute the same function over the same
-// compiled masks, so backend parity extends to faulty runs.
+// Fault layer (docs/robustness.md, "Semantics, precisely"). A resolving
+// cycle on a faulty machine runs the fault-free kernel between one
+// pre-kernel step (effective switches, then dead drivers silenced) and one
+// post-kernel step (contention, liveness, stuck wires, then dead reads),
+// written once per representation over the backend's own compiled masks.
+// Both representations compute the same function, so backend parity
+// extends to faulty runs. Which post-kernel steps apply is the cycle
+// kind's FaultSteps (machine.hpp).
 // ---------------------------------------------------------------------------
 
-std::span<const Flag> Machine::effective_open(Axis axis, std::span<const Flag> open) {
-  const int a = static_cast<int>(axis);
-  if (!faults_.any_switch[a]) return open;
-  scratch_open_.resize(open.size());
-  const Flag* so = faults_.stuck_open[a].data();
-  const Flag* sc = faults_.stuck_closed[a].data();
-  for (std::size_t pe = 0; pe < open.size(); ++pe) {
-    scratch_open_[pe] = static_cast<Flag>((open[pe] | so[pe]) & (sc[pe] ^ 1u));
-  }
-  return scratch_open_;
-}
-
-const PlaneWord* Machine::effective_open_plane(Axis axis, const PlaneWord* open) {
-  const int a = static_cast<int>(axis);
-  if (!faults_.any_switch[a]) return open;
-  const std::size_t pw = geometry_.plane_words();
-  scratch_open_plane_.resize(pw);
-  const PlaneWord* so = faults_.stuck_open_plane[a].data();
-  const PlaneWord* sc = faults_.stuck_closed_plane[a].data();
-  for (std::size_t i = 0; i < pw; ++i) scratch_open_plane_[i] = (open[i] | so[i]) & ~sc[i];
-  return scratch_open_plane_.data();
-}
-
-void Machine::check_contention(StepCategory category, Direction dir,
-                               std::span<const Flag> program_open) {
-  if (!config_.checked) return;
+template <typename T>
+void Machine::fault_pre(Direction dir, std::span<const Flag>& open,
+                        std::span<const T>& src) {
+  PPA_REQUIRE(config_.backend == ExecBackend::Words,
+              "a faulty machine resolves only its own backend's bus cycles");
+  const FaultMasks<Flag>& masks = faults_.words;
   const int a = static_cast<int>(axis_of(dir));
-  if (!faults_.any_switch[a]) return;
-  const Flag* sc = faults_.stuck_closed[a].data();
-  std::size_t first = 0;
-  std::size_t count = 0;
-  for (std::size_t pe = 0; pe < program_open.size(); ++pe) {
-    if (program_open[pe] != 0 && sc[pe] != 0) {
-      if (count == 0) first = pe;
-      ++count;
+  if (faults_.any_switch[a]) {
+    scratch_open_.resize(open.size());
+    const Flag* so = masks.stuck_open[a].data();
+    const Flag* sc = masks.stuck_closed[a].data();
+    for (std::size_t pe = 0; pe < open.size(); ++pe) {
+      scratch_open_[pe] = static_cast<Flag>((open[pe] | so[pe]) & (sc[pe] ^ 1u));
     }
+    open = scratch_open_;
   }
-  if (count != 0) {
-    report_fault(FaultEvent{FaultEventKind::BusContention, category, dir,
-                            first / config_.n, first % config_.n, count});
-  }
-}
-
-void Machine::check_contention_plane(StepCategory category, Direction dir,
-                                     const PlaneWord* program_open) {
-  if (!config_.checked) return;
-  const int a = static_cast<int>(axis_of(dir));
-  if (!faults_.any_switch[a]) return;
-  const PlaneWord* sc = faults_.stuck_closed_plane[a].data();
-  const std::size_t pw = geometry_.plane_words();
-  std::size_t first = 0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < pw; ++i) {
-    const PlaneWord hit = program_open[i] & sc[i];
-    if (hit == 0) continue;
-    if (count == 0) {
-      const std::size_t row = i / geometry_.row_words;
-      const std::size_t col = (i % geometry_.row_words) * kLanesPerWord +
-                              static_cast<std::size_t>(__builtin_ctzll(hit));
-      first = row * config_.n + col;
+  if (faults_.any_dead) {
+    std::vector<T>& silenced = [&]() -> std::vector<T>& {
+      if constexpr (std::is_same_v<T, Word>) return scratch_src_word_;
+      else return scratch_src_flag_;
+    }();
+    silenced.resize(src.size());
+    const Flag* alive = masks.alive.data();
+    for (std::size_t pe = 0; pe < src.size(); ++pe) {
+      silenced[pe] = alive[pe] != 0 ? src[pe] : T{0};
     }
-    count += static_cast<std::size_t>(__builtin_popcountll(hit));
+    src = silenced;
   }
-  if (count != 0) {
-    report_fault(FaultEvent{FaultEventKind::BusContention, category, dir,
-                            first / config_.n, first % config_.n, count});
-  }
-}
-
-void Machine::clear_dead_driven(Direction dir, std::span<const Flag> open_eff,
-                                std::span<Flag> driven) {
-  if (!faults_.any_dead) return;
-  // Ride-along liveness cycle: broadcast "I am alive" over the same
-  // effective switches; a segment reads 0 exactly when its driver is dead
-  // (or the segment floats, in which case driven is already 0). Raw kernel
-  // call — physically this is the same bus cycle, so no extra charge.
-  scratch_alive_value_.resize(pe_count());
-  scratch_alive_driven_.resize(pe_count());
-  (void)bus_broadcast_into(config_.n, config_.topology, dir,
-                           std::span<const Flag>(faults_.alive), open_eff,
-                           std::span<Flag>(scratch_alive_value_),
-                           std::span<Flag>(scratch_alive_driven_));
-  for (std::size_t pe = 0; pe < driven.size(); ++pe) {
-    driven[pe] = static_cast<Flag>(driven[pe] & scratch_alive_value_[pe]);
-  }
-}
-
-void Machine::clear_dead_driven_plane(Direction dir, const PlaneWord* open_eff,
-                                      PlaneWord* driven) {
-  if (!faults_.any_dead) return;
-  const std::size_t pw = geometry_.plane_words();
-  scratch_alive_out_.resize(pw);
-  scratch_alive_driven_plane_.resize(pw);
-  (void)plane_broadcast_into(geometry_, config_.topology, dir, faults_.alive_plane.data(),
-                             1, open_eff, scratch_alive_out_.data(),
-                             scratch_alive_driven_plane_.data(), bus_scratch_);
-  for (std::size_t i = 0; i < pw; ++i) driven[i] &= scratch_alive_out_[i];
 }
 
 template <typename T>
-void Machine::apply_stuck_bits(Axis axis, std::span<T> values, int value_bits,
-                               std::uint64_t cycle) {
+void Machine::fault_post(FaultSteps steps, StepCategory category, Direction dir,
+                         std::span<const Flag> program_open, std::span<const Flag> open,
+                         std::span<T> values, std::span<Flag> driven, int value_bits) {
+  const FaultMasks<Flag>& masks = faults_.words;
+  const Axis axis = axis_of(dir);
+  const int a = static_cast<int>(axis);
   const std::size_t n = config_.n;
-  for (const StuckBitFault& sb : faults_.stuck_bits[static_cast<int>(axis)]) {
-    if (sb.bit >= value_bits || !stuck_bit_active(sb, cycle)) continue;
-    const T bit = static_cast<T>(T{1} << sb.bit);
-    const std::size_t base = axis == Axis::Row ? sb.line * n : sb.line;
-    const std::size_t stride = axis == Axis::Row ? 1 : n;
-    for (std::size_t k = 0; k < n; ++k) {
-      T& v = values[base + k * stride];
-      v = static_cast<T>(sb.value ? (v | bit) : (v & static_cast<T>(~bit)));
+  if (steps.contention && config_.checked && faults_.any_switch[a]) {
+    const Flag* sc = masks.stuck_closed[a].data();
+    std::size_t first = 0;
+    std::size_t count = 0;
+    for (std::size_t pe = 0; pe < program_open.size(); ++pe) {
+      if (program_open[pe] != 0 && sc[pe] != 0) {
+        if (count == 0) first = pe;
+        ++count;
+      }
+    }
+    if (count != 0) {
+      report_fault(FaultEvent{FaultEventKind::BusContention, category, dir, first / n,
+                              first % n, count});
+    }
+  }
+  if (steps.liveness && faults_.any_dead) {
+    // Ride-along liveness cycle: broadcast "I am alive" over the same
+    // effective switches; a segment reads 0 exactly when its driver is dead
+    // (or the segment floats, in which case driven is already 0). Raw kernel
+    // call — physically this is the same bus cycle, so no extra charge.
+    scratch_alive_value_.resize(pe_count());
+    scratch_alive_driven_.resize(pe_count());
+    (void)bus_broadcast_into(n, config_.topology, dir, std::span<const Flag>(masks.alive), open,
+                             std::span<Flag>(scratch_alive_value_),
+                             std::span<Flag>(scratch_alive_driven_));
+    for (std::size_t pe = 0; pe < driven.size(); ++pe) {
+      driven[pe] = static_cast<Flag>(driven[pe] & scratch_alive_value_[pe]);
+    }
+  }
+  if (steps.stuck_wires) {
+    for (const Fault& sb : faults_.stuck_bits[a]) {
+      if (sb.bit >= value_bits || !stuck_bit_active(sb, bus_cycles_)) continue;
+      const T bit = static_cast<T>(T{1} << sb.bit);
+      const std::size_t base = axis == Axis::Row ? sb.row * n : sb.row;
+      const std::size_t stride = axis == Axis::Row ? 1 : n;
+      for (std::size_t k = 0; k < n; ++k) {
+        T& v = values[base + k * stride];
+        v = static_cast<T>(sb.stuck_value ? (v | bit) : (v & static_cast<T>(~bit)));
+      }
+    }
+  }
+  if (faults_.any_dead) {
+    const Flag* alive = masks.alive.data();
+    for (std::size_t pe = 0; pe < values.size(); ++pe) {
+      if (alive[pe] == 0) values[pe] = T{0};
     }
   }
 }
 
-void Machine::apply_stuck_bits_planes(Axis axis, PlaneWord* out, int planes,
-                                      std::uint64_t cycle) {
+void Machine::fault_pre(Direction dir, const PlaneWord*& open, const PlaneWord*& src,
+                        int planes) {
+  PPA_REQUIRE(config_.backend == ExecBackend::BitPlane,
+              "a faulty machine resolves only its own backend's bus cycles");
+  const FaultMasks<PlaneWord>& masks = faults_.planes;
+  const int a = static_cast<int>(axis_of(dir));
   const std::size_t pw = geometry_.plane_words();
-  for (const StuckBitFault& sb : faults_.stuck_bits[static_cast<int>(axis)]) {
-    if (sb.bit >= planes || !stuck_bit_active(sb, cycle)) continue;
-    PlaneWord* plane = out + static_cast<std::size_t>(sb.bit) * pw;
-    if (axis == Axis::Row) {
-      for (std::size_t w = 0; w < geometry_.row_words; ++w) {
-        PlaneWord& v = plane[sb.line * geometry_.row_words + w];
-        const PlaneWord mask = geometry_.word_mask(w);  // keeps pads zero
-        v = sb.value ? (v | mask) : (v & ~mask);
+  if (faults_.any_switch[a]) {
+    scratch_open_plane_.resize(pw);
+    const PlaneWord* so = masks.stuck_open[a].data();
+    const PlaneWord* sc = masks.stuck_closed[a].data();
+    for (std::size_t i = 0; i < pw; ++i) scratch_open_plane_[i] = (open[i] | so[i]) & ~sc[i];
+    open = scratch_open_plane_.data();
+  }
+  if (faults_.any_dead) {
+    scratch_src_planes_.resize(pw * static_cast<std::size_t>(planes));
+    const PlaneWord* alive = masks.alive.data();
+    for (int j = 0; j < planes; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j) * pw;
+      for (std::size_t i = 0; i < pw; ++i) scratch_src_planes_[off + i] = src[off + i] & alive[i];
+    }
+    src = scratch_src_planes_.data();
+  }
+}
+
+void Machine::fault_post(FaultSteps steps, StepCategory category, Direction dir,
+                         const PlaneWord* program_open, const PlaneWord* open, PlaneWord* out,
+                         int planes, PlaneWord* driven) {
+  const FaultMasks<PlaneWord>& masks = faults_.planes;
+  const Axis axis = axis_of(dir);
+  const int a = static_cast<int>(axis);
+  const std::size_t pw = geometry_.plane_words();
+  if (steps.contention && config_.checked && faults_.any_switch[a]) {
+    const PlaneWord* sc = masks.stuck_closed[a].data();
+    std::size_t first = 0;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < pw; ++i) {
+      const PlaneWord hit = program_open[i] & sc[i];
+      if (hit == 0) continue;
+      if (count == 0) {
+        const std::size_t row = i / geometry_.row_words;
+        const std::size_t col = (i % geometry_.row_words) * kLanesPerWord +
+                                static_cast<std::size_t>(__builtin_ctzll(hit));
+        first = row * config_.n + col;
       }
-    } else {
-      const std::size_t w = sb.line / kLanesPerWord;
-      const PlaneWord mask = PlaneWord{1} << PlaneGeometry::bit_of(sb.line);
-      for (std::size_t r = 0; r < config_.n; ++r) {
-        PlaneWord& v = plane[r * geometry_.row_words + w];
-        v = sb.value ? (v | mask) : (v & ~mask);
+      count += static_cast<std::size_t>(__builtin_popcountll(hit));
+    }
+    if (count != 0) {
+      report_fault(FaultEvent{FaultEventKind::BusContention, category, dir,
+                              first / config_.n, first % config_.n, count});
+    }
+  }
+  if (steps.liveness && faults_.any_dead) {
+    scratch_alive_out_.resize(pw);
+    scratch_alive_driven_plane_.resize(pw);
+    (void)plane_broadcast_into(geometry_, config_.topology, dir, masks.alive.data(), 1, open,
+                               scratch_alive_out_.data(), scratch_alive_driven_plane_.data(),
+                               bus_scratch_);
+    for (std::size_t i = 0; i < pw; ++i) driven[i] &= scratch_alive_out_[i];
+  }
+  if (steps.stuck_wires) {
+    for (const Fault& sb : faults_.stuck_bits[a]) {
+      if (sb.bit >= planes || !stuck_bit_active(sb, bus_cycles_)) continue;
+      PlaneWord* plane = out + static_cast<std::size_t>(sb.bit) * pw;
+      if (axis == Axis::Row) {
+        for (std::size_t w = 0; w < geometry_.row_words; ++w) {
+          PlaneWord& v = plane[sb.row * geometry_.row_words + w];
+          const PlaneWord mask = geometry_.word_mask(w);  // keeps pads zero
+          v = sb.stuck_value ? (v | mask) : (v & ~mask);
+        }
+      } else {
+        const std::size_t w = sb.row / kLanesPerWord;
+        const PlaneWord mask = PlaneWord{1} << PlaneGeometry::bit_of(sb.row);
+        for (std::size_t r = 0; r < config_.n; ++r) {
+          PlaneWord& v = plane[r * geometry_.row_words + w];
+          v = sb.stuck_value ? (v | mask) : (v & ~mask);
+        }
       }
     }
   }
+  if (faults_.any_dead) {
+    const PlaneWord* alive = masks.alive.data();
+    for (int j = 0; j < planes; ++j) {
+      const std::size_t off = static_cast<std::size_t>(j) * pw;
+      for (std::size_t i = 0; i < pw; ++i) out[off + i] &= alive[i];
+    }
+  }
 }
+
+// ---------------------------------------------------------------------------
+// TMR (BusMasking::Tmr): the cycle runs three times, trial 1 into the
+// caller's buffers under its own category, trials 2-3 into machine scratch
+// under StepCategory::Masking, and each output is majority-voted per wire.
+// Without TMR the one trial is the cycle.
+// ---------------------------------------------------------------------------
+
+template <typename V, typename D, typename Cycle>
+std::size_t Machine::tmr_cycle(StepCategory category, std::span<V> values,
+                               std::span<D> driven, Cycle cycle) {
+  const std::size_t max_segment = cycle(values, driven, category);
+  if (config_.masking != BusMasking::Tmr) return max_segment;
+  auto& trial_values = [&]() -> auto& {
+    if constexpr (std::is_same_v<V, Word>) return tmr_word_;
+    else if constexpr (std::is_same_v<V, Flag>) return tmr_flag_;
+    else return tmr_planes_;
+  }();
+  auto& trial_driven = [&]() -> auto& {
+    if constexpr (std::is_same_v<D, Flag>) return tmr_driven_;
+    else return tmr_planes_driven_;
+  }();
+  for (int i = 0; i < 2; ++i) {
+    trial_values[i].resize(values.size());
+    trial_driven[i].resize(driven.size());
+    (void)cycle(std::span<V>(trial_values[i]), std::span<D>(trial_driven[i]),
+                StepCategory::Masking);
+  }
+  ++mask_stats_.votes;
+  bool changed = majority_vote<V>(values, trial_values[0], trial_values[1]);
+  changed |= majority_vote<D>(driven, trial_driven[0], trial_driven[1]);
+  if (changed) ++mask_stats_.corrections;
+  return max_segment;
+}
+
+// ---------------------------------------------------------------------------
+// Resolving cycles. Each runs the fault-free kernel (sim/bus.hpp,
+// sim/bus_planes.hpp) between the fault layer's two steps, then charges
+// and traces itself; each charged call advances bus_cycles_.
+// ---------------------------------------------------------------------------
 
 template <typename T>
 std::size_t Machine::broadcast_cycle(std::span<const T> src, Direction dir,
                                      std::span<const Flag> open, std::span<T> values,
                                      std::span<Flag> driven, int value_bits,
                                      StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_;
-  const Axis axis = axis_of(dir);
-  std::span<const Flag> open_eff = open;
-  std::span<const T> src_eff = src;
-  if (faults_.any) {
-    open_eff = effective_open(axis, open);
-    if (faults_.any_dead) {
-      auto& scratch = [&]() -> std::vector<T>& {
-        if constexpr (std::is_same_v<T, Word>) return scratch_src_word_;
-        else return scratch_src_flag_;
-      }();
-      scratch.resize(src.size());
-      const Flag* dead = faults_.dead.data();
-      for (std::size_t pe = 0; pe < src.size(); ++pe) {
-        scratch[pe] = dead[pe] != 0 ? T{0} : src[pe];
-      }
-      src_eff = scratch;
-    }
-  }
+  const std::span<const Flag> program_open = open;
+  if (faults_.any) fault_pre(dir, open, src);
   const std::size_t max_segment =
-      bus_broadcast_into(config_.n, config_.topology, dir, src_eff, open_eff, values, driven);
+      bus_broadcast_into(config_.n, config_.topology, dir, src, open, values, driven);
   if (faults_.any) {
-    // A masked re-execution rides the primary trial's cycle: that trial
-    // already reported any contention, so the Masking trials stay silent.
-    if (category != StepCategory::Masking) check_contention(category, dir, open);
-    clear_dead_driven(dir, open_eff, driven);
-    apply_stuck_bits(axis, values, value_bits, cycle);
-    if (faults_.any_dead) {
-      const Flag* dead = faults_.dead.data();
-      for (std::size_t pe = 0; pe < values.size(); ++pe) {
-        if (dead[pe] != 0) values[pe] = T{0};
-      }
-    }
+    fault_post(category == StepCategory::Masking ? kTmrTrialSteps : kBroadcastSteps, category,
+               dir, program_open, open, values, driven, value_bits);
   }
   TraceEvent event{category, dir, 0, max_segment, 1, static_cast<std::size_t>(value_bits), 0,
                    driven.size()};
@@ -301,35 +345,92 @@ std::size_t Machine::broadcast_cycle(std::span<const T> src, Direction dir,
     // Bus occupancy rides the event only while a sink is attached: the
     // driven-flag scan is host bookkeeping, never charged, and the flags
     // themselves are pinned bit-identical across backends.
-    event.open_count = count_open(open_eff);
+    event.open_count = count_open(open);
     for (const Flag f : driven) event.driven_wires += static_cast<std::size_t>(f != 0);
   }
   charge_cycles({event, {}, true});
   return max_segment;
 }
 
-template <typename T>
-std::size_t Machine::tmr_broadcast_into(std::span<const T> src, Direction dir,
-                                        std::span<const Flag> open, std::span<T> values,
-                                        std::span<Flag> driven, int value_bits) {
+std::size_t Machine::wired_or_cycle(std::span<const Flag> src, Direction dir,
+                                    std::span<const Flag> open, std::span<Flag> values,
+                                    StepCategory category) {
+  const std::span<const Flag> program_open = open;
+  if (faults_.any) fault_pre(dir, open, src);
   const std::size_t max_segment =
-      broadcast_cycle<T>(src, dir, open, values, driven, value_bits,
-                         StepCategory::BusBroadcast);
-  auto trial = [&](int i) -> std::vector<T>& {
-    if constexpr (std::is_same_v<T, Word>) return tmr_word_[i];
-    else return tmr_flag_[i];
-  };
-  for (int i = 0; i < 2; ++i) {
-    trial(i).resize(values.size());
-    tmr_driven_[i].resize(driven.size());
-    (void)broadcast_cycle<T>(src, dir, open, std::span<T>(trial(i)),
-                             std::span<Flag>(tmr_driven_[i]), value_bits,
-                             StepCategory::Masking);
+      bus_wired_or_into(config_.n, config_.topology, dir, src, open, values);
+  if (faults_.any) {
+    fault_post(kWiredOrSteps, category, dir, program_open, open, values, std::span<Flag>(), 1);
   }
-  ++mask_stats_.votes;
-  bool changed = majority_vote<T>(values, trial(0), trial(1));
-  changed |= majority_vote<Flag>(driven, tmr_driven_[0], tmr_driven_[1]);
-  if (changed) ++mask_stats_.corrections;
+  // An open-collector read never floats: every PE port sees the OR.
+  TraceEvent event{category, dir, 0, max_segment, 1, 1, values.size(), values.size()};
+  if (trace_ != nullptr) event.open_count = count_open(open);
+  charge_cycles({event, {}, true});
+  return max_segment;
+}
+
+std::size_t Machine::broadcast_planes_cycle(const PlaneWord* src, int planes,
+                                            Direction dir, const PlaneWord* open,
+                                            PlaneWord* out, PlaneWord* driven,
+                                            StepCategory category) {
+  const PlaneWord* program_open = open;
+  if (faults_.any) fault_pre(dir, open, src, planes);
+  const std::size_t max_segment = plane_broadcast_into(geometry_, config_.topology, dir, src,
+                                                       planes, open, out, driven, bus_scratch_);
+  if (faults_.any) {
+    fault_post(category == StepCategory::Masking ? kTmrTrialSteps : kBroadcastSteps, category,
+               dir, program_open, open, out, planes, driven);
+  }
+  TraceEvent event{category, dir, 0, max_segment, 1, static_cast<std::size_t>(planes), 0,
+                   pe_count()};
+  if (trace_ != nullptr) {
+    // Pads are canonically zero, so the plane popcount equals the word
+    // engine's driven-flag count exactly (the parity the tests pin).
+    event.open_count = plane_popcount(geometry_, open);
+    event.driven_wires = plane_popcount(geometry_, driven);
+  }
+  charge_cycles({event, {}, true});
+  return max_segment;
+}
+
+std::size_t Machine::wired_or_plane_cycle(const PlaneWord* src, Direction dir,
+                                          const PlaneWord* open, PlaneWord* out,
+                                          StepCategory category) {
+  const PlaneWord* program_open = open;
+  if (faults_.any) fault_pre(dir, open, src, 1);
+  const std::size_t max_segment =
+      plane_wired_or_into(geometry_, config_.topology, dir, src, open, out, bus_scratch_);
+  if (faults_.any) fault_post(kWiredOrSteps, category, dir, program_open, open, out, 1, nullptr);
+  TraceEvent event{category, dir, 0, max_segment, 1, 1, pe_count(), pe_count()};
+  if (trace_ != nullptr) event.open_count = plane_popcount(geometry_, open);
+  charge_cycles({event, {}, true});
+  return max_segment;
+}
+
+std::size_t Machine::shadow_broadcast_into(std::span<const Flag> src, Direction dir,
+                                           std::span<const Flag> open,
+                                           std::span<Flag> values, std::span<Flag> driven) {
+  const std::span<const Flag> program_open = open;
+  if (faults_.any) fault_pre(dir, open, src);
+  const std::size_t max_segment =
+      bus_broadcast_into(config_.n, config_.topology, dir, src, open, values, driven);
+  if (faults_.any) {
+    fault_post(kShadowSteps, StepCategory::BusBroadcast, dir, program_open, open, values, driven,
+               1);
+  }
+  return max_segment;
+}
+
+std::size_t Machine::shadow_broadcast_planes_into(const PlaneWord* src, Direction dir,
+                                                  const PlaneWord* open, PlaneWord* out,
+                                                  PlaneWord* driven) {
+  const PlaneWord* program_open = open;
+  if (faults_.any) fault_pre(dir, open, src, 1);
+  const std::size_t max_segment = plane_broadcast_into(geometry_, config_.topology, dir, src, 1,
+                                                       open, out, driven, bus_scratch_);
+  if (faults_.any) {
+    fault_post(kShadowSteps, StepCategory::BusBroadcast, dir, program_open, open, out, 1, driven);
+  }
   return max_segment;
 }
 
@@ -355,277 +456,53 @@ BusResult Machine::wired_or(std::span<const Flag> src, Direction dir,
 std::size_t Machine::broadcast_into(std::span<const Word> src, Direction dir,
                                     std::span<const Flag> open, std::span<Word> values,
                                     std::span<Flag> driven) {
-  if (config_.masking == BusMasking::Tmr) {
-    return tmr_broadcast_into<Word>(src, dir, open, values, driven, field_.bits());
-  }
-  return broadcast_cycle<Word>(src, dir, open, values, driven, field_.bits(),
-                               StepCategory::BusBroadcast);
+  return tmr_cycle(StepCategory::BusBroadcast, values, driven,
+                   [&](std::span<Word> v, std::span<Flag> d, StepCategory category) {
+                     return broadcast_cycle<Word>(src, dir, open, v, d, field_.bits(),
+                                                  category);
+                   });
 }
 
 std::size_t Machine::broadcast_into(std::span<const Flag> src, Direction dir,
                                     std::span<const Flag> open, std::span<Flag> values,
                                     std::span<Flag> driven) {
-  if (config_.masking == BusMasking::Tmr) {
-    return tmr_broadcast_into<Flag>(src, dir, open, values, driven, 1);
-  }
-  return broadcast_cycle<Flag>(src, dir, open, values, driven, 1,
-                               StepCategory::BusBroadcast);
-}
-
-std::size_t Machine::wired_or_cycle(std::span<const Flag> src, Direction dir,
-                                    std::span<const Flag> open, std::span<Flag> values,
-                                    StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_;
-  const Axis axis = axis_of(dir);
-  std::span<const Flag> open_eff = open;
-  std::span<const Flag> src_eff = src;
-  if (faults_.any) {
-    open_eff = effective_open(axis, open);
-    if (faults_.any_dead) {
-      scratch_src_flag_.resize(src.size());
-      const Flag* dead = faults_.dead.data();
-      for (std::size_t pe = 0; pe < src.size(); ++pe) {
-        scratch_src_flag_[pe] = dead[pe] != 0 ? Flag{0} : src[pe];
-      }
-      src_eff = scratch_src_flag_;
-    }
-  }
-  const std::size_t max_segment =
-      bus_wired_or_into(config_.n, config_.topology, dir, src_eff, open_eff, values);
-  if (faults_.any) {
-    apply_stuck_bits(axis, values, 1, cycle);
-    if (faults_.any_dead) {
-      const Flag* dead = faults_.dead.data();
-      for (std::size_t pe = 0; pe < values.size(); ++pe) {
-        if (dead[pe] != 0) values[pe] = 0;
-      }
-    }
-  }
-  // An open-collector read never floats: every PE port sees the OR.
-  TraceEvent event{category, dir, 0, max_segment, 1, 1, values.size(), values.size()};
-  if (trace_ != nullptr) event.open_count = count_open(open_eff);
-  charge_cycles({event, {}, true});
-  return max_segment;
-}
-
-std::size_t Machine::tmr_wired_or_into(std::span<const Flag> src, Direction dir,
-                                       std::span<const Flag> open, std::span<Flag> values) {
-  const std::size_t max_segment =
-      wired_or_cycle(src, dir, open, values, StepCategory::BusOr);
-  for (int i = 0; i < 2; ++i) {
-    tmr_flag_[i].resize(values.size());
-    (void)wired_or_cycle(src, dir, open, std::span<Flag>(tmr_flag_[i]),
-                         StepCategory::Masking);
-  }
-  ++mask_stats_.votes;
-  if (majority_vote<Flag>(values, tmr_flag_[0], tmr_flag_[1])) ++mask_stats_.corrections;
-  return max_segment;
+  return tmr_cycle(StepCategory::BusBroadcast, values, driven,
+                   [&](std::span<Flag> v, std::span<Flag> d, StepCategory category) {
+                     return broadcast_cycle<Flag>(src, dir, open, v, d, 1, category);
+                   });
 }
 
 std::size_t Machine::wired_or_into(std::span<const Flag> src, Direction dir,
                                    std::span<const Flag> open, std::span<Flag> values) {
-  if (config_.masking == BusMasking::Tmr) return tmr_wired_or_into(src, dir, open, values);
-  return wired_or_cycle(src, dir, open, values, StepCategory::BusOr);
-}
-
-std::size_t Machine::broadcast_planes_cycle(const PlaneWord* src, int planes,
-                                            Direction dir, const PlaneWord* open,
-                                            PlaneWord* out, PlaneWord* driven,
-                                            StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_;
-  const Axis axis = axis_of(dir);
-  const PlaneWord* open_eff = open;
-  const PlaneWord* src_eff = src;
-  const std::size_t pw = geometry_.plane_words();
-  if (faults_.any) {
-    open_eff = effective_open_plane(axis, open);
-    if (faults_.any_dead) {
-      scratch_src_planes_.resize(pw * static_cast<std::size_t>(planes));
-      const PlaneWord* alive = faults_.alive_plane.data();
-      for (int j = 0; j < planes; ++j) {
-        const std::size_t off = static_cast<std::size_t>(j) * pw;
-        for (std::size_t i = 0; i < pw; ++i) {
-          scratch_src_planes_[off + i] = src[off + i] & alive[i];
-        }
-      }
-      src_eff = scratch_src_planes_.data();
-    }
-  }
-  const std::size_t max_segment =
-      plane_broadcast_into(geometry_, config_.topology, dir, src_eff, planes, open_eff,
-                           out, driven, bus_scratch_);
-  if (faults_.any) {
-    if (category != StepCategory::Masking) check_contention_plane(category, dir, open);
-    clear_dead_driven_plane(dir, open_eff, driven);
-    apply_stuck_bits_planes(axis, out, planes, cycle);
-    if (faults_.any_dead) {
-      const PlaneWord* alive = faults_.alive_plane.data();
-      for (int j = 0; j < planes; ++j) {
-        const std::size_t off = static_cast<std::size_t>(j) * pw;
-        for (std::size_t i = 0; i < pw; ++i) out[off + i] &= alive[i];
-      }
-    }
-  }
-  TraceEvent event{category, dir, 0, max_segment, 1, static_cast<std::size_t>(planes), 0,
-                   pe_count()};
-  if (trace_ != nullptr) {
-    // Pads are canonically zero, so the plane popcount equals the word
-    // engine's driven-flag count exactly (the parity the tests pin).
-    event.open_count = plane_popcount(geometry_, open_eff);
-    event.driven_wires = plane_popcount(geometry_, driven);
-  }
-  charge_cycles({event, {}, true});
-  return max_segment;
-}
-
-std::size_t Machine::tmr_broadcast_planes_into(const PlaneWord* src, int planes,
-                                               Direction dir, const PlaneWord* open,
-                                               PlaneWord* out, PlaneWord* driven) {
-  const std::size_t max_segment =
-      broadcast_planes_cycle(src, planes, dir, open, out, driven,
-                             StepCategory::BusBroadcast);
-  const std::size_t pw = geometry_.plane_words();
-  const std::size_t words = pw * static_cast<std::size_t>(planes);
-  for (int i = 0; i < 2; ++i) {
-    tmr_planes_[i].resize(words);
-    tmr_planes_driven_[i].resize(pw);
-    (void)broadcast_planes_cycle(src, planes, dir, open, tmr_planes_[i].data(),
-                                 tmr_planes_driven_[i].data(), StepCategory::Masking);
-  }
-  ++mask_stats_.votes;
-  bool changed =
-      majority_vote_words(out, tmr_planes_[0].data(), tmr_planes_[1].data(), words);
-  changed |= majority_vote_words(driven, tmr_planes_driven_[0].data(),
-                                 tmr_planes_driven_[1].data(), pw);
-  if (changed) ++mask_stats_.corrections;
-  return max_segment;
+  return tmr_cycle(StepCategory::BusOr, values, std::span<Flag>(),
+                   [&](std::span<Flag> v, std::span<Flag>, StepCategory category) {
+                     return wired_or_cycle(src, dir, open, v, category);
+                   });
 }
 
 std::size_t Machine::broadcast_planes_into(const PlaneWord* src, int planes,
                                            Direction dir, const PlaneWord* open,
                                            PlaneWord* out, PlaneWord* driven) {
-  if (config_.masking == BusMasking::Tmr) {
-    return tmr_broadcast_planes_into(src, planes, dir, open, out, driven);
-  }
-  if (config_.masking == BusMasking::Ecc) {
-    return ecc_broadcast_planes_into(src, planes, dir, open, out, driven);
-  }
-  return broadcast_planes_cycle(src, planes, dir, open, out, driven,
-                                StepCategory::BusBroadcast);
-}
-
-std::size_t Machine::shadow_broadcast_into(std::span<const Flag> src, Direction dir,
-                                           std::span<const Flag> open,
-                                           std::span<Flag> values, std::span<Flag> driven) {
-  if (!faults_.any) {
-    return bus_broadcast_into(config_.n, config_.topology, dir, src, open, values, driven);
-  }
-  const Axis axis = axis_of(dir);
-  const std::span<const Flag> open_eff = effective_open(axis, open);
-  std::span<const Flag> src_eff = src;
-  if (faults_.any_dead) {
-    scratch_src_flag_.resize(src.size());
-    const Flag* dead = faults_.dead.data();
-    for (std::size_t pe = 0; pe < src.size(); ++pe) {
-      scratch_src_flag_[pe] = dead[pe] != 0 ? Flag{0} : src[pe];
-    }
-    src_eff = scratch_src_flag_;
-  }
-  const std::size_t max_segment =
-      bus_broadcast_into(config_.n, config_.topology, dir, src_eff, open_eff, values, driven);
-  clear_dead_driven(dir, open_eff, driven);
-  if (faults_.any_dead) {
-    const Flag* dead = faults_.dead.data();
-    for (std::size_t pe = 0; pe < values.size(); ++pe) {
-      if (dead[pe] != 0) values[pe] = 0;
-    }
-  }
-  return max_segment;
-}
-
-std::size_t Machine::shadow_broadcast_planes_into(const PlaneWord* src, Direction dir,
-                                                  const PlaneWord* open, PlaneWord* out,
-                                                  PlaneWord* driven) {
-  if (!faults_.any) {
-    return plane_broadcast_into(geometry_, config_.topology, dir, src, 1, open, out, driven,
-                                bus_scratch_);
-  }
-  const Axis axis = axis_of(dir);
-  const PlaneWord* open_eff = effective_open_plane(axis, open);
-  const PlaneWord* src_eff = src;
   const std::size_t pw = geometry_.plane_words();
-  if (faults_.any_dead) {
-    scratch_src_planes_.resize(pw);
-    const PlaneWord* alive = faults_.alive_plane.data();
-    for (std::size_t i = 0; i < pw; ++i) scratch_src_planes_[i] = src[i] & alive[i];
-    src_eff = scratch_src_planes_.data();
-  }
-  const std::size_t max_segment =
-      plane_broadcast_into(geometry_, config_.topology, dir, src_eff, 1, open_eff, out,
-                           driven, bus_scratch_);
-  clear_dead_driven_plane(dir, open_eff, driven);
-  if (faults_.any_dead) {
-    const PlaneWord* alive = faults_.alive_plane.data();
-    for (std::size_t i = 0; i < pw; ++i) out[i] &= alive[i];
-  }
-  return max_segment;
-}
-
-std::size_t Machine::wired_or_plane_cycle(const PlaneWord* src, Direction dir,
-                                          const PlaneWord* open, PlaneWord* out,
-                                          StepCategory category) {
-  const std::uint64_t cycle = bus_cycles_;
-  const Axis axis = axis_of(dir);
-  const PlaneWord* open_eff = open;
-  const PlaneWord* src_eff = src;
-  const std::size_t pw = geometry_.plane_words();
-  if (faults_.any) {
-    open_eff = effective_open_plane(axis, open);
-    if (faults_.any_dead) {
-      scratch_src_planes_.resize(pw);
-      const PlaneWord* alive = faults_.alive_plane.data();
-      for (std::size_t i = 0; i < pw; ++i) scratch_src_planes_[i] = src[i] & alive[i];
-      src_eff = scratch_src_planes_.data();
-    }
-  }
-  const std::size_t max_segment =
-      plane_wired_or_into(geometry_, config_.topology, dir, src_eff, open_eff, out,
-                          bus_scratch_);
-  if (faults_.any) {
-    apply_stuck_bits_planes(axis, out, 1, cycle);
-    if (faults_.any_dead) {
-      const PlaneWord* alive = faults_.alive_plane.data();
-      for (std::size_t i = 0; i < pw; ++i) out[i] &= alive[i];
-    }
-  }
-  TraceEvent event{category, dir, 0, max_segment, 1, 1, pe_count(), pe_count()};
-  if (trace_ != nullptr) event.open_count = plane_popcount(geometry_, open_eff);
-  charge_cycles({event, {}, true});
-  return max_segment;
-}
-
-std::size_t Machine::tmr_wired_or_plane_into(const PlaneWord* src, Direction dir,
-                                             const PlaneWord* open, PlaneWord* out) {
-  const std::size_t max_segment =
-      wired_or_plane_cycle(src, dir, open, out, StepCategory::BusOr);
-  const std::size_t pw = geometry_.plane_words();
-  for (int i = 0; i < 2; ++i) {
-    tmr_planes_[i].resize(pw);
-    (void)wired_or_plane_cycle(src, dir, open, tmr_planes_[i].data(),
-                               StepCategory::Masking);
-  }
-  ++mask_stats_.votes;
-  if (majority_vote_words(out, tmr_planes_[0].data(), tmr_planes_[1].data(), pw)) {
-    ++mask_stats_.corrections;
-  }
+  const std::size_t max_segment = tmr_cycle(
+      StepCategory::BusBroadcast, std::span<PlaneWord>(out, pw * static_cast<std::size_t>(planes)),
+      std::span<PlaneWord>(driven, pw),
+      [&](std::span<PlaneWord> o, std::span<PlaneWord> d, StepCategory category) {
+        return broadcast_planes_cycle(src, planes, dir, open, o.data(), d.data(), category);
+      });
+  if (config_.masking == BusMasking::Ecc) ecc_correct(src, planes, dir, open, out, false);
   return max_segment;
 }
 
 std::size_t Machine::wired_or_plane_into(const PlaneWord* src, Direction dir,
                                          const PlaneWord* open, PlaneWord* out) {
-  if (config_.masking == BusMasking::Tmr) return tmr_wired_or_plane_into(src, dir, open, out);
-  if (config_.masking == BusMasking::Ecc) return ecc_wired_or_plane_into(src, dir, open, out);
-  return wired_or_plane_cycle(src, dir, open, out, StepCategory::BusOr);
+  const std::size_t max_segment = tmr_cycle(
+      StepCategory::BusOr, std::span<PlaneWord>(out, geometry_.plane_words()),
+      std::span<PlaneWord>(), [&](std::span<PlaneWord> o, std::span<PlaneWord>, StepCategory category) {
+        return wired_or_plane_cycle(src, dir, open, o.data(), category);
+      });
+  if (config_.masking == BusMasking::Ecc) ecc_correct(src, 1, dir, open, out, true);
+  return max_segment;
 }
 
 const Machine::RowOrSwitches& Machine::row_or_switches(Direction dir, const PlaneWord* open) {
@@ -701,13 +578,14 @@ void Machine::charge_cycles(const CyclePlan& plan, std::uint64_t cycles, int alu
 // ECC rider (docs/robustness.md). Every plane bus cycle is followed by a
 // parity beat: r = bit_width(planes) parity planes of the PROGRAM source,
 // computed with the dispatched SIMD plane kernels and sent through the same
-// switch fabric (effective switches, dead-driver silencing, dead reads) but
-// on spare wires outside the h-bit stuck-bit fault surface. The receiver
-// recomputes parity over the received data planes; the XOR of the two is a
-// per-lane Hamming syndrome that names the single corrupted data plane
-// (signature j + 1), which is then bit-flipped in place. Double faults on
-// one lane can alias to a wrong signature — the run's verification
-// certificate stays the backstop for that.
+// switch fabric (the fault layer's kParityBeatSteps: effective switches,
+// dead-driver silencing, dead reads) but on spare wires outside the h-bit
+// stuck-bit fault surface. The receiver recomputes parity over the
+// received data planes; the XOR of the two is a per-lane Hamming syndrome
+// that names the single corrupted data plane (signature j + 1), which is
+// then bit-flipped in place. Double faults on one lane can alias to a wrong
+// signature — the run's verification certificate stays the backstop for
+// that.
 // ---------------------------------------------------------------------------
 
 void Machine::ecc_parity_of(const PlaneWord* data, int planes, int r, PlaneWord* parity) {
@@ -730,48 +608,32 @@ void Machine::ecc_parity_of(const PlaneWord* data, int planes, int r, PlaneWord*
   }
 }
 
-void Machine::ecc_parity_beat(int r, Direction dir, const PlaneWord* program_open,
-                              bool wired_or) {
-  const Axis axis = axis_of(dir);
+void Machine::ecc_parity_beat(int r, Direction dir, const PlaneWord* open, bool wired_or) {
   const std::size_t pw = geometry_.plane_words();
-  const PlaneWord* open_eff =
-      faults_.any ? effective_open_plane(axis, program_open) : program_open;
-  if (faults_.any_dead) {
-    const PlaneWord* alive = faults_.alive_plane.data();
-    for (int b = 0; b < r; ++b) {
-      const std::size_t off = static_cast<std::size_t>(b) * pw;
-      for (std::size_t i = 0; i < pw; ++i) ecc_parity_src_[off + i] &= alive[i];
-    }
-  }
+  const PlaneWord* program_open = open;
+  const PlaneWord* src = ecc_parity_src_.data();
+  if (faults_.any) fault_pre(dir, open, src, r);
   ecc_parity_recv_.resize(static_cast<std::size_t>(r) * pw);
   std::size_t max_segment = 0;
   if (wired_or) {
-    max_segment = plane_wired_or_into(geometry_, config_.topology, dir,
-                                      ecc_parity_src_.data(), open_eff,
+    max_segment = plane_wired_or_into(geometry_, config_.topology, dir, src, open,
                                       ecc_parity_recv_.data(), bus_scratch_);
   } else {
     ecc_parity_driven_.resize(pw);
-    max_segment = plane_broadcast_into(geometry_, config_.topology, dir,
-                                       ecc_parity_src_.data(), r, open_eff,
+    max_segment = plane_broadcast_into(geometry_, config_.topology, dir, src, r, open,
                                        ecc_parity_recv_.data(), ecc_parity_driven_.data(),
                                        bus_scratch_);
   }
-  // No apply_stuck_bits_planes: the modeled stuck wires are data wires
-  // (bit < h); the parity beat's spare wires are clean. Dead PEs still
-  // read zero — zero received data plus zero parity is a valid codeword,
-  // so dead lanes never trigger a false correction.
-  if (faults_.any_dead) {
-    const PlaneWord* alive = faults_.alive_plane.data();
-    for (int b = 0; b < r; ++b) {
-      const std::size_t off = static_cast<std::size_t>(b) * pw;
-      for (std::size_t i = 0; i < pw; ++i) ecc_parity_recv_[off + i] &= alive[i];
-    }
+  // Dead PEs still read zero — zero received data plus zero parity is a
+  // valid codeword, so dead lanes never trigger a false correction.
+  if (faults_.any) {
+    fault_post(kParityBeatSteps, StepCategory::Masking, dir, program_open, open,
+               ecc_parity_recv_.data(), r, nullptr);
   }
   steps_.charge_bus(StepCategory::Masking, max_segment);
   if (trace_ != nullptr) {
-    trace_->on_event(TraceEvent{StepCategory::Masking, dir,
-                                plane_popcount(geometry_, open_eff), max_segment, 1,
-                                static_cast<std::size_t>(r)});
+    trace_->on_event(TraceEvent{StepCategory::Masking, dir, plane_popcount(geometry_, open),
+                                max_segment, 1, static_cast<std::size_t>(r)});
   }
 }
 
@@ -826,33 +688,15 @@ void Machine::ecc_decode(PlaneWord* out, int planes, int r) {
   if (!k.all_zero(ecc_nonzero_.data(), pw)) ++mask_stats_.uncorrectable;
 }
 
-std::size_t Machine::ecc_broadcast_planes_into(const PlaneWord* src, int planes,
-                                               Direction dir, const PlaneWord* open,
-                                               PlaneWord* out, PlaneWord* driven) {
-  const int r = ecc_parity_count(planes);
-  const std::size_t pw = geometry_.plane_words();
-  ecc_parity_src_.resize(static_cast<std::size_t>(r) * pw);
-  ecc_parity_of(src, planes, r, ecc_parity_src_.data());
-  const std::size_t max_segment =
-      broadcast_planes_cycle(src, planes, dir, open, out, driven,
-                             StepCategory::BusBroadcast);
-  ecc_parity_beat(r, dir, open, /*wired_or=*/false);
-  ecc_decode(out, planes, r);
-  return max_segment;
-}
-
-std::size_t Machine::ecc_wired_or_plane_into(const PlaneWord* src, Direction dir,
-                                             const PlaneWord* open, PlaneWord* out) {
+void Machine::ecc_correct(const PlaneWord* src, int planes, Direction dir,
+                          const PlaneWord* open, PlaneWord* out, bool wired_or) {
   // A 1-plane wired-OR cycle degenerates to r = 1: the parity "plane" is a
   // duplicate of the data plane on the clean spare wire.
-  const std::size_t pw = geometry_.plane_words();
-  ecc_parity_src_.resize(pw);
-  plane_kernels::active().op_copy(src, ecc_parity_src_.data(), pw);
-  const std::size_t max_segment =
-      wired_or_plane_cycle(src, dir, open, out, StepCategory::BusOr);
-  ecc_parity_beat(1, dir, open, /*wired_or=*/true);
-  ecc_decode(out, 1, 1);
-  return max_segment;
+  const int r = ecc_parity_count(planes);
+  ecc_parity_src_.resize(static_cast<std::size_t>(r) * geometry_.plane_words());
+  ecc_parity_of(src, planes, r, ecc_parity_src_.data());
+  ecc_parity_beat(r, dir, open, wired_or);
+  ecc_decode(out, planes, r);
 }
 
 void Machine::shift_planes(const PlaneWord* src, int planes, Direction dir,

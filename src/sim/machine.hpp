@@ -42,14 +42,6 @@ enum class UndrivenPolicy {
   ReadZero,  // the PE reads 0 (a pulled-down line); useful in tests
 };
 
-/// How parallel values are stored and swept on the HOST. Pure host
-/// artifact: programs, results, driven flags and step counts are
-/// bit-identical under both backends (tests/mcp_backend_diff_test.cpp).
-enum class ExecBackend {
-  Words,     // one Word per PE; elementwise loops sweep one PE per op
-  BitPlane,  // h bit planes, 64 PE lanes per uint64_t (sim/bit_planes.hpp)
-};
-
 /// In-place bus-cycle fault masking (docs/robustness.md). Orthogonal to the
 /// verify-then-retry recovery loop: masking corrects corruption DURING the
 /// run instead of detecting it afterwards.
@@ -128,10 +120,12 @@ class Machine {
   void set_trace(TraceSink* sink) noexcept { trace_ = sink; }
   [[nodiscard]] TraceSink* trace() const noexcept { return trace_; }
 
-  /// Compiles and installs a hardware fault model (sim/fault_model.hpp);
-  /// every subsequent bus cycle applies it, identically under both
-  /// backends. Throws util::ContractError on out-of-range faults.
-  /// An empty model clears previously injected faults.
+  /// Compiles and installs a hardware fault model (sim/fault_model.hpp)
+  /// in the masks of config().backend; every subsequent bus cycle applies
+  /// it, identically under both backends. While faults are installed, a
+  /// cycle of the other backend's representation throws
+  /// util::ContractError, as do out-of-range faults. An empty model clears
+  /// previously injected faults.
   void inject_faults(const FaultModel& model);
   [[nodiscard]] bool has_faults() const noexcept { return faults_.any; }
 
@@ -334,21 +328,43 @@ class Machine {
   }
 
  private:
-  // Fault transform around a bus cycle (machine.cpp). `effective_open`
-  // returns `open` untouched when the axis has no switch faults; the other
-  // helpers are no-ops without the corresponding fault class.
-  [[nodiscard]] std::span<const Flag> effective_open(Axis axis, std::span<const Flag> open);
-  [[nodiscard]] const PlaneWord* effective_open_plane(Axis axis, const PlaneWord* open);
-  void check_contention(StepCategory category, Direction dir,
-                        std::span<const Flag> program_open);
-  void check_contention_plane(StepCategory category, Direction dir,
-                              const PlaneWord* program_open);
-  void clear_dead_driven(Direction dir, std::span<const Flag> open_eff,
-                         std::span<Flag> driven);
-  void clear_dead_driven_plane(Direction dir, const PlaneWord* open_eff, PlaneWord* driven);
+  // The fault layer (machine.cpp; docs/robustness.md, "Semantics,
+  // precisely"), once per representation over the backend's own masks.
+  // The pre-kernel step rewrites a cycle's inputs in place: `open` to the
+  // effective switches, `src` to the source with dead drivers silenced
+  // (both untouched without the fault class). The post-kernel step then
+  // applies the cycle kind's FaultSteps to the received values, and the
+  // dead reads always. A faulty machine resolves only its own backend's
+  // cycles (a ContractError otherwise).
+  struct FaultSteps {
+    bool contention;   // report program drivers a stuck-closed box shorts
+                       // (checked mode)
+    bool liveness;     // a segment whose only driver is dead floats undriven
+    bool stuck_wires;  // force the stuck bits of the cycle's faulty lines
+  };
+  // Which post-kernel steps each resolving cycle kind applies:
+  //   a charged broadcast all three;
+  //   a TMR re-execution no contention (its trial 1 already reported it);
+  //   a wired-OR no liveness (an open-collector read never floats);
+  //   a shadow cycle no contention (the data cycle it rides reports it)
+  //     and no stuck wires (taint flags are host bookkeeping, not wires);
+  //   an ECC parity beat none (spare wires; its driven flags are unread).
+  static constexpr FaultSteps kBroadcastSteps{true, true, true};
+  static constexpr FaultSteps kTmrTrialSteps{false, true, true};
+  static constexpr FaultSteps kWiredOrSteps{false, false, true};
+  static constexpr FaultSteps kShadowSteps{false, true, false};
+  static constexpr FaultSteps kParityBeatSteps{false, false, false};
+
   template <typename T>
-  void apply_stuck_bits(Axis axis, std::span<T> values, int value_bits, std::uint64_t cycle);
-  void apply_stuck_bits_planes(Axis axis, PlaneWord* out, int planes, std::uint64_t cycle);
+  void fault_pre(Direction dir, std::span<const Flag>& open, std::span<const T>& src);
+  template <typename T>
+  void fault_post(FaultSteps steps, StepCategory category, Direction dir,
+                  std::span<const Flag> program_open, std::span<const Flag> open,
+                  std::span<T> values, std::span<Flag> driven, int value_bits);
+  void fault_pre(Direction dir, const PlaneWord*& open, const PlaneWord*& src, int planes);
+  void fault_post(FaultSteps steps, StepCategory category, Direction dir,
+                  const PlaneWord* program_open, const PlaneWord* open, PlaneWord* out,
+                  int planes, PlaneWord* driven);
 
   // One physical bus cycle, clean or fault-transformed, charged and traced
   // under `category` (contention is only reported for the primary category
@@ -368,6 +384,16 @@ class Machine {
   std::size_t wired_or_plane_cycle(const PlaneWord* src, Direction dir,
                                    const PlaneWord* open, PlaneWord* out,
                                    StepCategory category);
+
+  // The 2-of-3 trial-and-vote: `cycle(values, driven, category)` runs one
+  // trial. Under BusMasking::Tmr trial 1 writes the caller's buffers
+  // (normal category), trials 2-3 machine scratch (Masking), then
+  // majority_vote votes values and driven flags per wire. Otherwise the
+  // one trial is the cycle.
+  template <typename V, typename D, typename Cycle>
+  std::size_t tmr_cycle(StepCategory category, std::span<V> values, std::span<D> driven,
+                        Cycle cycle);
+
   // What plan_cycle reads off a row wired-OR's switches, for the last open
   // plane it saw: the sweep engine's row end is the same plane on every
   // call of a pass.
@@ -380,33 +406,15 @@ class Machine {
   };
   const RowOrSwitches& row_or_switches(Direction dir, const PlaneWord* open);
 
-  // TMR wrappers: trial 1 into the caller's buffers (normal category),
-  // trials 2-3 into machine scratch (Masking), then a per-wire majority
-  // vote over values and driven flags.
-  template <typename T>
-  std::size_t tmr_broadcast_into(std::span<const T> src, Direction dir,
-                                 std::span<const Flag> open, std::span<T> values,
-                                 std::span<Flag> driven, int value_bits);
-  std::size_t tmr_wired_or_into(std::span<const Flag> src, Direction dir,
-                                std::span<const Flag> open, std::span<Flag> values);
-  std::size_t tmr_broadcast_planes_into(const PlaneWord* src, int planes, Direction dir,
-                                        const PlaneWord* open, PlaneWord* out,
-                                        PlaneWord* driven);
-  std::size_t tmr_wired_or_plane_into(const PlaneWord* src, Direction dir,
-                                      const PlaneWord* open, PlaneWord* out);
-
-  // ECC wrappers: data cycle, then a parity beat (r parity planes of the
-  // program source through the same fault transform minus stuck bits —
-  // parity rides spare wires), then a Hamming syndrome decode on the
-  // received planes. Parity planes are computed with the dispatched SIMD
-  // plane kernels (sim/plane_kernels.hpp).
-  std::size_t ecc_broadcast_planes_into(const PlaneWord* src, int planes, Direction dir,
-                                        const PlaneWord* open, PlaneWord* out,
-                                        PlaneWord* driven);
-  std::size_t ecc_wired_or_plane_into(const PlaneWord* src, Direction dir,
-                                      const PlaneWord* open, PlaneWord* out);
+  // ECC rider after a plane cycle: a parity beat (r parity planes of the
+  // program source through the fault layer's kParityBeatSteps — parity
+  // rides spare wires), then a Hamming syndrome decode on the received
+  // planes. Parity planes are computed with the dispatched SIMD plane
+  // kernels (sim/plane_kernels.hpp).
+  void ecc_correct(const PlaneWord* src, int planes, Direction dir, const PlaneWord* open,
+                   PlaneWord* out, bool wired_or);
   void ecc_parity_of(const PlaneWord* data, int planes, int r, PlaneWord* parity);
-  void ecc_parity_beat(int r, Direction dir, const PlaneWord* program_open, bool wired_or);
+  void ecc_parity_beat(int r, Direction dir, const PlaneWord* open, bool wired_or);
   void ecc_decode(PlaneWord* out, int planes, int r);
 
   MachineConfig config_;
