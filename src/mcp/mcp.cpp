@@ -63,8 +63,7 @@ using sim::Word;
 void panel_row_reduce(const Pint& index, const Pbool& row_end, MinVariant variant,
                       const Pint& sow, Pint& min_sow, Pint& ptn) {
   if (variant == MinVariant::Paper) {
-    min_sow = ppc::pmin(sow, Direction::West, row_end);
-    ptn = ppc::selected_min(index, Direction::West, row_end, min_sow == sow);
+    ppc::min_argmin(min_sow, ptn, sow, index, Direction::West, row_end);
   } else {
     min_sow = ppc::pmin_orprobe(sow, Direction::West, row_end);
     ptn = ppc::selected_min_orprobe(index, Direction::West, row_end, min_sow == sow);

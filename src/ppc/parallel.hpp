@@ -280,12 +280,24 @@ void check_store_driven_plane(Context& ctx, const sim::PlaneWord* mask,
 void store_planes(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* values,
                   std::span<const sim::PlaneWord> driven,
                   const sim::PlaneWord* addend = nullptr);
+/// store_planes (no addend) bounded to the words [begin, end) of each plane,
+/// which hold every lane of `mask`: only those words of `values` are read,
+/// and of dst written. For a store into one row or a few.
+void store_planes_in(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* values,
+                     std::span<const sim::PlaneWord> driven, std::size_t begin,
+                     std::size_t end);
 /// store_planes of the saturating sum of a one-driver column broadcast and
 /// `addend`: the broadcast is the driver row `line` (row_words words per
 /// plane) under its driven plane `driven`, read in the same sweep
 /// (PlaneKernels::line_add_sat_masked) instead of from p stored rows.
 void store_line_sum(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* line,
                     const sim::PlaneWord* driven, const sim::PlaneWord* addend);
+/// store_planes of one word per row (PlaneKernels::row_word_fill): row r's
+/// value is words[r] ^ flip on the lanes of `driven` (empty: every lane)
+/// and 0 elsewhere, written straight into dst under `mask` (nullptr: every
+/// lane).
+void store_row_words(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* words,
+                     sim::PlaneWord flip, std::span<const sim::PlaneWord> driven);
 }  // namespace detail
 
 }  // namespace ppa::ppc

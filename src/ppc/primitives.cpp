@@ -4,6 +4,8 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -463,6 +465,25 @@ Pint plane_route_and_spread(const Pint& src, sim::Direction orientation, const P
   return detail::make_bus_pint_planes(ctx, std::move(out), std::move(driven));
 }
 
+/// Each row's extreme as one word (min() flips it: the round words are
+/// its complement) and the lanes the spread drives (empty: every lane), in
+/// arena buffers.
+struct RowExtremes {
+  explicit RowExtremes(Context& context)
+      : ctx(context), words(context.acquire_flag_plane()) {}
+  ~RowExtremes() {
+    ctx.release_flag_plane(std::move(words));
+    ctx.release_flag_plane(std::move(driven));
+  }
+  RowExtremes(const RowExtremes&) = delete;
+  RowExtremes& operator=(const RowExtremes&) = delete;
+
+  Context& ctx;
+  std::vector<PlaneWord> words;
+  std::vector<PlaneWord> driven;
+  PlaneWord flip = 0;
+};
+
 /// Statements 11–13 from the row words, when the elimination ran in the
 /// kernel (so every row opens L at its anchor lane, the flow head, or
 /// nowhere) and each route's outcome is known without resolving it. A row
@@ -472,12 +493,11 @@ Pint plane_route_and_spread(const Pint& src, sim::Direction orientation, const P
 /// linear bus a survivor upstream of the anchor. A row whose anchor is in
 /// L only keeps src there. The spread then drives that value over the
 /// row, the anchor included on a ring only; a row without an anchor
-/// floats. Returns nothing, and charges nothing, when some storing row's
+/// floats. Returns false, and charges nothing, when some storing row's
 /// route must be resolved. The route and the spread are charged from their
 /// plans, which a machine that planned the elimination always gives.
-std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
-                                           sim::Direction orientation, const Pbool& L,
-                                           const PlaneElimination& core) {
+bool known_route_and_spread(const Pint& src, bool keep_max, sim::Direction orientation,
+                            const Pbool& L, const PlaneElimination& core, RowExtremes& out) {
   Context& ctx = src.context();
   const sim::PlaneGeometry& g = ctx.geometry();
   const std::size_t n = g.n;
@@ -498,7 +518,7 @@ std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
   const PlaneWord* values = src.planes_view().data();
   // Each row's extreme as its round words, or src at an anchor that does
   // not store, written the same way.
-  std::vector<PlaneWord> words = ctx.acquire_flag_plane();
+  std::vector<PlaneWord>& words = out.words;
   std::copy_n(core.row_or(), n, words.begin());
   std::size_t anchored = 0;
   for (std::size_t r = 0; r < n; ++r) {
@@ -521,25 +541,19 @@ std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
       upstream |= enable[base + w] & (w == head_w ? reach : ~PlaneWord{0});
       if (ambient != nullptr) unmasked |= full[base + w] & ~ambient[base + w];
     }
-    if (upstream == 0 || unmasked != 0) {
-      ctx.release_flag_plane(std::move(words));
-      return std::nullopt;
-    }
+    if (upstream == 0 || unmasked != 0) return false;
   }
-  std::vector<PlaneWord> driven;
+  out.flip = keep_max ? 0 : ~PlaneWord{0};
   if (!ring || anchored < n) {
-    driven = ctx.acquire_flag_plane();
+    out.driven = ctx.acquire_flag_plane();
     for (std::size_t base = 0; base < pw; base += rw) {
       const bool anchor = (open[base + head_w] & head) != 0;
       for (std::size_t w = 0; w < rw; ++w) {
-        driven[base + w] = anchor ? full[base + w] & (w == head_w ? reach : ~PlaneWord{0}) : 0;
+        out.driven[base + w] =
+            anchor ? full[base + w] & (w == head_w ? reach : ~PlaneWord{0}) : 0;
       }
     }
   }
-  std::vector<PlaneWord> out = ctx.acquire_value_planes();
-  ctx.alu().row_word_fill(g, words.data(), keep_max ? 0 : ~PlaneWord{0}, h,
-                          driven.empty() ? full : driven.data(), out.data());
-  ctx.release_flag_plane(std::move(words));
   sim::Machine& machine = ctx.machine();
   const auto route =
       machine.plan_cycle(sim::StepCategory::BusBroadcast, sim::opposite(orientation), enable, h);
@@ -548,7 +562,52 @@ std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
   // Each after its ALU step: the where(L) push, then the masked store.
   machine.charge_cycles(*route, 1, 1);
   machine.charge_cycles(*spread, 1, 1);
-  return detail::make_bus_pint_planes(ctx, std::move(out), std::move(driven));
+  return true;
+}
+
+/// The prologue and per-round charges of a min/max listing (the bit-plane
+/// arm charges them in listing_extreme's order).
+struct ListingCharges {
+  int before = 0;  // ALU steps ahead of each round's OR
+  int after = 0;   // and after it
+};
+
+/// Charges the prologue of `listing_extreme` — `Pbool enable(ctx, true)`
+/// (a copy of `selected` is free), `Pint reconstructed(ctx, 0)`, the
+/// loop's `k_false` — and returns its per-round charges: bit(j), !, &
+/// before the OR (the maximum skips the !); after it the where's condition
+/// (& — the maximum adds a !), its push and the store into enable, then
+/// for the OR probe the ! (minimum only), or_bit and the store into the
+/// reconstruction. A tainted `selected` is rejected as the listing's first
+/// bus_or rejects the probe.
+ListingCharges charge_listing_prologue(sim::Machine& machine, bool keep_max,
+                                       const Pbool* selected, bool or_probe) {
+  charge(machine, (selected == nullptr ? 1 : 0) + (or_probe ? 1 : 0) + 1);
+  const ListingCharges per_round{keep_max ? 2 : 3,
+                                 (keep_max ? 4 : 3) + (or_probe ? (keep_max ? 2 : 3) : 0)};
+  if (selected != nullptr && !selected->fully_driven()) {
+    charge(machine, per_round.before);
+    require_injectable(*selected, "bus_or");
+  }
+  return per_round;
+}
+
+/// `dst = extreme(src, ...)` with statements 11–13 (no OR probe) run on
+/// `core`, stored under the ambient mask: when the rounds ran in the kernel
+/// and every route is known, the row words are written into dst in place,
+/// with the store's check and charge (`known` keeps them and returns true);
+/// otherwise the routed result is resolved and stored.
+bool plane_extreme_into(Pint& dst, const Pint& src, bool keep_max, sim::Direction orientation,
+                        const Pbool& L, PlaneElimination& core, ListingCharges per_round,
+                        RowExtremes& known) {
+  if (core.run(src.planes_view().data(), src.context().field().bits(), per_round.before, {}, 0,
+               per_round.after, [](int, const PlaneWord*) {}) &&
+      known_route_and_spread(src, keep_max, orientation, L, core, known)) {
+    detail::store_row_words(dst, core.ambient(), known.words.data(), known.flip, known.driven);
+    return true;
+  }
+  dst = plane_route_and_spread(src, orientation, L, core.enable());
+  return false;
 }
 
 /// The bit-plane arm of every min/max primitive, charged as
@@ -556,30 +615,23 @@ std::optional<Pint> known_route_and_spread(const Pint& src, bool keep_max,
 Pint plane_extreme(const Pint& src, bool keep_max, sim::Direction orientation, const Pbool& L,
                    const Pbool* selected, bool or_probe) {
   Context& ctx = src.context();
-  sim::Machine& machine = ctx.machine();
-  // Prologue: `Pbool enable(ctx, true)` (a copy of `selected` is free),
-  // `Pint reconstructed(ctx, 0)`, the loop's `k_false`.
-  charge(machine, (selected == nullptr ? 1 : 0) + (or_probe ? 1 : 0) + 1);
-  // Per round: bit(j), !, & before the OR (the maximum skips the !);
-  // after it the where's condition (& — the maximum adds a !), its push
-  // and the store into enable, then for the OR probe the ! (minimum only),
-  // or_bit and the store into the reconstruction.
-  const int before = keep_max ? 2 : 3;
-  const int after = (keep_max ? 4 : 3) + (or_probe ? (keep_max ? 2 : 3) : 0);
-  if (selected != nullptr && !selected->fully_driven()) {
-    // The listing's first bus_or rejects the tainted probe.
-    charge(machine, before);
-    require_injectable(*selected, "bus_or");
-  }
+  const ListingCharges per_round =
+      charge_listing_prologue(ctx.machine(), keep_max, selected, or_probe);
   PlaneElimination core(ctx, keep_max, orientation, L.plane_view().data(),
                         selected != nullptr ? selected->plane_view().data() : nullptr);
   const std::size_t pw = ctx.geometry().plane_words();
   const int h = ctx.field().bits();
   const PlaneWord* planes = src.planes_view().data();
   if (!or_probe) {
-    if (core.run(planes, h, before, {}, 0, after, [](int, const PlaneWord*) {})) {
-      if (auto known = known_route_and_spread(src, keep_max, orientation, L, core)) {
-        return std::move(*known);
+    if (core.run(planes, h, per_round.before, {}, 0, per_round.after,
+                 [](int, const PlaneWord*) {})) {
+      RowExtremes known(ctx);
+      if (known_route_and_spread(src, keep_max, orientation, L, core, known)) {
+        std::vector<PlaneWord> out = ctx.acquire_value_planes();
+        ctx.alu().row_word_fill(ctx.geometry(), known.words.data(), known.flip, h,
+                                known.driven.empty() ? ctx.full_plane() : known.driven.data(),
+                                nullptr, out.data());
+        return detail::make_bus_pint_planes(ctx, std::move(out), std::move(known.driven));
       }
     }
     return plane_route_and_spread(src, orientation, L, core.enable());
@@ -592,8 +644,8 @@ Pint plane_extreme(const Pint& src, bool keep_max, sim::Direction orientation, c
   const auto bit_out = [&](int k) {
     return out.data() + static_cast<std::size_t>(h - 1 - k) * pw;
   };
-  const bool in_kernel =
-      core.run(planes, h, before, {}, 0, after, [&](int k, const PlaneWord* some) {
+  const bool in_kernel = core.run(
+      planes, h, per_round.before, {}, 0, per_round.after, [&](int k, const PlaneWord* some) {
         if (keep_max) {
           ctx.alu().op_and(some, stored, bit_out(k), pw);
         } else {
@@ -604,9 +656,80 @@ Pint plane_extreme(const Pint& src, bool keep_max, sim::Direction orientation, c
     // A row's OR is the same on all its lanes: its words of plane j are
     // `stored` or 0 by bit h-1-j of the row's OR word.
     ctx.alu().row_word_fill(ctx.geometry(), core.row_or(), keep_max ? 0 : ~PlaneWord{0}, h,
-                            stored, out.data());
+                            stored, nullptr, out.data());
   }
   return detail::make_bus_pint_planes(ctx, std::move(out), {});
+}
+
+/// `min_out == src` once min_out = pmin(src, orientation, L) was stored
+/// from the row words `known` of the elimination `core`, on fully driven
+/// operands. Every PE of a row inside the ambient mask that the spread
+/// drives holds the row minimum, so there the compare is the elimination's
+/// survivors; every other word is compared (a row the mask leaves out, an
+/// undriven anchor). Charged as the listing's ==.
+Pbool survivors_equal(const Pint& min_out, const Pint& src, const PlaneElimination& core,
+                      const RowExtremes& known) {
+  Context& ctx = src.context();
+  const std::size_t rw = ctx.geometry().row_words;
+  const std::size_t pw = ctx.geometry().plane_words();
+  const int h = ctx.field().bits();
+  const PlaneWord* full = ctx.full_plane();
+  const PlaneWord* a = min_out.planes_view().data();
+  const PlaneWord* b = src.planes_view().data();
+  const auto& alu = ctx.alu();
+  std::vector<PlaneWord> eq = ctx.acquire_flag_plane();
+  alu.op_copy(core.enable(), eq.data(), pw);
+  // The lanes outside the mask and those the spread leaves undriven; a row
+  // holding one is compared.
+  std::vector<PlaneWord> odd = ctx.acquire_flag_plane();
+  if (core.ambient() != nullptr) {
+    alu.op_andnot(full, core.ambient(), odd.data(), pw);
+  } else {
+    alu.op_zero(odd.data(), pw);
+  }
+  if (!known.driven.empty()) {
+    for (std::size_t i = 0; i < pw; ++i) odd[i] |= full[i] & ~known.driven[i];
+  }
+  for (std::size_t base = 0; base < pw; base += rw) {
+    PlaneWord any = 0;
+    for (std::size_t w = base; w < base + rw; ++w) any |= odd[w];
+    if (any == 0) continue;
+    for (std::size_t i = base; i < base + rw; ++i) {
+      PlaneWord differ = 0;
+      for (int j = 0; j < h; ++j) {
+        differ |= a[static_cast<std::size_t>(j) * pw + i] ^ b[static_cast<std::size_t>(j) * pw + i];
+      }
+      eq[i] = full[i] & ~differ;
+    }
+  }
+  ctx.release_flag_plane(std::move(odd));
+  ctx.machine().charge_alu();
+  return detail::make_bus_pbool_plane(ctx, std::move(eq), {});
+}
+
+/// The bit-plane arm of min_argmin: pmin's rounds stored into min_out, the
+/// selection, then selected_min's rounds stored into arg_out.
+void plane_min_argmin(Pint& min_out, Pint& arg_out, const Pint& src, const Pint& index,
+                      sim::Direction orientation, const Pbool& L) {
+  Context& ctx = src.context();
+  const PlaneWord* open = L.plane_view().data();
+  std::optional<Pbool> selected;
+  {
+    const ListingCharges per_round = charge_listing_prologue(ctx.machine(), false, nullptr, false);
+    PlaneElimination core(ctx, false, orientation, open, nullptr);
+    RowExtremes known(ctx);
+    if (plane_extreme_into(min_out, src, false, orientation, L, core, per_round, known) &&
+        &min_out != &src && min_out.fully_driven() && src.fully_driven()) {
+      selected.emplace(survivors_equal(min_out, src, core, known));
+    }
+  }
+  if (!selected) selected.emplace(min_out == src);
+  require_injectable(index, "selected_min");
+  const ListingCharges per_round =
+      charge_listing_prologue(ctx.machine(), false, &*selected, false);
+  PlaneElimination core(ctx, false, orientation, open, selected->plane_view().data());
+  RowExtremes known(ctx);
+  plane_extreme_into(arg_out, index, false, orientation, L, core, per_round, known);
 }
 
 /// Shared entry checks and backend dispatch of the min/max primitives.
@@ -657,6 +780,22 @@ Pint pmax_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L) {
 Pint selected_max_orprobe(const Pint& src, sim::Direction orientation, const Pbool& L,
                           const Pbool& selected) {
   return extreme("selected_max_orprobe", src, true, orientation, L, &selected, true);
+}
+
+void min_argmin(Pint& min_out, Pint& arg_out, const Pint& src, const Pint& index,
+                sim::Direction orientation, const Pbool& L) {
+  Context& ctx = src.context();
+  for (const Context* other : {&min_out.context(), &arg_out.context(), &index.context(),
+                               &L.context()}) {
+    require_same(ctx, *other);
+  }
+  if (!ctx.bitplane()) {
+    min_out = pmin(src, orientation, L);
+    arg_out = selected_min(index, orientation, L, min_out == src);
+    return;
+  }
+  require_injectable(src, "pmin");
+  plane_min_argmin(min_out, arg_out, src, index, orientation, L);
 }
 
 void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
@@ -869,36 +1008,91 @@ void plane_broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bo
   ctx.release_flag_plane(std::move(pushed));
 }
 
+/// The words [begin, end) of each plane holding every lane of `mask`
+/// (begin == end: none).
+std::pair<std::size_t, std::size_t> reached_words(const PlaneWord* mask, std::size_t pw) {
+  std::size_t begin = 0;
+  while (begin < pw && mask[begin] == 0) ++begin;
+  std::size_t end = pw;
+  while (end > begin && mask[end - 1] == 0) --end;
+  return {begin, end};
+}
+
+/// A pullback broadcast: the column broadcast of `src` from `open` as a
+/// store under `mask`, which lies in the words [begin, end), reads it.
+/// With a `plan` (a clean machine, one driver per column line) the cycle
+/// is charged from it and only those words of `out.values` are filled,
+/// from the driver row (none when `mask` is empty); otherwise it is
+/// resolved. Returns the driven plane the store checks, valid until the
+/// next bus cycle.
+std::span<const PlaneWord> pull(const Pint& src, const PlaneWord* open, bool two_sided,
+                                const std::optional<sim::Machine::CyclePlan>& plan,
+                                const PlaneWord* mask, std::size_t begin, std::size_t end,
+                                PlaneRead& out) {
+  if (!plan) {
+    plane_scheme_broadcast(src, open, two_sided, out);
+    return out.driven;
+  }
+  Context& ctx = src.context();
+  const sim::PlaneGeometry& g = ctx.geometry();
+  const int h = ctx.field().bits();
+  ctx.machine().charge_cycles(*plan);
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  const PlaneWord* driven = plan->column.driven;
+  if (std::all_of(mask + begin, mask + end, [](PlaneWord m) { return m == 0; })) {
+    return {driven, pw};
+  }
+  std::vector<PlaneWord> row = ctx.acquire_value_planes();
+  sim::column_driver_row(g, src.planes_view().data(), h, open, plan->column, row.data());
+  for (int j = 0; j < h; ++j) {
+    const PlaneWord* rp = row.data() + static_cast<std::size_t>(j) * rw;
+    PlaneWord* vp = out.values.data() + static_cast<std::size_t>(j) * pw;
+    for (std::size_t i = begin; i < end; ++i) vp[i] = rp[i % rw] & driven[i];
+  }
+  ctx.release_value_planes(std::move(row));
+  return {driven, pw};
+}
+
 Pbool plane_pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow, const Pbool& row,
                      const Pbool& diagonal, bool two_sided) {
   Context& ctx = sow.context();
   sim::Machine& machine = ctx.machine();
-  const auto& alu = ctx.alu();
   const std::size_t pw = ctx.geometry().plane_words();
   const int h = ctx.field().bits();
   const PlaneWord* open = diagonal.plane_view().data();
   // `Pbool changed(ctx, false)`, where(row), !diagonal and its where:
-  // `stores` = ambient & row & !diagonal.
+  // `stores` = ambient & row & !diagonal, which reaches `row`'s rows only,
+  // so every store and the compare stay in the words [begin, end).
   std::vector<PlaneWord> changed = ctx.acquire_flag_plane();
   machine.charge_alu();
   std::vector<PlaneWord> stores = ctx.acquire_flag_plane();
   plane_push(ctx, ctx.mask_plane(), row, stores.data());
   charge(machine, 2);
-  alu.op_andnot(stores.data(), open, stores.data(), pw);
-  detail::store_planes(old_sow, stores.data(), sow.planes_view().data(),
-                       sow.driven_plane_view());
+  ctx.alu().op_andnot(stores.data(), open, stores.data(), pw);
+  const auto [begin, end] = reached_words(stores.data(), pw);
+  detail::store_planes_in(old_sow, stores.data(), sow.planes_view().data(),
+                          sow.driven_plane_view(), begin, end);
+  // Both broadcasts are charged from one plan, since they share their
+  // switches and width and no bus cycle runs between them, or both are
+  // resolved: a tainted operand rides a shadow cycle.
+  const auto plan = !two_sided && min_sow.fully_driven() && ptn.fully_driven()
+                        ? machine.plan_cycle(sim::StepCategory::BusBroadcast,
+                                             sim::Direction::South, open, h)
+                        : std::nullopt;
   PlaneRead pulled(ctx);
-  plane_scheme_broadcast(min_sow, open, two_sided, pulled);
+  std::span<const PlaneWord> driven =
+      pull(min_sow, open, two_sided, plan, stores.data(), begin, end, pulled);
   // Under `stores` old_sow holds the old sow, so changed = stores & (pulled
   // != sow) before the store, and both sides of the compare are driven
   // there once stored: the changed store never meets an undriven value.
   // Only the word blocks `stores` reaches are compared.
-  alu.compare_ne_masked(pulled.values.data(), sow.planes_view().data(), h, pw, stores.data(),
-                        changed.data());
-  detail::store_planes(sow, stores.data(), pulled.values.data(), pulled.driven);
+  ctx.alu().compare_ne_masked(pulled.values.data(), sow.planes_view().data(), h, pw,
+                              stores.data(), changed.data());
+  detail::store_planes_in(sow, stores.data(), pulled.values.data(), driven, begin, end);
   charge(machine, 3);  // !=, the store into changed, where(changed)
-  plane_scheme_broadcast(ptn, open, two_sided, pulled);
-  detail::store_planes(ptn, changed.data(), pulled.values.data(), pulled.driven);
+  driven = pull(ptn, open, two_sided, plan, changed.data(), begin, end, pulled);
+  detail::store_planes_in(ptn, changed.data(), pulled.values.data(), driven, begin, end);
   ctx.release_flag_plane(std::move(stores));
   return detail::make_bus_pbool_plane(ctx, std::move(changed), {});
 }

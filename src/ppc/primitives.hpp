@@ -29,14 +29,17 @@
 //                                min and smallest-index argmin of every
 //                                row from h + log2 p wired-OR rounds,
 //                                read back by the controller.
+//   min_argmin                 — statements 11–12: min() and the
+//                                smallest index attaining it, stored into
+//                                the caller's registers.
 //   broadcast_add              — statement 10: a column broadcast of the
 //                                carrier row plus a saturating add, stored
 //                                in place.
 //   pullback                   — statements 15–18: the diagonal's row
 //                                minima and pointers pulled into row d.
-//                                Both run as eDSL statements on the word
-//                                backend and in place on the bit-plane
-//                                backend.
+//                                All three run as eDSL statements on the
+//                                word backend and in place on the
+//                                bit-plane backend.
 //
 // Injection precondition for shift and bus_or: values injected must be
 // fully driven (store a received bus value into a variable first).
@@ -146,6 +149,23 @@ void fused_row_min_argmin(const Pint& value, std::span<const Pbool> index_bits,
                           const Pbool& row_end, std::size_t rows, std::span<Word> min_line,
                           std::span<Word> arg_line);
 
+/// Statements 11–12 in place, the full array's row reduction:
+///
+///   min_out = min(src, orientation, L);
+///   arg_out = selected_min(index, orientation, L, min_out == src);
+///
+/// both stored under the ambient where-mask. The word backend runs these
+/// eDSL statements. The bit-plane backend charges every operator, store
+/// and bus cycle as they do, but when min()'s rounds ran in the row
+/// elimination kernel and every route is known (a clean machine, rows of
+/// one segment) it writes each result straight into its register from the
+/// elimination's row words, once, and takes `min_out == src` from the
+/// value rounds' survivors on every row inside the mask that the spread
+/// drives (the compare elsewhere). Any other case resolves the routes and
+/// stores their results, as the statements do.
+void min_argmin(Pint& min_out, Pint& arg_out, const Pint& src, const Pint& index,
+                sim::Direction orientation, const Pbool& L);
+
 /// Statement 10 in place, `two_sided` choosing two_sided_broadcast over
 /// broadcast:
 ///
@@ -178,7 +198,10 @@ void broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two
 ///     where (changed) ptn = broadcast(ptn, South, diagonal);
 ///   }
 ///
-/// Returns `changed`. Same backend split as broadcast_add.
+/// Returns `changed`. Same backend split as broadcast_add: on a clean
+/// machine a one-sided call with driven operands charges both broadcasts
+/// from their plans (Machine::plan_cycle) and reads only the diagonal's
+/// driver row, and every store writes only the words of `row`'s rows.
 [[nodiscard]] Pbool pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow,
                              const Pbool& row, const Pbool& diagonal, bool two_sided);
 

@@ -637,18 +637,8 @@ void column_driver_row(const PlaneGeometry& g, const PlaneWord* src, int planes,
                        const PlaneWord* open, const ColumnDrivers& drivers, PlaneWord* line) {
   PPA_REQUIRE(planes >= 1 && planes <= 32, "a register has 1 to 32 planes");
   const std::size_t rw = g.row_words;
-  const std::size_t pw = g.plane_words();
-  const std::size_t begin = drivers.rows_begin * rw;
-  const std::size_t end = drivers.rows_end * rw;
-  for (int j = 0; j < planes; ++j) {
-    const PlaneWord* sp = src + static_cast<std::size_t>(j) * pw;
-    PlaneWord* lp = line + static_cast<std::size_t>(j) * rw;
-    for (std::size_t w = 0; w < rw; ++w) {
-      PlaneWord word = 0;
-      for (std::size_t i = begin + w; i < end; i += rw) word |= sp[i] & open[i];
-      lp[w] = word;
-    }
-  }
+  plane_kernels::active().column_gather(g, src, planes, open, drivers.rows_begin * rw,
+                                         drivers.rows_end * rw, line);
 }
 
 std::size_t plane_wired_or_into(const PlaneGeometry& g, BusTopology topology,

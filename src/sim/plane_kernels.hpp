@@ -120,10 +120,13 @@ struct PlaneKernels {
   /// of row r is `mask`'s row-r words where bit planes-1-j of
   /// words[r] ^ flip is set, and 0 where it is not. So row_eliminate's
   /// round words (round k: bit h-1-k) are the extremes' value planes, with
-  /// flip ~0 for a minimum. Reads words[0, n); fully overwrites `out`;
-  /// pads stay 0 when `mask`'s are.
+  /// flip ~0 for a minimum. Reads words[0, n). With `store` == nullptr it
+  /// fully overwrites `out`, whose pads stay 0 when `mask`'s are; otherwise
+  /// it writes only the lanes of `store` (a masked store in place) and
+  /// skips the word blocks `store` leaves empty.
   void (*row_word_fill)(const sim::PlaneGeometry& g, const PlaneWord* words, PlaneWord flip,
-                        int planes, const PlaneWord* mask, PlaneWord* out) noexcept = nullptr;
+                        int planes, const PlaneWord* mask, const PlaneWord* store,
+                        PlaneWord* out) noexcept = nullptr;
 
   /// One row-bus wired-OR cycle (dir East or West) on the single plane
   /// `src`: every lane reads the OR of its segment — an Open lane starts
@@ -145,6 +148,15 @@ struct PlaneKernels {
   void (*column_fill)(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
                       const PlaneWord* open, const PlaneWord* driven,
                       PlaneWord* out) noexcept = nullptr;
+
+  /// The driver rows of a column broadcast with one driver per line whose
+  /// Open switches all lie in the words [begin, end) of the plane (whole
+  /// rows): plane j's row_words words at line + j * row_words get each word
+  /// column's src & open, ORed over those words. What column_fill
+  /// replicates, without the replicate.
+  void (*column_gather)(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
+                        const PlaneWord* open, std::size_t begin, std::size_t end,
+                        PlaneWord* line) noexcept = nullptr;
 
   /// The paper's statement 10 for a column broadcast with one driver per
   /// line, stored in place: dst = mask ? sat((line & driven) + addend) :
@@ -321,9 +333,10 @@ class PlaneAlu {
     k_->row_eliminate(g, rounds, count, keep_max, initial, ambient, full, enable, row_or);
   }
   void row_word_fill(const sim::PlaneGeometry& g, const PlaneWord* words, PlaneWord flip,
-                     int planes, const PlaneWord* mask, PlaneWord* out) const {
+                     int planes, const PlaneWord* mask, const PlaneWord* store,
+                     PlaneWord* out) const {
     bill(g.plane_words() * static_cast<std::size_t>(planes));
-    k_->row_word_fill(g, words, flip, planes, mask, out);
+    k_->row_word_fill(g, words, flip, planes, mask, store, out);
   }
 
  private:

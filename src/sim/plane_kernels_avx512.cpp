@@ -109,6 +109,7 @@ const PlaneKernels* avx512_table() noexcept {
     t.row_fill = detail::t_row_fill<VecAvx512>;
     t.row_word_fill = detail::t_row_word_fill<VecAvx512>;
     t.column_fill = detail::t_column_fill<VecAvx512>;
+    t.column_gather = detail::t_column_gather<VecAvx512>;
     t.line_add_sat_masked = detail::t_line_add_sat_masked<VecAvx512>;
     t.row_eliminate = detail::t_row_eliminate<VecAvx512>;
     return t;

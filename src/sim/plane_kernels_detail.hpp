@@ -779,6 +779,37 @@ void t_segmented_or(const sim::PlaneGeometry& g, sim::BusTopology topology,
 
 constexpr std::size_t kFillBlock = 8;
 
+/// One plane's driver row: line[w] = OR of s & open over the words
+/// [begin, end) of word column w, both multiples of rw, which divides
+/// kFillBlock. The words go kFillBlock at a time into one accumulator
+/// block (word k of a block belongs to word column k mod rw), folded into
+/// its first row, then the ragged tail joins a row at a time.
+template <class V>
+void column_gather_plane(std::size_t rw, const PlaneWord* s, const PlaneWord* open,
+                         std::size_t begin, std::size_t end, PlaneWord* line) noexcept {
+  constexpr std::size_t kRegs = kFillBlock / V::W;
+  PlaneWord block[kFillBlock] = {};
+  std::size_t i = begin;
+  if (end - begin >= kFillBlock) {
+    typename V::reg acc[kRegs];
+    for (std::size_t q = 0; q < kRegs; ++q) acc[q] = V::zero();
+    for (; i + kFillBlock <= end; i += kFillBlock) {
+      for (std::size_t q = 0; q < kRegs; ++q) {
+        const std::size_t k = i + q * V::W;
+        acc[q] = V::or_(acc[q], V::and_(V::load(s + k), V::load(open + k)));
+      }
+    }
+    for (std::size_t q = 0; q < kRegs; ++q) V::store(block + q * V::W, acc[q]);
+    for (std::size_t k = rw; k < kFillBlock; k += rw) {
+      for (std::size_t w = 0; w < rw; ++w) block[w] |= block[k + w];
+    }
+  }
+  for (; i < end; i += rw) {
+    for (std::size_t w = 0; w < rw; ++w) block[w] |= s[i + w] & open[i + w];
+  }
+  for (std::size_t w = 0; w < rw; ++w) line[w] = block[w];
+}
+
 template <class V>
 void t_column_fill_flat(std::size_t rw, std::size_t pw, const PlaneWord* src, int planes,
                         const PlaneWord* open, const PlaneWord* driven,
@@ -788,22 +819,11 @@ void t_column_fill_flat(std::size_t rw, std::size_t pw, const PlaneWord* src, in
   for (int j = 0; j < planes; ++j) {
     const PlaneWord* s = src + static_cast<std::size_t>(j) * pw;
     PlaneWord* o = out + static_cast<std::size_t>(j) * pw;
+    // The driver row, repeated across a whole block.
+    PlaneWord line[kFillBlock];
+    column_gather_plane<V>(rw, s, open, 0, pw, line);
+    for (std::size_t k = rw; k < kFillBlock; ++k) line[k] = line[k - rw];
     typename V::reg acc[kRegs];
-    for (std::size_t q = 0; q < kRegs; ++q) acc[q] = V::zero();
-    for (std::size_t i = 0; i < body; i += kFillBlock) {
-      for (std::size_t q = 0; q < kRegs; ++q) {
-        const std::size_t k = i + q * V::W;
-        acc[q] = V::or_(acc[q], V::and_(V::load(s + k), V::load(open + k)));
-      }
-    }
-    PlaneWord block[kFillBlock];
-    for (std::size_t q = 0; q < kRegs; ++q) V::store(block + q * V::W, acc[q]);
-    // The driver row, folded from the block and the ragged tail, then
-    // repeated across a whole block.
-    PlaneWord line[kFillBlock] = {};
-    for (std::size_t k = 0; k < kFillBlock; ++k) line[k % rw] |= block[k];
-    for (std::size_t i = body; i < pw; ++i) line[i % rw] |= s[i] & open[i];
-    for (std::size_t k = rw; k < kFillBlock; ++k) line[k] = line[k % rw];
     for (std::size_t q = 0; q < kRegs; ++q) acc[q] = V::load(line + q * V::W);
     for (std::size_t i = 0; i < body; i += kFillBlock) {
       for (std::size_t q = 0; q < kRegs; ++q) {
@@ -838,6 +858,33 @@ void t_column_fill_rows(std::size_t n, std::size_t rw, std::size_t pw, const Pla
       t_op_and<V>(line, driven + base, o + base, rw);
     }
     t_op_and<V>(line, driven, line, rw);
+  }
+}
+
+/// The kernel-table entry: the driver rows of a column broadcast with one
+/// driver per line whose Open switches all lie in the words [begin, end).
+/// A range of a block or more, on rows that tile a block, goes through
+/// the accumulator blocks; a shorter one (a carrier's single row) or other
+/// rows take one word column at a time, which reads no more than the range.
+template <class V>
+void t_column_gather(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
+                     const PlaneWord* open, std::size_t begin, std::size_t end,
+                     PlaneWord* line) noexcept {
+  const std::size_t rw = g.row_words;
+  const std::size_t pw = g.plane_words();
+  const bool blocks = kFillBlock % rw == 0 && end - begin >= kFillBlock;
+  for (int j = 0; j < planes; ++j) {
+    const PlaneWord* s = src + static_cast<std::size_t>(j) * pw;
+    PlaneWord* lp = line + static_cast<std::size_t>(j) * rw;
+    if (blocks) {
+      column_gather_plane<V>(rw, s, open, begin, end, lp);
+      continue;
+    }
+    for (std::size_t w = 0; w < rw; ++w) {
+      PlaneWord word = 0;
+      for (std::size_t i = begin + w; i < end; i += rw) word |= s[i] & open[i];
+      lp[w] = word;
+    }
   }
 }
 
@@ -988,16 +1035,18 @@ void t_row_fill(const sim::PlaneGeometry& g, const PlaneWord* src, int planes,
 // Row word fill: one word per row written as planes, plane j of row r being
 // the mask's row-r words where bit planes-1-j of the row's word (flipped by
 // `flip`) is set — the row elimination's round words, whose round k is bit
-// h-1-k of the extreme, turned into value planes. Word index outermost:
-// each vector's row words are gathered once (a direct load for one-word
-// rows) and then tested against every plane's bit.
+// h-1-k of the extreme, turned into value planes. With a `store` mask only
+// its lanes are written, and a word block it leaves empty is skipped (a
+// masked Pint store of the extremes, in place). Word index outermost: each
+// vector's row words are gathered once (a direct load for one-word rows)
+// and then tested against every plane's bit.
 // ---------------------------------------------------------------------------
 
 /// Words [begin, end) of every plane; `begin` is a multiple of V::W.
 template <class V>
 void row_word_fill_words(std::size_t rw, std::size_t pw, const PlaneWord* words, PlaneWord flip,
-                         int planes, const PlaneWord* mask, PlaneWord* out, std::size_t begin,
-                         std::size_t end) noexcept {
+                         int planes, const PlaneWord* mask, const PlaneWord* store,
+                         PlaneWord* out, std::size_t begin, std::size_t end) noexcept {
   std::size_t r = begin / rw;  // the row of word i, and i's word within it
   std::size_t w = begin % rw;
   PlaneWord spread[V::W] = {};
@@ -1017,9 +1066,21 @@ void row_word_fill_words(std::size_t rw, std::size_t pw, const PlaneWord* words,
     }
     v = V::xor_(v, V::set1(flip));
     const auto m = V::load(mask + i);
+    if (store == nullptr) {
+      for (int j = 0; j < planes; ++j) {
+        const auto bit = V::set1(PlaneWord{1} << (planes - 1 - j));
+        V::store(out + static_cast<std::size_t>(j) * pw + i,
+                 V::select_nonzero(V::and_(v, bit), m));
+      }
+      continue;
+    }
+    const auto s = V::load(store + i);
+    if (V::is_zero(s)) continue;
     for (int j = 0; j < planes; ++j) {
       const auto bit = V::set1(PlaneWord{1} << (planes - 1 - j));
-      V::store(out + static_cast<std::size_t>(j) * pw + i, V::select_nonzero(V::and_(v, bit), m));
+      PlaneWord* o = out + static_cast<std::size_t>(j) * pw + i;
+      const auto d = V::load(o);
+      V::store(o, V::xor_(d, V::and_(V::xor_(d, V::select_nonzero(V::and_(v, bit), m)), s)));
     }
   }
 }
@@ -1027,13 +1088,14 @@ void row_word_fill_words(std::size_t rw, std::size_t pw, const PlaneWord* words,
 /// The kernel-table entry.
 template <class V>
 void t_row_word_fill(const sim::PlaneGeometry& g, const PlaneWord* words, PlaneWord flip,
-                     int planes, const PlaneWord* mask, PlaneWord* out) noexcept {
+                     int planes, const PlaneWord* mask, const PlaneWord* store,
+                     PlaneWord* out) noexcept {
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
   const std::size_t body = pw - pw % V::W;
-  row_word_fill_words<V>(rw, pw, words, flip, planes, mask, out, 0, body);
+  row_word_fill_words<V>(rw, pw, words, flip, planes, mask, store, out, 0, body);
   if constexpr (V::W > 1) {
-    row_word_fill_words<VecScalar>(rw, pw, words, flip, planes, mask, out, body, pw);
+    row_word_fill_words<VecScalar>(rw, pw, words, flip, planes, mask, store, out, body, pw);
   }
 }
 

@@ -72,9 +72,11 @@ INSTANTIATE_TEST_SUITE_P(
     pinned_name);
 
 // A clean full-array solve charges every min() route and spread without
-// resolving them (ppc::pmin / selected_min on the bit-plane backend), so
-// the n = 128 bench solve puts no row on the row broadcasts' segmented-fill
-// ladder, at its pinned steps.
+// resolving them (ppc::min_argmin on the bit-plane backend), so the
+// n = 128 bench solve puts no row on the row broadcasts' segmented-fill
+// ladder, at its pinned steps. Statement 10 and the pullback's two
+// diagonal broadcasts are charged from their plans too: of its 314 bus
+// cycles only the two initialization broadcasts are resolved.
 TEST(McpRowRoutes, CleanFullSolveNeverReachesTheLadder) {
   const auto g = bench_graph(128);
   sim::MachineConfig config;
@@ -86,6 +88,8 @@ TEST(McpRowRoutes, CleanFullSolveNeverReachesTheLadder) {
   EXPECT_EQ(r.iterations, 8u);
   EXPECT_EQ(r.total_steps.summary(), "steps=2069 alu=1747 bus_bcast=58 bus_or=256 global_or=8");
   EXPECT_EQ(machine.row_ladder_rows(), 0u);
+  EXPECT_EQ(machine.bus_cycles(), 314u);
+  EXPECT_EQ(machine.charge_only_cycles(), 312u);
 }
 
 // The virtualized sweep's full step profile, not only its PanelIo formula:

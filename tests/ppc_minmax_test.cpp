@@ -188,6 +188,7 @@ enum class Primitive {
   PmaxOrProbe,
   SelectedMaxOrProbe,
   Fused,  // fused_row_min_argmin: rows only
+  MinArgmin,  // min_argmin into two registers: min() then the smallest index
 };
 
 constexpr Primitive kMinMax[] = {Primitive::Pmin,        Primitive::SelectedMin,
@@ -220,9 +221,10 @@ Pint apply(Primitive p, const Pint& src, Direction o, const Pbool& anchor, const
     case Primitive::SelectedMax: return selected_max(src, o, anchor, sel);
     case Primitive::PmaxOrProbe: return pmax_orprobe(src, o, anchor);
     case Primitive::SelectedMaxOrProbe: return selected_max_orprobe(src, o, anchor, sel);
-    case Primitive::Fused: break;
+    case Primitive::Fused:
+    case Primitive::MinArgmin: break;
   }
-  throw std::logic_error("fused_row_min_argmin returns lines, not a Pint");
+  throw std::logic_error("fused_row_min_argmin and min_argmin return no Pint");
 }
 
 enum class Scenario {
@@ -277,6 +279,7 @@ struct Setup {
   Scenario scenario;
   Primitive primitive;
   int bits = 0;  // the field width; 0: field_bits_of(side)
+  bool inert = false;  // also inject a fault that never bites: no cycle is planned
 };
 
 /// Everything observable about one call on a fresh machine.
@@ -487,7 +490,7 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
                    : ecc                     ? sim::BusMasking::Ecc
                                              : sim::BusMasking::None;
   sim::Machine m(config);
-  if (sc == Scenario::InertFault) {
+  if (sc == Scenario::InertFault || s.inert) {
     m.inject_faults(test::inert_fault());
   } else if (!clean(sc)) {
     m.inject_faults(faults_of(n, sc != Scenario::FaultsEcc || ecc));
@@ -513,6 +516,17 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
   const Pbool selected(ctx, selection(n, s.orientation, n * 17 + 5, special_lines(s)));
   const std::vector<Pbool> index_bits =
       s.primitive == Primitive::Fused ? column_index_planes(ctx) : std::vector<Pbool>{};
+  // min_argmin's registers start with other values, except that about one
+  // min_out element in three holds its src: outside the mask, where nothing
+  // is stored, `min_out == src` then selects some lanes and not others.
+  std::optional<Pint> min_out, arg_out;
+  if (s.primitive == Primitive::MinArgmin) {
+    const std::vector<Word> data = line_values(n, config.bits, s.orientation, n * 31 + 7);
+    std::vector<Word> prior = line_values(n, config.bits, s.orientation, n * 43 + 1);
+    for (std::size_t pe = 0; pe < n * n; pe += 3) prior[pe] = data[pe];
+    min_out.emplace(ctx, prior);
+    arg_out.emplace(ctx, line_values(n, config.bits, s.orientation, n * 47 + 3));
+  }
 
   Observed seen;
   const std::uint64_t dispatches_before = m.sweep_stats().dispatches;
@@ -524,6 +538,11 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
         fused_row_min_argmin(src, index_bits, anchor, fused_rows(n), min_line, arg_line);
         seen.values = min_line;
         seen.values.insert(seen.values.end(), arg_line.begin(), arg_line.end());
+        return;
+      }
+      if (s.primitive == Primitive::MinArgmin) {
+        const Pint index = along_rows(s.orientation) ? col_of(ctx) : row_of(ctx);
+        min_argmin(*min_out, *arg_out, src, index, s.orientation, anchor);
         return;
       }
       const Pint result = apply(s.primitive, src, s.orientation, anchor, selected);
@@ -542,6 +561,19 @@ Observed observe(const Setup& s, sim::ExecBackend backend, bool traced = true) {
     where(ctx, cond, call);
   } else {
     call();
+  }
+  if (min_out) {
+    // Read whether or not the call threw: a store that throws must leave
+    // the same partial state as the statements.
+    seen.values.resize(2 * n * n);
+    for (std::size_t r = 0; r < n; ++r) {
+      min_out->read_row(r, std::span<Word>(seen.values).subspan(r * n, n));
+      arg_out->read_row(r, std::span<Word>(seen.values).subspan(n * n + r * n, n));
+    }
+    seen.driven = driven_flags(*min_out);
+    const std::vector<sim::Flag> arg_driven = driven_flags(*arg_out);
+    seen.driven.insert(seen.driven.end(), arg_driven.begin(), arg_driven.end());
+    seen.fully_driven = min_out->fully_driven() && arg_out->fully_driven();
   }
   seen.dispatches = m.sweep_stats().dispatches - dispatches_before;
   m.set_trace(nullptr);
@@ -626,6 +658,25 @@ void expect_host_answer(const Setup& s, const Observed& got) {
       const auto best = std::min_element(first, first + static_cast<std::ptrdiff_t>(n));
       ASSERT_EQ(got.values[r], *best) << "row " << r;
       ASSERT_EQ(got.values[n + r], static_cast<Word>(best - first)) << "row " << r;
+    }
+    return;
+  }
+  if (s.primitive == Primitive::MinArgmin) {
+    // Every PE holds its line's minimum, and the smallest lane holding it.
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        Word best = ~Word{0};
+        Word lane = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+          const Word v = data[along_rows(s.orientation) ? r * n + k : k * n + c];
+          if (v < best) {
+            best = v;
+            lane = static_cast<Word>(k);
+          }
+        }
+        ASSERT_EQ(got.values[r * n + c], best) << "PE (" << r << ", " << c << ")";
+        ASSERT_EQ(got.values[n * n + r * n + c], lane) << "PE (" << r << ", " << c << ")";
+      }
     }
     return;
   }
@@ -849,6 +900,18 @@ TEST_P(MinMaxBackendDiff, StuckOpenRowSwitchPutsOneRowOnTheLadder) {
       }
     }
   }
+}
+
+// min_argmin (statements 11–12) in place against its two statements: both
+// registers' values and driven flags, whether or not the call threw. On a
+// Linear bus the checked runs (FaultsChecked, EmptyLines, AnchorOnly) store
+// min() over each row's undriven anchor, so there the selection is the
+// compare's; the where-masks leave out lanes whose min_out equals src and
+// lanes whose min_out does not.
+TEST_P(MinMaxBackendDiff, MinArgminMatchesListing) {
+  constexpr Primitive kMinArgmin[] = {Primitive::MinArgmin};
+  expect_core_matches_listing(GetParam(), kMinArgmin,
+                              {Direction::West, Direction::East, Direction::South});
 }
 
 INSTANTIATE_TEST_SUITE_P(Sides, MinMaxBackendDiff, kSides, side_name);
@@ -1314,6 +1377,42 @@ TEST_P(PullbackBackendDiff, InPlaceMatchesListing) {
 
 INSTANTIATE_TEST_SUITE_P(Sides, PullbackBackendDiff, kSides, side_name);
 
+// Which path the pullback took, read off Machine::charge_only_cycles(): a
+// one-sided call on a clean machine whose MIN_SOW and PTN are fully driven
+// charges both diagonal broadcasts from their plans and reads the diagonal
+// alone, on either topology; a two-sided, faulty (even inertly), TMR, ECC
+// or tainted call resolves both. The values, steps and traces of every
+// case are PullbackBackendDiff's.
+class PullbackKernelPath : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PullbackKernelPath, CleanOneSidedCallsReadTheDiagonalAlone) {
+  const std::size_t side = GetParam();
+  for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+    for (const bool two_sided : {false, true}) {
+      for (const std::size_t carrier : {std::size_t{0}, side / 2, side - 1}) {
+        for (const Scenario scenario : kRelaxScenarios) {
+          const RelaxSetup setup{side, topology, two_sided, carrier, scenario, Relax::Pullback};
+          SCOPED_TRACE(describe(setup));
+          const bool clean = scenario == Scenario::Clean || scenario == Scenario::AmbientMask ||
+                             scenario == Scenario::CarrierAmbient;
+          const Observed got = observe_relax(setup, sim::ExecBackend::BitPlane);
+          if (clean && topology == sim::BusTopology::Ring) {
+            EXPECT_EQ(got.error, "");
+          }
+          // A Linear column line leaves the lanes of row d past the
+          // diagonal's driver undriven: the store after the first
+          // broadcast throws there.
+          const std::uint64_t planned = got.error.empty() ? 2 : 1;
+          EXPECT_EQ(got.charge_only, clean && !two_sided ? planned : 0u);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sides, PullbackKernelPath, ::testing::Values(1, 5, 64, 65, 130),
+                         side_name);
+
 // ---------------------------------------------------------------------------
 // Charge-only cycles against their resolved run. A machine with a fault
 // that never bites (InertFault) plans no cycle, so it resolves every bus
@@ -1373,6 +1472,35 @@ TEST_P(ChargeOnlyParity, RelaxCallsMatchTheirResolvedRun) {
     }
   }
   EXPECT_GT(planned, 0u);  // the clean one-sided statement 10 read its driver row
+}
+
+// min_argmin's known routes and spreads, and its stores from the row words,
+// against the same calls on an inertly faulty machine, which resolves every
+// route and stores through the registers: on both topologies, inside
+// whole-line and random where-masks, and checked with a Linear bus's
+// undriven anchors stored.
+void expect_min_argmin_charge_only_parity(std::size_t side) {
+  std::uint64_t planned = 0;
+  for (const auto topology : {sim::BusTopology::Ring, sim::BusTopology::Linear}) {
+    for (const Direction orientation : {Direction::West, Direction::East, Direction::South}) {
+      for (const Scenario scenario : {Scenario::Clean, Scenario::AmbientMask,
+                                      Scenario::LineAmbient, Scenario::EmptyLines}) {
+        Setup setup{side, topology, orientation, scenario, Primitive::MinArgmin};
+        const Observed charged = observe(setup, sim::ExecBackend::BitPlane);
+        setup.inert = true;
+        SCOPED_TRACE(describe(setup));
+        const Observed resolved = observe(setup, sim::ExecBackend::BitPlane);
+        expect_same(resolved, charged, false);
+        EXPECT_EQ(resolved.charge_only, 0u);
+        planned += charged.charge_only;
+      }
+    }
+  }
+  EXPECT_GT(planned, 0u);  // the clean row calls ran in the kernel
+}
+
+TEST_P(ChargeOnlyParity, MinArgminMatchesItsResolvedRun) {
+  expect_min_argmin_charge_only_parity(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sides, ChargeOnlyParity, ::testing::Values(1, 2, 5, 63, 64, 65, 128, 130),

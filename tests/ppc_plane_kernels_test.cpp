@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/bit_planes.hpp"
@@ -639,9 +640,62 @@ TEST(PlaneKernels, RowWordFillMatchesPlainLoop) {
               }
             }
             std::vector<PlaneWord> got(total, 0x5A5A'5A5A'5A5A'5A5Aull);
-            arm->row_word_fill(g, words.data(), flip, planes, mask.data(), got.data());
+            arm->row_word_fill(g, words.data(), flip, planes, mask.data(), nullptr, got.data());
             ASSERT_EQ(got, want) << sim::plane_kernels::variant_name(arm->variant)
                                  << " n=" << n << " planes=" << planes << " flip=" << (flip != 0);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The store-mask form of the row word fill: only the store mask's lanes
+// are written (a masked Pint store in place), the rest of `out` keeps its
+// words, and the word blocks the mask leaves empty are skipped. Every arm
+// matches the scalar arm and the plain loop, under a random store mask,
+// one row's (the full array's row d left out, inverted) and one row alone.
+TEST(PlaneKernels, RowWordFillStoreMaskMatchesScalarArm) {
+  util::Rng rng(0xE7'0010);
+  const PlaneKernels& scalar = sim::plane_kernels::scalar_kernels();
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : {std::size_t{5}, std::size_t{64}, std::size_t{65},
+                                std::size_t{130}}) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const std::size_t rw = g.row_words;
+      const std::vector<PlaneWord> full = full_plane(g);
+      std::vector<PlaneWord> one_row(pw, 0);
+      for (std::size_t w = 0; w < rw; ++w) one_row[(n / 2) * rw + w] = full[(n / 2) * rw + w];
+      std::vector<PlaneWord> all_but_row(pw);
+      for (std::size_t i = 0; i < pw; ++i) all_but_row[i] = full[i] & ~one_row[i];
+      for (const int planes : {1, 11, 16, 32}) {
+        std::vector<PlaneWord> words(n);
+        for (auto& v : words) v = rng.next();
+        const std::size_t total = pw * static_cast<std::size_t>(planes);
+        for (const PlaneWord flip : {PlaneWord{0}, ~PlaneWord{0}}) {
+          for (const auto& store : {random_planes(rng, g, 1), all_but_row, one_row}) {
+            const std::vector<PlaneWord> mask = random_planes(rng, g, 1);
+            const std::vector<PlaneWord> prior = random_planes(rng, g, planes);
+            std::vector<PlaneWord> want(prior);
+            for (int j = 0; j < planes; ++j) {
+              for (std::size_t i = 0; i < pw; ++i) {
+                const bool set = ((words[i / rw] ^ flip) >> (planes - 1 - j)) & 1u;
+                PlaneWord& o = want[static_cast<std::size_t>(j) * pw + i];
+                o = (o & ~store[i]) | ((set ? mask[i] : 0) & store[i]);
+              }
+            }
+            std::vector<PlaneWord> got(prior);
+            arm->row_word_fill(g, words.data(), flip, planes, mask.data(), store.data(),
+                               got.data());
+            std::vector<PlaneWord> reference(prior);
+            scalar.row_word_fill(g, words.data(), flip, planes, mask.data(), store.data(),
+                                 reference.data());
+            ASSERT_EQ(got.size(), total);
+            ASSERT_EQ(got, reference) << sim::plane_kernels::variant_name(arm->variant)
+                                      << " n=" << n << " planes=" << planes;
+            ASSERT_EQ(got, want) << sim::plane_kernels::variant_name(arm->variant)
+                                 << " n=" << n << " planes=" << planes;
           }
         }
       }
@@ -737,6 +791,55 @@ TEST(PlaneKernels, ColumnFillMatchesScalarArm) {
           ASSERT_EQ(want, got) << what();
           for (std::size_t i = 0; i < total; ++i) {
             ASSERT_EQ(got[i] & ~g.word_mask(i % g.row_words), 0u) << what() << " word " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The column gather (a single-driver column broadcast's driver rows) of
+// every arm against the plain loop, over whole-row word ranges: the whole
+// plane, one row, and a band of rows with a ragged block tail, on row
+// widths that take the flat 8-word blocks (1, 2, 4 words) and one that
+// takes the row loop (3 words). Open layouts: a diagonal, and random
+// switches at density 0.3 (the arithmetic is defined for any open plane).
+TEST(PlaneKernels, ColumnGatherMatchesPlainLoop) {
+  util::Rng rng(0xE7'0011);
+  for (const PlaneKernels* arm : all_arms()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64},
+                                std::size_t{65}, std::size_t{130}, std::size_t{256}}) {
+      const PlaneGeometry g{n};
+      const std::size_t pw = g.plane_words();
+      const std::size_t rw = g.row_words;
+      for (const bool diagonal : {true, false}) {
+        std::vector<PlaneWord> open(pw);
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t c = 0; c < n; ++c) {
+            if (diagonal ? r == c : rng.chance(0.3)) {
+              open[g.word_of(r, c)] |= PlaneWord{1} << g.bit_of(c);
+            }
+          }
+        }
+        for (const int planes : {1, 16, 32}) {
+          const auto src = random_planes(rng, g, planes);
+          const std::pair<std::size_t, std::size_t> ranges[] = {
+              {0, n}, {n / 2, n / 2 + 1}, {n / 3, n - n / 5}};
+          for (const auto& [first, last] : ranges) {
+            std::vector<PlaneWord> want(static_cast<std::size_t>(planes) * rw, 0);
+            for (int j = 0; j < planes; ++j) {
+              for (std::size_t i = first * rw; i < last * rw; ++i) {
+                want[static_cast<std::size_t>(j) * rw + i % rw] |=
+                    src[static_cast<std::size_t>(j) * pw + i] & open[i];
+              }
+            }
+            std::vector<PlaneWord> got(want.size(), ~PlaneWord{0});
+            arm->column_gather(g, src.data(), planes, open.data(), first * rw, last * rw,
+                               got.data());
+            ASSERT_EQ(want, got) << sim::plane_kernels::variant_name(arm->variant)
+                                 << " n=" << n << (diagonal ? " diagonal" : " random")
+                                 << " planes=" << planes << " rows [" << first << ", "
+                                 << last << ")";
           }
         }
       }
