@@ -1305,23 +1305,6 @@ void store_planes(Pint& dst, const PlaneWord* mask, const PlaneWord* values,
   if (!dst_driven.empty()) ctx.alu().op_or(dst_driven.data(), mask, dst_driven.data(), pw);
 }
 
-void store_planes_in(Pint& dst, const PlaneWord* mask, const PlaneWord* values,
-                     std::span<const PlaneWord> driven, std::size_t begin, std::size_t end) {
-  Context& ctx = dst.context();
-  check_store_driven_plane(ctx, mask, driven);
-  ctx.machine().charge_alu();
-  const std::size_t pw = ctx.geometry().plane_words();
-  PlaneWord* out = detail_access::planes(dst).data();
-  for (int j = 0; j < ctx.field().bits(); ++j) {
-    const std::size_t off = static_cast<std::size_t>(j) * pw;
-    for (std::size_t i = begin; i < end; ++i) {
-      out[off + i] ^= (out[off + i] ^ values[off + i]) & mask[i];
-    }
-  }
-  std::vector<PlaneWord>& dst_driven = detail_access::driven_plane(dst);
-  for (std::size_t i = begin; i < end && !dst_driven.empty(); ++i) dst_driven[i] |= mask[i];
-}
-
 void store_line_sum(Pint& dst, const PlaneWord* mask, const PlaneWord* line,
                     const PlaneWord* driven, const PlaneWord* addend) {
   Context& ctx = dst.context();

@@ -280,12 +280,6 @@ void check_store_driven_plane(Context& ctx, const sim::PlaneWord* mask,
 void store_planes(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* values,
                   std::span<const sim::PlaneWord> driven,
                   const sim::PlaneWord* addend = nullptr);
-/// store_planes (no addend) bounded to the words [begin, end) of each plane,
-/// which hold every lane of `mask`: only those words of `values` are read,
-/// and of dst written. For a store into one row or a few.
-void store_planes_in(Pint& dst, const sim::PlaneWord* mask, const sim::PlaneWord* values,
-                     std::span<const sim::PlaneWord> driven, std::size_t begin,
-                     std::size_t end);
 /// store_planes of the saturating sum of a one-driver column broadcast and
 /// `addend`: the broadcast is the driver row `line` (row_words words per
 /// plane) under its driven plane `driven`, read in the same sweep

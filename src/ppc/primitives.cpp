@@ -1020,22 +1020,25 @@ std::pair<std::size_t, std::size_t> reached_words(const PlaneWord* mask, std::si
 
 /// A pullback broadcast: the column broadcast of `src` from `open` as a
 /// store under `mask`, which lies in the words [begin, end), reads it.
-/// With a `plan` (a clean machine, one driver per column line) the cycle
-/// is charged from it and only those words of `out.values` are filled,
-/// from the driver row (none when `mask` is empty); otherwise it is
-/// resolved. Returns the driven plane the store checks, valid until the
-/// next bus cycle.
+/// When `plannable` (one-sided, untainted operands) and the machine plans
+/// the cycle (a clean machine, one driver per column line), it is charged
+/// from its plan and only those words of `out.values` are filled, from the
+/// driver row (none when `mask` is empty); otherwise it is resolved. Each
+/// call meets the plan cache once, as a resolved broadcast does. Returns
+/// the driven plane the store checks, valid until the next bus cycle.
 std::span<const PlaneWord> pull(const Pint& src, const PlaneWord* open, bool two_sided,
-                                const std::optional<sim::Machine::CyclePlan>& plan,
-                                const PlaneWord* mask, std::size_t begin, std::size_t end,
-                                PlaneRead& out) {
+                                bool plannable, const PlaneWord* mask, std::size_t begin,
+                                std::size_t end, PlaneRead& out) {
+  Context& ctx = src.context();
+  const int h = ctx.field().bits();
+  const auto plan = plannable ? ctx.machine().plan_cycle(sim::StepCategory::BusBroadcast,
+                                                         sim::Direction::South, open, h)
+                              : std::nullopt;
   if (!plan) {
     plane_scheme_broadcast(src, open, two_sided, out);
     return out.driven;
   }
-  Context& ctx = src.context();
   const sim::PlaneGeometry& g = ctx.geometry();
-  const int h = ctx.field().bits();
   ctx.machine().charge_cycles(*plan);
   const std::size_t rw = g.row_words;
   const std::size_t pw = g.plane_words();
@@ -1062,8 +1065,9 @@ Pbool plane_pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow, c
   const int h = ctx.field().bits();
   const PlaneWord* open = diagonal.plane_view().data();
   // `Pbool changed(ctx, false)`, where(row), !diagonal and its where:
-  // `stores` = ambient & row & !diagonal, which reaches `row`'s rows only,
-  // so every store and the compare stay in the words [begin, end).
+  // `stores` = ambient & row & !diagonal, which reaches `row`'s rows only:
+  // pull fills the words [begin, end), and the stores and the compare skip
+  // the word blocks `stores` leaves empty.
   std::vector<PlaneWord> changed = ctx.acquire_flag_plane();
   machine.charge_alu();
   std::vector<PlaneWord> stores = ctx.acquire_flag_plane();
@@ -1071,28 +1075,23 @@ Pbool plane_pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow, c
   charge(machine, 2);
   ctx.alu().op_andnot(stores.data(), open, stores.data(), pw);
   const auto [begin, end] = reached_words(stores.data(), pw);
-  detail::store_planes_in(old_sow, stores.data(), sow.planes_view().data(),
-                          sow.driven_plane_view(), begin, end);
-  // Both broadcasts are charged from one plan, since they share their
-  // switches and width and no bus cycle runs between them, or both are
-  // resolved: a tainted operand rides a shadow cycle.
-  const auto plan = !two_sided && min_sow.fully_driven() && ptn.fully_driven()
-                        ? machine.plan_cycle(sim::StepCategory::BusBroadcast,
-                                             sim::Direction::South, open, h)
-                        : std::nullopt;
+  detail::store_planes(old_sow, stores.data(), sow.planes_view().data(),
+                       sow.driven_plane_view());
+  // Both broadcasts are planned or both resolved: a tainted operand rides
+  // a shadow cycle.
+  const bool plannable = !two_sided && min_sow.fully_driven() && ptn.fully_driven();
   PlaneRead pulled(ctx);
   std::span<const PlaneWord> driven =
-      pull(min_sow, open, two_sided, plan, stores.data(), begin, end, pulled);
+      pull(min_sow, open, two_sided, plannable, stores.data(), begin, end, pulled);
   // Under `stores` old_sow holds the old sow, so changed = stores & (pulled
   // != sow) before the store, and both sides of the compare are driven
   // there once stored: the changed store never meets an undriven value.
-  // Only the word blocks `stores` reaches are compared.
   ctx.alu().compare_ne_masked(pulled.values.data(), sow.planes_view().data(), h, pw,
                               stores.data(), changed.data());
-  detail::store_planes_in(sow, stores.data(), pulled.values.data(), driven, begin, end);
+  detail::store_planes(sow, stores.data(), pulled.values.data(), driven);
   charge(machine, 3);  // !=, the store into changed, where(changed)
-  driven = pull(ptn, open, two_sided, plan, changed.data(), begin, end, pulled);
-  detail::store_planes_in(ptn, changed.data(), pulled.values.data(), driven, begin, end);
+  driven = pull(ptn, open, two_sided, plannable, changed.data(), begin, end, pulled);
+  detail::store_planes(ptn, changed.data(), pulled.values.data(), driven);
   ctx.release_flag_plane(std::move(stores));
   return detail::make_bus_pbool_plane(ctx, std::move(changed), {});
 }

@@ -201,7 +201,7 @@ void broadcast_add(Pint& sow, const Pint& addend, const Pbool& carrier, bool two
 /// Returns `changed`. Same backend split as broadcast_add: on a clean
 /// machine a one-sided call with driven operands charges both broadcasts
 /// from their plans (Machine::plan_cycle) and reads only the diagonal's
-/// driver row, and every store writes only the words of `row`'s rows.
+/// driver row, and every store skips the word blocks outside `row`'s rows.
 [[nodiscard]] Pbool pullback(Pint& sow, Pint& old_sow, Pint& ptn, const Pint& min_sow,
                              const Pbool& row, const Pbool& diagonal, bool two_sided);
 

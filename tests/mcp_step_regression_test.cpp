@@ -76,7 +76,9 @@ INSTANTIATE_TEST_SUITE_P(
 // n = 128 bench solve puts no row on the row broadcasts' segmented-fill
 // ladder, at its pinned steps. Statement 10 and the pullback's two
 // diagonal broadcasts are charged from their plans too: of its 314 bus
-// cycles only the two initialization broadcasts are resolved.
+// cycles only the two initialization broadcasts are resolved. Planned or
+// resolved, each column broadcast meets the plan cache once, so its
+// counters are those of the fully resolved solve.
 TEST(McpRowRoutes, CleanFullSolveNeverReachesTheLadder) {
   const auto g = bench_graph(128);
   sim::MachineConfig config;
@@ -90,6 +92,9 @@ TEST(McpRowRoutes, CleanFullSolveNeverReachesTheLadder) {
   EXPECT_EQ(machine.row_ladder_rows(), 0u);
   EXPECT_EQ(machine.bus_cycles(), 314u);
   EXPECT_EQ(machine.charge_only_cycles(), 312u);
+  const sim::Machine::PlanCacheStats cache = machine.plan_cache_stats();
+  EXPECT_EQ(cache.hits, 21u);
+  EXPECT_EQ(cache.misses, 4u);
 }
 
 // The virtualized sweep's full step profile, not only its PanelIo formula:
